@@ -136,9 +136,11 @@ bench:
 # bench-smoke runs the exact-engine kernel benchmarks for a single
 # iteration each: a crash check over benchmark-only code, cheap enough for
 # the check gate. Timings from one iteration are meaningless; use
-# bench/bench-json for numbers.
+# bench/bench-json for numbers. The second line covers the convolution
+# engine's fork-join path, whose benchmark lives in internal/prob.
 bench-smoke:
 	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000)$$' .
+	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
 
 # bench-json runs the full benchmark suite and appends a schema-stable
 # snapshot BENCH_<n>.json (next free index) for trajectory tracking across

@@ -547,16 +547,19 @@ func offlineEvaluate(rq request, voters, reps int, scheduleSeed uint64) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	resp := server.EvaluateResponse{Results: []server.PointResult{{
+	pt := server.PointResult{
 		Mechanism: res.Mechanism, Alpha: rq.alpha, N: res.N,
 		PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD,
 		Gain: res.Gain, GainLo: res.GainLo, GainHi: res.GainHi,
 		MeanDelegators: res.MeanDelegators, MeanSinks: res.MeanSinks,
 		MeanMaxWeight: res.MeanMaxWeight, MaxMaxWeight: res.MaxMaxWeight,
 		MeanLongestChain: res.MeanLongestChain,
-		PDTier:           prob.ClassifyExactTier(res.N).String(),
-	}}}
-	data, err := json.Marshal(resp)
+	}
+	// A sampled P^D carries no kernel tier.
+	if res.N <= election.ExactDirectMaxN {
+		pt.PDTier = prob.ClassifyExactTier(res.N).String()
+	}
+	data, err := json.Marshal(server.EvaluateResponse{Results: []server.PointResult{pt}})
 	if err != nil {
 		return nil, err
 	}

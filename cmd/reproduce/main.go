@@ -10,7 +10,7 @@
 // Usage:
 //
 //	reproduce [-run F1,T2,...|all] [-seed N] [-scale 0.25] [-workers N]
-//	          [-timeout 30s] [-failfast] [-legacy-eval] [-events out.jsonl]
+//	          [-timeout 30s] [-failfast] [-events out.jsonl]
 //	          [-metrics out.jsonl] [-manifest out.json] [-pprof addr]
 //	          [-csv dir] [-json] [-md] [-list]
 //
@@ -79,7 +79,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		manifest = fs.String("manifest", "", "write the end-of-run manifest JSON to this file")
 		pprof    = fs.String("pprof", "", "serve expvar and net/http/pprof on this address (e.g. localhost:6060)")
 		csvDir   = fs.String("csv", "", "directory to also write per-table CSV files")
-		legacy   = fs.Bool("legacy-eval", false, "evaluate sweeps point-by-point through the pre-pipeline path (same output, for verification)")
 		asJSON   = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		asMD     = fs.Bool("md", false, "render tables as GitHub markdown")
 		quiet    = fs.Bool("quiet", false, "suppress per-experiment progress on stderr")
@@ -160,7 +159,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		Timeout:  *timeout,
 		Events:   sink,
 	})
-	cfg := experiment.Config{Seed: *seed, Scale: *scale, LegacyEval: *legacy}
+	cfg := experiment.Config{Seed: *seed, Scale: *scale}
 	results, runErr := eng.Run(ctx, defs, cfg)
 
 	// Render whatever completed, even on cancellation: partial tables, CSV

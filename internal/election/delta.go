@@ -11,8 +11,9 @@ package election
 //     so every multiset the mutated instance re-realizes is a hit;
 //   - the exact P^D is patched through a retained prob.DeltaTree over the
 //     weight-1 competency multiset: a k-voter delta costs O(k log n)
-//     merges instead of the full O(n^2 / FFT) table build (n <= 4096 only
-//     — above that P^D is Monte-Carlo and seed-dependent, never memoized);
+//     merges instead of the full O(n^2 / FFT) table build
+//     (n <= ExactDirectMaxN only — above that P^D is Monte-Carlo and
+//     seed-dependent, never memoized);
 //   - everything else a Plan owns is either immutable or rebuilt lazily.
 //
 // Scenario is the delegation-level counterpart: it pins one plan and one
@@ -221,18 +222,12 @@ func competencyVoters(in *core.Instance, buf []prob.WeightedVoter) []prob.Weight
 	return buf
 }
 
-// pdPatchMaxN bounds the instances whose P^D ApplyDelta patches: it must
-// match the exact-branch bound in Plan.directProbability — above it P^D is
-// Monte-Carlo, seed-dependent, and never memoized, so there is nothing to
-// patch.
-const pdPatchMaxN = 4096
-
 // ApplyDelta derives the plan of the mutated instance. The derived plan is
 // bit-identical in every evaluation to NewPlan on the same mutated
 // instance — EvaluateSweep, P^D, the lot — but shares the receiver's score
 // cache (its values are instance-independent pure functions) and, for
-// n <= 4096, patches the receiver's retained P^D tree instead of re-running
-// the full table, an O(k log n) update for a k-voter delta.
+// n <= ExactDirectMaxN, patches the receiver's retained P^D tree instead of
+// re-running the full table, an O(k log n) update for a k-voter delta.
 //
 // The retained tree MOVES to the derived plan: a chain of ApplyDelta calls
 // (churn, growth) keeps patching one tree, while the receiver — typically
@@ -251,7 +246,7 @@ func (p *Plan) ApplyDelta(deltas ...Delta) (*Plan, error) {
 		return nil, ErrNoVoters
 	}
 	derived := &Plan{in: in2, opts: p.opts, scores: p.scores}
-	if in2.N() > pdPatchMaxN {
+	if in2.N() > ExactDirectMaxN {
 		return derived, nil
 	}
 	p.pdMu.Lock()
@@ -557,14 +552,14 @@ func (s *Scenario) Score() (float64, error) {
 }
 
 // PD returns the instance's exact P^D through the scenario's own retained
-// tree (n <= 4096 only). Bit-identical to DirectProbabilityExact.
+// tree (n <= ExactDirectMaxN only). Bit-identical to DirectProbabilityExact.
 func (s *Scenario) PD() (float64, error) {
 	in := s.plan.Instance()
 	if in.N() == 0 {
 		return 0, ErrNoVoters
 	}
-	if in.N() > pdPatchMaxN {
-		return 0, fmt.Errorf("election: scenario P^D is exact-only (n=%d > %d)", in.N(), pdPatchMaxN)
+	if in.N() > ExactDirectMaxN {
+		return 0, fmt.Errorf("election: scenario P^D is exact-only (n=%d > %d)", in.N(), ExactDirectMaxN)
 	}
 	if v, ok := pdCacheGet(in); ok {
 		cDirectHits.Inc()

@@ -103,16 +103,22 @@ type Result struct {
 	ResolutionCacheMisses uint64
 }
 
+// ExactDirectMaxN is the largest electorate whose P^D the evaluation paths
+// compute exactly. Above it DirectProbability and Plan sample P^D by Monte
+// Carlo, so the value is seed-dependent, never memoized or patched, and
+// carries no kernel tier.
+const ExactDirectMaxN = 4096
+
 // DirectProbability returns P^D(G) for the instance: the probability that a
 // strict majority of independent direct votes is correct. Exact for
-// n <= 4096, Monte Carlo (with the given stream and samples) above.
-// Cancelling ctx aborts the sampling loop with ctx's error.
+// n <= ExactDirectMaxN, Monte Carlo (with the given stream and samples)
+// above. Cancelling ctx aborts the sampling loop with ctx's error.
 func DirectProbability(ctx context.Context, in *core.Instance, samples int, s *rng.Stream) (float64, error) {
 	n := in.N()
 	if n == 0 {
 		return 0, ErrNoVoters
 	}
-	if n <= 4096 {
+	if n <= ExactDirectMaxN {
 		return DirectProbabilityExact(in)
 	}
 	if samples <= 0 {

@@ -51,10 +51,10 @@ type Plan struct {
 	// sharing across points (or mechanisms) cannot change any result.
 	scores *ScoreCache
 
-	// pd memoizes the exact P^D table's majority mass (n <= 4096 only; the
-	// Monte-Carlo branch is seed-dependent and stays per-point). pdStale
-	// marks a delta-derived plan whose retained tree has not been brought
-	// up to this instance yet; the first exact read settles it.
+	// pd memoizes the exact P^D table's majority mass (n <= ExactDirectMaxN
+	// only; the Monte-Carlo branch is seed-dependent and stays per-point).
+	// pdStale marks a delta-derived plan whose retained tree has not been
+	// brought up to this instance yet; the first exact read settles it.
 	pdMu    sync.Mutex
 	pd      float64
 	pdSet   bool
@@ -241,14 +241,15 @@ feed:
 	return result, nil
 }
 
-// directProbability returns the point's P^D. The exact branch (n <= 4096)
-// is seed-free, so cached points share the plan memo (and the process-wide
-// instance cache under it); a cache-disabled point recomputes the DP from
-// scratch. The Monte-Carlo branch draws from the point's "direct" stream
-// and is never memoized — its value is part of the point's RNG contract.
+// directProbability returns the point's P^D. The exact branch
+// (n <= ExactDirectMaxN) is seed-free, so cached points share the plan memo
+// (and the process-wide instance cache under it); a cache-disabled point
+// recomputes the DP from scratch. The Monte-Carlo branch draws from the
+// point's "direct" stream and is never memoized — its value is part of the
+// point's RNG contract.
 func (p *Plan) directProbability(ctx context.Context, opts Options, s *rng.Stream) (float64, error) {
 	n := p.in.N()
-	if n > 4096 {
+	if n > ExactDirectMaxN {
 		return DirectProbability(ctx, p.in, opts.VoteSamples*4, s)
 	}
 	if opts.DisableResolutionCache {

@@ -53,7 +53,7 @@ func runA1(ctx context.Context, cfg Config) (*Outcome, error) {
 			Seed:      rng.Derive(cfg.Seed, "A1", fmt.Sprintf("j=%d", th.j)),
 		}
 	}
-	results, err := evaluatePoints(ctx, cfg, in,
+	results, err := evaluatePoints(ctx, in,
 		election.Options{Replications: reps, Workers: cfg.Workers}, points)
 	if err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func runA2(ctx context.Context, cfg Config) (*Outcome, error) {
 			Seed:      rng.Derive(cfg.Seed, "A2", fmt.Sprintf("alpha=%g", alpha)),
 		}
 	}
-	results, err := evaluatePoints(ctx, cfg, in,
+	results, err := evaluatePoints(ctx, in,
 		election.Options{Replications: reps, Workers: cfg.Workers}, points, alphas...)
 	if err != nil {
 		return nil, err

@@ -180,7 +180,7 @@ func runR1(ctx context.Context, cfg Config) (*Outcome, error) {
 					},
 				})
 			}
-			sweep, err := evaluateFaultPoints(ctx, cfg, in, points)
+			sweep, err := fault.EvaluateSweep(ctx, in, points)
 			if err != nil {
 				return nil, err
 			}

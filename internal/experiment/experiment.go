@@ -44,13 +44,6 @@ type Config struct {
 	// Workers bounds parallelism inside election evaluation (0 = all
 	// cores).
 	Workers int
-	// LegacyEval routes the sweep-based experiments through point-by-point
-	// election.EvaluateMechanism / fault.EvaluateUnderFaults calls instead
-	// of the staged Plan/EvaluateSweep pipeline. The two paths are
-	// bit-identical by the pipeline's equivalence contract; the flag exists
-	// so cmd/reproduce can certify that contract on real output
-	// (-legacy-eval), not to change any result.
-	LegacyEval bool
 }
 
 func (c Config) withDefaults() Config {

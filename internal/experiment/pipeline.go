@@ -1,69 +1,27 @@
 package experiment
 
-// The sweep-shaped experiments (A1's threshold grid, A2's alpha grid, R1's
-// rate x policy grid) evaluate many points against one instance. They go
-// through the staged evaluation pipeline — build a Plan, batch the points —
-// unless Config.LegacyEval asks for the historical point-by-point calls.
-// Both paths are bit-identical by the pipeline's equivalence contract
-// (election/plan.go); routing them through one helper keeps the experiments
-// oblivious to which path ran and gives cmd/reproduce a switch to certify
-// the contract on full-scale output.
+// The sweep-shaped experiments (A1's threshold grid, A2's alpha grid)
+// evaluate many points against one instance through the staged evaluation
+// pipeline: build a Plan, batch the points. The pipeline is bit-identical
+// to point-by-point evaluation by its equivalence contract
+// (election/plan.go), which TestEvaluateSweepMatchesPointwise pins.
 
 import (
 	"context"
 
 	"liquid/internal/core"
 	"liquid/internal/election"
-	"liquid/internal/fault"
 )
 
 // evaluatePoints evaluates a sweep of points on one instance, batched
-// through a Plan or point-by-point under cfg.LegacyEval. prewarmAlphas
-// lists approval margins to warm on the plan before the sweep runs (a pure
-// warm-up, skipped on the legacy path to match its historical behaviour —
-// mechanisms build the memos on demand either way).
-func evaluatePoints(ctx context.Context, cfg Config, in *core.Instance, base election.Options, points []election.SweepPoint, prewarmAlphas ...float64) ([]*election.Result, error) {
-	if cfg.LegacyEval {
-		results := make([]*election.Result, len(points))
-		for i, pt := range points {
-			opts := base
-			opts.Seed = pt.Seed
-			if pt.Replications > 0 {
-				opts.Replications = pt.Replications
-			}
-			if pt.DisableResolutionCache {
-				opts.DisableResolutionCache = true
-			}
-			res, err := election.EvaluateMechanism(ctx, in, pt.Mechanism, opts)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
+// through a Plan. prewarmAlphas lists approval margins to warm on the plan
+// before the sweep runs (a pure warm-up: mechanisms build the memos on
+// demand either way).
+func evaluatePoints(ctx context.Context, in *core.Instance, base election.Options, points []election.SweepPoint, prewarmAlphas ...float64) ([]*election.Result, error) {
 	plan, err := election.NewPlan(in, base)
 	if err != nil {
 		return nil, err
 	}
 	plan.PrewarmApproval(prewarmAlphas...)
 	return election.EvaluateSweep(ctx, plan, points)
-}
-
-// evaluateFaultPoints is the fault-engine analogue: one instance, many
-// fault configurations, scored with a shared exact-score cache unless
-// cfg.LegacyEval asks for isolated per-point calls.
-func evaluateFaultPoints(ctx context.Context, cfg Config, in *core.Instance, points []fault.SweepPoint) ([]*fault.ElectionResult, error) {
-	if cfg.LegacyEval {
-		results := make([]*fault.ElectionResult, len(points))
-		for i, pt := range points {
-			res, err := fault.EvaluateUnderFaults(ctx, in, pt.Mechanism, pt.Opts)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	return fault.EvaluateSweep(ctx, in, points)
 }

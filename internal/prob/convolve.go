@@ -1,11 +1,20 @@
 package prob
 
-// Divide-and-conquer PMF evaluation. The voter set is split (weight-
-// balanced), each half's PMF is computed recursively, and the halves are
-// merged by convolution. With FFT merges the work is O(W log^2 W) on total
-// weight W instead of the naive DP's O(n*W); the crossover to the in-place
-// DP is decided locally from a cost model, so small instances run exactly
-// the code they always did while large ones get the asymptotic win.
+// The convolution engine: every exact PMF in this package — Poisson
+// binomial, weighted majority, transient or retained in a DeltaTree — is
+// the distribution of a weighted sum of independent voters, and one engine
+// computes it. The voter set is split (weight-balanced), each half's PMF is
+// computed recursively, and the halves are merged by convolution. With FFT
+// merges the work is O(W log^2 W) on total weight W instead of the naive
+// DP's O(n*W); the crossover to the in-place DP is decided locally from a
+// cost model, so small instances run exactly the code they always did while
+// large ones get the asymptotic win. A Poisson binomial is a weighted
+// majority of unit-weight voters, so P^M of an all-direct profile equals
+// P^D bit for bit by construction.
+//
+// The engine is four pieces: one split rule (dcSplit), one leaf kernel
+// (dpInto), one merge (copyClampNonneg over Workspace.convolve), and one
+// recursion (Workspace.dc) whose fork-join budget is optional.
 //
 // The cost model counts in "DP units" (one inner-loop update of the
 // quadratic DP). Splitting a segment saves the difference between its DP
@@ -14,7 +23,10 @@ package prob
 // measured price of one FFT butterfly-equivalent in DP units (tuned with
 // BenchmarkPoissonBinomialPMF; see DESIGN.md "Performance kernels").
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 const (
 	// Re-tuned from 4: the paired-FMA DP leaves run closer to peak than the
@@ -35,21 +47,16 @@ func fftMergeCost(resultLen int) int64 {
 	return fftUnitCost * m * int64(lg)
 }
 
-// --- Poisson binomial ---
-
-// pbDPCost is the DP cost of a k-voter Poisson-binomial segment:
-// sum_{i=1..k} i updates.
-func pbDPCost(k int64) int64 { return k * (k + 1) / 2 }
-
 // PoissonBinomialDPCost returns the DP-unit cost of the exact n-voter
-// Poisson-binomial table (the naive quadratic DP; the D&C evaluator only
-// ever does less work). Exported so admission control in the serving layer
-// can price a request in the same units the kernel cost model uses.
+// Poisson-binomial table (the naive quadratic DP, sum_{i=1..n} i updates;
+// the D&C evaluator only ever does less work). Exported so admission
+// control in the serving layer can price a request in the same units the
+// kernel cost model uses.
 func PoissonBinomialDPCost(n int) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return pbDPCost(int64(n))
+	return int64(n) * int64(n+1) / 2
 }
 
 // WeightedMajorityDPCost returns the DP-unit cost of exactly scoring a
@@ -64,121 +71,23 @@ func WeightedMajorityDPCost(k, w int) int64 {
 	return int64(k) * int64(w)
 }
 
-// pbDC computes the PMF of ps[lo:hi] into an arena slice of length
-// hi-lo+1.
-func (ws *Workspace) pbDC(ps []float64, lo, hi int) []float64 {
-	k := hi - lo
-	if k < dcMinLeaf || pbSplitGain(k) <= fftMergeCost(k+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(k + 1)
-		pbDPInto(f, ps[lo:hi])
-		return f
-	}
-	cDCFFTMerges.Inc()
-	mid := lo + k/2
-	mark := ws.off
-	fl := ws.pbDC(ps, lo, mid)
-	fr := ws.pbDC(ps, mid, hi)
-	res := ws.convolve(fl, fr)
-	ws.off = mark
-	out := ws.alloc(k + 1)
-	copyClampNonneg(out, res)
-	return out
+// dcLeaf is the engine's one leaf-or-split test: a segment of k voters and
+// total weight w stays a DP leaf when it is too short to split, or when the
+// DP work its split avoids (gain) does not pay for the FFT merge of its
+// halves. ClassifyExactTier asks the same question of a unit-weight root.
+func dcLeaf(k, w int, gain int64) bool {
+	return k < dcMinLeaf || gain <= fftMergeCost(w+1)
 }
 
-// pbSplitGain is the DP work avoided by splitting a k-voter segment in
-// half (the second half no longer sweeps the first half's support).
-func pbSplitGain(k int) int64 {
-	l := int64(k) / 2
-	r := int64(k) - l
-	return pbDPCost(int64(k)) - pbDPCost(l) - pbDPCost(r)
-}
-
-// pbDPInto runs the exact O(k^2) convolution DP over ps into f, which must
-// have length len(ps)+1 and may hold garbage.
-//
-//lint:hotpath
-func pbDPInto(f []float64, ps []float64) {
-	zeroFloats(f)
-	f[0] = 1
-	// Voters are folded in two at a time: one pass with the pair's
-	// convolution [a0, a1, a2] touches each f entry once instead of twice,
-	// which matters because the DP is memory-bound. math.FMA is the
-	// hardware fused multiply-add: one rounding instead of two,
-	// deterministic across platforms (the softfloat fallback is
-	// bit-identical). wmDPInto pairs and fuses the same way, so weight-1
-	// majorities stay bit-identical to this Poisson-binomial path.
-	reached := 0
-	i := 0
-	for ; i+1 < len(ps); i += 2 {
-		p1, p2 := ps[i], ps[i+1]
-		q1, q2 := 1-p1, 1-p2
-		a0 := q1 * q2
-		a1 := math.FMA(p1, q2, q1*p2)
-		a2 := p1 * p2
-		reached += 2
-		// Iterate downward so f[k-1], f[k-2] still hold previous values.
-		for k := reached; k >= 2; k-- {
-			f[k] = math.FMA(f[k-2], a2, math.FMA(f[k-1], a1, f[k]*a0))
-		}
-		f[1] = math.FMA(f[0], a1, f[1]*a0)
-		f[0] *= a0
-	}
-	if i < len(ps) {
-		p := ps[i]
-		q := 1 - p
-		reached++
-		for k := reached; k >= 1; k-- {
-			f[k] = math.FMA(f[k-1], p, f[k]*q)
-		}
-		f[0] *= q
-	}
-}
-
-// --- Weighted majority ---
-
-// wmDC computes the PMF of voters[lo:hi] into an arena slice. pw holds
-// prefix weights: pw[i] = sum of voters[:i] weights, so the segment's
-// total weight is pw[hi]-pw[lo].
-func (ws *Workspace) wmDC(voters []WeightedVoter, pw []int64, lo, hi int) []float64 {
-	w := int(pw[hi] - pw[lo])
-	if hi-lo < dcMinLeaf || wmSplitGain(pw, lo, hi) <= fftMergeCost(w+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(w + 1)
-		wmDPInto(f, voters[lo:hi])
-		return f
-	}
-	cDCFFTMerges.Inc()
-	mid := wmSplitPoint(pw, lo, hi)
-	mark := ws.off
-	fl := ws.wmDC(voters, pw, lo, mid)
-	fr := ws.wmDC(voters, pw, mid, hi)
-	res := ws.convolve(fl, fr)
-	ws.off = mark
-	out := ws.alloc(w + 1)
-	copyClampNonneg(out, res)
-	return out
-}
-
-// wmDPCost is the naive DP cost of a segment: each voter sweeps the
-// support reached so far.
-func wmDPCost(pw []int64, lo, hi int) int64 {
-	var c int64
-	for i := lo; i < hi; i++ {
-		c += pw[i+1] - pw[lo]
-	}
-	return c
-}
-
-func wmSplitGain(pw []int64, lo, hi int) int64 {
-	mid := wmSplitPoint(pw, lo, hi)
-	return wmDPCost(pw, lo, hi) - wmDPCost(pw, lo, mid) - wmDPCost(pw, mid, hi)
-}
-
-// wmSplitPoint picks the weight-balanced split index in (lo, hi): the
-// smallest mid whose left weight reaches half the segment's, which keeps
-// both convolution operands (and so the padded FFT size) small.
-func wmSplitPoint(pw []int64, lo, hi int) int {
+// dcSplit returns the weight-balanced split point of the segment [lo, hi)
+// of a voter sequence with prefix weights pw (pw[i] = sum of the first i
+// weights), and whether the segment stays a DP leaf instead. The split is
+// the smallest mid in (lo, hi) whose left weight reaches half the
+// segment's, which keeps both convolution operands (and so the padded FFT
+// size) small. Every decision depends only on prefix-weight differences
+// inside the segment, so a segment's PMF is a pure function of its
+// contents wherever it sits — the property DeltaTree's reuse rests on.
+func dcSplit(pw []int64, lo, hi int) (mid int, leaf bool) {
 	target := pw[lo] + (pw[hi]-pw[lo])/2
 	a, b := lo+1, hi-1
 	for a < b {
@@ -189,23 +98,110 @@ func wmSplitPoint(pw []int64, lo, hi int) int {
 			b = m
 		}
 	}
-	return a
+	mid = min(a, hi)
+	// The quadratic DP sweeps each voter over the support reached before
+	// it; after the split, the hi-mid right-hand voters no longer sweep the
+	// left half's pw[mid]-pw[lo] values. That product is the DP work saved.
+	gain := int64(hi-mid) * (pw[mid] - pw[lo])
+	return mid, dcLeaf(hi-lo, int(pw[hi]-pw[lo]), gain)
 }
 
-// wmDPInto runs the exact O(k*W) DP over voters into f, which must have
-// length (sum of weights)+1 and may hold garbage.
+// dc computes the PMF of voters[lo:hi] into an arena slice of length
+// pw[hi]-pw[lo]+1: a DP leaf, or the clamped convolution of its halves.
+//
+// With a fork budget b, a large right half may run in its own goroutine on
+// a pooled workspace while this one computes the left half; every node
+// checks ctx before descending. The result is bit-identical to the
+// sequential recursion because nothing about the tree depends on
+// scheduling: the split schedule is fixed, each forked subtree computes
+// into its own workspace, and every merge happens in the parent after both
+// children finish, always as convolve(left, right) in the parent's
+// workspace. A nil b runs sequentially and never consults ctx, which may
+// then be nil: the entry points without a context cannot be cancelled.
+func (ws *Workspace) dc(ctx context.Context, voters []WeightedVoter, pw []int64, lo, hi int, b *forkBudget) ([]float64, error) {
+	if b != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	w := int(pw[hi] - pw[lo])
+	mid, leaf := dcSplit(pw, lo, hi)
+	if leaf {
+		cDCDPLeaves.Inc()
+		f := ws.alloc(w + 1)
+		dpInto(f, voters[lo:hi])
+		return f, nil
+	}
+	cDCFFTMerges.Inc()
+	mark := ws.off
+
+	var childWS *Workspace
+	var join chan forkResult
+	if b != nil && w+1 >= parForkMinWeight && b.tryAcquire() {
+		childWS = parWSPool.Get().(*Workspace)
+		childWS.reset(3*(int(pw[hi]-pw[mid])+1) + 64)
+		join = make(chan forkResult, 1)
+		go func(ctx context.Context, cws *Workspace) {
+			defer b.release()
+			f, err := cws.dc(ctx, voters, pw, mid, hi, b)
+			join <- forkResult{f: f, err: err}
+		}(ctx, childWS)
+	}
+
+	fl, err := ws.dc(ctx, voters, pw, lo, mid, b)
+	var fr []float64
+	if join != nil {
+		r := <-join
+		fr = r.f
+		if err == nil {
+			err = r.err
+		}
+	} else if err == nil {
+		fr, err = ws.dc(ctx, voters, pw, mid, hi, b)
+	}
+	var out []float64
+	if err == nil {
+		res := ws.convolve(fl, fr)
+		ws.off = mark
+		out = ws.alloc(w + 1)
+		copyClampNonneg(out, res)
+	}
+	// The child workspace goes back to the pool only after its operand has
+	// been consumed.
+	if childWS != nil {
+		parWSPool.Put(childWS)
+	}
+	return out, err
+}
+
+// pmf is the engine's entry point: the exact PMF of voters into ws memory,
+// valid until the next kernel call on ws. workers > 1 lets up to that many
+// goroutines cooperate on the tree; workers <= 1 runs sequentially, and
+// ctx may then be nil.
+func (ws *Workspace) pmf(ctx context.Context, voters []WeightedVoter, workers int) ([]float64, error) {
+	pw := ws.prefixWeights(voters)
+	ws.reset(3*(int(pw[len(voters)])+1) + 64)
+	var b *forkBudget
+	if workers > 1 {
+		b = newForkBudget(workers)
+	}
+	return ws.dc(ctx, voters, pw, 0, len(voters), b)
+}
+
+// dpInto runs the exact O(k*W) DP over voters into f, which must have
+// length (sum of weights)+1 and may hold garbage. It is the engine's one
+// leaf kernel and, run over a whole voter set, the naive reference.
 //
 //lint:hotpath
-func wmDPInto(f []float64, voters []WeightedVoter) {
+func dpInto(f []float64, voters []WeightedVoter) {
 	zeroFloats(f)
 	f[0] = 1
-	// Consecutive voters of equal weight are folded in as a pair, exactly
-	// like pbDPInto pairs adjacent voters: same coefficients, same fused
-	// update, same greedy left-to-right pairing. For an all-weight-1 voter
-	// set the two kernels therefore perform identical float ops in the same
-	// order — the all-direct == P^D bit-equality contract in
-	// internal/election depends on that, so any further kernel change must
-	// be mirrored in both.
+	// Consecutive voters of equal weight are folded in as a pair: one pass
+	// with the pair's convolution [a0, a1, a2] touches each f entry once
+	// instead of twice, which matters because the DP is memory-bound.
+	// math.FMA is the hardware fused multiply-add: one rounding instead of
+	// two, deterministic across platforms (the softfloat fallback is
+	// bit-identical).
 	reached := 0
 	i := 0
 	for i < len(voters) {
@@ -218,14 +214,26 @@ func wmDPInto(f []float64, voters []WeightedVoter) {
 			a1 := math.FMA(p1, q2, q1*p2)
 			a2 := p1 * p2
 			reached += 2 * w
-			for t := reached; t >= 2*w; t-- {
-				f[t] = math.FMA(f[t-2*w], a2, math.FMA(f[t-w], a1, f[t]*a0))
-			}
-			for t := 2*w - 1; t >= w; t-- {
-				f[t] = math.FMA(f[t-w], a1, f[t]*a0)
-			}
-			for t := w - 1; t >= 0; t-- {
-				f[t] *= a0
+			if w == 1 {
+				// Unit-weight pairs (every Poisson-binomial voter) run the
+				// general loops below with constant offsets, which compile
+				// to a tighter inner loop; the float operations are the
+				// same.
+				for t := reached; t >= 2; t-- {
+					f[t] = math.FMA(f[t-2], a2, math.FMA(f[t-1], a1, f[t]*a0))
+				}
+				f[1] = math.FMA(f[0], a1, f[1]*a0)
+				f[0] *= a0
+			} else {
+				for t := reached; t >= 2*w; t-- {
+					f[t] = math.FMA(f[t-2*w], a2, math.FMA(f[t-w], a1, f[t]*a0))
+				}
+				for t := 2*w - 1; t >= w; t-- {
+					f[t] = math.FMA(f[t-w], a1, f[t]*a0)
+				}
+				for t := w - 1; t >= 0; t-- {
+					f[t] *= a0
+				}
 			}
 			i += 2
 			continue
@@ -254,6 +262,15 @@ func (ws *Workspace) prefixWeights(voters []WeightedVoter) []int64 {
 		pw[i+1] = pw[i] + int64(v.Weight)
 	}
 	return pw
+}
+
+// appendUnitVoters appends one weight-1 voter per probability to dst: the
+// Poisson binomial as the engine sees it.
+func appendUnitVoters(dst []WeightedVoter, ps []float64) []WeightedVoter {
+	for _, p := range ps {
+		dst = append(dst, WeightedVoter{Weight: 1, P: p})
+	}
+	return dst
 }
 
 // copyClampNonneg copies src into dst, clamping the tiny negative values

@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,6 @@ func naiveDFT(re, im []float64) ([]float64, []float64) {
 }
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
-	ws := NewWorkspace()
 	s := rng.New(41)
 	for lg := 1; lg <= 8; lg++ {
 		n := 1 << lg
@@ -37,7 +37,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			im[i] = s.Float64() - 0.5
 		}
 		wantR, wantI := naiveDFT(re, im)
-		fftCore(re, im, ws.tables(lg), lg)
+		fftCore(re, im, fftTablesFor(lg), lg)
 		for i := range re {
 			if math.Abs(re[i]-wantR[i]) > 1e-9 || math.Abs(im[i]-wantI[i]) > 1e-9 {
 				t.Fatalf("n=%d bin %d: got (%g,%g) want (%g,%g)", n, i, re[i], im[i], wantR[i], wantI[i])
@@ -228,9 +228,50 @@ func TestBorrowingConstructors(t *testing.T) {
 	}
 }
 
-// FuzzConvolutionEquivalence feeds arbitrary voter encodings through both
-// PMF engines and requires total-variation agreement. Wired into the
-// `make check` fuzz-smoke stage.
+// TestClassifyExactTierMatchesEngineRoot pins ClassifyExactTier to the
+// engine's own root decision on n unit-weight voters, and the split gain's
+// closed form to its definition: the quadratic DP's cost of the segment
+// minus the costs of its two halves.
+func TestClassifyExactTierMatchesEngineRoot(t *testing.T) {
+	pw := make([]int64, 5001)
+	for i := range pw {
+		pw[i] = int64(i)
+	}
+	for n := 1; n <= 5000; n++ {
+		mid, leaf := dcSplit(pw[:n+1], 0, n)
+		if got := ClassifyExactTier(n); (got == TierExact) != leaf {
+			t.Fatalf("n=%d: ClassifyExactTier = %v, engine root leaf = %v", n, got, leaf)
+		}
+		if n >= 2 && mid != n/2 {
+			t.Fatalf("n=%d: unit-weight root splits at %d, want %d", n, mid, n/2)
+		}
+	}
+	dpCost := func(pw []int64, lo, hi int) int64 {
+		var c int64
+		for i := lo; i < hi; i++ {
+			c += pw[i+1] - pw[lo]
+		}
+		return c
+	}
+	s := rng.New(61)
+	for trial := 0; trial < 500; trial++ {
+		voters := randomVoters(dcMinLeaf+s.IntN(400), 1+s.IntN(50), s)
+		pw := NewWorkspace().prefixWeights(voters)
+		n := len(voters)
+		mid, leaf := dcSplit(pw, 0, n)
+		gain := dpCost(pw, 0, n) - dpCost(pw, 0, mid) - dpCost(pw, mid, n)
+		if want := dcLeaf(n, int(pw[n]), gain); leaf != want {
+			t.Fatalf("trial %d (n=%d): leaf = %v, DP-cost definition says %v", trial, n, leaf, want)
+		}
+	}
+}
+
+// FuzzConvolutionEquivalence feeds arbitrary voter encodings through the
+// convolution engine and requires total-variation agreement with the naive
+// DP, plus bit-identity wherever the engine promises it: across fork-join
+// worker budgets, between a retained DeltaTree and the transient
+// evaluator, and between the Poisson-binomial and weighted entry points on
+// unit weights. Wired into the `make check` fuzz-smoke stage.
 func FuzzConvolutionEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(10), uint8(4))
 	f.Add(uint64(7), uint16(300), uint8(1))
@@ -248,8 +289,41 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		ws := NewWorkspace()
-		if tv := TotalVariation(wm.PMFWS(ws), wm.PMFNaive()); tv > 1e-9 {
+		want := append([]float64(nil), wm.PMFWS(ws)...)
+		if tv := TotalVariation(want, wm.PMFNaive()); tv > 1e-9 {
 			t.Fatalf("seed=%d n=%d maxW=%d: TV %g > 1e-9", seed, nv, mw, tv)
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := NewWorkspace().pmf(context.Background(), voters, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalBits(want, got) {
+				t.Fatalf("seed=%d n=%d maxW=%d: %d workers differ from sequential", seed, nv, mw, workers)
+			}
+		}
+		dt, err := NewDeltaTree(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(want, dt.PMF()) {
+			t.Fatalf("seed=%d n=%d maxW=%d: DeltaTree PMF differs from PMFWS", seed, nv, mw)
+		}
+
+		ps := make([]float64, nv)
+		for i, v := range voters {
+			ps[i] = v.P
+		}
+		pb, err := NewPoissonBinomial(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := NewWeightedMajority(appendUnitVoters(nil, ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(unit.PMFWS(ws), pb.PMFWS(NewWorkspace())) {
+			t.Fatalf("seed=%d n=%d: unit-weight PoissonBinomial differs from WeightedMajority", seed, nv)
 		}
 	})
 }

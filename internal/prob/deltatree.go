@@ -1,22 +1,22 @@
 package prob
 
-// DeltaTree is the retained (persistent) form of the divide-and-conquer
-// PMF evaluator: the same weight-balanced tree pbDC/wmDC walk transiently,
-// kept alive between evaluations so that a small edit to the voter multiset
-// recomputes only the merges whose segments changed — O(log n) convolutions
-// for a single-leaf edit instead of a full rebuild.
+// DeltaTree is the retained (persistent) form of the convolution engine
+// (convolve.go): the same weight-balanced tree Workspace.dc walks
+// transiently, kept alive between evaluations so that a small edit to the
+// voter multiset recomputes only the merges whose segments changed —
+// O(log n) convolutions for a single-leaf edit instead of a full rebuild.
 //
-// Bit-identity is the design invariant, not an afterthought. Every node's
+// Bit-identity is the design invariant, not an afterthought. The builder
+// uses the engine's own split rule, leaf kernel and merge, and every node's
 // PMF is a pure function of its segment's (weight, p) contents, because
-// every structural decision the builder makes — the DP-leaf test, the
-// weight-balanced split point, the FFT/DP merge crossover — depends only on
-// prefix-weight *differences* inside the segment and is therefore invariant
-// under shifting the segment left or right. A cached node whose contents
-// did not change is consequently the same bytes a from-scratch evaluation
-// would produce, and the root PMF equals WeightedMajority.PMFWS on the same
-// voter order no matter which subtrees were reused. For all-weight-1 voters
-// the cost model and the paired-FMA DP leaves coincide with the
-// Poisson-binomial path (see wmDPInto), so one tree serves both the
+// every structural decision — the DP-leaf test, the weight-balanced split
+// point, the FFT/DP merge crossover — depends only on prefix-weight
+// *differences* inside the segment and is therefore invariant under
+// shifting the segment left or right. A cached node whose contents did not
+// change is consequently the same bytes a from-scratch evaluation would
+// produce, and the root PMF equals WeightedMajority.PMFWS on the same voter
+// order no matter which subtrees were reused. A Poisson binomial is the
+// engine run on unit-weight voters, so one tree serves both the
 // weighted-majority and the P^D use.
 //
 // Update takes the *entire* new voter sequence and discovers reuse itself:
@@ -73,7 +73,7 @@ type DeltaTree struct {
 	total  int
 	root   *deltaNode
 
-	re, im []float64 // FFT scratch, pre-ensured outside the merge kernel
+	ws Workspace // merge scratch
 
 	stats DeltaTreeStats
 
@@ -210,100 +210,27 @@ func (t *DeltaTree) reusable(lo, hi int) *deltaNode {
 	return nil
 }
 
-// build constructs (or adopts) the node for voters[lo:hi], making exactly
-// the leaf/split/merge decisions wmDC makes on the same segment.
+// build constructs (or adopts) the node for voters[lo:hi] with the
+// engine's split rule, leaf kernel and merge, making exactly the decisions
+// Workspace.dc makes on the same segment.
 func (t *DeltaTree) build(lo, hi int) *deltaNode {
 	if nd := t.reusable(lo, hi); nd != nil {
 		t.stats.ReusedNodes++
 		cDeltaNodesReused.Inc()
 		return nd
 	}
-	w := int(t.pw[hi] - t.pw[lo])
-	if hi-lo < dcMinLeaf || wmSplitGain(t.pw, lo, hi) <= fftMergeCost(w+1) {
+	nd := &deltaNode{span: hi - lo, pmf: make([]float64, t.pw[hi]-t.pw[lo]+1)}
+	mid, leaf := dcSplit(t.pw, lo, hi)
+	if leaf {
 		t.stats.RecomputedLeaves++
-		nd := &deltaNode{span: hi - lo, pmf: make([]float64, w+1)}
-		wmDPInto(nd.pmf, t.voters[lo:hi])
+		dpInto(nd.pmf, t.voters[lo:hi])
 		return nd
 	}
-	mid := wmSplitPoint(t.pw, lo, hi)
-	left := t.build(lo, mid)
-	right := t.build(mid, hi)
-	nd := &deltaNode{span: hi - lo, left: left, right: right, pmf: make([]float64, w+1)}
-	t.merge(nd)
+	nd.left = t.build(lo, mid)
+	nd.right = t.build(mid, hi)
+	copyClampNonneg(nd.pmf, t.ws.convolve(nd.left.pmf, nd.right.pmf))
 	t.stats.RecomputedMerges++
 	return nd
-}
-
-// merge fills nd.pmf with the convolution of its children, pre-ensuring
-// scratch and twiddle tables so the kernel itself allocates nothing.
-func (t *DeltaTree) merge(nd *deltaNode) {
-	a, b := nd.left.pmf, nd.right.pmf
-	if len(a)*len(b) <= convDirectThreshold {
-		deltaMergeInto(nd.pmf, a, b, nil, nil, nil, 0)
-		return
-	}
-	lg := ceilLog2(len(a) + len(b) - 1)
-	n := 1 << lg
-	if cap(t.re) < n {
-		t.re = make([]float64, n)
-		t.im = make([]float64, n)
-	}
-	deltaMergeInto(nd.pmf, a, b, t.re[:n], t.im[:n], fftTablesFor(lg), lg)
-}
-
-// deltaMergeInto is the root-path merge kernel: Workspace.convolve followed
-// by copyClampNonneg, fused into dst, with every float operation in the
-// same order — the merged bytes must equal what wmDC writes for the same
-// operands. The direct path needs no scratch; the FFT path requires re and
-// im of length 1 << lg and the matching twiddle tables, both provided by
-// the (unannotated) caller so this function stays allocation-free.
-//
-//lint:hotpath
-func deltaMergeInto(dst, a, b, re, im []float64, t *fftTables, lg int) {
-	outLen := len(a) + len(b) - 1
-	if len(a)*len(b) <= convDirectThreshold {
-		out := dst[:outLen]
-		convDirect(a, b, out)
-		for i, v := range out {
-			if v < 0 {
-				out[i] = 0
-			}
-		}
-		return
-	}
-	n := 1 << lg
-	copy(re, a)
-	zeroFloats(re[len(a):])
-	copy(im, b)
-	zeroFloats(im[len(b):])
-	fftCore(re, im, t, lg)
-	// Pointwise spectrum multiply via conjugate symmetry — the same
-	// separation convolve performs (see fft.go for the derivation).
-	re[0], im[0] = re[0]*im[0], 0
-	h := n / 2
-	re[h], im[h] = re[h]*im[h], 0
-	for k := 1; k < h; k++ {
-		k2 := n - k
-		zr1, zi1 := re[k], im[k]
-		zr2, zi2 := re[k2], im[k2]
-		ar := (zr1 + zr2) / 2
-		ai := (zi1 - zi2) / 2
-		br := (zi1 + zi2) / 2
-		bi := (zr2 - zr1) / 2
-		cr := ar*br - ai*bi
-		ci := ar*bi + ai*br
-		re[k], im[k] = cr, ci
-		re[k2], im[k2] = cr, -ci
-	}
-	fftCore(im, re, t, lg)
-	inv := 1 / float64(n)
-	for i := 0; i < outLen; i++ {
-		v := re[i] * inv
-		if v < 0 {
-			v = 0
-		}
-		dst[i] = v
-	}
 }
 
 // Len returns the number of voters in the current sequence.

@@ -33,12 +33,8 @@ var fftCache struct {
 	tabs [64]atomic.Pointer[fftTables]
 }
 
-// tables returns (building if needed) the twiddle tables for size 1 << lg.
-func (ws *Workspace) tables(lg int) *fftTables { return fftTablesFor(lg) }
-
-// fftTablesFor is the workspace-free table accessor: retained evaluators
-// (the DeltaTree merge path) fetch tables outside their allocation-free
-// kernel, so the kernel itself never touches the builder.
+// fftTablesFor returns (building if needed) the twiddle tables for size
+// 1 << lg.
 func fftTablesFor(lg int) *fftTables {
 	if t := fftCache.tabs[lg].Load(); t != nil {
 		return t
@@ -184,7 +180,7 @@ func (ws *Workspace) convolve(a, b []float64) []float64 {
 	zeroFloats(re[len(a):])
 	copy(im, b)
 	zeroFloats(im[len(b):])
-	t := ws.tables(lg)
+	t := fftTablesFor(lg)
 	fftCore(re, im, t, lg)
 
 	// Separate the two real spectra from the packed transform and multiply

@@ -274,10 +274,11 @@ func CertifyMajority(s *SumStats, threshold float64) CertifiedInterval {
 // stays on the quadratic DP leaf (the whole evaluation is one exact DP, no
 // FFT anywhere, so the result carries zero approximation error), TierFFT
 // when the root splits and at least the final merge goes through FFT
-// convolution. The rule is the same leaf-vs-split decision pbDC makes at the
-// root, so the label always matches what the kernel actually does.
+// convolution. The rule is the engine's own leaf test at the unit-weight
+// root, which splits at n/2 (see dcSplit), so the label always matches what
+// the kernel actually does.
 func ClassifyExactTier(n int) Tier {
-	if n < dcMinLeaf || pbSplitGain(n) <= fftMergeCost(n+1) {
+	if dcLeaf(n, n, int64(n-n/2)*int64(n/2)) {
 		return TierExact
 	}
 	return TierFFT
@@ -401,7 +402,8 @@ func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (Ce
 		if err != nil {
 			return CertifiedInterval{}, err
 		}
-		return CertifiedInterval{Point: exactMajorityDP(ps), HalfWidth: 0, Tier: TierExact}, nil
+		f := (&PoissonBinomial{ps: ps}).PMFNaive()
+		return CertifiedInterval{Point: clamp01(Sum(f[n/2+1:])), HalfWidth: 0, Tier: TierExact}, nil
 	case TierFFT:
 		ps, err := materializeSorted(ctx, seq)
 		if err != nil {
@@ -499,15 +501,6 @@ func materializeSorted(ctx context.Context, seq ChunkedSeq) ([]float64, error) {
 	}
 	sort.Float64s(ps)
 	return ps, nil
-}
-
-// exactMajorityDP is the ladder's zero-error reference: the plain quadratic
-// DP with a compensated tail sum, no D&C, no FFT, whatever the size.
-func exactMajorityDP(ps []float64) float64 {
-	n := len(ps)
-	f := make([]float64, n+1)
-	pbDPInto(f, ps)
-	return clamp01(Sum(f[n/2+1 : n+1]))
 }
 
 // kernelMajority runs the cost-model kernel (DP leaf or FFT D&C) on the

@@ -1,28 +1,13 @@
 package prob
 
-// Parallel divide-and-conquer PMF evaluation: deterministic fork-join over
-// the same weight-balanced tree the sequential evaluator builds.
-//
-// The contract is bit-identity with the sequential path. It holds because
-// nothing about the tree depends on scheduling:
-//
-//   - the split schedule is fixed: every node makes exactly the same
-//     leaf-vs-split decision as pbDC/wmDC (same cost model, same split
-//     points), whatever the worker budget;
-//   - each forked subtree computes into its own Workspace from a pool, so
-//     no goroutine ever touches another's arena or FFT scratch, and a
-//     Workspace never influences results, only allocation;
-//   - every merge happens in the parent after both children finish, always
-//     as convolve(left, right) in the parent's workspace: the float
-//     operations and their order are those of the sequential evaluator, so
-//     the merged table is the same bytes regardless of which goroutine
-//     produced each operand or when it finished.
+// The convolution engine's fork-join budget (see Workspace.dc) and the
+// context-taking entry points that use it.
 //
 // The fork budget is a non-blocking token bucket: a node forks its right
 // child only if a token is free, otherwise it recurses inline. Scheduling
 // therefore affects only which subtrees run concurrently — never what any
-// subtree computes. With workers <= 1 the entry points short-circuit to the
-// sequential evaluator, so single-core callers pay no synchronization.
+// subtree computes. With workers <= 1 there is no budget at all, so
+// single-core callers pay no synchronization.
 //
 // Cancellation is cooperative: every internal node checks ctx before
 // descending, and forked goroutines inherit ctx through the recursion
@@ -39,8 +24,8 @@ import (
 const parForkMinWeight = 1 << 10
 
 // parWSPool holds subtree workspaces for the fork-join evaluator. Pooled
-// workspaces retain their arenas and twiddle tables across calls; pooling
-// affects allocation only, never results.
+// workspaces retain their arenas across calls; pooling affects allocation
+// only, never results.
 var parWSPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // forkBudget is the non-blocking token bucket bounding extra goroutines.
@@ -50,9 +35,6 @@ type forkBudget struct{ tokens chan struct{} }
 // calling goroutine is the first worker).
 func newForkBudget(workers int) *forkBudget {
 	extra := workers - 1
-	if extra < 0 {
-		extra = 0
-	}
 	b := &forkBudget{tokens: make(chan struct{}, extra)}
 	for i := 0; i < extra; i++ {
 		b.tokens <- struct{}{}
@@ -85,185 +67,19 @@ type forkResult struct {
 // bit-identical to PMFWS for every workers value and valid until the next
 // kernel call on ws. workers <= 1 runs the sequential evaluator.
 func (pb *PoissonBinomial) PMFParallelWS(ctx context.Context, ws *Workspace, workers int) ([]float64, error) {
-	n := len(pb.ps)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		return pb.PMFWS(ws), nil
-	}
-	ws.reset(3*(n+1) + 64)
-	return ws.pbDCPar(ctx, pb.ps, 0, n, newForkBudget(workers))
+	return ws.pmf(ctx, ws.unitVoters(pb.ps), workers)
 }
 
 // ProbMajorityParallelWS is ProbMajorityWS on the parallel evaluator:
 // P[sum > n/2], bit-identical to the sequential value for any workers.
 func (pb *PoissonBinomial) ProbMajorityParallelWS(ctx context.Context, ws *Workspace, workers int) (float64, error) {
-	n := len(pb.ps)
-	k := n/2 + 1
-	if k > n {
-		// A single-voter majority needs that voter: fall through to the
-		// same clamped tail sum the sequential path takes.
-		if workers > 1 {
-			workers = 1
-		}
-	}
-	if workers <= 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return pb.ProbAtLeastWS(ws, k), nil
-	}
 	f, err := pb.PMFParallelWS(ctx, ws, workers)
 	if err != nil {
 		return 0, err
 	}
-	return clamp01(Sum(f[k : n+1])), nil
-}
-
-// pbDCPar is pbDC with fork-join: identical leaf decisions, split points,
-// and merge order; only the execution of independent subtrees overlaps.
-func (ws *Workspace) pbDCPar(ctx context.Context, ps []float64, lo, hi int, b *forkBudget) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	k := hi - lo
-	if k < dcMinLeaf || pbSplitGain(k) <= fftMergeCost(k+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(k + 1)
-		pbDPInto(f, ps[lo:hi])
-		return f, nil
-	}
-	cDCFFTMerges.Inc()
-	mid := lo + k/2
-	mark := ws.off
-
-	var fr []float64
-	var rerr error
-	var childWS *Workspace
-	var join chan forkResult
-	if k+1 >= parForkMinWeight && b.tryAcquire() {
-		childWS = parWSPool.Get().(*Workspace)
-		childWS.reset(3*(hi-mid+1) + 64)
-		join = make(chan forkResult, 1)
-		go func(ctx context.Context, cws *Workspace) {
-			defer b.release()
-			f, err := cws.pbDCPar(ctx, ps, mid, hi, b)
-			join <- forkResult{f: f, err: err}
-		}(ctx, childWS)
-	}
-
-	fl, lerr := ws.pbDCPar(ctx, ps, lo, mid, b)
-	if join != nil {
-		r := <-join
-		fr, rerr = r.f, r.err
-	} else if lerr == nil {
-		fr, rerr = ws.pbDCPar(ctx, ps, mid, hi, b)
-	}
-	out, err := ws.mergePar(fl, fr, lerr, rerr, mark, k+1, childWS)
-	return out, err
-}
-
-// mergePar performs the parent-side merge shared by both parallel
-// evaluators: convolve left and right in the parent workspace, roll the
-// arena back to mark, and copy the clamped result out — the same sequence
-// as the sequential evaluators. The child workspace (if any) is returned to
-// the pool only after its operand has been consumed.
-func (ws *Workspace) mergePar(fl, fr []float64, lerr, rerr error, mark, outLen int, childWS *Workspace) ([]float64, error) {
-	var out []float64
-	err := lerr
-	if err == nil {
-		err = rerr
-	}
-	if err == nil {
-		res := ws.convolve(fl, fr)
-		ws.off = mark
-		out = ws.alloc(outLen)
-		copyClampNonneg(out, res)
-	}
-	if childWS != nil {
-		parWSPool.Put(childWS)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PMFParallelWS computes the weighted-majority PMF with up to workers
-// goroutines, bit-identical to PMFWS for every workers value. The result
-// lives in ws memory and is valid until the next kernel call on ws.
-// workers <= 1 runs the sequential evaluator.
-func (wm *WeightedMajority) PMFParallelWS(ctx context.Context, ws *Workspace, workers int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if workers <= 1 {
-		return wm.PMFWS(ws), nil
-	}
-	ws.reset(3*(wm.total+1) + 64)
-	pw := ws.prefixWeights(wm.voters)
-	return ws.wmDCPar(ctx, wm.voters, pw, 0, len(wm.voters), newForkBudget(workers))
-}
-
-// ProbCorrectDecisionParallelWS is ProbCorrectDecisionWS on the parallel
-// evaluator: P[W > total/2], bit-identical for any workers.
-func (wm *WeightedMajority) ProbCorrectDecisionParallelWS(ctx context.Context, ws *Workspace, workers int) (float64, error) {
-	threshold := wm.total / 2
-	if workers <= 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return wm.ProbAboveWS(ws, threshold), nil
-	}
-	f, err := wm.PMFParallelWS(ctx, ws, workers)
-	if err != nil {
-		return 0, err
-	}
-	if threshold >= wm.total {
-		return 0, nil
-	}
-	return clamp01(Sum(f[threshold+1 : wm.total+1])), nil
-}
-
-// wmDCPar is wmDC with fork-join; see pbDCPar. pw is the prefix-weight
-// table of the parent workspace — forked children only read it.
-func (ws *Workspace) wmDCPar(ctx context.Context, voters []WeightedVoter, pw []int64, lo, hi int, b *forkBudget) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w := int(pw[hi] - pw[lo])
-	if hi-lo < dcMinLeaf || wmSplitGain(pw, lo, hi) <= fftMergeCost(w+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(w + 1)
-		wmDPInto(f, voters[lo:hi])
-		return f, nil
-	}
-	cDCFFTMerges.Inc()
-	mid := wmSplitPoint(pw, lo, hi)
-	mark := ws.off
-
-	var fr []float64
-	var rerr error
-	var childWS *Workspace
-	var join chan forkResult
-	if w+1 >= parForkMinWeight && b.tryAcquire() {
-		childWS = parWSPool.Get().(*Workspace)
-		childWS.reset(3*(int(pw[hi]-pw[mid])+1) + 64)
-		join = make(chan forkResult, 1)
-		go func(ctx context.Context, cws *Workspace) {
-			defer b.release()
-			f, err := cws.wmDCPar(ctx, voters, pw, mid, hi, b)
-			join <- forkResult{f: f, err: err}
-		}(ctx, childWS)
-	}
-
-	fl, lerr := ws.wmDCPar(ctx, voters, pw, lo, mid, b)
-	if join != nil {
-		r := <-join
-		fr, rerr = r.f, r.err
-	} else if lerr == nil {
-		fr, rerr = ws.wmDCPar(ctx, voters, pw, mid, hi, b)
-	}
-	return ws.mergePar(fl, fr, lerr, rerr, mark, w+1, childWS)
+	n := len(pb.ps)
+	return clamp01(Sum(f[n/2+1 : n+1])), nil
 }

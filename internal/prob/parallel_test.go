@@ -67,35 +67,26 @@ func TestPBPMFParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWMPMFParallelBitIdentical is the weighted-majority analogue,
-// including the majority-probability entry point.
+// TestWMPMFParallelBitIdentical is the weighted-majority analogue: weighted
+// voters through the engine's fork path against the sequential PMFWS.
 func TestWMPMFParallelBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	s := rng.New(43)
 	for _, n := range []int{1, 17, 64, 301, 1000} {
 		for _, maxW := range []int{1, 7, 40} {
-			wm, err := NewWeightedMajority(randomVoters(n, maxW, s))
+			voters := randomVoters(n, maxW, s)
+			wm, err := NewWeightedMajority(voters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqWS := NewWorkspace()
-			want := append([]float64(nil), wm.PMFWS(seqWS)...)
-			wantP := wm.ProbCorrectDecisionWS(seqWS)
+			want := append([]float64(nil), wm.PMFWS(NewWorkspace())...)
 			for _, workers := range []int{1, 3, 8} {
-				parWS := NewWorkspace()
-				got, err := wm.PMFParallelWS(ctx, parWS, workers)
+				got, err := NewWorkspace().pmf(ctx, voters, workers)
 				if err != nil {
 					t.Fatalf("n=%d maxW=%d workers=%d: %v", n, maxW, workers, err)
 				}
 				if !equalBits(want, got) {
 					t.Fatalf("n=%d maxW=%d workers=%d: parallel PMF differs", n, maxW, workers)
-				}
-				gotP, err := wm.ProbCorrectDecisionParallelWS(ctx, parWS, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(gotP) != math.Float64bits(wantP) {
-					t.Fatalf("n=%d maxW=%d workers=%d: P correct %v != %v", n, maxW, workers, gotP, wantP)
 				}
 			}
 		}
@@ -115,11 +106,7 @@ func TestPMFParallelCancellation(t *testing.T) {
 	if _, err := pb.PMFParallelWS(ctx, NewWorkspace(), 4); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	wm, err := NewWeightedMajority(randomVoters(2000, 3, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wm.PMFParallelWS(ctx, NewWorkspace(), 4); err != context.Canceled {
+	if _, err := NewWorkspace().pmf(ctx, randomVoters(2000, 3, s), 4); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -136,10 +123,10 @@ func TestWorkspacePoolHammer(t *testing.T) {
 	s := rng.New(53)
 	const inputs = 6
 	type testCase struct {
-		pb  *PoissonBinomial
-		wm  *WeightedMajority
-		pbF []float64
-		wmF []float64
+		pb     *PoissonBinomial
+		voters []WeightedVoter
+		pbF    []float64
+		wmF    []float64
 	}
 	cases := make([]testCase, inputs)
 	ref := NewWorkspace()
@@ -153,9 +140,9 @@ func TestWorkspacePoolHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		cases[i] = testCase{
-			pb:  pb,
-			wm:  wm,
-			pbF: append([]float64(nil), pb.PMFWS(ref)...),
+			pb:     pb,
+			voters: wm.voters,
+			pbF:    append([]float64(nil), pb.PMFWS(ref)...),
 		}
 		cases[i].wmF = append([]float64(nil), wm.PMFWS(ref)...)
 	}
@@ -178,7 +165,7 @@ func TestWorkspacePoolHammer(t *testing.T) {
 				}
 				if err == nil {
 					var wmGot []float64
-					wmGot, err = c.wm.PMFParallelWS(ctx, ws, workers)
+					wmGot, err = ws.pmf(ctx, c.voters, workers)
 					if err == nil && !equalBits(c.wmF, wmGot) {
 						err = errDiff
 					}

@@ -67,19 +67,19 @@ func (pb *PoissonBinomial) PMF() []float64 {
 // reference for the fast evaluator (and its leaf kernel).
 func (pb *PoissonBinomial) PMFNaive() []float64 {
 	f := make([]float64, len(pb.ps)+1)
-	pbDPInto(f, pb.ps)
+	dpInto(f, appendUnitVoters(nil, pb.ps))
 	return f
 }
 
 // PMFWS computes the PMF into ws-owned memory and returns it. The result
-// is valid until the next kernel call on ws. Above the cost-model
-// crossover the voter set is split recursively and halves are merged by
-// FFT convolution (O(n log^2 n) work); below it the in-place DP runs
-// unchanged, so workspace reuse is the only difference for small inputs.
+// is valid until the next kernel call on ws. The convolution engine sees
+// the summands as unit-weight voters: above the cost-model crossover the
+// voter set is split recursively and halves are merged by FFT convolution
+// (O(n log^2 n) work); below it the in-place DP runs unchanged, so
+// workspace reuse is the only difference for small inputs.
 func (pb *PoissonBinomial) PMFWS(ws *Workspace) []float64 {
-	n := len(pb.ps)
-	ws.reset(3*(n+1) + 64)
-	return ws.pbDC(pb.ps, 0, n)
+	f, _ := ws.pmf(nil, ws.unitVoters(pb.ps), 1) // sequential: cannot fail
+	return f
 }
 
 // ProbAtLeast returns P[sum >= k].

@@ -29,6 +29,7 @@ type Workspace struct {
 
 	voters []WeightedVoter
 	aux    []WeightedVoter
+	units  []WeightedVoter
 	counts []int
 	key    []byte
 	pw     []int64
@@ -127,6 +128,14 @@ func (ws *Workspace) SortVotersByWeight(voters []WeightedVoter, maxW int) []Weig
 		counts[v.Weight]++
 	}
 	return out
+}
+
+// unitVoters refills the workspace's unit-voter buffer from ps. The buffer
+// is private to the Poisson-binomial entry points, so it never collides
+// with voters a caller built in VoterBuffer or SortVotersByWeight.
+func (ws *Workspace) unitVoters(ps []float64) []WeightedVoter {
+	ws.units = appendUnitVoters(ws.units[:0], ps)
+	return ws.units
 }
 
 // KeyBuffer returns the workspace's reusable byte scratch, emptied, with

@@ -224,7 +224,8 @@ type PointResult struct {
 	// PDTier names the approximation-ladder tier that produced PD: the cost
 	// model's kernel tier ("exact" or "fft") on the exact rung, "normal" on
 	// the approximate rung. Empty for fault evaluations, whose PD comes from
-	// the fault engine's own replication loop.
+	// the fault engine's own replication loop, and on the exact rung above
+	// election.ExactDirectMaxN voters, where PD is sampled.
 	PDTier string `json:"pd_tier,omitempty"`
 }
 
@@ -582,7 +583,7 @@ func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Res
 		LongestChain:  res.LongestChain,
 		DeltasApplied: len(parsed.Deltas),
 	}
-	exactOK := in.N() <= 4096 && s.affords(cost, budget)
+	exactOK := in.N() <= election.ExactDirectMaxN && s.affords(cost, budget)
 	switch {
 	case parsed.Req.ErrorBudget > 0:
 		// Budgeted rung: score through the certified approximation ladder.
@@ -674,9 +675,12 @@ func (s *Server) affords(cost int64, budget time.Duration) bool {
 }
 
 // exactPoint projects an election.Result onto the wire form, dropping the
-// scheduling-dependent cache-traffic fields.
+// scheduling-dependent cache-traffic fields. PDTier names the kernel tier
+// only when P^D was computed exactly: above election.ExactDirectMaxN the
+// engine samples it, and a tier label would promise an accuracy the
+// sample does not have.
 func exactPoint(res *election.Result, alpha float64) PointResult {
-	return PointResult{
+	pt := PointResult{
 		Mechanism:        res.Mechanism,
 		Alpha:            alpha,
 		N:                res.N,
@@ -691,8 +695,11 @@ func exactPoint(res *election.Result, alpha float64) PointResult {
 		MeanMaxWeight:    res.MeanMaxWeight,
 		MaxMaxWeight:     res.MaxMaxWeight,
 		MeanLongestChain: res.MeanLongestChain,
-		PDTier:           prob.ClassifyExactTier(res.N).String(),
 	}
+	if res.N <= election.ExactDirectMaxN {
+		pt.PDTier = prob.ClassifyExactTier(res.N).String()
+	}
+	return pt
 }
 
 // writeJSON writes v as the response body. encoding/json's shortest

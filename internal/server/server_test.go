@@ -116,6 +116,34 @@ func TestEvaluateBitIdenticalToOffline(t *testing.T) {
 	}
 }
 
+// TestEvaluateSampledPDHasNoTier pins pd_tier above the exact P^D cutoff:
+// one voter past election.ExactDirectMaxN the engine samples P^D, so the
+// exact rung's response must not label it with a kernel tier, whose
+// accuracy a Monte-Carlo estimate does not have.
+func TestEvaluateSampledPDHasNoTier(t *testing.T) {
+	n := election.ExactDirectMaxN + 1
+	spec := make([]string, n)
+	for i := range spec {
+		spec[i] = fmt.Sprintf("%g", 0.49+0.02*float64(i)/float64(n))
+	}
+	_, ts := newTestServer(t, server.Config{})
+	body := fmt.Sprintf(`{"instance": {"n": %d, "complete": true, "p": [%s]}, "mechanism": {"name": "approval-threshold", "alpha": 0.05}, "seed": 1, "replications": 2}`, n, strings.Join(spec, ","))
+	resp, data := post(t, ts.URL, "/v1/evaluate", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	var got server.EvaluateResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Approximate || len(got.Results) != 1 {
+		t.Fatalf("want one exact-rung result, got %s", data)
+	}
+	if tier := got.Results[0].PDTier; tier != "" {
+		t.Fatalf("n=%d: sampled P^D labelled pd_tier %q", n, tier)
+	}
+}
+
 // TestEvaluateApproximateDegradation starves the cost rate so the ladder
 // drops to the certified normal approximation.
 func TestEvaluateApproximateDegradation(t *testing.T) {
