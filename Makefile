@@ -96,14 +96,16 @@ cover:
 
 # fuzz-smoke is a short deterministic-budget fuzz pass (also part of check):
 # the simulator's message validation, the divide-and-conquer convolution
-# kernels against the naive DP reference, and the approximation ladder's
-# certified intervals against the exact DP answer.
+# kernels against the naive DP reference, the approximation ladder's
+# certified intervals against the exact DP answer, and the bit-sliced
+# multi-delegate sampler against its one-sample-at-a-time reference.
 fuzz-smoke:
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
+	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
 
 # serve-smoke is the end-to-end serving gate (also part of check): build
 # liquidd and liquidload, drive a deterministic load profile against a
@@ -139,7 +141,7 @@ bench:
 # bench/bench-json for numbers. The second line covers the convolution
 # engine's fork-join path, whose benchmark lives in internal/prob.
 bench-smoke:
-	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000)$$' .
+	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkMultiDelegationProbability)$$' .
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
 
 # bench-json runs the full benchmark suite and appends a schema-stable

@@ -31,8 +31,8 @@ func counts(outs []int) int {
 	return s
 }
 
-// tinyFanIn shows the justified-suppression escape hatch used by
-// MultiDelegationProbability's per-voter delegate loop.
+// tinyFanIn shows the justified-suppression escape hatch used by the
+// multi-delegate kernel's weighted rows (compileMulti and multiKernel.block).
 func tinyFanIn(ws []float64) float64 {
 	var total float64
 	for _, w := range ws {
