@@ -97,8 +97,9 @@ cover:
 # fuzz-smoke is a short deterministic-budget fuzz pass (also part of check):
 # the simulator's message validation, the divide-and-conquer convolution
 # kernels against the naive DP reference, the approximation ladder's
-# certified intervals against the exact DP answer, and the bit-sliced
-# multi-delegate sampler against its one-sample-at-a-time reference.
+# certified intervals against the exact DP answer, the bit-sliced
+# multi-delegate sampler against its one-sample-at-a-time reference, and
+# the scale fold's radix-sorted sink order against a comparison sort.
 fuzz-smoke:
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
+	$(GO) test ./internal/scale -run='^$$' -fuzz=FuzzChunkSinksCanonical -fuzztime=5s
 
 # serve-smoke is the end-to-end serving gate (also part of check): build
 # liquidd and liquidload, drive a deterministic load profile against a
@@ -139,10 +141,12 @@ bench:
 # iteration each: a crash check over benchmark-only code, cheap enough for
 # the check gate. Timings from one iteration are meaningless; use
 # bench/bench-json for numbers. The second line covers the convolution
-# engine's fork-join path, whose benchmark lives in internal/prob.
+# engine's fork-join path, whose benchmark lives in internal/prob; the
+# third the scale tier's per-chunk fold.
 bench-smoke:
-	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkMultiDelegationProbability)$$' .
+	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkScaleEvaluateMajority100000|BenchmarkMultiDelegationProbability)$$' .
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
+	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkSinks$$'
 
 # bench-json runs the full benchmark suite and appends a schema-stable
 # snapshot BENCH_<n>.json (next free index) for trajectory tracking across

@@ -499,8 +499,9 @@ func BenchmarkLadderMajority100000(b *testing.B)  { benchLadderMajority(b, 100_0
 func BenchmarkLadderMajority1000000(b *testing.B) { benchLadderMajority(b, 1_000_000) }
 
 // benchScaleEvaluateMajority measures the full streamed mechanism
-// evaluation: chunk-local delegation resolution, counting-sort multiset
-// canonicalisation, and the certified fold, at a 4-worker budget.
+// evaluation: chunk-local delegation resolution, multiset canonicalisation
+// (a radix sort by p, then a counting sort by weight), and the certified
+// fold, at a 4-worker budget.
 func benchScaleEvaluateMajority(b *testing.B, n int) {
 	b.Helper()
 	s, err := scale.New(scale.Spec{N: n, Seed: 2026, Low: 0.3, High: 0.6, DelegateFrac: 0.5})

@@ -102,7 +102,8 @@ func (in *Instance) approvalSuffixStarts(alpha float64) []int {
 }
 
 // NewInstance validates the competency vector against the topology and
-// returns the instance. Each p must lie in [0, 1].
+// returns the instance. Each p must lie in [0, 1]; a competency of −0 is
+// stored as +0, so it ranks with every other zero.
 func NewInstance(top graph.Topology, p []float64) (*Instance, error) {
 	if top == nil {
 		return nil, fmt.Errorf("%w: nil topology", ErrInvalidInstance)
@@ -110,26 +111,25 @@ func NewInstance(top graph.Topology, p []float64) (*Instance, error) {
 	if len(p) != top.N() {
 		return nil, fmt.Errorf("%w: %d competencies for %d voters", ErrInvalidInstance, len(p), top.N())
 	}
+	ps := make([]float64, len(p))
 	for i, v := range p {
 		if v < 0 || v > 1 || math.IsNaN(v) {
 			return nil, fmt.Errorf("%w: p[%d] = %v not in [0,1]", ErrInvalidInstance, i, v)
 		}
+		ps[i] = positiveZero(v)
 	}
-	in := &Instance{
-		top: top,
-		p:   append([]float64(nil), p...),
-	}
+	in := &Instance{top: top, p: ps}
 	// Ascending by (competency, id). The Float64bits image preserves float
-	// order for the non-negative, non-NaN competencies NewInstance just
-	// validated, so the keys sort through the specialized ordered-type path
-	// (no comparator calls). Ids are recovered afterwards: visiting voters
-	// in ascending id order and appending each to its key's run reproduces
-	// the ascending-id tiebreak a stable sort by competency would give.
-	// Instance construction sits on every experiment's setup path, so this
-	// is a measured hot spot.
-	n := len(p)
+	// order for the validated competencies, which are non-negative, not NaN
+	// and, once normalised, never −0, so the keys sort through the
+	// specialized ordered-type path (no comparator calls). Ids are recovered
+	// afterwards: visiting voters in ascending id order and appending each
+	// to its key's run reproduces the ascending-id tiebreak a stable sort by
+	// competency would give. Instance construction sits on every
+	// experiment's setup path, so this is a measured hot spot.
+	n := len(ps)
 	ks := make([]uint64, n)
-	for i, v := range p {
+	for i, v := range ps {
 		ks[i] = math.Float64bits(v)
 	}
 	slices.Sort(ks)
@@ -139,7 +139,7 @@ func NewInstance(top graph.Topology, p []float64) (*Instance, error) {
 		in.sortedP[i] = math.Float64frombits(b)
 	}
 	fill := make([]int32, n) // fill[r] = ids already placed in the run at r
-	for i, v := range p {
+	for i, v := range ps {
 		b := math.Float64bits(v)
 		// First index of b's run in ks (manual search: the closure-free loop
 		// matters at this call rate).
@@ -156,6 +156,17 @@ func NewInstance(top graph.Topology, p []float64) (*Instance, error) {
 		fill[lo]++
 	}
 	return in, nil
+}
+
+// positiveZero maps −0 to +0 and returns every other value unchanged.
+// Validation accepts −0 (it is not below 0), but its sign bit would rank it
+// above every positive competency in the Float64bits order the sorted
+// tables use.
+func positiveZero(p float64) float64 {
+	if p == 0 {
+		return 0
+	}
+	return p
 }
 
 // WithCompetency returns a new instance equal to in except that voter v's
@@ -175,6 +186,7 @@ func (in *Instance) WithCompetency(v int, p float64) (*Instance, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return nil, fmt.Errorf("%w: p[%d] = %v not in [0,1]", ErrInvalidInstance, v, p)
 	}
+	p = positiveZero(p)
 	out := &Instance{top: in.top, p: append([]float64(nil), in.p...)}
 	oldBits := math.Float64bits(out.p[v])
 	newBits := math.Float64bits(p)

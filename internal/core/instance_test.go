@@ -293,3 +293,48 @@ func TestSortedOrderIsStable(t *testing.T) {
 		t.Fatalf("TopByCompetency not non-increasing: %v", top)
 	}
 }
+
+// TestNegativeZeroCompetency: validation accepts a competency of −0, and
+// the instance must rank it as the zero it is. Stored as −0, its sign bit
+// would put it above every positive competency in the sorted tables, so
+// complete-topology approval counts and draws would disagree with the
+// approval set. Both NewInstance and WithCompetency must normalise it.
+func TestNegativeZeroCompetency(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fromNew := mustInstance(t, graph.NewComplete(3), []float64{negZero, 0.5, 0.9})
+	patched, err := mustInstance(t, graph.NewComplete(3), []float64{0.7, 0.5, 0.9}).WithCompetency(0, negZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		in   *Instance
+	}{{"NewInstance", fromNew}, {"WithCompetency", patched}} {
+		name, in := c.name, c.in
+		if bits := math.Float64bits(in.Competency(0)); bits != 0 {
+			t.Errorf("%s: Competency(0) bits %#x, want +0", name, bits)
+		}
+		if got := in.CompetencyOrder(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+			t.Errorf("%s: CompetencyOrder = %v, want [0 1 2]", name, got)
+		}
+		if got := in.TopByCompetency(1); len(got) != 1 || got[0] != 2 {
+			t.Errorf("%s: TopByCompetency(1) = %v, want [2]", name, got)
+		}
+		s := rng.New(5)
+		for v := 0; v < in.N(); v++ {
+			for _, alpha := range []float64{0, 0.1, 0.45} {
+				set := in.ApprovalSet(v, alpha)
+				if got := in.ApprovalCount(v, alpha); got != len(set) {
+					t.Errorf("%s: ApprovalCount(%d, %v) = %d, ApprovalSet = %v", name, v, alpha, got, set)
+				}
+				for range 50 {
+					d, ok := in.SampleApproved(v, alpha, s)
+					if ok != (len(set) > 0) || (ok && !in.Approves(v, d, alpha)) {
+						t.Errorf("%s: SampleApproved(%d, %v) = %d, %v outside ApprovalSet %v", name, v, alpha, d, ok, set)
+						break
+					}
+				}
+			}
+		}
+	}
+}

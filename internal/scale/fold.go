@@ -2,7 +2,7 @@ package scale
 
 import (
 	"context"
-	"sort"
+	"math"
 	"sync"
 
 	"liquid/internal/prob"
@@ -50,6 +50,10 @@ type Fold struct {
 	weight []int32
 	ps     []float64
 	voters []prob.WeightedVoter
+	// radix is sortByP's ping-pong buffer and hist its per-digit
+	// histograms, one row per byte of a key.
+	radix []prob.WeightedVoter
+	hist  [8][256]int32
 }
 
 // NewFold returns an empty fold scratch.
@@ -63,6 +67,8 @@ func (f *Fold) grow(k int) {
 		f.depth = make([]int32, k)
 		f.weight = make([]int32, k)
 		f.ps = make([]float64, k)
+		f.voters = make([]prob.WeightedVoter, 0, k)
+		f.radix = make([]prob.WeightedVoter, k)
 	}
 	f.sink = f.sink[:k]
 	f.depth = f.depth[:k]
@@ -73,9 +79,12 @@ func (f *Fold) grow(k int) {
 // ChunkSinks resolves chunk c's delegations in one forward pass (delegation
 // is strictly backwards within the chunk, so every voter's sink is known by
 // the time it is visited) and returns the resolved sink multiset in the
-// canonical (weight, p) order the kernel caches key on: ascending p, then the
-// workspace counting sort ascending by weight. The returned slice aliases
-// fold scratch and is invalidated by the next call on f.
+// canonical (weight, p) order the kernel caches key on: sortByP's radix
+// sort ascending by p, then the workspace counting sort ascending by
+// weight. Both passes are stable and sinks that tie on weight and p are
+// indistinguishable, so the order is a function of the multiset alone. The
+// returned slice aliases fold scratch and is invalidated by the next call
+// on f.
 func (f *Fold) ChunkSinks(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldStats) {
 	lo, hi := s.ChunkBounds(c)
 	k := hi - lo
@@ -114,8 +123,58 @@ func (f *Fold) ChunkSinks(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldS
 		voters = append(voters, prob.WeightedVoter{Weight: w, P: f.ps[pos]})
 	}
 	f.voters = voters
-	sort.Slice(voters, func(a, b int) bool { return voters[a].P < voters[b].P })
-	return f.ws.SortVotersByWeight(voters, st.MaxWeight), st
+	return f.ws.SortVotersByWeight(f.sortByP(voters), st.MaxWeight), st
+}
+
+// sortByP stably sorts v ascending by p without comparisons: an LSD radix
+// sort on math.Float64bits(p), one 8-bit digit per pass, with every
+// digit's histogram built in a single pass over the keys. A digit that
+// every key shares is skipped; on the default [0.25, 0.75) range the top
+// byte always is. Bit order is numeric order here: streamed competencies
+// are Low + (High−Low)·u with 0 ≤ Low ≤ High ≤ 1 and u ∈ [0, 1), so they
+// are finite, never negative and never −0 (Low = −0 gives −0 + (+0) = +0),
+// and non-negative IEEE 754 doubles order as their bit patterns do. The
+// result is v or f.radix, whichever the last pass wrote.
+//
+//lint:hotpath
+func (f *Fold) sortByP(v []prob.WeightedVoter) []prob.WeightedVoter {
+	if len(v) < 2 {
+		return v
+	}
+	hist := &f.hist
+	*hist = [8][256]int32{}
+	for _, x := range v {
+		b := math.Float64bits(x.P)
+		hist[0][byte(b)]++
+		hist[1][byte(b>>8)]++
+		hist[2][byte(b>>16)]++
+		hist[3][byte(b>>24)]++
+		hist[4][byte(b>>32)]++
+		hist[5][byte(b>>40)]++
+		hist[6][byte(b>>48)]++
+		hist[7][byte(b>>56)]++
+	}
+	n := int32(len(v))
+	src, dst := v, f.radix[:len(v)]
+	for d := range hist {
+		h := &hist[d]
+		shift := 8 * uint(d)
+		if h[byte(math.Float64bits(src[0].P)>>shift)] == n {
+			continue
+		}
+		var at int32
+		for i, c := range h {
+			h[i] = at
+			at += c
+		}
+		for _, x := range src {
+			b := byte(math.Float64bits(x.P) >> shift)
+			dst[h[b]] = x
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // ChunkStats resolves chunk c and folds its sink multiset into the ladder's

@@ -88,8 +88,9 @@ func TestSpecValidation(t *testing.T) {
 
 // TestFoldStructure checks the resolved fold's structural invariants across
 // delegation fractions: weight conservation (every vote lands on exactly one
-// sink), sink/delegator partition, canonical multiset ordering, and that the
-// fold totals agree with the per-chunk sink multisets they summarise.
+// sink), sink/delegator partition, canonical multiset ordering (ascending
+// weight, then ascending Float64bits(p) within each weight run), and that
+// the fold totals agree with the per-chunk sink multisets they summarise.
 func TestFoldStructure(t *testing.T) {
 	for _, frac := range []float64{0, 0.3, 0.8, 1} {
 		s := mustNew(t, Spec{N: 3000, ChunkSize: 256, Seed: 11, DelegateFrac: frac})
@@ -110,6 +111,9 @@ func TestFoldStructure(t *testing.T) {
 				}
 				if i > 0 && sinks[i-1].Weight > v.Weight {
 					t.Fatalf("frac %v chunk %d: sinks not weight-sorted at %d", frac, c, i)
+				}
+				if i > 0 && sinks[i-1].Weight == v.Weight && math.Float64bits(sinks[i-1].P) > math.Float64bits(v.P) {
+					t.Fatalf("frac %v chunk %d: weight-%d run not p-sorted at %d", frac, c, v.Weight, i)
 				}
 			}
 			lo, hi := s.ChunkBounds(c)

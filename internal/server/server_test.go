@@ -725,3 +725,33 @@ func TestWhatIfDeltaRejections(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d received = malformed", st, want)
 	}
 }
+
+// TestNegativeZeroCompetencyServed: a competency of −0.0 on the wire is the
+// same competency as 0.0, so both bodies must get byte-identical answers,
+// for an evaluate (where the approval sets depend on the competency order)
+// and for a what-if whose delta sets a competency (where the exact kernels
+// add the sinks in competency order). Each body gets a fresh server, so no
+// cache can make the answers agree.
+func TestNegativeZeroCompetencyServed(t *testing.T) {
+	serve := func(path, body string) []byte {
+		t.Helper()
+		_, ts := newTestServer(t, server.Config{})
+		resp, data := post(t, ts.URL, path, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", path, resp.StatusCode, data)
+		}
+		return data
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"instance": {"n": 6, "complete": true, "p": [%s, 0.45, 0.5, 0.55, 0.6, 0.65]},
+			"mechanism": {"name": "approval-threshold"}, "alphas": [0.05], "seed": 3, "replications": 64}`},
+		{"/v1/whatif", `{"instance": {"n": 7, "complete": true, "p": [0.34, 0.98, 0.17, 0.54, 0.68, 0.32, 0.58]},
+			"delegations": [-1, -1, 6, -1, -1, -1, -1], "deltas": [{"kind": "competency", "voter": 1, "p": %s}]}`},
+	} {
+		neg := serve(c.path, fmt.Sprintf(c.body, "-0.0"))
+		pos := serve(c.path, fmt.Sprintf(c.body, "0.0"))
+		if !bytes.Equal(neg, pos) {
+			t.Errorf("%s: -0.0 and 0.0 answered differently:\n -0.0: %s\n  0.0: %s", c.path, neg, pos)
+		}
+	}
+}
