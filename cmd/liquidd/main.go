@@ -8,8 +8,8 @@
 // propagate into engine cancellation, a bounded admission queue sheds load
 // with 429 + Retry-After before it builds up, worker panics surface as
 // typed 500s without taking a shard down, and when a deadline cannot
-// afford the exact engine the response degrades to a certified normal
-// approximation (flagged, with its error bound) instead of missing the
+// afford the exact engine the response degrades to certified normal
+// intervals (flagged, with their half-widths) instead of missing the
 // deadline.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-flight

@@ -552,14 +552,11 @@ func (s *Scenario) Score() (float64, error) {
 }
 
 // PD returns the instance's exact P^D through the scenario's own retained
-// tree (n <= ExactDirectMaxN only). Bit-identical to DirectProbabilityExact.
+// tree, at every n. Bit-identical to DirectProbabilityExact.
 func (s *Scenario) PD() (float64, error) {
 	in := s.plan.Instance()
 	if in.N() == 0 {
 		return 0, ErrNoVoters
-	}
-	if in.N() > ExactDirectMaxN {
-		return 0, fmt.Errorf("election: scenario P^D is exact-only (n=%d > %d)", in.N(), ExactDirectMaxN)
 	}
 	if v, ok := pdCacheGet(in); ok {
 		cDirectHits.Inc()

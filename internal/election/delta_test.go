@@ -262,6 +262,46 @@ func TestScenarioRepointSequence(t *testing.T) {
 	}
 }
 
+// TestScenarioPDAboveExactDirectMaxN: a scenario's P^D is exact at every
+// size, not just where Plan computes P^D exactly. Above ExactDirectMaxN it
+// must still be bit-identical to DirectProbabilityExact on a fresh instance
+// (a distinct pointer, so no memo is shared), also after a competency delta
+// patches the retained tree.
+func TestScenarioPDAboveExactDirectMaxN(t *testing.T) {
+	s := rng.New(rng.Derive(97, "scenario-pd"))
+	for _, n := range []int{ExactDirectMaxN + 1, 9001, 20000} {
+		in := randomInstance(t, n, 0.3, 0.9, s)
+		plan, err := NewPlan(in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScenario(plan, core.NewDelegationGraph(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step, delta := range []Delta{{}, {Kind: DeltaCompetency, Voter: n / 3, P: 0.77}} {
+			if step > 0 {
+				if err := sc.ApplyDelta(delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := sc.PD()
+			if err != nil {
+				t.Fatalf("n=%d step %d: PD: %v", n, step, err)
+			}
+			cur := sc.Plan().Instance()
+			fresh := mustInstance(t, cur.Topology(), cur.Competencies())
+			want, err := DirectProbabilityExact(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d step %d: scenario PD %v != DirectProbabilityExact %v", n, step, got, want)
+			}
+		}
+	}
+}
+
 func TestScenarioMixedDeltas(t *testing.T) {
 	s := rng.New(94)
 	in := randomInstance(t, 40, 0.3, 0.9, s)

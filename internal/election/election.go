@@ -13,7 +13,6 @@ package election
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 
 	"liquid/internal/core"
@@ -89,6 +88,14 @@ type Result struct {
 	GainLo float64
 	GainHi float64
 
+	// PDHalfWidth and PMHalfWidth are the certified half-widths of a
+	// degraded evaluation (EvaluateSweepCertified): |PD - exact P^D| <=
+	// PDHalfWidth, and PMHalfWidth, the mean of the per-replication
+	// half-widths, bounds |PM - PM scored exactly on the same realizations|.
+	// Zero on the exact sweep.
+	PDHalfWidth float64
+	PMHalfWidth float64
+
 	// Structural averages over realizations.
 	MeanDelegators   float64
 	MeanSinks        float64
@@ -154,15 +161,28 @@ func DirectProbabilityExact(in *core.Instance) (float64, error) {
 	return directProbabilityCached(in)
 }
 
-// DirectNormalApproximation returns the Lemma 4 normal approximation of the
-// direct-vote total.
-func DirectNormalApproximation(in *core.Instance) prob.Normal {
-	var mu, v prob.Accumulator
-	for _, p := range in.Competencies() {
-		mu.Add(p)
-		v.Add(p * (1 - p))
+// CertifyDirect returns P^D's certified normal-tier interval:
+// prob.CertifyMajority over the unit-weight moments of the competencies, in
+// voter order, at the strict-majority threshold. One O(n) pass, no DP.
+func CertifyDirect(in *core.Instance) prob.CertifiedInterval {
+	var st prob.SumStats
+	for v := 0; v < in.N(); v++ {
+		st.Add(1, in.Competency(v))
 	}
-	return prob.Normal{Mu: mu.Sum(), Sigma: math.Sqrt(v.Sum())}
+	return prob.CertifyMajority(&st, float64(in.N()/2))
+}
+
+// CertifyResolution returns the certified normal-tier interval for the
+// probability that a resolved delegation outcome decides correctly:
+// prob.CertifyMajority over the sinks' weighted moments, in sink order, at
+// the strict-majority threshold of the total weight. One O(sinks) pass, no
+// DP; an empty resolution certifies 0 exactly.
+func CertifyResolution(in *core.Instance, res *core.Resolution) prob.CertifiedInterval {
+	var st prob.SumStats
+	for _, sk := range res.Sinks {
+		st.Add(float64(res.Weight[sk]), in.Competency(sk))
+	}
+	return prob.CertifyMajority(&st, float64(res.TotalWeight/2))
 }
 
 // ResolutionProbabilityExact returns the exact probability that the
@@ -214,6 +234,7 @@ func resolutionCost(res *core.Resolution) int64 {
 // repOut is the per-replication result of one mechanism realization.
 type repOut struct {
 	pm           float64
+	halfWidth    float64
 	delegators   int
 	sinks        int
 	maxWeight    int
@@ -221,10 +242,12 @@ type repOut struct {
 	err          error
 }
 
-// evaluateReplication scores one mechanism realization on its own stream.
-// ws and rv are the worker's private scratch; cache (optional) memoizes
-// exact scores across replications and is shared by all workers.
-func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts Options, s *rng.Stream, ws *prob.Workspace, rv *core.Resolver, cache *ScoreCache) repOut {
+// evaluateReplication scores one mechanism realization on its own stream:
+// exactly (DP, or Monte Carlo above opts.ExactCostLimit), or by its
+// certified normal interval when certify is set. ws and rv are the worker's
+// private scratch; cache (optional) memoizes exact scores across
+// replications and is shared by all workers.
+func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts Options, certify bool, s *rng.Stream, ws *prob.Workspace, rv *core.Resolver, cache *ScoreCache) repOut {
 	if err := ctx.Err(); err != nil {
 		return repOut{err: err}
 	}
@@ -236,10 +259,14 @@ func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.
 	if err != nil {
 		return repOut{err: err}
 	}
-	var pm float64
-	if resolutionCost(res) <= opts.ExactCostLimit {
+	var pm, halfWidth float64
+	switch {
+	case certify:
+		ci := CertifyResolution(in, res)
+		pm, halfWidth = ci.Point, ci.HalfWidth
+	case resolutionCost(res) <= opts.ExactCostLimit:
 		pm, err = ResolutionProbabilityExactCached(in, res, ws, cache)
-	} else {
+	default:
 		pm, err = ResolutionProbabilityMC(ctx, in, res, opts.VoteSamples, s.DeriveString("votes"))
 	}
 	if err != nil {
@@ -247,6 +274,7 @@ func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.
 	}
 	return repOut{
 		pm:           pm,
+		halfWidth:    halfWidth,
 		delegators:   res.Delegators,
 		sinks:        len(res.Sinks),
 		maxWeight:    res.MaxWeight,

@@ -9,6 +9,7 @@ import (
 	"liquid/internal/core"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
+	"liquid/internal/prob"
 	"liquid/internal/rng"
 )
 
@@ -52,33 +53,41 @@ func TestDirectProbabilityEmpty(t *testing.T) {
 }
 
 func TestDirectProbabilityMCPathAgreesWithExact(t *testing.T) {
-	// Force the MC path by exceeding the exact limit? DirectProbability
-	// switches on n; instead compare the MC estimator on a small n directly
-	// via a large-n-like call path: use n just under the cutoff with exact,
-	// then MC with many samples on the same instance by calling the
-	// internal estimator through a big instance is expensive. Here: build a
-	// 5001-voter instance cheaply with p=0.51 and check MC lands near the
-	// normal approximation.
+	// DirectProbability switches to Monte Carlo above ExactDirectMaxN, where
+	// the exact DP is expensive to run as a reference. Build a 5001-voter
+	// instance cheaply with p=0.51 and check MC lands near the normal
+	// approximation from the competencies' SumStats moments.
 	const n = 5001
 	in := mustInstance(t, graph.NewComplete(n), constComps(n, 0.51))
 	got, err := DirectProbability(context.Background(), in, 4000, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx := DirectNormalApproximation(in).SF(float64(n) / 2)
+	var st prob.SumStats
+	for v := 0; v < n; v++ {
+		st.Add(1, in.Competency(v))
+	}
+	approx := prob.Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())}.SF(float64(n) / 2)
 	if math.Abs(got-approx) > 0.05 {
 		t.Fatalf("MC %v vs normal approx %v", got, approx)
 	}
 }
 
-func TestDirectNormalApproximation(t *testing.T) {
+// TestCertifyDirect: P^D's certified normal tier on a balanced electorate
+// (mean exactly at the threshold, so only Berry–Esseen bounds it) contains
+// the exact value with a half-width of the Berry–Esseen order.
+func TestCertifyDirect(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(100), constComps(100, 0.5))
-	nrm := DirectNormalApproximation(in)
-	if math.Abs(nrm.Mu-50) > 1e-12 {
-		t.Fatalf("mu = %v", nrm.Mu)
+	ci := CertifyDirect(in)
+	exact, err := DirectProbabilityExact(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(nrm.Sigma-5) > 1e-12 {
-		t.Fatalf("sigma = %v", nrm.Sigma)
+	if ci.Tier != prob.TierNormal || !ci.Contains(exact) {
+		t.Fatalf("interval %+v does not certify exact %v", ci, exact)
+	}
+	if ci.HalfWidth <= 0 || ci.HalfWidth > 0.1 {
+		t.Fatalf("half-width %v, want the Berry–Esseen order (~0.06 at n=100)", ci.HalfWidth)
 	}
 }
 

@@ -117,9 +117,31 @@ type SweepPoint struct {
 // which depend on sharing and scheduling. Cancelling ctx aborts the sweep
 // with ctx's error.
 func EvaluateSweep(ctx context.Context, plan *Plan, points []SweepPoint) ([]*Result, error) {
+	return plan.sweep(ctx, points, false)
+}
+
+// EvaluateSweepCertified is EvaluateSweep's degraded form, for budgets that
+// cannot afford the exact kernels. Realizations are drawn and resolved
+// exactly as EvaluateSweep draws them, in the same replication pool, but
+// each is scored by its certified normal interval (CertifyResolution)
+// instead of the exact DP, and P^D by CertifyDirect. PM is the mean of the
+// per-replication points and PMHalfWidth the mean of their half-widths, so
+// PM lies within PMHalfWidth of the PM EvaluateSweep reports for the same
+// seed whenever that sweep scores every replication by DP
+// (|mean a − mean b| <= mean |a − b|), and PD within PDHalfWidth of the
+// exact P^D; the gain's error is bounded by their sum. The structural
+// statistics are bit-identical to EvaluateSweep's, and the results to
+// themselves for every Workers value. Cancelling ctx aborts the sweep with
+// ctx's error.
+func EvaluateSweepCertified(ctx context.Context, plan *Plan, points []SweepPoint) ([]*Result, error) {
+	return plan.sweep(ctx, points, true)
+}
+
+// sweep evaluates points in order, certified or exact.
+func (p *Plan) sweep(ctx context.Context, points []SweepPoint, certify bool) ([]*Result, error) {
 	results := make([]*Result, len(points))
 	for i, pt := range points {
-		res, err := plan.evaluatePoint(ctx, pt)
+		res, err := p.evaluatePoint(ctx, pt, certify)
 		if err != nil {
 			return nil, err
 		}
@@ -145,8 +167,9 @@ func (p *Plan) pointOptions(pt SweepPoint) Options {
 // derivation — is the single-point evaluator's: root stream from the seed,
 // "direct" child stream for P^D, one numbered child stream per
 // replication. Only where the scratch and memoized pure values come from
-// differs.
-func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint) (*Result, error) {
+// differs. certify swaps the exact scorers for the certified normal ones
+// (EvaluateSweepCertified); the realizations are the same either way.
+func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (*Result, error) {
 	opts := p.pointOptions(pt)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -158,14 +181,19 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint) (*Result, error
 	defer sp.End()
 	telemetry.NewCounter("election/replications").Add(uint64(opts.Replications))
 	root := rng.New(opts.Seed)
-	pd, err := p.directProbability(ctx, opts, root.DeriveString("direct"))
-	if err != nil {
-		return nil, err
-	}
-
+	var pd, pdHalfWidth float64
 	var cache *ScoreCache
-	if !opts.DisableResolutionCache {
-		cache = p.scores
+	if certify {
+		ci := CertifyDirect(p.in)
+		pd, pdHalfWidth = ci.Point, ci.HalfWidth
+	} else {
+		var err error
+		if pd, err = p.directProbability(ctx, opts, root.DeriveString("direct")); err != nil {
+			return nil, err
+		}
+		if !opts.DisableResolutionCache {
+			cache = p.scores
+		}
 	}
 	mech := pt.Mechanism
 	outs := make([]repOut, opts.Replications)
@@ -190,7 +218,7 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint) (*Result, error
 			for r := range work {
 				// Each replication draws from a stream derived only from
 				// (seed, r), so scheduling order cannot change the outcome.
-				outs[r] = evaluateReplication(ctx, p.in, mech, opts, root.Derive(uint64(r)+1), ws, rv, cache)
+				outs[r] = evaluateReplication(ctx, p.in, mech, opts, certify, root.Derive(uint64(r)+1), ws, rv, cache)
 			}
 		}()
 	}
@@ -209,13 +237,14 @@ feed:
 	}
 
 	var pmSum prob.Summary
-	var delegators, sinks, maxWeights, chains prob.Accumulator
-	result := &Result{Mechanism: mech.Name(), N: p.in.N(), PD: pd}
+	var halfWidths, delegators, sinks, maxWeights, chains prob.Accumulator
+	result := &Result{Mechanism: mech.Name(), N: p.in.N(), PD: pd, PDHalfWidth: pdHalfWidth}
 	for _, o := range outs {
 		if o.err != nil {
 			return nil, o.err
 		}
 		pmSum.Add(o.pm)
+		halfWidths.Add(o.halfWidth)
 		delegators.Add(float64(o.delegators))
 		sinks.Add(float64(o.sinks))
 		maxWeights.Add(float64(o.maxWeight))
@@ -225,6 +254,7 @@ feed:
 		}
 	}
 	reps := float64(opts.Replications)
+	result.PMHalfWidth = halfWidths.Sum() / reps
 	result.MeanDelegators = delegators.Sum() / reps
 	result.MeanSinks = sinks.Sum() / reps
 	result.MeanMaxWeight = maxWeights.Sum() / reps

@@ -71,52 +71,3 @@ func FlipProbabilityBound(n int, mu, sigma float64, margin float64) float64 {
 // Erf is the error function, re-exported for experiment code that reports
 // the paper's erf(n^{-eps}/sqrt(2)) style bounds.
 func Erf(x float64) float64 { return math.Erf(x) }
-
-// berryEsseenC is a valid universal constant for the Berry–Esseen theorem
-// with non-identically distributed summands (Shevtsova 2010 proves 0.5600;
-// any C >= that keeps the bound certified).
-const berryEsseenC = 0.56
-
-// BerryEsseenWeightedBound returns a certified uniform bound on the normal
-// approximation error of a weighted Bernoulli sum S = sum_i w_i X_i with
-// X_i ~ Bernoulli(p_i) independent:
-//
-//	sup_x |P[S <= x] - Phi((x - mu)/sigma)| <= C * sum_i rho_i / sigma^3
-//
-// with rho_i = E|w_i(X_i - p_i)|^3 = |w_i|^3 p_i(1-p_i)(p_i^2 + (1-p_i)^2)
-// and sigma^2 = sum_i w_i^2 p_i(1-p_i). The bound is clamped to 1 (the
-// trivial bound) and is 1 when sigma = 0, where the normal approximation
-// carries no information. weights and ps must have equal length; a nil
-// weights slice means unit weights.
-//
-// This is the certified error the serving layer's graceful-degradation
-// ladder attaches to a normal-approximation response: the exact probability
-// provably lies within the returned bound of the approximate one.
-func BerryEsseenWeightedBound(weights, ps []float64) float64 {
-	var v, rho Accumulator
-	for i, p := range ps {
-		w := 1.0
-		if weights != nil {
-			w = math.Abs(weights[i])
-		}
-		q := p * (1 - p)
-		v.Add(w * w * q)
-		rho.Add(w * w * w * q * (p*p + (1-p)*(1-p)))
-	}
-	sigma2 := v.Sum()
-	if sigma2 <= 0 {
-		return 1
-	}
-	sigma := math.Sqrt(sigma2)
-	b := berryEsseenC * rho.Sum() / (sigma2 * sigma)
-	if b > 1 || math.IsNaN(b) {
-		return 1
-	}
-	return b
-}
-
-// BerryEsseenBound specializes BerryEsseenWeightedBound to unit weights:
-// the Poisson-binomial total of independent direct votes.
-func BerryEsseenBound(ps []float64) float64 {
-	return BerryEsseenWeightedBound(nil, ps)
-}

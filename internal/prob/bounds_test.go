@@ -7,6 +7,17 @@ import (
 	"liquid/internal/rng"
 )
 
+// unitStats accumulates unit-weight SumStats over ps.
+func unitStats(ps []float64) *SumStats {
+	var st SumStats
+	for _, p := range ps {
+		st.Add(1, p)
+	}
+	return &st
+}
+
+// TestBerryEsseenBoundCertifiesPoissonBinomial holds SumStats.BerryEsseen,
+// and with it berryEsseenC, to the exact Poisson-binomial majority tail.
 func TestBerryEsseenBoundCertifiesPoissonBinomial(t *testing.T) {
 	s := rng.New(41)
 	for trial := 0; trial < 20; trial++ {
@@ -20,31 +31,32 @@ func TestBerryEsseenBoundCertifiesPoissonBinomial(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := pb.ProbMajority()
-		norm := pb.NormalApproximation()
+		st := unitStats(ps)
 		// P[S > n/2] = P[S >= floor(n/2)+1]; the approximation evaluates the
 		// survival function at the majority threshold.
-		approx := norm.SF(float64(n) / 2)
-		bound := BerryEsseenBound(ps)
+		approx := Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())}.SF(float64(n) / 2)
+		bound := st.BerryEsseen()
 		if diff := math.Abs(exact - approx); diff > bound {
 			t.Fatalf("n=%d: |exact-approx| = %g exceeds certified bound %g", n, diff, bound)
 		}
 	}
 }
 
+// TestBerryEsseenWeightedBoundCertifiesWeightedMajority is the weighted
+// counterpart: SumStats.BerryEsseen over (weight, p) terms against the exact
+// weighted-majority tail.
 func TestBerryEsseenWeightedBoundCertifiesWeightedMajority(t *testing.T) {
 	s := rng.New(43)
 	for trial := 0; trial < 20; trial++ {
 		k := 10 + s.IntN(60)
 		voters := make([]WeightedVoter, k)
-		weights := make([]float64, k)
-		ps := make([]float64, k)
+		var st SumStats
 		total := 0
 		for i := range voters {
 			w := 1 + s.IntN(4)
 			p := 0.1 + 0.8*s.Float64()
 			voters[i] = WeightedVoter{Weight: w, P: p}
-			weights[i] = float64(w)
-			ps[i] = p
+			st.Add(float64(w), p)
 			total += w
 		}
 		wm, err := NewWeightedMajority(voters)
@@ -52,9 +64,8 @@ func TestBerryEsseenWeightedBoundCertifiesWeightedMajority(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := wm.ProbCorrectDecision()
-		norm := Normal{Mu: wm.Mean(), Sigma: math.Sqrt(wm.Variance())}
-		approx := norm.SF(float64(total) / 2)
-		bound := BerryEsseenWeightedBound(weights, ps)
+		approx := Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())}.SF(float64(total) / 2)
+		bound := st.BerryEsseen()
 		if diff := math.Abs(exact - approx); diff > bound {
 			t.Fatalf("k=%d: |exact-approx| = %g exceeds certified bound %g", k, diff, bound)
 		}
@@ -62,13 +73,13 @@ func TestBerryEsseenWeightedBoundCertifiesWeightedMajority(t *testing.T) {
 }
 
 func TestBerryEsseenBoundDegenerate(t *testing.T) {
-	if b := BerryEsseenBound(nil); b != 1 {
+	if b := unitStats(nil).BerryEsseen(); b != 1 {
 		t.Fatalf("empty bound = %g, want trivial 1", b)
 	}
-	if b := BerryEsseenBound([]float64{0, 1, 0, 1}); b != 1 {
+	if b := unitStats([]float64{0, 1, 0, 1}).BerryEsseen(); b != 1 {
 		t.Fatalf("zero-variance bound = %g, want trivial 1", b)
 	}
-	if b := BerryEsseenBound(make([]float64, 5000)); b != 1 {
+	if b := unitStats(make([]float64, 5000)).BerryEsseen(); b != 1 {
 		t.Fatalf("all-zero bound = %g, want trivial 1", b)
 	}
 	// A large balanced electorate has a tiny certified error.
@@ -76,7 +87,7 @@ func TestBerryEsseenBoundDegenerate(t *testing.T) {
 	for i := range ps {
 		ps[i] = 0.5
 	}
-	if b := BerryEsseenBound(ps); b <= 0 || b > 0.01 {
+	if b := unitStats(ps).BerryEsseen(); b <= 0 || b > 0.01 {
 		t.Fatalf("n=4000 balanced bound = %g, want small positive", b)
 	}
 }

@@ -193,9 +193,21 @@ func (s *SumStats) Variance() float64 { return s.vr.Sum() }
 // near-deterministic ones).
 func (s *SumStats) SumSquaredSpans() float64 { return s.spans.Sum() }
 
+// berryEsseenC is the universal constant of the Berry–Esseen theorem for
+// sums of independent, non-identically distributed summands. Shevtsova
+// (2010) proves C <= 0.5600 in that setting, so 0.56 keeps the bound
+// certified; TestBerryEsseenBoundCertifiesPoissonBinomial and its weighted
+// variant check it against exact tails.
+const berryEsseenC = 0.56
+
 // BerryEsseen returns the certified uniform bound on the normal
-// approximation error of the accumulated sum — the same bound as
-// BerryEsseenWeightedBound, from the streamed moments.
+// approximation error of the accumulated sum S = Σ w_i X_i:
+//
+//	sup_x |P[S <= x] - Phi((x - mu)/sigma)| <= C * Σ rho_i / sigma^3
+//
+// with rho_i = E|w_i(X_i - p_i)|^3 = |w_i|^3 p_i(1-p_i)(p_i^2 + (1-p_i)^2)
+// and sigma^2 = Σ w_i^2 p_i(1-p_i). It is clamped to the trivial bound 1,
+// which is also its value when sigma = 0.
 func (s *SumStats) BerryEsseen() float64 {
 	sigma2 := s.Variance()
 	if sigma2 <= 0 {
@@ -377,14 +389,60 @@ func (o LadderOptions) withDefaults() LadderOptions {
 	return o
 }
 
+// Certify is the ladder's one tier rule, shared by every caller that scores
+// a probability under an error budget. normal computes the quantity's
+// certified normal tier (a SumStats moments pass through CertifyMajority);
+// exact runs the caller's exact evaluator, and is nil when the caller cannot
+// afford it. With errorBudget > 0 the normal tier is tried first and kept if
+// its half-width fits the budget; otherwise, and always when errorBudget <= 0,
+// the exact evaluator answers when there is one. normal runs at most once,
+// and not at all when errorBudget <= 0 and exact is non-nil. When no tier
+// meets the budget the tightest interval computed is returned with
+// ErrBudgetInfeasible: the exact one if exact ran, else the normal one. The
+// interval is still rigorous, so degrading callers can serve it.
+func Certify(errorBudget float64, normal, exact func() (CertifiedInterval, error)) (CertifiedInterval, error) {
+	if errorBudget > 0 || exact == nil {
+		ci, err := normal()
+		if err != nil {
+			return CertifiedInterval{}, err
+		}
+		if errorBudget > 0 && ci.HalfWidth <= errorBudget {
+			return ci, nil
+		}
+		if exact == nil {
+			return ci, ErrBudgetInfeasible
+		}
+	}
+	ci, err := exact()
+	if err != nil {
+		return CertifiedInterval{}, err
+	}
+	if errorBudget > 0 && ci.HalfWidth > errorBudget {
+		return ci, ErrBudgetInfeasible
+	}
+	return ci, nil
+}
+
+// KernelInterval labels the exact-kernel majority mass of an n-voter
+// unit-weight sum with the tier the cost model runs it on
+// (ClassifyExactTier) and that tier's certified half-width.
+func KernelInterval(n int, point float64) CertifiedInterval {
+	ci := CertifiedInterval{Point: point, Tier: ClassifyExactTier(n)}
+	if ci.Tier == TierFFT {
+		ci.HalfWidth = FFTTierErrorBudget
+	}
+	return ci
+}
+
 // LadderMajority evaluates q = P[sum > n/2] — the majority mass of the
 // Poisson binomial over seq's probabilities — on the cheapest ladder tier
-// whose certified half-width fits opts.ErrorBudget. The streaming normal
-// tier holds only one chunk of seq at a time; the kernel tiers materialise
-// the vector (sorted ascending, the kernels' canonical order) only when
-// selected and only below opts.MaxExactN. When no tier satisfies the
-// constraints the tightest certified interval is returned along with
-// ErrBudgetInfeasible, so degrading callers still get a sound answer.
+// whose certified half-width fits opts.ErrorBudget (Certify's rule). The
+// streaming normal tier holds only one chunk of seq at a time; the kernel
+// tiers materialise the vector (sorted ascending, the kernels' canonical
+// order) only when selected and only below opts.MaxExactN and within
+// opts.CostBudget. When no tier satisfies the constraints the tightest
+// certified interval is returned along with ErrBudgetInfeasible, so
+// degrading callers still get a sound answer.
 func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (CertifiedInterval, error) {
 	n := seq.Len()
 	if n <= 0 {
@@ -394,7 +452,20 @@ func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (Ce
 		return CertifiedInterval{}, err
 	}
 	opts = opts.withDefaults()
-	threshold := float64(n / 2)
+	normal := func() (CertifiedInterval, error) {
+		st, err := streamMajorityStats(ctx, seq)
+		if err != nil {
+			return CertifiedInterval{}, err
+		}
+		return CertifyMajority(st, float64(n/2)), nil
+	}
+	kernel := func() (float64, error) {
+		ps, err := materializeSorted(ctx, seq)
+		if err != nil {
+			return 0, err
+		}
+		return kernelMajority(ctx, ps, opts.Workers)
+	}
 
 	switch opts.Force {
 	case TierExact:
@@ -405,54 +476,26 @@ func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (Ce
 		f := (&PoissonBinomial{ps: ps}).PMFNaive()
 		return CertifiedInterval{Point: clamp01(Sum(f[n/2+1:])), HalfWidth: 0, Tier: TierExact}, nil
 	case TierFFT:
-		ps, err := materializeSorted(ctx, seq)
-		if err != nil {
-			return CertifiedInterval{}, err
-		}
-		point, err := kernelMajority(ctx, ps, opts.Workers)
+		point, err := kernel()
 		if err != nil {
 			return CertifiedInterval{}, err
 		}
 		return CertifiedInterval{Point: point, HalfWidth: FFTTierErrorBudget, Tier: TierFFT}, nil
 	case TierNormal:
-		st, err := streamMajorityStats(ctx, seq)
-		if err != nil {
-			return CertifiedInterval{}, err
-		}
-		return CertifyMajority(st, threshold), nil
+		return normal()
 	}
 
-	// Auto selection: the O(n) moments pass runs first — it is never wasted,
-	// because either its interval already satisfies the budget or its cost is
-	// negligible next to the kernel tier it escalates to.
-	st, err := streamMajorityStats(ctx, seq)
-	if err != nil {
-		return CertifiedInterval{}, err
-	}
-	ci := CertifyMajority(st, threshold)
-	if opts.ErrorBudget > 0 && ci.HalfWidth <= opts.ErrorBudget {
-		return ci, nil
-	}
+	var exact func() (CertifiedInterval, error)
 	if n <= opts.MaxExactN && (opts.CostBudget <= 0 || exactTierCost(n) <= opts.CostBudget) {
-		ps, err := materializeSorted(ctx, seq)
-		if err != nil {
-			return CertifiedInterval{}, err
+		exact = func() (CertifiedInterval, error) {
+			point, err := kernel()
+			if err != nil {
+				return CertifiedInterval{}, err
+			}
+			return KernelInterval(n, point), nil
 		}
-		point, err := kernelMajority(ctx, ps, opts.Workers)
-		if err != nil {
-			return CertifiedInterval{}, err
-		}
-		tier := ClassifyExactTier(n)
-		kci := CertifiedInterval{Point: point, Tier: tier}
-		if tier == TierFFT {
-			kci.HalfWidth = FFTTierErrorBudget
-		}
-		if opts.ErrorBudget > 0 && kci.HalfWidth > opts.ErrorBudget {
-			return kci, ErrBudgetInfeasible
-		}
-		return kci, nil
 	}
-	return ci, ErrBudgetInfeasible
+	return Certify(opts.ErrorBudget, normal, exact)
 }
 
 // streamMajorityStats runs the one-pass streaming moments fold over seq,

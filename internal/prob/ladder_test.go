@@ -323,13 +323,18 @@ func TestLadderCostEstimate(t *testing.T) {
 // FuzzLadderSoundness drives random instances, thresholds shifted by random
 // competency skews, and random error budgets through every ladder path and
 // requires the one inviolable property: whatever tier auto-selection lands
-// on, the certified interval contains the exact DP answer. Wired into the
-// `make check` fuzz-smoke stage.
+// on, the certified interval contains the exact DP answer. weights gives the
+// voters weights 1–9 (cycled; empty is all unit weights), and the weighted
+// sum — the shape P^M is scored in — goes through Certify with the exact
+// weighted DP as its exact tier, both affordable and not: the interval must
+// contain the exact value, and an accepted one must fit the budget. Wired
+// into the `make check` fuzz-smoke stage.
 func FuzzLadderSoundness(f *testing.F) {
-	f.Add(uint64(1), uint16(50), uint8(128), uint8(0))
-	f.Add(uint64(7), uint16(600), uint8(30), uint8(3))
-	f.Add(uint64(42), uint16(3), uint8(250), uint8(40))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, alphaRaw, budgetRaw uint8) {
+	f.Add(uint64(1), uint16(50), uint8(128), uint8(0), []byte(nil))
+	f.Add(uint64(7), uint16(600), uint8(30), uint8(3), []byte{0, 4, 8})
+	f.Add(uint64(42), uint16(3), uint8(250), uint8(40), []byte{8})
+	f.Add(uint64(5), uint16(200), uint8(120), uint8(2), []byte{3, 0, 0, 7, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, alphaRaw, budgetRaw uint8, weights []byte) {
 		nv := int(n)%700 + 1
 		// alpha skews the competency band across [0, 1): low alpha is an
 		// incompetent electorate, high alpha a near-deterministic one.
@@ -369,5 +374,94 @@ func FuzzLadderSoundness(f *testing.F) {
 				t.Fatalf("accepted interval half-width %v over budget %v", ci.HalfWidth, opts.ErrorBudget)
 			}
 		}
+
+		voters := make([]WeightedVoter, nv)
+		var st SumStats
+		total := 0
+		for i, p := range seq.PS {
+			w := 1
+			if len(weights) > 0 {
+				w += int(weights[i%len(weights)] % 9)
+			}
+			voters[i] = WeightedVoter{Weight: w, P: p}
+			st.Add(float64(w), p)
+			total += w
+		}
+		wm, err := NewWeightedMajority(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := wm.PMFNaive()
+		wexact := clamp01(Sum(f[total/2+1:]))
+		normal := func() (CertifiedInterval, error) { return CertifyMajority(&st, float64(total/2)), nil }
+		exactTier := func() (CertifiedInterval, error) { return CertifiedInterval{Point: wexact, Tier: TierExact}, nil }
+		for _, ex := range []func() (CertifiedInterval, error){exactTier, nil} {
+			ci, err := Certify(budget, normal, ex)
+			if err != nil && !errors.Is(err, ErrBudgetInfeasible) {
+				t.Fatal(err)
+			}
+			if !ci.Contains(wexact) {
+				t.Fatalf("seed=%d n=%d alpha=%v budget=%v weighted (exact affordable: %v): interval [%v, %v] (tier %v) does not contain exact %v",
+					seed, nv, alpha, budget, ex != nil, ci.Lo(), ci.Hi(), ci.Tier, wexact)
+			}
+			if err == nil && budget > 0 && ci.HalfWidth > budget {
+				t.Fatalf("weighted: accepted interval half-width %v over budget %v", ci.HalfWidth, budget)
+			}
+		}
 	})
+}
+
+// TestCertifyTierRule pins the shared tier rule: which tier answers, whether
+// ErrBudgetInfeasible accompanies it, and that the normal tier runs lazily —
+// never when there is no budget and the exact evaluator is affordable, at
+// most once otherwise.
+func TestCertifyTierRule(t *testing.T) {
+	normalCI := CertifiedInterval{Point: 0.6, HalfWidth: 1e-3, Tier: TierNormal}
+	exactCI := CertifiedInterval{Point: 0.61, Tier: TierExact}
+	fftCI := CertifiedInterval{Point: 0.61, HalfWidth: FFTTierErrorBudget, Tier: TierFFT}
+	cases := []struct {
+		name       string
+		budget     float64
+		exact      *CertifiedInterval
+		want       CertifiedInterval
+		infeasible bool
+		normalRuns int
+	}{
+		{"no budget, exact affordable", 0, &exactCI, exactCI, false, 0},
+		{"no budget, exact unaffordable", 0, nil, normalCI, true, 1},
+		{"normal fits", 1e-2, &exactCI, normalCI, false, 1},
+		{"normal misses, exact answers", 1e-4, &exactCI, exactCI, false, 1},
+		{"normal misses, exact unaffordable", 1e-4, nil, normalCI, true, 1},
+		{"kernel misses the budget too", 1e-12, &fftCI, fftCI, true, 1},
+	}
+	for _, tc := range cases {
+		runs := 0
+		normal := func() (CertifiedInterval, error) { runs++; return normalCI, nil }
+		var exact func() (CertifiedInterval, error)
+		if tc.exact != nil {
+			ci := *tc.exact
+			exact = func() (CertifiedInterval, error) { return ci, nil }
+		}
+		got, err := Certify(tc.budget, normal, exact)
+		if got != tc.want || errors.Is(err, ErrBudgetInfeasible) != tc.infeasible || runs != tc.normalRuns {
+			t.Errorf("%s: got %+v, err %v, normal ran %d times; want %+v, infeasible %v, %d runs",
+				tc.name, got, err, runs, tc.want, tc.infeasible, tc.normalRuns)
+		}
+		if err != nil && !errors.Is(err, ErrBudgetInfeasible) {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+	}
+
+	boom := errors.New("evaluator failed")
+	fail := func() (CertifiedInterval, error) { return CertifiedInterval{}, boom }
+	ok := func() (CertifiedInterval, error) { return exactCI, nil }
+	if _, err := Certify(1e-2, fail, ok); !errors.Is(err, boom) {
+		t.Errorf("normal failure: err = %v", err)
+	}
+	if _, err := Certify(0, fail, nil); !errors.Is(err, boom) {
+		t.Errorf("normal failure without exact: err = %v", err)
+	}
+	if _, err := Certify(0, ok, fail); !errors.Is(err, boom) {
+		t.Errorf("exact failure: err = %v", err)
+	}
 }

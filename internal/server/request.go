@@ -3,9 +3,9 @@
 // binaries never needed — request validation, per-request deadlines
 // propagated as contexts into the engines' cancellation paths, a bounded
 // admission queue with cost-aware load shedding, shard-per-core workers
-// with panic isolation, and a graceful-degradation ladder that trades the
-// exact DP for the certified normal approximation when a deadline budget
-// cannot afford exact (see DESIGN.md §14).
+// with panic isolation, and graceful degradation that trades the exact
+// kernels for certified normal intervals (prob.CertifyMajority) when a
+// deadline budget cannot afford exact (see DESIGN.md §14).
 //
 // Accounting invariant: every request the listener delivers is counted in
 // exactly one of {malformed, shed, completed, failed, expired}, so
@@ -66,8 +66,8 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeShed (429): the admission controller refused the request.
 	CodeShed = "shed"
-	// CodeDeadlineExceeded (504): the deadline expired before a rung of the
-	// degradation ladder could complete.
+	// CodeDeadlineExceeded (504): the deadline expired before the
+	// evaluation, exact or certified, could complete.
 	CodeDeadlineExceeded = "deadline_exceeded"
 	// CodeInternalPanic (500): a worker recovered a panic evaluating the
 	// request.
@@ -138,11 +138,13 @@ type WhatIfRequest struct {
 	Delegations []int        `json:"delegations"`
 	Deltas      []DeltaSpec  `json:"deltas,omitempty"`
 	DeadlineMS  int64        `json:"deadline_ms,omitempty"`
-	// ErrorBudget, when positive, routes scoring through the certified
-	// approximation ladder (prob.LadderMajority): the response carries the
-	// selected tier and certified half-width per probability, and admission
-	// prices the request at the ladder's cost estimate instead of the exact
-	// DP's. Zero keeps the classic exact-or-normal degradation rungs.
+	// ErrorBudget is the largest certified half-width the client accepts
+	// for each probability (prob.Certify). When positive, a normal tier that
+	// fits it answers and the exact kernels run only when it does not; the
+	// response carries each probability's tier and half-width, and
+	// admission prices the request at the ladder's cost estimate instead of
+	// the exact DP's. Zero means exact if the deadline affords it, else the
+	// normal tiers.
 	ErrorBudget float64 `json:"error_budget,omitempty"`
 }
 

@@ -121,9 +121,11 @@ func (c *scenarioCache) acquire(in *core.Instance, d *core.DelegationGraph) *sce
 	return e
 }
 
-// score evaluates one delta what-if exactly: P^M and P^D of the
-// post-delta election, bit-identical to from-scratch exact scoring.
-func (c *scenarioCache) score(parsed *ParsedWhatIf, exactLimit int64) (pm, pd float64, err error) {
+// score runs fn on the retained scenario of parsed's base election,
+// advanced by parsed's deltas, holding the entry's lock. The scenario's
+// Score and PD are P^M and P^D of the post-delta election, bit-identical
+// to from-scratch exact scoring.
+func (c *scenarioCache) score(parsed *ParsedWhatIf, exactLimit int64, fn func(*election.Scenario) error) error {
 	entry := c.acquire(parsed.Instance, parsed.Graph)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
@@ -131,13 +133,13 @@ func (c *scenarioCache) score(parsed *ParsedWhatIf, exactLimit int64) (pm, pd fl
 		// First sight of this base: pin a plan and a retained scenario.
 		// Workers 1 and a single replication — the serving layer's
 		// parallelism is across requests, and scenario scoring is exact.
-		plan, perr := election.NewPlan(parsed.Instance, election.Options{Replications: 1, ExactCostLimit: exactLimit, Workers: 1})
-		if perr != nil {
-			return 0, 0, perr
+		plan, err := election.NewPlan(parsed.Instance, election.Options{Replications: 1, ExactCostLimit: exactLimit, Workers: 1})
+		if err != nil {
+			return err
 		}
-		sc, serr := election.NewScenario(plan, parsed.Graph)
-		if serr != nil {
-			return 0, 0, serr
+		sc, err := election.NewScenario(plan, parsed.Graph)
+		if err != nil {
+			return err
 		}
 		entry.plan = plan
 		entry.base = &core.DelegationGraph{Delegate: append([]int(nil), parsed.Graph.Delegate...)}
@@ -148,27 +150,22 @@ func (c *scenarioCache) score(parsed *ParsedWhatIf, exactLimit int64) (pm, pd fl
 		// Structural deltas would advance the retained scenario's plan away
 		// from the cached base; a throwaway scenario keeps the entry clean
 		// while still sharing the cached plan's score cache.
+		var err error
 		if sc, err = election.NewScenario(entry.plan, entry.base); err != nil {
-			return 0, 0, err
+			return err
 		}
 	} else {
 		// Rebase the retained scenario onto the base profile; its tree
 		// diffs the next Score against whatever the previous probe left
 		// behind, so nearby probes patch rather than rebuild.
-		if err = sc.SetDelegation(entry.base); err != nil {
-			return 0, 0, err
+		if err := sc.SetDelegation(entry.base); err != nil {
+			return err
 		}
 	}
-	if err = sc.ApplyDelta(parsed.Deltas...); err != nil {
-		return 0, 0, err
+	if err := sc.ApplyDelta(parsed.Deltas...); err != nil {
+		return err
 	}
-	if pm, err = sc.Score(); err != nil {
-		return 0, 0, err
-	}
-	if pd, err = sc.PD(); err != nil {
-		return 0, 0, err
-	}
-	return pm, pd, nil
+	return fn(sc)
 }
 
 // instanceLevel reports whether any delta mutates the instance itself

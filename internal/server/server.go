@@ -33,10 +33,10 @@ type Config struct {
 	// MaxCost bounds the DP-unit cost of admitted-but-unfinished work
 	// (default 1 << 28). See EstimateCost.
 	MaxCost int64
-	// CostRate calibrates the degradation ladder: DP units the exact engine
+	// CostRate calibrates the affordability test: DP units the exact engine
 	// is assumed to process per second (default 50e6, deliberately
-	// conservative so the ladder degrades early rather than blowing a
-	// deadline late).
+	// conservative so a request degrades to the certified normal tier early
+	// rather than blowing a deadline late).
 	CostRate float64
 	// DefaultDeadline applies when a request names none (default 5s);
 	// MaxDeadline clamps what a request may ask for (default 60s).
@@ -217,21 +217,23 @@ type PointResult struct {
 	MeanFellBack    float64 `json:"mean_fell_back,omitempty"`
 	MeanRedelegated float64 `json:"mean_redelegated,omitempty"`
 
-	// ErrorBound is the certified Berry–Esseen bound on |reported − exact|
-	// for approximate results (see election.ApproxResult).
+	// ErrorBound certifies an approximate point's gain: |gain − gain of the
+	// exact sweep on the same seed| <= ErrorBound, the P^D half-width plus
+	// the mean of the per-replication P^M half-widths
+	// (election.EvaluateSweepCertified).
 	ErrorBound float64 `json:"error_bound,omitempty"`
 
-	// PDTier names the approximation-ladder tier that produced PD: the cost
-	// model's kernel tier ("exact" or "fft") on the exact rung, "normal" on
-	// the approximate rung. Empty for fault evaluations, whose PD comes from
-	// the fault engine's own replication loop, and on the exact rung above
+	// PDTier names the tier that produced PD: the cost model's kernel tier
+	// ("exact" or "fft") on the exact sweep, "normal" on the approximate
+	// one. Empty for fault evaluations, whose PD comes from the fault
+	// engine's own replication loop, and on the exact sweep above
 	// election.ExactDirectMaxN voters, where PD is sampled.
 	PDTier string `json:"pd_tier,omitempty"`
 }
 
 // EvaluateResponse is the /v1/evaluate reply: one result per alpha point,
-// flagged when the degradation ladder substituted the certified normal
-// approximation for the exact engine.
+// flagged when the deadline could not afford the exact sweep and every
+// point was scored by certified normal intervals instead.
 type EvaluateResponse struct {
 	Results     []PointResult `json:"results"`
 	Approximate bool          `json:"approximate,omitempty"`
@@ -250,11 +252,12 @@ type WhatIfResponse struct {
 	Delegators    int     `json:"delegators"`
 	LongestChain  int     `json:"longest_chain"`
 	DeltasApplied int     `json:"deltas_applied,omitempty"`
-	Approximate   bool    `json:"approximate,omitempty"`
-	ErrorBound    float64 `json:"error_bound,omitempty"`
+	// Approximate is set when a certified normal tier produced PD or PM.
+	Approximate bool `json:"approximate,omitempty"`
 
-	// Ladder fields (requests with an error_budget): the approximation-ladder
-	// tier that produced each probability and its certified half-width, so a
+	// Tier fields, present when the request named an error_budget or the
+	// response is approximate: the tier that produced each probability
+	// ("exact", "fft" or "normal") and its certified half-width, so a
 	// client can machine-check |reported − exact| <= half-width.
 	PDTier      string  `json:"pd_tier,omitempty"`
 	PDHalfWidth float64 `json:"pd_half_width,omitempty"`
@@ -275,8 +278,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvaluate serves /v1/evaluate: decode and validate, derive the
-// request deadline, admit or shed, then run the degradation ladder on a
-// worker shard.
+// request deadline, admit or shed, then evaluate on a worker shard.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.received.Add(1)
@@ -343,25 +345,25 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(parsed.Req.DeadlineMS))
 	defer cancel()
 
-	// Delta requests get their own admission cost class: patching a
-	// retained scenario is far cheaper than a from-scratch evaluation, and
-	// pricing it honestly is what lets the daemon admit a deeper what-if
-	// stream at the same cost budget.
-	cost := EstimateCost(parsed.Instance.N(), 1, s.cfg.ExactCostLimit)
+	// The exact price decides affordability. Delta requests get their own
+	// cost class: patching a retained scenario is far cheaper than a
+	// from-scratch evaluation, and pricing it honestly is what lets the
+	// daemon admit a deeper what-if stream at the same cost budget.
+	exactCost := EstimateCost(parsed.Instance.N(), 1, s.cfg.ExactCostLimit)
 	if len(parsed.Deltas) > 0 {
 		s.cWhatIfDeltas.Inc()
-		cost = EstimateWhatIfDeltaCost(parsed.FinalInstance.N(), len(parsed.Deltas), s.cfg.ExactCostLimit)
+		exactCost = EstimateWhatIfDeltaCost(parsed.FinalInstance.N(), len(parsed.Deltas), s.cfg.ExactCostLimit)
 	}
+	cost := exactCost
 	if parsed.Req.ErrorBudget > 0 {
-		// Budgeted requests are scored through the approximation ladder, and
-		// admission prices them at the ladder's cost — the admission-visible
-		// form of the scale tier's win.
+		// Budgeted requests are admitted at the ladder's cost — the
+		// admission-visible form of the scale tier's win.
 		cost = EstimateLadderCost(parsed.FinalInstance.N(), parsed.Req.ErrorBudget)
 	}
 	var resp *WhatIfResponse
 	s.dispatch(ctx, w, cost, func(ctx context.Context) error {
 		var err error
-		resp, err = s.whatIf(ctx, parsed, res, cost)
+		resp, err = s.whatIf(ctx, parsed, res, exactCost)
 		return err
 	}, func() { writeJSON(w, http.StatusOK, resp) })
 }
@@ -469,10 +471,11 @@ func (s *Server) shedResponse(w http.ResponseWriter, status int) {
 	writeError(w, &Error{Code: CodeShed, Message: "admission budget exhausted; retry later", Status: status})
 }
 
-// evaluate runs the degradation ladder for one evaluate request on a
-// worker shard. Rungs: exact sweep when the deadline budget affords its
-// DP-unit cost at the calibrated rate; otherwise the certified normal
-// approximation; otherwise (no budget at all) the deadline error.
+// evaluate runs one evaluate request on a worker shard: the exact sweep
+// when the deadline budget affords its DP-unit cost at the calibrated rate,
+// otherwise the certified sweep, which draws the same realizations and
+// scores them by certified normal intervals; with no budget at all, the
+// deadline error.
 func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int, cost int64) (*EvaluateResponse, error) {
 	opts := election.Options{
 		Replications:   reps,
@@ -485,42 +488,35 @@ func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int,
 		return nil, context.DeadlineExceeded
 	}
 	if parsed.Req.Fault != nil {
-		// Fault evaluation has no approximate rung: the fault engine's
+		// Fault evaluation has no approximate form: the fault engine's
 		// replications are the quantity of interest, so it runs exact and
 		// lets the deadline cancel it if the budget was optimistic.
 		return s.evaluateFault(ctx, parsed, opts)
 	}
-	if s.affords(cost, budget) {
-		plan, err := election.NewPlan(parsed.Instance, opts)
-		if err != nil {
-			return nil, err
-		}
-		plan.PrewarmApproval(parsed.Alphas...)
-		points := make([]election.SweepPoint, len(parsed.Mechanisms))
-		for i, mech := range parsed.Mechanisms {
-			points[i] = election.SweepPoint{Mechanism: mech, Seed: parsed.Req.Seed, Replications: reps}
-		}
-		results, err := election.EvaluateSweep(ctx, plan, points)
-		if err != nil {
-			return nil, err
-		}
-		resp := &EvaluateResponse{}
-		for i, res := range results {
-			resp.Results = append(resp.Results, exactPoint(res, parsed.Alphas[i]))
-		}
-		return resp, nil
+	plan, err := election.NewPlan(parsed.Instance, opts)
+	if err != nil {
+		return nil, err
 	}
-	// Approximate rung: mechanism realizations stay exact (same RNG
-	// discipline), scoring drops to the certified normal approximation.
-	resp := &EvaluateResponse{Approximate: true}
+	plan.PrewarmApproval(parsed.Alphas...)
+	points := make([]election.SweepPoint, len(parsed.Mechanisms))
 	for i, mech := range parsed.Mechanisms {
-		res, err := election.EvaluateMechanismApprox(ctx, parsed.Instance, mech, opts)
-		if err != nil {
-			return nil, err
+		points[i] = election.SweepPoint{Mechanism: mech, Seed: parsed.Req.Seed, Replications: reps}
+	}
+	sweep := election.EvaluateSweep
+	resp := &EvaluateResponse{Approximate: !s.affords(cost, budget)}
+	if resp.Approximate {
+		sweep = election.EvaluateSweepCertified
+	}
+	results, err := sweep(ctx, plan, points)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		pt := exactPoint(res, parsed.Alphas[i])
+		if resp.Approximate {
+			pt.ErrorBound = res.PDHalfWidth + res.PMHalfWidth
+			pt.PDTier = prob.TierNormal.String()
 		}
-		pt := exactPoint(&res.Result, parsed.Alphas[i])
-		pt.ErrorBound = res.ErrorBound
-		pt.PDTier = prob.TierNormal.String()
 		resp.Results = append(resp.Results, pt)
 	}
 	return resp, nil
@@ -564,12 +560,11 @@ func (s *Server) evaluateFault(ctx context.Context, parsed *ParsedEvaluate, opts
 	return resp, nil
 }
 
-// whatIf scores one explicit delegation profile: exact when the budget
-// affords it, else the certified normal approximation. Delta requests
-// route the exact rung through the retained-scenario cache; every rung
-// scores the post-delta election, and the delta rung's answers are
-// bit-identical to the from-scratch exact path on the same election.
-func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Resolution, cost int64) (*WhatIfResponse, error) {
+// whatIf scores one explicit delegation profile, always the post-delta
+// election. The exact evaluators exist only when the deadline affords the
+// request's exact price: the retained scenario's PD/Score for delta
+// requests, the memoized exact kernels otherwise. Both give the same bits.
+func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Resolution, exactCost int64) (*WhatIfResponse, error) {
 	budget := s.budget(ctx)
 	if budget <= 0 {
 		return nil, context.DeadlineExceeded
@@ -583,79 +578,69 @@ func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Res
 		LongestChain:  res.LongestChain,
 		DeltasApplied: len(parsed.Deltas),
 	}
-	exactOK := in.N() <= election.ExactDirectMaxN && s.affords(cost, budget)
-	switch {
-	case parsed.Req.ErrorBudget > 0:
-		// Budgeted rung: score through the certified approximation ladder.
-		// This takes priority over the retained-scenario path — the ladder
-		// works from the post-delta election directly.
-		if err := s.whatIfLadder(ctx, parsed, res, resp, budget, exactOK); err != nil {
-			return nil, err
-		}
-	case exactOK && len(parsed.Deltas) > 0:
-		pm, pd, err := s.scenarios.score(parsed, s.cfg.ExactCostLimit)
-		if err != nil {
-			return nil, err
-		}
-		resp.PM, resp.PD = pm, pd
-	case exactOK:
-		pm, err := election.ResolutionProbabilityExact(in, res)
-		if err != nil {
-			return nil, err
-		}
-		pd, err := election.DirectProbabilityExact(in)
-		if err != nil {
-			return nil, err
-		}
-		resp.PM, resp.PD = pm, pd
-	default:
-		pm, pmBound := election.ApproximateResolution(in, res)
-		pd := election.DirectNormalApproximation(in).SF(float64(in.N()) / 2)
-		pdBound := prob.BerryEsseenBound(in.Competencies())
-		resp.PM, resp.PD = pm, pd
-		resp.Approximate = true
-		resp.ErrorBound = pmBound + pdBound
+	score := func(pdExact, pmExact func() (float64, error)) error {
+		return resp.certify(parsed.Req.ErrorBudget, in, res, pdExact, pmExact)
 	}
-	resp.Gain = resp.PM - resp.PD
+	var err error
+	switch {
+	case !s.affords(exactCost, budget):
+		err = score(nil, nil)
+	case len(parsed.Deltas) > 0:
+		err = s.scenarios.score(parsed, s.cfg.ExactCostLimit, func(sc *election.Scenario) error {
+			return score(sc.PD, sc.Score)
+		})
+	default:
+		err = score(
+			func() (float64, error) { return election.DirectProbabilityExact(in) },
+			func() (float64, error) { return election.ResolutionProbabilityExact(in, res) })
+	}
+	if err != nil {
+		return nil, err
+	}
 	return resp, nil
 }
 
-// whatIfLadder is the budgeted what-if rung: P^D through prob.LadderMajority
-// with a cost budget derived from the remaining deadline at the calibrated
-// rate, P^M certified from the resolved sink statistics and escalated to the
-// exact weighted DP only when the analytic certificate misses the budget and
-// the deadline affords exact. The response carries each probability's tier
-// and certified half-width; a half-width above the requested budget means
-// the budget was infeasible within the deadline, reported honestly rather
-// than rejected — the interval is still rigorous.
-func (s *Server) whatIfLadder(ctx context.Context, parsed *ParsedWhatIf, res *core.Resolution, resp *WhatIfResponse, budget time.Duration, exactOK bool) error {
-	in := parsed.FinalInstance
-	eb := parsed.Req.ErrorBudget
-	pd, err := prob.LadderMajority(ctx, prob.SliceSeq{PS: in.Competencies()}, prob.LadderOptions{
-		ErrorBudget: eb,
-		CostBudget:  int64(0.8 * budget.Seconds() * s.cfg.CostRate),
-		Workers:     s.cfg.Workers,
-	})
+// certify fills the response's probabilities. P^D and P^M each go through
+// prob.Certify under the request's error budget, with their certified
+// normal tiers (election.CertifyDirect, election.CertifyResolution) and the
+// given exact evaluators, nil when unaffordable. An exact P^D carries the
+// kernel tier the cost model ran it on; an exact P^M is labelled exact. A
+// budget no tier meets is not an error: the tightest certified interval is
+// served with its half-width. Tier fields are set when the request named a
+// budget or a normal tier answered, so an unbudgeted exact answer is the
+// bare pair, byte-identical to offline exact scoring.
+func (resp *WhatIfResponse) certify(eb float64, in *core.Instance, res *core.Resolution, pdExact, pmExact func() (float64, error)) error {
+	pd, err := prob.Certify(eb,
+		func() (prob.CertifiedInterval, error) { return election.CertifyDirect(in), nil },
+		exactTier(pdExact, func(v float64) prob.CertifiedInterval { return prob.KernelInterval(in.N(), v) }))
 	if err != nil && !errors.Is(err, prob.ErrBudgetInfeasible) {
 		return err
 	}
-	var st prob.SumStats
-	for _, sk := range res.Sinks {
-		st.Add(float64(res.Weight[sk]), in.Competency(sk))
+	pm, err := prob.Certify(eb,
+		func() (prob.CertifiedInterval, error) { return election.CertifyResolution(in, res), nil },
+		exactTier(pmExact, func(v float64) prob.CertifiedInterval { return prob.CertifiedInterval{Point: v, Tier: prob.TierExact} }))
+	if err != nil && !errors.Is(err, prob.ErrBudgetInfeasible) {
+		return err
 	}
-	pm := prob.CertifyMajority(&st, float64(res.TotalWeight/2))
-	if pm.HalfWidth > eb && exactOK {
-		point, err := election.ResolutionProbabilityExact(in, res)
-		if err != nil {
-			return err
-		}
-		pm = prob.CertifiedInterval{Point: point, HalfWidth: 0, Tier: prob.TierExact}
+	resp.PM, resp.PD, resp.Gain = pm.Point, pd.Point, pm.Point-pd.Point
+	resp.Approximate = pm.Tier == prob.TierNormal || pd.Tier == prob.TierNormal
+	if eb > 0 || resp.Approximate {
+		resp.PDTier, resp.PDHalfWidth = pd.Tier.String(), pd.HalfWidth
+		resp.PMTier, resp.PMHalfWidth = pm.Tier.String(), pm.HalfWidth
 	}
-	resp.PM, resp.PD = pm.Point, pd.Point
-	resp.PMTier, resp.PMHalfWidth = pm.Tier.String(), pm.HalfWidth
-	resp.PDTier, resp.PDHalfWidth = pd.Tier.String(), pd.HalfWidth
-	resp.Approximate = pm.Tier != prob.TierExact || pd.Tier != prob.TierExact
 	return nil
+}
+
+// exactTier lifts an exact evaluator into prob.Certify's form, labelling
+// its value; a nil evaluator (unaffordable) stays nil.
+func exactTier(eval func() (float64, error), label func(float64) prob.CertifiedInterval) func() (prob.CertifiedInterval, error) {
+	if eval == nil {
+		return nil
+	}
+	return func() (prob.CertifiedInterval, error) {
+		v, err := eval()
+		return label(v), err
+	}
 }
 
 // budget is the wall-clock time remaining before ctx's deadline.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"liquid/internal/experiment"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
+	"liquid/internal/rng"
 	"liquid/internal/server"
 	"liquid/internal/telemetry"
 )
@@ -144,8 +147,8 @@ func TestEvaluateSampledPDHasNoTier(t *testing.T) {
 	}
 }
 
-// TestEvaluateApproximateDegradation starves the cost rate so the ladder
-// drops to the certified normal approximation.
+// TestEvaluateApproximateDegradation starves the cost rate so the daemon
+// answers from the certified sweep.
 func TestEvaluateApproximateDegradation(t *testing.T) {
 	in, instJSON := testInstance(t, 25)
 	_, ts := newTestServer(t, server.Config{CostRate: 0.001})
@@ -162,18 +165,21 @@ func TestEvaluateApproximateDegradation(t *testing.T) {
 	if !got.Approximate {
 		t.Fatal("response not flagged approximate")
 	}
-	if len(got.Results) != 1 || got.Results[0].ErrorBound <= 0 || got.Results[0].ErrorBound > 1 {
-		t.Fatalf("results = %+v, want one point with a certified bound in (0,1]", got.Results)
+	if len(got.Results) != 1 || got.Results[0].ErrorBound <= 0 || got.Results[0].ErrorBound > 1 || got.Results[0].PDTier != "normal" {
+		t.Fatalf("results = %+v, want one normal-tier point with a certified bound in (0,1]", got.Results)
 	}
 
-	// The numbers must match the offline approximate evaluator exactly.
-	res, err := election.EvaluateMechanismApprox(t.Context(), in, mechanism.ApprovalThreshold{Alpha: 0.1}, election.Options{
-		Replications: 8, Seed: 3,
-	})
+	// The numbers must match the offline certified sweep exactly.
+	plan, err := election.NewPlan(in, election.Options{Replications: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Results[0].PM != res.PM || got.Results[0].PD != res.PD || got.Results[0].ErrorBound != res.ErrorBound {
+	results, err := election.EvaluateSweepCertified(t.Context(), plan, []election.SweepPoint{{Mechanism: mechanism.ApprovalThreshold{Alpha: 0.1}, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0]
+	if got.Results[0].PM != res.PM || got.Results[0].PD != res.PD || got.Results[0].ErrorBound != res.PDHalfWidth+res.PMHalfWidth {
 		t.Fatalf("approximate point %+v differs from offline %+v", got.Results[0], res)
 	}
 }
@@ -424,14 +430,46 @@ func TestWhatIfLadderExactEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ladder's exact DP folds competencies in sorted order, so the last
-	// few ulps may differ from the unsorted offline DP; the values must
-	// still agree to certified-exact precision.
-	if diff := got.PD - pd; diff > 1e-12 || diff < -1e-12 {
+	if math.Float64bits(got.PD) != math.Float64bits(pd) {
 		t.Fatalf("pd = %v, offline exact %v", got.PD, pd)
 	}
 	if got.Gain != got.PM-got.PD {
 		t.Fatalf("gain = %v, want pm-pd", got.Gain)
+	}
+}
+
+// TestWhatIfBudgetStarvedDeadline: a budgeted what-if whose deadline cannot
+// afford exact scoring must stay on the normal tier for both probabilities.
+// The body is TestWhatIfLadderExactEscalation's, whose 1e-9 budget no normal
+// interval meets; the starved cost rate makes exact unaffordable, so the
+// answer is the two normal intervals, flagged approximate, with the budget
+// reported as missed through the half-widths.
+func TestWhatIfBudgetStarvedDeadline(t *testing.T) {
+	_, instJSON := testInstance(t, 64)
+	_, ts := newTestServer(t, server.Config{CostRate: 0.001})
+
+	delegations := make([]string, 64)
+	for i := range delegations {
+		delegations[i] = "-1"
+		if i < 10 {
+			delegations[i] = "63"
+		}
+	}
+	body := fmt.Sprintf(`{"instance": %s, "delegations": [%s], "error_budget": 1e-9}`,
+		instJSON, strings.Join(delegations, ","))
+	resp, data := post(t, ts.URL, "/v1/whatif", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	var got server.WhatIfResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.PDTier != "normal" || got.PMTier != "normal" || !got.Approximate {
+		t.Fatalf("starved budgeted what-if answered %s, want normal/normal, approximate", data)
+	}
+	if got.PDHalfWidth <= 1e-9 || got.PMHalfWidth <= 1e-9 {
+		t.Fatalf("half-widths %v/%v, want the missed budget reported", got.PDHalfWidth, got.PMHalfWidth)
 	}
 }
 
@@ -754,4 +792,107 @@ func TestNegativeZeroCompetencyServed(t *testing.T) {
 			t.Errorf("%s: -0.0 and 0.0 answered differently:\n -0.0: %s\n  0.0: %s", c.path, neg, pos)
 		}
 	}
+}
+
+// corpusElection draws a seeded n-voter election: competencies in
+// [0.3, 0.8), and each voter after the first delegating, with probability
+// frac, to a uniformly chosen lower-numbered voter, so every profile is
+// acyclic. It returns the instance, the delegations and the instance's
+// wire form.
+func corpusElection(t *testing.T, s *rng.Stream, n int, frac float64) (*core.Instance, []int, string) {
+	t.Helper()
+	ps := make([]float64, n)
+	spec := make([]string, n)
+	for i := range ps {
+		ps[i] = 0.3 + 0.5*s.Float64()
+		spec[i] = strconv.FormatFloat(ps[i], 'g', -1, 64)
+	}
+	delegations := make([]int, n)
+	for i := range delegations {
+		delegations[i] = core.NoDelegate
+		if i > 0 && s.Float64() < frac {
+			delegations[i] = s.IntN(i)
+		}
+	}
+	in, err := core.NewInstance(graph.NewComplete(n), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, delegations, fmt.Sprintf(`{"n": %d, "complete": true, "p": [%s]}`, n, strings.Join(spec, ","))
+}
+
+// TestWhatIfUnbudgetedDegradation covers the unbudgeted what-if's two
+// outcomes over a seeded corpus, each request plain and with one repoint
+// delta. Under a starved cost rate every answer must come from the normal
+// tiers, flagged approximate, with pm ± pm_half_width and pd ± pd_half_width
+// containing the exact values of the post-delta election. Under the default
+// deadline, one voter past election.ExactDirectMaxN, the answer must be
+// exact and byte-identical to offline exact scoring.
+func TestWhatIfUnbudgetedDegradation(t *testing.T) {
+	// variants are the plain request and the one-repoint delta request.
+	variants := func(n int) [][]election.Delta {
+		return [][]election.Delta{nil, {{Kind: election.DeltaRepoint, Voter: n - 1, Target: 0}}}
+	}
+	body := func(instJSON string, delegations []int, deltas []election.Delta) string {
+		if len(deltas) == 0 {
+			return fmt.Sprintf(`{"instance": %s, "delegations": %s}`, instJSON, intsJSON(delegations))
+		}
+		d := deltas[0]
+		return deltaBody(instJSON, intsJSON(delegations), fmt.Sprintf(`[{"kind": "repoint", "voter": %d, "target": %d}]`, d.Voter, d.Target))
+	}
+	s := rng.New(rng.Derive(15, "server", "degraded-corpus"))
+
+	_, starved := newTestServer(t, server.Config{CostRate: 0.001})
+	for _, n := range []int{25, 101, 500, 2000} {
+		for _, frac := range []float64{0, 0.3, 0.7, 0.95} {
+			in, delegations, instJSON := corpusElection(t, s, n, frac)
+			for _, deltas := range variants(n) {
+				want := offlineWhatIfDelta(t, in, delegations, deltas)
+				resp, data := post(t, starved.URL, "/v1/whatif", body(instJSON, delegations, deltas))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("n=%d frac=%v deltas=%d: status = %d: %s", n, frac, len(deltas), resp.StatusCode, data)
+				}
+				var got server.WhatIfResponse
+				if err := json.Unmarshal(data, &got); err != nil {
+					t.Fatal(err)
+				}
+				if !got.Approximate || got.PDTier != "normal" || got.PMTier != "normal" {
+					t.Fatalf("n=%d frac=%v deltas=%d: %s, want approximate normal/normal", n, frac, len(deltas), data)
+				}
+				if math.Abs(got.PM-want.PM) > got.PMHalfWidth || math.Abs(got.PD-want.PD) > got.PDHalfWidth {
+					t.Fatalf("n=%d frac=%v deltas=%d: pm %v ± %v, pd %v ± %v miss exact pm %v, pd %v",
+						n, frac, len(deltas), got.PM, got.PMHalfWidth, got.PD, got.PDHalfWidth, want.PM, want.PD)
+				}
+				if got.Sinks != want.Sinks || got.TotalWeight != want.TotalWeight || got.DeltasApplied != want.DeltasApplied {
+					t.Fatalf("n=%d frac=%v deltas=%d: structure %s, want %+v", n, frac, len(deltas), data, want)
+				}
+			}
+		}
+	}
+
+	_, ts := newTestServer(t, server.Config{})
+	n := election.ExactDirectMaxN + 1
+	in, delegations, instJSON := corpusElection(t, s, n, 0.3)
+	for _, deltas := range variants(n) {
+		resp, data := post(t, ts.URL, "/v1/whatif", body(instJSON, delegations, deltas))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d deltas=%d: status = %d: %s", n, len(deltas), resp.StatusCode, data)
+		}
+		want, err := json.Marshal(offlineWhatIfDelta(t, in, delegations, deltas))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(data, want) {
+			t.Fatalf("n=%d deltas=%d: what-if differs from offline exact scoring:\n got: %s\nwant: %s", n, len(deltas), data, want)
+		}
+	}
+}
+
+// intsJSON renders an int slice as a JSON array.
+func intsJSON(xs []int) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = strconv.Itoa(x)
+	}
+	return "[" + strings.Join(parts, ",") + "]"
 }
