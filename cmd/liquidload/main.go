@@ -10,9 +10,11 @@
 //	sent == completed + malformed + shed + failed + expired
 //
 // and, with -verify, recomputes every completed exact evaluate response
-// offline (election.EvaluateMechanism with the same seed and options) and
-// every completed delta what-if (exact kernels on the post-delta election)
-// and requires bit-identical bytes. Any violation exits nonzero.
+// offline (election.EvaluateMechanism with the same seed and options),
+// every completed fault evaluate (fault.EvaluateSweep with the same seed
+// and options) and every completed delta what-if (exact kernels on the
+// post-delta election) and requires bit-identical bytes. Any violation
+// exits nonzero.
 //
 // -whatif-delta-frac carves out a slice of delta what-ifs: every such
 // request probes the same shared base election with a short list of
@@ -48,6 +50,7 @@ import (
 
 	"liquid/internal/core"
 	"liquid/internal/election"
+	"liquid/internal/fault"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
 	"liquid/internal/prob"
@@ -98,7 +101,7 @@ func run(args []string, out, errOut io.Writer) error {
 		faultF     = fs.Float64("fault-frac", 0.2, "fraction of evaluate requests carrying a fault block")
 		malformedF = fs.Float64("malformed-frac", 0.1, "fraction of malformed bodies (typed 400s)")
 		slowF      = fs.Float64("slow-frac", 0.1, "fraction of slow clients (trickled request bodies)")
-		verify     = fs.Bool("verify", false, "recompute completed exact evaluate responses offline and require bit-identity")
+		verify     = fs.Bool("verify", false, "recompute completed exact evaluate, fault and delta what-if responses offline and require bit-identity")
 		benchOut   = fs.String("bench", "", "write a liquid-bench-serve/1 JSON snapshot here")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -188,7 +191,7 @@ func run(args []string, out, errOut io.Writer) error {
 		return fmt.Errorf("outcome taxonomy leaks: %d outcomes for %d requests", sum, got.Received)
 	}
 
-	verified, verifiedWhatIf := 0, 0
+	verified, verifiedFault, verifiedWhatIf := 0, 0, 0
 	if *verify {
 		for i, o := range outcomes {
 			if o.status != http.StatusOK {
@@ -205,6 +208,16 @@ func run(args []string, out, errOut io.Writer) error {
 						i, reqs[i].seed, o.body, want)
 				}
 				verified++
+			case "fault":
+				want, err := offlineFault(reqs[i])
+				if err != nil {
+					return fmt.Errorf("offline verify request %d: %w", i, err)
+				}
+				if !bytes.Equal(o.body, want) {
+					return fmt.Errorf("fault evaluate %d (seed %d) not bit-identical to offline evaluation:\n got: %s\nwant: %s",
+						i, reqs[i].seed, o.body, want)
+				}
+				verifiedFault++
 			case "whatif-delta":
 				want, err := offlineWhatIfDelta(reqs[i])
 				if err != nil {
@@ -217,8 +230,8 @@ func run(args []string, out, errOut io.Writer) error {
 				verifiedWhatIf++
 			}
 		}
-		fmt.Fprintf(out, "verified %d completed evaluate responses and %d delta what-ifs bit-identical to offline evaluation\n",
-			verified, verifiedWhatIf)
+		fmt.Fprintf(out, "verified %d completed evaluate responses, %d fault evaluates and %d delta what-ifs bit-identical to offline evaluation\n",
+			verified, verifiedFault, verifiedWhatIf)
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
@@ -525,6 +538,42 @@ func offlineWhatIfDelta(rq request) ([]byte, error) {
 		Sinks: len(res.Sinks), MaxWeight: res.MaxWeight, TotalWeight: res.TotalWeight,
 		Delegators: res.Delegators, LongestChain: res.LongestChain,
 		DeltasApplied: len(parsed.Deltas),
+	}
+	data, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// offlineFault rebuilds a completed fault evaluate from the request's own
+// body through fault.EvaluateSweep, the fault engine's public entry, with
+// the daemon's per-request options (one worker, default exact-cost limit).
+func offlineFault(rq request) ([]byte, error) {
+	parsed, aerr := server.ParseEvaluateRequest(rq.body)
+	if aerr != nil {
+		return nil, aerr
+	}
+	f := parsed.Req.Fault
+	points := make([]fault.SweepPoint, len(parsed.Mechanisms))
+	for i, mech := range parsed.Mechanisms {
+		points[i] = fault.SweepPoint{Mechanism: mech, Opts: fault.ElectionOptions{
+			Options:  election.Options{Replications: parsed.Req.Replications, Seed: parsed.Req.Seed, Workers: 1},
+			DownRate: f.DownRate, AbstainRate: f.AbstainRate, Policy: parsed.Policy, Alpha: f.Alpha,
+		}}
+	}
+	results, err := fault.EvaluateSweep(context.Background(), parsed.Instance, points)
+	if err != nil {
+		return nil, err
+	}
+	var resp server.EvaluateResponse
+	for i, res := range results {
+		resp.Results = append(resp.Results, server.PointResult{
+			Mechanism: res.Mechanism, Alpha: parsed.Alphas[i], N: res.N,
+			PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD, Gain: res.Gain,
+			Policy: res.Policy.String(), MeanDown: res.MeanDown, MeanLost: res.MeanLost,
+			MeanFellBack: res.MeanFellBack, MeanRedelegated: res.MeanRedelegated,
+		})
 	}
 	data, err := json.Marshal(resp)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"liquid/internal/core"
 	"liquid/internal/election"
+	"liquid/internal/fault"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
 	"liquid/internal/rng"
@@ -43,44 +44,65 @@ func certifiedSweep(ctx context.Context, in *core.Instance, mech mechanism.Mecha
 // TestApproxWithinCertifiedBound is the degraded sweep's correctness
 // contract: its PD and PM must sit within their certified half-widths of
 // the exact sweep's, for the same seed (same realizations, scored by DP on
-// one side and by certified normal intervals on the other).
+// one side and by certified normal intervals on the other). The inputs are
+// a plain point and a repaired one (fault injection, whose weighted
+// resolutions the certified scorer must cover too).
 func TestApproxWithinCertifiedBound(t *testing.T) {
 	in := approxTestInstance(t, 301, 7)
 	mech := mechanism.ApprovalThreshold{Alpha: 0.05}
-	for _, workers := range []int{1, 4} {
-		opts := election.Options{Replications: 16, Seed: 11, Workers: workers}
-		exact, err := election.EvaluateMechanism(context.Background(), in, mech, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := certifiedSweep(context.Background(), in, mech, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := approx.PDHalfWidth + approx.PMHalfWidth
-		if approx.PDHalfWidth <= 0 || approx.PMHalfWidth <= 0 || bound > 1 {
-			t.Fatalf("half-widths PD %g PM %g, want positive with a sum in (0, 1]", approx.PDHalfWidth, approx.PMHalfWidth)
-		}
-		if exact.PDHalfWidth != 0 || exact.PMHalfWidth != 0 {
-			t.Fatalf("exact sweep reports half-widths PD %g PM %g", exact.PDHalfWidth, exact.PMHalfWidth)
-		}
-		if diff := math.Abs(exact.PD - approx.PD); diff > approx.PDHalfWidth {
-			t.Fatalf("|PD diff| = %g exceeds certified %g", diff, approx.PDHalfWidth)
-		}
-		if diff := math.Abs(exact.PM - approx.PM); diff > approx.PMHalfWidth {
-			t.Fatalf("|PM diff| = %g exceeds certified %g", diff, approx.PMHalfWidth)
-		}
-		if diff := math.Abs(exact.Gain - approx.Gain); diff > bound {
-			t.Fatalf("|gain diff| = %g exceeds certified %g", diff, bound)
-		}
-		// The realizations themselves are exact, so the structural statistics
-		// must agree bit-for-bit with the exact evaluator's.
-		if exact.MeanDelegators != approx.MeanDelegators ||
-			exact.MeanSinks != approx.MeanSinks ||
-			exact.MeanMaxWeight != approx.MeanMaxWeight ||
-			exact.MaxMaxWeight != approx.MaxMaxWeight ||
-			exact.MeanLongestChain != approx.MeanLongestChain {
-			t.Fatalf("structural stats diverge: exact %+v approx %+v", exact, approx)
+	repair, err := fault.ElectionOptions{DownRate: 0.2, AbstainRate: 0.1, Policy: fault.Redelegate, Alpha: 0.05}.Repair(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, repair := range []election.Repair{nil, repair} {
+		for _, workers := range []int{1, 4} {
+			plan, err := election.NewPlan(in, election.Options{Replications: 16, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := []election.SweepPoint{{Mechanism: mech, Seed: 11, Repair: repair}}
+			exacts, err := election.EvaluateSweep(context.Background(), plan, points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			approxes, err := election.EvaluateSweepCertified(context.Background(), plan, points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, approx := exacts[0], approxes[0]
+			bound := approx.PDHalfWidth + approx.PMHalfWidth
+			if approx.PDHalfWidth <= 0 || approx.PMHalfWidth <= 0 || bound > 1 {
+				t.Fatalf("half-widths PD %g PM %g, want positive with a sum in (0, 1]", approx.PDHalfWidth, approx.PMHalfWidth)
+			}
+			if exact.PDHalfWidth != 0 || exact.PMHalfWidth != 0 {
+				t.Fatalf("exact sweep reports half-widths PD %g PM %g", exact.PDHalfWidth, exact.PMHalfWidth)
+			}
+			if diff := math.Abs(exact.PD - approx.PD); diff > approx.PDHalfWidth {
+				t.Fatalf("|PD diff| = %g exceeds certified %g", diff, approx.PDHalfWidth)
+			}
+			if diff := math.Abs(exact.PM - approx.PM); diff > approx.PMHalfWidth {
+				t.Fatalf("|PM diff| = %g exceeds certified %g", diff, approx.PMHalfWidth)
+			}
+			if diff := math.Abs(exact.Gain - approx.Gain); diff > bound {
+				t.Fatalf("|gain diff| = %g exceeds certified %g", diff, bound)
+			}
+			// The realizations themselves are exact, so the structural
+			// statistics and fault footprint must agree bit-for-bit with the
+			// exact evaluator's.
+			if exact.MeanDelegators != approx.MeanDelegators ||
+				exact.MeanSinks != approx.MeanSinks ||
+				exact.MeanMaxWeight != approx.MeanMaxWeight ||
+				exact.MaxMaxWeight != approx.MaxMaxWeight ||
+				exact.MeanLongestChain != approx.MeanLongestChain ||
+				exact.MeanDown != approx.MeanDown ||
+				exact.MeanLost != approx.MeanLost ||
+				exact.MeanFellBack != approx.MeanFellBack ||
+				exact.MeanRedelegated != approx.MeanRedelegated {
+				t.Fatalf("structural stats diverge: exact %+v approx %+v", exact, approx)
+			}
+			if (repair != nil) != (exact.MeanLost > 0) {
+				t.Fatalf("repaired=%v but MeanLost = %v", repair != nil, exact.MeanLost)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"liquid/internal/core"
 	"liquid/internal/mechanism"
 	"liquid/internal/prob"
-	"liquid/internal/rng"
 )
 
 // Comparison is the result of a paired evaluation of two mechanisms on the
@@ -42,50 +41,37 @@ func (c *Comparison) Winner() string {
 }
 
 // CompareMechanisms evaluates mechA against mechB on the instance with
-// paired replications. Each realization is scored exactly when the DP is
-// affordable, like EvaluateMechanism. Cancelling ctx aborts the replication
-// loop with ctx's error.
+// paired replications: both run as same-seed replications of one Plan, so
+// replication r of each draws from the same stream (common random numbers)
+// and shared randomness, such as the same random delegate choices where
+// both would delegate, cancels out of the difference. Each realization is
+// scored as EvaluateMechanism scores it, and the result is bit-identical
+// for every Workers value. Cancelling ctx aborts the replications with
+// ctx's error.
 func CompareMechanisms(ctx context.Context, in *core.Instance, mechA, mechB mechanism.Mechanism, opts Options) (*Comparison, error) {
-	opts = opts.withDefaults()
-	if in.N() == 0 {
-		return nil, ErrNoVoters
+	plan, err := NewPlan(in, opts)
+	if err != nil {
+		return nil, err
 	}
-	root := rng.New(opts.Seed)
-
-	score := func(mech mechanism.Mechanism, s *rng.Stream) (float64, error) {
-		d, err := mech.Apply(in, s.DeriveString("mechanism"))
-		if err != nil {
-			return 0, err
-		}
-		res, err := d.Resolve()
-		if err != nil {
-			return 0, err
-		}
-		if resolutionCost(res) <= opts.ExactCostLimit {
-			return ResolutionProbabilityExact(in, res)
-		}
-		return ResolutionProbabilityMC(ctx, in, res, opts.VoteSamples, s.DeriveString("votes"))
+	outA, err := plan.replicate(ctx, mechA, nil, plan.opts, false)
+	if err != nil {
+		return nil, err
+	}
+	outB, err := plan.replicate(ctx, mechB, nil, plan.opts, false)
+	if err != nil {
+		return nil, err
 	}
 
 	cmp := &Comparison{A: mechA.Name(), B: mechB.Name(), N: in.N()}
 	var diffs prob.Summary
-	for r := 0; r < opts.Replications; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s := root.Derive(uint64(r) + 1)
-		// Common random numbers: both mechanisms consume the SAME stream
-		// state, so shared randomness (e.g. the same random delegate
-		// choices where both would delegate) cancels out of the difference.
-		pa, err := score(mechA, s)
-		if err != nil {
+	for r := range outA {
+		if err := outA[r].err; err != nil {
 			return nil, fmt.Errorf("mechanism %q: %w", mechA.Name(), err)
 		}
-		pb, err := score(mechB, s)
-		if err != nil {
+		if err := outB[r].err; err != nil {
 			return nil, fmt.Errorf("mechanism %q: %w", mechB.Name(), err)
 		}
-		d := pa - pb
+		d := outA[r].pm - outB[r].pm
 		diffs.Add(d)
 		switch {
 		case d > 1e-12:

@@ -91,3 +91,30 @@ func TestCompareErrors(t *testing.T) {
 		t.Fatal("cycle-forcing mechanism accepted")
 	}
 }
+
+// TestCompareDeterministicAcrossWorkers: the paired replications run in
+// the Plan's worker pool, and the comparison must not see Workers.
+func TestCompareDeterministicAcrossWorkers(t *testing.T) {
+	in := spgInstance(t, 201, 99)
+	var ref *Comparison
+	for _, workers := range []int{1, 4} {
+		cmp, err := CompareMechanisms(context.Background(), in,
+			mechanism.ApprovalThreshold{Alpha: 0.02},
+			mechanism.GreedyBest{Alpha: 0.02},
+			Options{Replications: 12, Seed: 13, Workers: workers},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = cmp
+			continue
+		}
+		if *cmp != *ref {
+			t.Fatalf("workers=%d diverged:\n%+v\n%+v", workers, cmp, ref)
+		}
+	}
+	if ref.AWins+ref.BWins+ref.Ties != 12 {
+		t.Fatalf("win counts %+v do not cover 12 replications", ref)
+	}
+}

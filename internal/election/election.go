@@ -103,6 +103,14 @@ type Result struct {
 	MaxMaxWeight     int
 	MeanLongestChain float64
 
+	// MeanDown, MeanLost, MeanFellBack and MeanRedelegated average a
+	// repaired point's FaultCounts over its replications (see Repair);
+	// zero without a Repair.
+	MeanDown        float64
+	MeanLost        float64
+	MeanFellBack    float64
+	MeanRedelegated float64
+
 	// ResolutionCacheHits/Misses report the evaluation's score-cache
 	// traffic. Telemetry only: the split depends on goroutine scheduling,
 	// so it must never appear in reproduced tables.
@@ -239,15 +247,16 @@ type repOut struct {
 	sinks        int
 	maxWeight    int
 	longestChain int
+	faults       FaultCounts
 	err          error
 }
 
-// evaluateReplication scores one mechanism realization on its own stream:
-// exactly (DP, or Monte Carlo above opts.ExactCostLimit), or by its
-// certified normal interval when certify is set. ws and rv are the worker's
-// private scratch; cache (optional) memoizes exact scores across
-// replications and is shared by all workers.
-func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts Options, certify bool, s *rng.Stream, ws *prob.Workspace, rv *core.Resolver, cache *ScoreCache) repOut {
+// evaluateReplication scores one mechanism realization on its own stream,
+// after repair when one is set: exactly (DP, or Monte Carlo above
+// opts.ExactCostLimit), or by its certified normal interval when certify
+// is set. ws and rv are the worker's private scratch; cache (optional)
+// memoizes exact scores across replications and is shared by all workers.
+func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, repair Repair, opts Options, certify bool, s *rng.Stream, ws *prob.Workspace, rv *core.Resolver, cache *ScoreCache) repOut {
 	if err := ctx.Err(); err != nil {
 		return repOut{err: err}
 	}
@@ -255,7 +264,13 @@ func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.
 	if err != nil {
 		return repOut{err: err}
 	}
-	res, err := rv.Resolve(d)
+	rep := Repaired{Graph: d}
+	if repair != nil {
+		if rep, err = repair(d, s); err != nil {
+			return repOut{err: err}
+		}
+	}
+	res, err := rv.ResolveWithWeights(rep.Graph, rep.Weights)
 	if err != nil {
 		return repOut{err: err}
 	}
@@ -279,6 +294,7 @@ func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.
 		sinks:        len(res.Sinks),
 		maxWeight:    res.MaxWeight,
 		longestChain: res.LongestChain,
+		faults:       rep.Faults,
 	}
 }
 

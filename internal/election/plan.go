@@ -107,6 +107,32 @@ type SweepPoint struct {
 	// DisableResolutionCache bypasses the plan's shared score cache and the
 	// P^D memos for this point (see Options.DisableResolutionCache).
 	DisableResolutionCache bool
+	// Repair, when set, transforms each replication's realization before it
+	// is resolved and scored (see Repair).
+	Repair Repair
+}
+
+// Repair is a per-replication transform between a mechanism's realization
+// and its resolution, such as internal/fault's injected faults and
+// recovery policies. It receives the realized delegation graph and the
+// replication's stream, and must draw only from children of that stream
+// other than "mechanism" and "votes", which the replication uses itself.
+// Every worker calls it, so it must be safe for concurrent use.
+type Repair func(d *core.DelegationGraph, s *rng.Stream) (Repaired, error)
+
+// Repaired is what a Repair returns: the graph to resolve, the surviving
+// initial weights (nil: one unit each) and the replication's fault
+// counters, which the point's Result averages.
+type Repaired struct {
+	Graph   *core.DelegationGraph
+	Weights []int
+	Faults  FaultCounts
+}
+
+// FaultCounts is one replication's fault footprint: voters down, vote
+// units lost, and delegators cut to a direct vote or redelegated.
+type FaultCounts struct {
+	Down, Lost, FellBack, Redelegated int
 }
 
 // EvaluateSweep evaluates points against plan, returning one Result per
@@ -175,27 +201,80 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 		return nil, err
 	}
 	// Telemetry: a child span under the engine's per-experiment span (nil
-	// and therefore free when no span was installed) and a replication
-	// counter. Write-only — nothing below reads these back.
+	// and therefore free when no span was installed). Write-only — nothing
+	// below reads it back.
 	sp := telemetry.SpanFromContext(ctx).Child("evaluate")
 	defer sp.End()
-	telemetry.NewCounter("election/replications").Add(uint64(opts.Replications))
-	root := rng.New(opts.Seed)
 	var pd, pdHalfWidth float64
-	var cache *ScoreCache
 	if certify {
 		ci := CertifyDirect(p.in)
 		pd, pdHalfWidth = ci.Point, ci.HalfWidth
 	} else {
 		var err error
-		if pd, err = p.directProbability(ctx, opts, root.DeriveString("direct")); err != nil {
+		if pd, err = p.directProbability(ctx, opts, rng.New(opts.Seed).DeriveString("direct")); err != nil {
 			return nil, err
 		}
-		if !opts.DisableResolutionCache {
-			cache = p.scores
-		}
 	}
-	mech := pt.Mechanism
+	outs, err := p.replicate(ctx, pt.Mechanism, pt.Repair, opts, certify)
+	if err != nil {
+		return nil, err
+	}
+
+	var pmSum prob.Summary
+	var halfWidths, delegators, sinks, maxWeights, chains prob.Accumulator
+	var faults FaultCounts
+	result := &Result{Mechanism: pt.Mechanism.Name(), N: p.in.N(), PD: pd, PDHalfWidth: pdHalfWidth}
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		pmSum.Add(o.pm)
+		halfWidths.Add(o.halfWidth)
+		delegators.Add(float64(o.delegators))
+		sinks.Add(float64(o.sinks))
+		maxWeights.Add(float64(o.maxWeight))
+		chains.Add(float64(o.longestChain))
+		if o.maxWeight > result.MaxMaxWeight {
+			result.MaxMaxWeight = o.maxWeight
+		}
+		faults.Down += o.faults.Down
+		faults.Lost += o.faults.Lost
+		faults.FellBack += o.faults.FellBack
+		faults.Redelegated += o.faults.Redelegated
+	}
+	reps := float64(opts.Replications)
+	result.PMHalfWidth = halfWidths.Sum() / reps
+	result.MeanDelegators = delegators.Sum() / reps
+	result.MeanSinks = sinks.Sum() / reps
+	result.MeanMaxWeight = maxWeights.Sum() / reps
+	result.MeanLongestChain = chains.Sum() / reps
+	result.MeanDown = float64(faults.Down) / reps
+	result.MeanLost = float64(faults.Lost) / reps
+	result.MeanFellBack = float64(faults.FellBack) / reps
+	result.MeanRedelegated = float64(faults.Redelegated) / reps
+	if cache := p.scoreCache(opts, certify); cache != nil {
+		result.ResolutionCacheHits, result.ResolutionCacheMisses = cache.Stats()
+	}
+	result.PM = pmSum.Mean()
+	result.PMStdErr = pmSum.StdErr()
+	result.Gain = result.PM - pd
+	lo, hi := pmSum.MeanCI(0.95)
+	result.GainLo = lo - pd
+	result.GainHi = hi - pd
+	return result, nil
+}
+
+// replicate runs opts.Replications realizations of mech, each repaired
+// when repair is set, in the worker pool and returns their outcomes in
+// replication order. Replication r draws only from stream r+1 of the
+// seed's root, so two mechanisms replicated at one seed see the same
+// streams: CompareMechanisms pairs them. Cancelling ctx stops the feed
+// and returns ctx's error.
+func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair Repair, opts Options, certify bool) ([]repOut, error) {
+	// Telemetry: a replication counter, write-only like evaluatePoint's span.
+	telemetry.NewCounter("election/replications").Add(uint64(opts.Replications))
+	root := rng.New(opts.Seed)
+	cache := p.scoreCache(opts, certify)
 	outs := make([]repOut, opts.Replications)
 	workers := opts.Workers
 	if workers > opts.Replications {
@@ -218,7 +297,7 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 			for r := range work {
 				// Each replication draws from a stream derived only from
 				// (seed, r), so scheduling order cannot change the outcome.
-				outs[r] = evaluateReplication(ctx, p.in, mech, opts, certify, root.Derive(uint64(r)+1), ws, rv, cache)
+				outs[r] = evaluateReplication(ctx, p.in, mech, repair, opts, certify, root.Derive(uint64(r)+1), ws, rv, cache)
 			}
 		}()
 	}
@@ -235,40 +314,16 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return outs, nil
+}
 
-	var pmSum prob.Summary
-	var halfWidths, delegators, sinks, maxWeights, chains prob.Accumulator
-	result := &Result{Mechanism: mech.Name(), N: p.in.N(), PD: pd, PDHalfWidth: pdHalfWidth}
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		pmSum.Add(o.pm)
-		halfWidths.Add(o.halfWidth)
-		delegators.Add(float64(o.delegators))
-		sinks.Add(float64(o.sinks))
-		maxWeights.Add(float64(o.maxWeight))
-		chains.Add(float64(o.longestChain))
-		if o.maxWeight > result.MaxMaxWeight {
-			result.MaxMaxWeight = o.maxWeight
-		}
+// scoreCache returns the plan's shared score cache for exact scoring, or
+// nil when the point bypasses it or scores by certified intervals.
+func (p *Plan) scoreCache(opts Options, certify bool) *ScoreCache {
+	if certify || opts.DisableResolutionCache {
+		return nil
 	}
-	reps := float64(opts.Replications)
-	result.PMHalfWidth = halfWidths.Sum() / reps
-	result.MeanDelegators = delegators.Sum() / reps
-	result.MeanSinks = sinks.Sum() / reps
-	result.MeanMaxWeight = maxWeights.Sum() / reps
-	result.MeanLongestChain = chains.Sum() / reps
-	if cache != nil {
-		result.ResolutionCacheHits, result.ResolutionCacheMisses = cache.Stats()
-	}
-	result.PM = pmSum.Mean()
-	result.PMStdErr = pmSum.StdErr()
-	result.Gain = result.PM - pd
-	lo, hi := pmSum.MeanCI(0.95)
-	result.GainLo = lo - pd
-	result.GainHi = hi - pd
-	return result, nil
+	return p.scores
 }
 
 // directProbability returns the point's P^D. The exact branch

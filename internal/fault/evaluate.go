@@ -3,13 +3,10 @@ package fault
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"liquid/internal/core"
 	"liquid/internal/election"
 	"liquid/internal/mechanism"
-	"liquid/internal/prob"
 	"liquid/internal/rng"
 )
 
@@ -55,77 +52,48 @@ type ElectionResult struct {
 	MeanRedelegated float64
 }
 
-// Worker scratch pools; scratch never influences results (see
-// prob.Workspace and core.Resolver), so pooling affects allocation only.
-var (
-	faultWSPool = sync.Pool{New: func() any { return prob.NewWorkspace() }}
-	faultRVPool = sync.Pool{New: func() any { return new(core.Resolver) }}
-)
-
-// faultRep is the per-replication outcome.
-type faultRep struct {
-	pm          float64
-	down        int
-	lost        int
-	fellBack    int
-	redelegated int
-	err         error
+// Repair returns the options' election-level faults as an
+// election.Repair on instance in: each replication marks voters down and
+// abstaining from its stream's "down" and "abstain" children, then
+// repairs the realization with ApplyPolicy, redelegating from its
+// "redelegate" child. Rates outside [0, 1) are an error.
+func (o ElectionOptions) Repair(in *core.Instance) (election.Repair, error) {
+	if o.DownRate < 0 || o.DownRate >= 1 {
+		return nil, fmt.Errorf("fault: down rate %v not in [0, 1)", o.DownRate)
+	}
+	if o.AbstainRate < 0 || o.AbstainRate >= 1 {
+		return nil, fmt.Errorf("fault: abstain rate %v not in [0, 1)", o.AbstainRate)
+	}
+	return func(d *core.DelegationGraph, s *rng.Stream) (election.Repaired, error) {
+		down, downCount := mark(in.N(), o.DownRate, s, "down")
+		abstain, _ := mark(in.N(), o.AbstainRate, s, "abstain")
+		rec, err := ApplyPolicy(in, d, down, abstain, o.Policy, o.Alpha, s.DeriveString("redelegate"))
+		if err != nil {
+			return election.Repaired{}, err
+		}
+		return election.Repaired{Graph: rec.Graph, Weights: rec.Weights, Faults: election.FaultCounts{
+			Down: downCount, Lost: rec.Lost, FellBack: rec.FellBack, Redelegated: rec.Redelegated,
+		}}, nil
+	}, nil
 }
 
-// evaluateFaultReplication runs one mechanism realization, injects faults,
-// repairs with the policy, and scores the result.
-func evaluateFaultReplication(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts ElectionOptions, s *rng.Stream, ws *prob.Workspace, rv *core.Resolver, cache *election.ScoreCache) faultRep {
-	if err := ctx.Err(); err != nil {
-		return faultRep{err: err}
-	}
-	d, err := mech.Apply(in, s.DeriveString("mechanism"))
-	if err != nil {
-		return faultRep{err: err}
-	}
-	n := in.N()
-	var down, abstain []bool
-	downCount := 0
-	if opts.DownRate > 0 {
-		ds := s.DeriveString("down")
-		down = make([]bool, n)
-		for v := range down {
-			down[v] = ds.Bernoulli(opts.DownRate)
-			if down[v] {
-				downCount++
+// mark flags each of n voters independently with probability rate, drawn
+// from s's label child, and counts the flags. A zero rate draws nothing
+// and returns nil.
+func mark(n int, rate float64, s *rng.Stream, label string) ([]bool, int) {
+	var flags []bool
+	count := 0
+	if rate > 0 {
+		ms := s.DeriveString(label)
+		flags = make([]bool, n)
+		for v := range flags {
+			flags[v] = ms.Bernoulli(rate)
+			if flags[v] {
+				count++
 			}
 		}
 	}
-	if opts.AbstainRate > 0 {
-		as := s.DeriveString("abstain")
-		abstain = make([]bool, n)
-		for v := range abstain {
-			abstain[v] = as.Bernoulli(opts.AbstainRate)
-		}
-	}
-	rec, err := ApplyPolicy(in, d, down, abstain, opts.Policy, opts.Alpha, s.DeriveString("redelegate"))
-	if err != nil {
-		return faultRep{err: err}
-	}
-	res, err := rec.ResolveInto(rv)
-	if err != nil {
-		return faultRep{err: err}
-	}
-	var pm float64
-	if int64(len(res.Sinks))*int64(res.TotalWeight) <= opts.ExactCostLimit {
-		pm, err = election.ResolutionProbabilityExactCached(in, res, ws, cache)
-	} else {
-		pm, err = election.ResolutionProbabilityMC(ctx, in, res, opts.VoteSamples, s.DeriveString("votes"))
-	}
-	if err != nil {
-		return faultRep{err: err}
-	}
-	return faultRep{
-		pm:          pm,
-		down:        downCount,
-		lost:        rec.Lost,
-		fellBack:    rec.FellBack,
-		redelegated: rec.Redelegated,
-	}
+	return flags, count
 }
 
 // SweepPoint is one fault-evaluation configuration of a sweep: a mechanism
@@ -136,130 +104,77 @@ type SweepPoint struct {
 	Opts      ElectionOptions
 }
 
-// EvaluateSweep evaluates points against one instance, sharing the
-// resolution-score cache across every point. The cache memoizes pure
-// functions of canonical voter multisets (see election/cache.go), so
-// results are bit-identical to calling EvaluateUnderFaults once per point —
-// which is exactly what that function now does, as a one-point sweep. The
-// sharing is what makes the R1 grid cheap: policies repair the same
-// realizations at a fixed rate (common random numbers), so their resolved
-// multisets collide constantly across points.
+// EvaluateSweep evaluates points against one instance as one election
+// sweep: each point becomes an election.SweepPoint carrying its options'
+// Repair, with its own Seed and Replications (0 still means 64), on one
+// election.Plan whose VoteSamples, ExactCostLimit and Workers are the
+// first point's. A point whose options differ from the first point's in
+// those three fields is an error. The plan's resolution-score cache
+// memoizes pure functions of canonical voter multisets (see
+// election/cache.go), so results are bit-identical to calling
+// EvaluateUnderFaults once per point. The sharing is what makes the R1
+// grid cheap: policies repair the same realizations at a fixed rate
+// (common random numbers), so their resolved multisets collide constantly
+// across points.
 func EvaluateSweep(ctx context.Context, in *core.Instance, points []SweepPoint) ([]*ElectionResult, error) {
-	cache := election.NewScoreCache()
 	results := make([]*ElectionResult, len(points))
+	if len(points) == 0 {
+		return results, nil
+	}
+	first := points[0].Opts.Options
+	plan, err := election.NewPlan(in, election.Options{
+		VoteSamples:    first.VoteSamples,
+		ExactCostLimit: first.ExactCostLimit,
+		Workers:        first.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sweep := make([]election.SweepPoint, len(points))
 	for i, pt := range points {
-		res, err := evaluateFaultPoint(ctx, in, pt.Mechanism, pt.Opts, cache)
+		o := pt.Opts
+		if o.VoteSamples != first.VoteSamples || o.ExactCostLimit != first.ExactCostLimit || o.Workers != first.Workers {
+			return nil, fmt.Errorf("fault: sweep point %d's VoteSamples, ExactCostLimit or Workers differ from point 0's", i)
+		}
+		repair, err := o.Repair(in)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = res
+		sweep[i] = election.SweepPoint{
+			Mechanism:              pt.Mechanism,
+			Seed:                   o.Seed,
+			Replications:           o.Replications,
+			DisableResolutionCache: o.DisableResolutionCache,
+			Repair:                 repair,
+		}
+	}
+	evaluated, err := election.EvaluateSweep(ctx, plan, sweep)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range evaluated {
+		results[i] = &ElectionResult{
+			Mechanism: res.Mechanism, Policy: points[i].Opts.Policy, N: res.N,
+			PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD, Gain: res.Gain,
+			MeanDown: res.MeanDown, MeanLost: res.MeanLost,
+			MeanFellBack: res.MeanFellBack, MeanRedelegated: res.MeanRedelegated,
+		}
 	}
 	return results, nil
 }
 
 // EvaluateUnderFaults estimates P^M(G) under sink-unavailability and
 // abstention faults repaired by the configured recovery policy, with the
-// fault-free P^D(G) as the do-no-harm baseline. Replications run in
-// parallel on independent streams derived only from (Seed, replication),
-// so results are bit-identical regardless of Workers. It is a one-point
-// sweep: batch related configurations through EvaluateSweep to share the
-// exact-score cache across them.
+// fault-free P^D(G) as the do-no-harm baseline. It is a one-point sweep, so
+// it runs on the election Plan's replication loop: replication r's
+// realization, faults and repair all derive from the stream
+// root.Derive(r+1) of the seed, and results are bit-identical regardless
+// of Workers. Batch related configurations through EvaluateSweep to share
+// the exact-score cache across them.
 func EvaluateUnderFaults(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts ElectionOptions) (*ElectionResult, error) {
-	return evaluateFaultPoint(ctx, in, mech, opts, election.NewScoreCache())
-}
-
-// evaluateFaultPoint scores one fault configuration, memoizing exact
-// resolution scores in cache (shared across a sweep's points; pure values,
-// so sharing cannot change any result).
-func evaluateFaultPoint(ctx context.Context, in *core.Instance, mech mechanism.Mechanism, opts ElectionOptions, cache *election.ScoreCache) (*ElectionResult, error) {
-	if opts.Replications <= 0 {
-		opts.Replications = 64
-	}
-	if opts.VoteSamples <= 0 {
-		opts.VoteSamples = 2000
-	}
-	if opts.ExactCostLimit <= 0 {
-		opts.ExactCostLimit = 1 << 23
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if in.N() == 0 {
-		return nil, election.ErrNoVoters
-	}
-	if opts.DownRate < 0 || opts.DownRate >= 1 {
-		return nil, fmt.Errorf("fault: down rate %v not in [0, 1)", opts.DownRate)
-	}
-	if opts.AbstainRate < 0 || opts.AbstainRate >= 1 {
-		return nil, fmt.Errorf("fault: abstain rate %v not in [0, 1)", opts.AbstainRate)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	root := rng.New(opts.Seed)
-	pd, err := election.DirectProbability(ctx, in, opts.VoteSamples*4, root.DeriveString("direct"))
+	results, err := EvaluateSweep(ctx, in, []SweepPoint{{Mechanism: mech, Opts: opts}})
 	if err != nil {
 		return nil, err
 	}
-
-	outs := make([]faultRep, opts.Replications)
-	workers := opts.Workers
-	if workers > opts.Replications {
-		workers = opts.Replications
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch, shared score cache: cached scores are
-			// bit-identical to recomputation, so sharing cannot perturb
-			// results (see election/cache.go).
-			ws := faultWSPool.Get().(*prob.Workspace)
-			rv := faultRVPool.Get().(*core.Resolver)
-			defer faultWSPool.Put(ws)
-			defer faultRVPool.Put(rv)
-			for r := range work {
-				// Streams depend only on (seed, r): scheduling order cannot
-				// change the outcome.
-				outs[r] = evaluateFaultReplication(ctx, in, mech, opts, root.Derive(uint64(r)+1), ws, rv, cache)
-			}
-		}()
-	}
-feed:
-	for r := 0; r < opts.Replications; r++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case work <- r:
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var pmSum prob.Summary
-	result := &ElectionResult{Mechanism: mech.Name(), Policy: opts.Policy, N: in.N(), PD: pd}
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		pmSum.Add(o.pm)
-		result.MeanDown += float64(o.down)
-		result.MeanLost += float64(o.lost)
-		result.MeanFellBack += float64(o.fellBack)
-		result.MeanRedelegated += float64(o.redelegated)
-	}
-	reps := float64(opts.Replications)
-	result.MeanDown /= reps
-	result.MeanLost /= reps
-	result.MeanFellBack /= reps
-	result.MeanRedelegated /= reps
-	result.PM = pmSum.Mean()
-	result.PMStdErr = pmSum.StdErr()
-	result.Gain = result.PM - pd
-	return result, nil
+	return results[0], nil
 }

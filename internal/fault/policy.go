@@ -66,12 +66,6 @@ func (r *Recovery) Resolve() (*core.Resolution, error) {
 	return r.Graph.ResolveWithWeights(r.Weights)
 }
 
-// ResolveInto is Resolve with caller-provided resolver scratch; see
-// core.Resolver for the aliasing rules.
-func (r *Recovery) ResolveInto(rv *core.Resolver) (*core.Resolution, error) {
-	return rv.ResolveWithWeights(r.Graph, r.Weights)
-}
-
 // ApplyPolicy repairs the delegation graph d on instance in under the given
 // fault sets: down[v] marks voter v unavailable (a crashed sink or an
 // unreachable delegate — its own unit is always lost), abstain[v] marks a
@@ -80,9 +74,12 @@ func (r *Recovery) ResolveInto(rv *core.Resolver) (*core.Resolution, error) {
 // is only consulted by the Redelegate policy; alpha is the approval margin
 // used to validate redelegation targets.
 //
-// With alpha > 0 redelegation preserves acyclicity (approval is strictly
-// competence-increasing), so Recovery.Resolve cannot fail; with alpha == 0
-// a redelegation cycle is reported by Resolve.
+// With alpha > 0 an acyclic d stays acyclic (approval is strictly
+// competence-increasing, so redelegation cannot close a cycle) and
+// Recovery.Resolve cannot fail. With alpha == 0 tied neighbours approve
+// each other: d itself, or a redelegation, may close a cycle, which every
+// policy leaves in Graph for Resolve to report as
+// core.ErrCyclicDelegation.
 func ApplyPolicy(in *core.Instance, d *core.DelegationGraph, down, abstain []bool, policy Policy, alpha float64, s *rng.Stream) (*Recovery, error) {
 	n := d.N()
 	if in.N() != n {
@@ -148,11 +145,16 @@ func ApplyPolicy(in *core.Instance, d *core.DelegationGraph, down, abstain []boo
 	}
 
 	if policy == LoseWeight {
-		// Zero out every unit whose chain reaches a down node. Chains are
-		// acyclic, so a simple memoized walk suffices.
-		dead := make([]int8, n) // 0 unknown, 1 dead, 2 alive
+		// Zero out every unit whose chain reaches a down node, by a memoized
+		// walk. A walk that comes back to itself has closed a cycle, which
+		// holds no down node (down nodes delegate to no one): it stops
+		// there, and Resolve reports the cycle as under the other policies.
+		dead := make([]int8, n) // 0 unknown, 1 dead, 2 alive, 3 on the walk
 		var classify func(v int) int8
 		classify = func(v int) int8 {
+			if dead[v] == 3 {
+				return 2
+			}
 			if dead[v] != 0 {
 				return dead[v]
 			}
@@ -165,6 +167,7 @@ func ApplyPolicy(in *core.Instance, d *core.DelegationGraph, down, abstain []boo
 				dead[v] = 2
 				return 2
 			}
+			dead[v] = 3
 			dead[v] = classify(t)
 			return dead[v]
 		}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"liquid/internal/core"
@@ -124,6 +125,55 @@ func TestAbstentionWithdrawsOwnUnitOnly(t *testing.T) {
 	}
 	if res.TotalWeight != 4 {
 		t.Fatalf("TotalWeight = %d, want 4", res.TotalWeight)
+	}
+}
+
+// TestTwoCycleUnderEveryPolicy pins the repair of a cyclic realization.
+// At alpha = 0 tied neighbours approve each other, so a mechanism can
+// realize 0 <-> 1. Every policy must terminate and leave the cycle for
+// Resolve to report as core.ErrCyclicDelegation — lose-weight's chain walk
+// used to recurse around it until the stack overflowed — and so must the
+// fault evaluator, whatever the policy.
+func TestTwoCycleUnderEveryPolicy(t *testing.T) {
+	in, err := core.NewInstance(graph.NewComplete(4), []float64{0.6, 0.6, 0.7, 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.NewDelegationGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {2, 3}} {
+		if err := d.SetDelegate(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, down := range [][]bool{nil, {false, false, false, true}} {
+		for _, pol := range Policies() {
+			rec, err := ApplyPolicy(in, d, down, nil, pol, 0, rng.New(1))
+			if err != nil {
+				t.Fatalf("%v, down %v: %v", pol, down, err)
+			}
+			if _, err := rec.Resolve(); !errors.Is(err, core.ErrCyclicDelegation) {
+				t.Fatalf("%v, down %v: Resolve err = %v, want ErrCyclicDelegation", pol, down, err)
+			}
+		}
+	}
+
+	// Greedy-best at alpha = 0 on equal competencies realizes the same
+	// 2-cycle: voters 0 and 1 pick each other.
+	flat := make([]float64, 12)
+	for i := range flat {
+		flat[i] = 0.6
+	}
+	in, err = core.NewInstance(graph.NewComplete(12), flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range Policies() {
+		opts := ElectionOptions{DownRate: 0.3, Policy: pol}
+		opts.Replications = 4
+		opts.Seed = 1
+		if _, err := EvaluateUnderFaults(context.Background(), in, mechanism.GreedyBest{}, opts); !errors.Is(err, core.ErrCyclicDelegation) {
+			t.Fatalf("%v: EvaluateUnderFaults err = %v, want ErrCyclicDelegation", pol, err)
+		}
 	}
 }
 

@@ -102,8 +102,13 @@ type MechanismSpec struct {
 	Alpha float64 `json:"alpha,omitempty"`
 }
 
-// FaultSpec routes the evaluation through fault.EvaluateUnderFaults:
-// sink-unavailability and abstention faults repaired by a recovery policy.
+// FaultSpec adds election-level faults to an evaluation:
+// sink-unavailability and abstention faults repaired by a recovery policy,
+// applied to every replication as the sweep point's election.Repair
+// (fault.ElectionOptions.Repair). A fault evaluate runs through the same
+// sweep as any other and degrades the same way when its deadline cannot
+// afford the exact one; its points carry the mean fault footprint in place
+// of the structural statistics.
 type FaultSpec struct {
 	DownRate    float64 `json:"down_rate,omitempty"`
 	AbstainRate float64 `json:"abstain_rate,omitempty"`

@@ -190,9 +190,9 @@ func (s *Server) Stats() Stats {
 }
 
 // PointResult is one sweep point of an evaluate response: an
-// election.Result (or fault.ElectionResult) without the cache-traffic
-// telemetry fields, which depend on goroutine scheduling and would break
-// the bit-identity contract with offline evaluation.
+// election.Result without the cache-traffic telemetry fields, which depend
+// on goroutine scheduling and would break the bit-identity contract with
+// offline evaluation.
 type PointResult struct {
 	Mechanism string  `json:"mechanism"`
 	Alpha     float64 `json:"alpha"`
@@ -225,9 +225,10 @@ type PointResult struct {
 
 	// PDTier names the tier that produced PD: the cost model's kernel tier
 	// ("exact" or "fft") on the exact sweep, "normal" on the approximate
-	// one. Empty for fault evaluations, whose PD comes from the fault
-	// engine's own replication loop, and on the exact sweep above
-	// election.ExactDirectMaxN voters, where PD is sampled.
+	// one, fault evaluations included. Empty on an exact fault evaluation,
+	// whose wire form keeps the fields it had before fault evaluations
+	// could degrade, and on the exact sweep above election.ExactDirectMaxN
+	// voters, where PD is sampled.
 	PDTier string `json:"pd_tier,omitempty"`
 }
 
@@ -456,6 +457,12 @@ func (s *Server) writeOutcome(w http.ResponseWriter, err error, ok func()) {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.expired.Add(1)
 		writeError(w, &Error{Code: CodeDeadlineExceeded, Message: "deadline expired during evaluation", Status: http.StatusGatewayTimeout})
+	case errors.Is(err, core.ErrCyclicDelegation):
+		// A realized cycle is a property of the request — at alpha = 0
+		// tied neighbours approve each other — so it is refused like the
+		// cyclic what-if profile the handler rejects before admission.
+		s.malformed.Add(1)
+		writeError(w, badRequest(CodeBadRequest, "resolving delegations: %v", err))
 	default:
 		s.failed.Add(1)
 		if aerr, okErr := err.(*Error); okErr {
@@ -475,7 +482,8 @@ func (s *Server) shedResponse(w http.ResponseWriter, status int) {
 // when the deadline budget affords its DP-unit cost at the calibrated rate,
 // otherwise the certified sweep, which draws the same realizations and
 // scores them by certified normal intervals; with no budget at all, the
-// deadline error.
+// deadline error. A fault block only adds its repair to every point, so a
+// fault evaluate runs, and degrades, like any other.
 func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int, cost int64) (*EvaluateResponse, error) {
 	opts := election.Options{
 		Replications:   reps,
@@ -487,20 +495,21 @@ func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int,
 	if budget <= 0 {
 		return nil, context.DeadlineExceeded
 	}
-	if parsed.Req.Fault != nil {
-		// Fault evaluation has no approximate form: the fault engine's
-		// replications are the quantity of interest, so it runs exact and
-		// lets the deadline cancel it if the budget was optimistic.
-		return s.evaluateFault(ctx, parsed, opts)
-	}
 	plan, err := election.NewPlan(parsed.Instance, opts)
 	if err != nil {
 		return nil, err
 	}
 	plan.PrewarmApproval(parsed.Alphas...)
+	var repair election.Repair
+	if f := parsed.Req.Fault; f != nil {
+		fo := fault.ElectionOptions{DownRate: f.DownRate, AbstainRate: f.AbstainRate, Policy: parsed.Policy, Alpha: f.Alpha}
+		if repair, err = fo.Repair(parsed.Instance); err != nil {
+			return nil, err
+		}
+	}
 	points := make([]election.SweepPoint, len(parsed.Mechanisms))
 	for i, mech := range parsed.Mechanisms {
-		points[i] = election.SweepPoint{Mechanism: mech, Seed: parsed.Req.Seed, Replications: reps}
+		points[i] = election.SweepPoint{Mechanism: mech, Seed: parsed.Req.Seed, Replications: reps, Repair: repair}
 	}
 	sweep := election.EvaluateSweep
 	resp := &EvaluateResponse{Approximate: !s.affords(cost, budget)}
@@ -513,49 +522,14 @@ func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int,
 	}
 	for i, res := range results {
 		pt := exactPoint(res, parsed.Alphas[i])
+		if repair != nil {
+			pt = faultPoint(res, parsed.Alphas[i], parsed.Policy)
+		}
 		if resp.Approximate {
 			pt.ErrorBound = res.PDHalfWidth + res.PMHalfWidth
 			pt.PDTier = prob.TierNormal.String()
 		}
 		resp.Results = append(resp.Results, pt)
-	}
-	return resp, nil
-}
-
-// evaluateFault routes a fault-block request through the fault engine,
-// sharing the score cache across the sweep's points.
-func (s *Server) evaluateFault(ctx context.Context, parsed *ParsedEvaluate, opts election.Options) (*EvaluateResponse, error) {
-	f := parsed.Req.Fault
-	points := make([]fault.SweepPoint, len(parsed.Mechanisms))
-	for i, mech := range parsed.Mechanisms {
-		points[i] = fault.SweepPoint{Mechanism: mech, Opts: fault.ElectionOptions{
-			Options:     opts,
-			DownRate:    f.DownRate,
-			AbstainRate: f.AbstainRate,
-			Policy:      parsed.Policy,
-			Alpha:       f.Alpha,
-		}}
-	}
-	results, err := fault.EvaluateSweep(ctx, parsed.Instance, points)
-	if err != nil {
-		return nil, err
-	}
-	resp := &EvaluateResponse{}
-	for i, res := range results {
-		resp.Results = append(resp.Results, PointResult{
-			Mechanism:       res.Mechanism,
-			Alpha:           parsed.Alphas[i],
-			N:               res.N,
-			PM:              res.PM,
-			PMStdErr:        res.PMStdErr,
-			PD:              res.PD,
-			Gain:            res.Gain,
-			Policy:          res.Policy.String(),
-			MeanDown:        res.MeanDown,
-			MeanLost:        res.MeanLost,
-			MeanFellBack:    res.MeanFellBack,
-			MeanRedelegated: res.MeanRedelegated,
-		})
 	}
 	return resp, nil
 }
@@ -685,6 +659,19 @@ func exactPoint(res *election.Result, alpha float64) PointResult {
 		pt.PDTier = prob.ClassifyExactTier(res.N).String()
 	}
 	return pt
+}
+
+// faultPoint projects a repaired election.Result onto the wire form fault
+// evaluations have always had: the probabilities and the mean fault
+// footprint under the policy, without the structural statistics or the
+// exact sweep's kernel tier.
+func faultPoint(res *election.Result, alpha float64, policy fault.Policy) PointResult {
+	return PointResult{
+		Mechanism: res.Mechanism, Alpha: alpha, N: res.N,
+		PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD, Gain: res.Gain,
+		Policy: policy.String(), MeanDown: res.MeanDown, MeanLost: res.MeanLost,
+		MeanFellBack: res.MeanFellBack, MeanRedelegated: res.MeanRedelegated,
+	}
 }
 
 // writeJSON writes v as the response body. encoding/json's shortest

@@ -18,6 +18,7 @@ import (
 	"liquid/internal/election"
 	"liquid/internal/engine"
 	"liquid/internal/experiment"
+	"liquid/internal/fault"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
 	"liquid/internal/rng"
@@ -181,6 +182,115 @@ func TestEvaluateApproximateDegradation(t *testing.T) {
 	res := results[0]
 	if got.Results[0].PM != res.PM || got.Results[0].PD != res.PD || got.Results[0].ErrorBound != res.PDHalfWidth+res.PMHalfWidth {
 		t.Fatalf("approximate point %+v differs from offline %+v", got.Results[0], res)
+	}
+}
+
+// TestFaultEvaluateDegrades starves the cost rate so that fault evaluates,
+// like plain ones, answer from the certified sweep: approximate, with
+// pd_tier "normal" and a certified error_bound on every point. The served
+// numbers are the offline certified sweep's with the fault block's repair,
+// bit for bit. That sweep repairs the exact sweep's realizations, so the
+// mean fault footprint equals the exact answer's bit for bit, and pm and pd
+// lie within their half-widths of the exact answer's. The exact answer
+// keeps the fault wire form: no tier, no bound.
+func TestFaultEvaluateDegrades(t *testing.T) {
+	_, exact := newTestServer(t, server.Config{})
+	_, starved := newTestServer(t, server.Config{CostRate: 0.001})
+	alphas := []float64{0.05, 0.1}
+	for _, n := range []int{25, 101, 500} {
+		in, instJSON := testInstance(t, n)
+		for _, down := range []float64{0, 0.2, 0.6, 0.95} {
+			for _, policy := range fault.Policies() {
+				name := fmt.Sprintf("n=%d down=%v %v", n, down, policy)
+				body := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "approval-threshold"}, "alphas": [0.05, 0.1], "seed": 5, "replications": 8, "fault": {"policy": %q, "down_rate": %v, "alpha": 0.05}}`,
+					instJSON, policy, down)
+				want := evaluateOK(t, exact.URL, body)
+				got := evaluateOK(t, starved.URL, body)
+				if want.Approximate || !got.Approximate || len(got.Results) != len(alphas) || len(want.Results) != len(alphas) {
+					t.Fatalf("%s: exact approximate=%v, starved approximate=%v, %d/%d points",
+						name, want.Approximate, got.Approximate, len(want.Results), len(got.Results))
+				}
+
+				plan, err := election.NewPlan(in, election.Options{Replications: 8, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				repair, err := fault.ElectionOptions{DownRate: down, Policy: policy, Alpha: 0.05}.Repair(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				points := make([]election.SweepPoint, len(alphas))
+				for i, a := range alphas {
+					points[i] = election.SweepPoint{Mechanism: mechanism.ApprovalThreshold{Alpha: a}, Seed: 5, Repair: repair}
+				}
+				certified, err := election.EvaluateSweepCertified(t.Context(), plan, points)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, g := range got.Results {
+					w, c := want.Results[i], certified[i]
+					if w.PDTier != "" || w.ErrorBound != 0 {
+						t.Fatalf("%s: exact fault point %+v carries tier fields", name, w)
+					}
+					if g.PDTier != "normal" || g.ErrorBound <= 0 || g.ErrorBound > 1 {
+						t.Fatalf("%s: point %+v, want pd_tier normal and an error_bound in (0, 1]", name, g)
+					}
+					if g.PM != c.PM || g.PD != c.PD || g.ErrorBound != c.PDHalfWidth+c.PMHalfWidth {
+						t.Fatalf("%s: served point %+v differs from offline certified %+v", name, g, c)
+					}
+					if g.Policy != w.Policy || g.MeanDown != w.MeanDown || g.MeanLost != w.MeanLost ||
+						g.MeanFellBack != w.MeanFellBack || g.MeanRedelegated != w.MeanRedelegated {
+						t.Fatalf("%s: fault footprint %+v differs from the exact answer's %+v", name, g, w)
+					}
+					if math.Abs(g.PD-w.PD) > c.PDHalfWidth || math.Abs(g.PM-w.PM) > c.PMHalfWidth {
+						t.Fatalf("%s: pm %v ± %v, pd %v ± %v miss exact pm %v, pd %v",
+							name, g.PM, c.PMHalfWidth, g.PD, c.PDHalfWidth, w.PM, w.PD)
+					}
+				}
+			}
+		}
+	}
+}
+
+// evaluateOK posts an evaluate body and decodes its 200 answer.
+func evaluateOK(t *testing.T, url, body string) server.EvaluateResponse {
+	t.Helper()
+	resp, data := post(t, url, "/v1/evaluate", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	var got server.EvaluateResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestEvaluateCycleIsTyped400: at alpha = 0 greedy-best realizes a 2-cycle
+// among tied competencies (voters 0 and 1 pick each other). With no fault
+// block and under every policy, the daemon must answer a typed 400 that
+// names the cycle, count it malformed, and keep serving. Lose-weight's
+// repair used to overflow the stack and kill the process; the other cases
+// answered 500 internal.
+func TestEvaluateCycleIsTyped400(t *testing.T) {
+	srv, ts := newTestServer(t, server.Config{})
+	inst := fmt.Sprintf(`{"n": 12, "complete": true, "p": [%s]}`, strings.TrimSuffix(strings.Repeat("0.6,", 12), ","))
+	blocks := []string{""}
+	for _, policy := range fault.Policies() {
+		blocks = append(blocks, fmt.Sprintf(`, "fault": {"policy": %q, "down_rate": 0.3}`, policy))
+	}
+	for _, block := range blocks {
+		body := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "greedy-best", "alpha": 0}, "seed": 1, "replications": 4%s}`, inst, block)
+		resp, data := post(t, ts.URL, "/v1/evaluate", body)
+		if resp.StatusCode != http.StatusBadRequest || errorCode(t, data) != server.CodeBadRequest || !strings.Contains(string(data), "cycle through voter") {
+			t.Fatalf("fault block %q: status = %d: %s", block, resp.StatusCode, data)
+		}
+	}
+	// Distinct competencies leave greedy-best acyclic at alpha = 0.
+	_, instJSON := testInstance(t, 12)
+	evaluateOK(t, ts.URL, fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "greedy-best", "alpha": 0}, "seed": 1, "replications": 4, "fault": {"policy": "lose-weight", "down_rate": 0.3}}`, instJSON))
+	if st := srv.Stats(); st != (server.Stats{Received: 5, Malformed: 4, Completed: 1}) {
+		t.Fatalf("stats = %+v, want 5 received = 4 malformed + 1 completed", st)
 	}
 }
 
