@@ -99,7 +99,8 @@ cover:
 # kernels against the naive DP reference, the approximation ladder's
 # certified intervals against the exact DP answer, the bit-sliced
 # multi-delegate sampler against its one-sample-at-a-time reference, and
-# the scale fold's radix-sorted sink order against a comparison sort.
+# the scale fold's chunk pass against its reference resolution and the
+# ladder's moment blocks.
 fuzz-smoke:
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
@@ -142,11 +143,11 @@ bench:
 # the check gate. Timings from one iteration are meaningless; use
 # bench/bench-json for numbers. The second line covers the convolution
 # engine's fork-join path, whose benchmark lives in internal/prob; the
-# third the scale tier's per-chunk fold.
+# third the scale tier's fused chunk pass.
 bench-smoke:
-	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkScaleEvaluateMajority100000|BenchmarkMultiDelegationProbability)$$' .
+	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkScaleEvaluateMajority100000|BenchmarkCertifyQuery100000|BenchmarkMultiDelegationProbability)$$' .
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
-	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkSinks$$'
+	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkStats$$'
 
 # bench-json runs the full benchmark suite and appends a schema-stable
 # snapshot BENCH_<n>.json (next free index) for trajectory tracking across

@@ -9,6 +9,7 @@ package liquid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -476,7 +477,9 @@ func BenchmarkDeltaChurn20000(b *testing.B)        { benchDeltaChurn(b, 20000) }
 // benchLadderMajority measures the approximation ladder end to end on a
 // streamed n-voter electorate with a 1e-3 error budget: at these sizes the
 // normal tier certifies, so the cost is one O(n) moments pass over derived
-// chunks — the scale tier's headline number for BENCH_005 and beyond.
+// blocks — the scale tier's headline number for BENCH_005 and beyond. The
+// instance is never folded, so the pass always runs; BenchmarkCertifyQuery
+// measures the fold-then-ladder query that reuses the fold's moments.
 func benchLadderMajority(b *testing.B, n int) {
 	b.Helper()
 	s, err := scale.New(scale.Spec{N: n, Seed: 2026, Low: 0.3, High: 0.6})
@@ -499,9 +502,10 @@ func BenchmarkLadderMajority100000(b *testing.B)  { benchLadderMajority(b, 100_0
 func BenchmarkLadderMajority1000000(b *testing.B) { benchLadderMajority(b, 1_000_000) }
 
 // benchScaleEvaluateMajority measures the full streamed mechanism
-// evaluation: chunk-local delegation resolution, multiset canonicalisation
-// (a radix sort by p, then a counting sort by weight), and the certified
-// fold, at a 4-worker budget.
+// evaluation: chunk-local delegation resolution, the certified fold in
+// generation order, and the ladder's moment blocks summed on the way, at a
+// 4-worker budget. The moments are stored on the first iteration's
+// instance, so later iterations fold without them.
 func benchScaleEvaluateMajority(b *testing.B, n int) {
 	b.Helper()
 	s, err := scale.New(scale.Spec{N: n, Seed: 2026, Low: 0.3, High: 0.6, DelegateFrac: 0.5})
@@ -522,6 +526,37 @@ func benchScaleEvaluateMajority(b *testing.B, n int) {
 
 func BenchmarkScaleEvaluateMajority100000(b *testing.B)  { benchScaleEvaluateMajority(b, 100_000) }
 func BenchmarkScaleEvaluateMajority1000000(b *testing.B) { benchScaleEvaluateMajority(b, 1_000_000) }
+
+// benchCertifyQuery measures one certified million-voter query as
+// certify_1e6 runs it: each iteration builds a fresh streamed instance,
+// with DelegateFrac cycling 0 / 0.5 / 0.95, folds it (scale.EvaluateMajority)
+// and certifies P^D on the ladder at a 1e-3 budget, both on 2 workers. The
+// ladder reads the moments the fold summed, which a never-folded instance
+// (BenchmarkLadderMajority) cannot show.
+func benchCertifyQuery(b *testing.B, n int) {
+	b.Helper()
+	ctx := context.Background()
+	fracs := []float64{0, 0.5, 0.95}
+	for i := 0; i < b.N; i++ {
+		s, err := scale.New(scale.Spec{N: n, Seed: rng.Derive(2026, "bench", "certify", fmt.Sprint(i)), DelegateFrac: fracs[i%len(fracs)]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := scale.EvaluateMajority(ctx, s, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.WeightSum != int64(n) {
+			b.Fatal("weight not conserved")
+		}
+		if _, err := prob.LadderMajority(ctx, s, prob.LadderOptions{ErrorBudget: 1e-3, Workers: 2}); err != nil && !errors.Is(err, prob.ErrBudgetInfeasible) {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCertifyQuery100000(b *testing.B)  { benchCertifyQuery(b, 100_000) }
+func BenchmarkCertifyQuery1000000(b *testing.B) { benchCertifyQuery(b, 1_000_000) }
 
 func BenchmarkRecycleRealize(b *testing.B) {
 	in := benchInstance(b, 5000)

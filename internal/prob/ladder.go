@@ -97,61 +97,92 @@ func (ci CertifiedInterval) Contains(v float64) bool {
 	return v >= ci.Lo() && v <= ci.Hi()
 }
 
-// ChunkedSeq is a streamed probability sequence: the competency (or resolved
-// sink success-probability) vector of an electorate, produced in fixed chunks
-// so no consumer ever materialises the whole thing. Chunks partition the
-// index range [0, Len) in order; AppendChunk appends chunk c's values to dst
-// and returns the extended slice, so callers iterate with one chunk-sized
-// buffer. internal/scale's StreamInstance is the million-voter implementation;
-// SliceSeq adapts an in-memory vector.
-type ChunkedSeq interface {
+// Seq is a probability sequence read by index range: the competency (or
+// resolved sink success-probability) vector of an electorate, which the
+// ladder reads one MomentBlock at a time, so the normal tier never
+// materialises it. AppendRange appends the values at indices [lo, hi) to
+// dst and returns the extended slice. internal/scale's StreamInstance is
+// the million-voter implementation; SliceSeq adapts an in-memory vector.
+type Seq interface {
 	Len() int
-	NumChunks() int
-	AppendChunk(dst []float64, c int) []float64
+	AppendRange(dst []float64, lo, hi int) []float64
 }
 
-// sliceSeqChunk is SliceSeq's default chunk size.
-const sliceSeqChunk = 1 << 14
-
-// SliceSeq adapts an in-memory probability vector to ChunkedSeq. Chunk is
-// the chunk size (default 1<<14). The values are borrowed, not copied.
+// SliceSeq adapts an in-memory probability vector to Seq. The values are
+// borrowed, not copied.
 type SliceSeq struct {
-	PS    []float64
-	Chunk int
-}
-
-func (s SliceSeq) chunk() int {
-	if s.Chunk > 0 {
-		return s.Chunk
-	}
-	return sliceSeqChunk
+	PS []float64
 }
 
 // Len returns the sequence length.
 func (s SliceSeq) Len() int { return len(s.PS) }
 
-// NumChunks returns the number of chunks covering the sequence.
-func (s SliceSeq) NumChunks() int {
-	c := s.chunk()
-	return (len(s.PS) + c - 1) / c
+// AppendRange appends the values at indices [lo, hi) to dst.
+func (s SliceSeq) AppendRange(dst []float64, lo, hi int) []float64 {
+	return append(dst, s.PS[lo:hi]...)
 }
 
-// AppendChunk appends chunk c's values to dst.
-func (s SliceSeq) AppendChunk(dst []float64, c int) []float64 {
-	lo := c * s.chunk()
-	hi := lo + s.chunk()
-	if hi > len(s.PS) {
-		hi = len(s.PS)
+// MomentBlock is the normal tier's block width. The unit-weight moments of
+// a sequence are summed over consecutive blocks of MomentBlock values, each
+// block in index order from an empty SumStats, and the block partials merge
+// in block order. The moments are therefore a pure function of the values:
+// the same for every worker count, every chunk layout, and whoever sums a
+// block, UnitMoments or a fold that generated the values (MomentsMemo).
+const MomentBlock = 1 << 14
+
+// MomentsMemo is an optional Seq extension for sequences that may already
+// hold their unit-weight moments, summed by MomentBlock's rule by whoever
+// last generated every value. Moments reports false until then.
+type MomentsMemo interface {
+	Moments() (SumStats, bool)
+}
+
+// UnitMoments returns the unit-weight moments of seq, by MomentBlock's
+// rule, summing the blocks on up to workers goroutines; a MomentsMemo that
+// holds them answers without a pass. A value outside [0, 1] is an error,
+// reported for the first offending block.
+func UnitMoments(ctx context.Context, seq Seq, workers int) (*SumStats, error) {
+	if m, ok := seq.(MomentsMemo); ok {
+		if st, ok := m.Moments(); ok {
+			return &st, nil
+		}
 	}
-	return append(dst, s.PS[lo:hi]...)
+	n := seq.Len()
+	nb := (n + MomentBlock - 1) / MomentBlock
+	parts := make([]SumStats, nb)
+	errs := make([]error, nb)
+	bufs := make([][]float64, max(1, workers))
+	err := ParallelFor(ctx, nb, workers, func(w, b int) {
+		lo := b * MomentBlock
+		hi := min(n, lo+MomentBlock)
+		buf := seq.AppendRange(bufs[w][:0], lo, hi)
+		bufs[w] = buf
+		if len(buf) != hi-lo {
+			errs[b] = fmt.Errorf("%w: range [%d, %d) yielded %d values", ErrInvalidParameter, lo, hi, len(buf))
+		} else if err := validateProbs(buf); err != nil {
+			errs[b] = fmt.Errorf("range [%d, %d): %w", lo, hi, err)
+		} else {
+			parts[b].AddUnits(buf)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	var st SumStats
+	for b := range parts {
+		if errs[b] != nil {
+			return nil, errs[b]
+		}
+		st.Merge(&parts[b])
+	}
+	return &st, nil
 }
 
 // SumStats accumulates the normal tier's sufficient statistics for a sum of
 // independent weighted Bernoulli terms w·X, X ~ Bernoulli(p): mean, variance,
 // the Berry–Esseen third-moment numerator, and the Hoeffding squared-span
-// total. Partials fold per chunk and merge in chunk order (Merge), so a
-// parallel fold that merges partials in a fixed order is bit-identical to the
-// sequential pass regardless of worker count. The zero value is empty.
+// total. Partials summed in parallel and merged in a fixed order (Merge) are
+// bit-identical for every worker count. The zero value is empty.
 type SumStats struct {
 	n                  int64
 	mu, vr, rho, spans Accumulator
@@ -168,9 +199,45 @@ func (s *SumStats) Add(w, p float64) {
 	s.spans.Add(w * w)
 }
 
+// AddUnits adds one unit-weight term per p in ps, in order, and AddVoters
+// one term per voter. Each performs Add's operations, so the sums are
+// bit-identical to calling Add term by term, but holds the running sums in
+// registers: these are the block kernels of the normal tier and the scale
+// fold.
+//
+//lint:hotpath
+func (s *SumStats) AddUnits(ps []float64) {
+	mu, vr, rho, spans := s.mu, s.vr, s.rho, s.spans
+	for _, p := range ps {
+		q := p * (1 - p)
+		mu = mu.plus(p)
+		vr = vr.plus(q)
+		rho = rho.plus(q * (p*p + (1-p)*(1-p)))
+		spans = spans.plus(1)
+	}
+	s.n += int64(len(ps))
+	s.mu, s.vr, s.rho, s.spans = mu, vr, rho, spans
+}
+
+//lint:hotpath
+func (s *SumStats) AddVoters(vs []WeightedVoter) {
+	mu, vr, rho, spans := s.mu, s.vr, s.rho, s.spans
+	for _, v := range vs {
+		w, p := float64(v.Weight), v.P
+		q := p * (1 - p)
+		aw := math.Abs(w)
+		mu = mu.plus(w * p)
+		vr = vr.plus(w * w * q)
+		rho = rho.plus(aw * aw * aw * q * (p*p + (1-p)*(1-p)))
+		spans = spans.plus(w * w)
+	}
+	s.n += int64(len(vs))
+	s.mu, s.vr, s.rho, s.spans = mu, vr, rho, spans
+}
+
 // Merge folds o's totals into s. Merging partials in a fixed order is the
 // determinism contract: the compensated sums are not associative to the last
-// ulp, so parallel folds must merge chunk partials in chunk index order.
+// ulp, so parallel passes must merge their partials in index order.
 func (s *SumStats) Merge(o *SumStats) {
 	s.n += o.n
 	s.mu.Add(o.mu.Sum())
@@ -365,9 +432,9 @@ type LadderOptions struct {
 	// CostBudget, when > 0, caps the kernel tiers' DP-unit cost; a query
 	// whose exact evaluation would exceed it stays on the normal tier.
 	CostBudget int64
-	// Workers caps the kernel tiers' fork-join budget (0 = GOMAXPROCS). The
-	// effective budget is cost-model-chosen via ParallelWorkerBudget and
-	// never affects any result.
+	// Workers caps the normal tier's block workers and the kernel tiers'
+	// fork-join budget (0 = GOMAXPROCS). The kernels' effective budget is
+	// cost-model-chosen via ParallelWorkerBudget; neither affects any result.
 	Workers int
 	// Force pins a tier, bypassing selection: TierExact runs the quadratic
 	// DP whatever n (the metamorphic reference), TierFFT the D&C evaluator,
@@ -437,13 +504,13 @@ func KernelInterval(n int, point float64) CertifiedInterval {
 // LadderMajority evaluates q = P[sum > n/2] — the majority mass of the
 // Poisson binomial over seq's probabilities — on the cheapest ladder tier
 // whose certified half-width fits opts.ErrorBudget (Certify's rule). The
-// streaming normal tier holds only one chunk of seq at a time; the kernel
-// tiers materialise the vector (sorted ascending, the kernels' canonical
+// normal tier reads seq one MomentBlock per worker at a time (UnitMoments);
+// the kernel tiers materialise the vector (sorted ascending, the kernels' canonical
 // order) only when selected and only below opts.MaxExactN and within
 // opts.CostBudget. When no tier satisfies the constraints the tightest
 // certified interval is returned along with ErrBudgetInfeasible, so
 // degrading callers still get a sound answer.
-func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (CertifiedInterval, error) {
+func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (CertifiedInterval, error) {
 	n := seq.Len()
 	if n <= 0 {
 		return CertifiedInterval{}, fmt.Errorf("%w: empty electorate", ErrInvalidParameter)
@@ -453,7 +520,7 @@ func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (Ce
 	}
 	opts = opts.withDefaults()
 	normal := func() (CertifiedInterval, error) {
-		st, err := streamMajorityStats(ctx, seq)
+		st, err := UnitMoments(ctx, seq, opts.Workers)
 		if err != nil {
 			return CertifiedInterval{}, err
 		}
@@ -498,46 +565,21 @@ func LadderMajority(ctx context.Context, seq ChunkedSeq, opts LadderOptions) (Ce
 	return Certify(opts.ErrorBudget, normal, exact)
 }
 
-// streamMajorityStats runs the one-pass streaming moments fold over seq,
-// holding one chunk at a time, with validation on the fly.
-func streamMajorityStats(ctx context.Context, seq ChunkedSeq) (*SumStats, error) {
-	var st SumStats
-	var buf []float64
-	nc := seq.NumChunks()
-	for c := 0; c < nc; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		buf = seq.AppendChunk(buf[:0], c)
-		for i, p := range buf {
-			if p < 0 || p > 1 || math.IsNaN(p) {
-				return nil, fmt.Errorf("%w: chunk %d p[%d] = %v not in [0,1]", ErrInvalidParameter, c, i, p)
-			}
-			st.Add(1, p)
-		}
-	}
-	if st.n != int64(seq.Len()) {
-		return nil, fmt.Errorf("%w: chunks yielded %d values for Len() = %d", ErrInvalidParameter, st.n, seq.Len())
-	}
-	return &st, nil
-}
-
 // materializeSorted collects seq into one vector sorted ascending — the
 // canonical competency order the exact kernels (and the election engine's
 // P^D path) evaluate in, so a ladder kernel result is bit-identical whatever
-// chunk layout produced the values.
-func materializeSorted(ctx context.Context, seq ChunkedSeq) ([]float64, error) {
+// sequence produced the values.
+func materializeSorted(ctx context.Context, seq Seq) ([]float64, error) {
 	n := seq.Len()
 	ps := make([]float64, 0, n)
-	nc := seq.NumChunks()
-	for c := 0; c < nc; c++ {
+	for lo := 0; lo < n; lo += MomentBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ps = seq.AppendChunk(ps, c)
+		ps = seq.AppendRange(ps, lo, min(n, lo+MomentBlock))
 	}
 	if len(ps) != n {
-		return nil, fmt.Errorf("%w: chunks yielded %d values for Len() = %d", ErrInvalidParameter, len(ps), n)
+		return nil, fmt.Errorf("%w: ranges yielded %d values for Len() = %d", ErrInvalidParameter, len(ps), n)
 	}
 	if err := validateProbs(ps); err != nil {
 		return nil, err

@@ -10,14 +10,14 @@ import (
 )
 
 // ladderSeq builds a deterministic test sequence of n probabilities in
-// [lo, hi) from a derived seed, chunked at the given width.
-func ladderSeq(n int, lo, hi float64, seed uint64, chunk int) SliceSeq {
+// [lo, hi) from a derived seed.
+func ladderSeq(n int, lo, hi float64, seed uint64) SliceSeq {
 	s := rng.New(seed)
-	return SliceSeq{PS: randomPs(n, lo, hi, s), Chunk: chunk}
+	return SliceSeq{PS: randomPs(n, lo, hi, s)}
 }
 
 // ladderRun forces one tier and fails the test on error.
-func ladderRun(t *testing.T, seq ChunkedSeq, opts LadderOptions) CertifiedInterval {
+func ladderRun(t *testing.T, seq Seq, opts LadderOptions) CertifiedInterval {
 	t.Helper()
 	ci, err := LadderMajority(context.Background(), seq, opts)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestLadderMetamorphicContainment(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := ladderSeq(tc.n, tc.lo, tc.hi, rng.Derive(3, "ladder", "metamorphic", tc.name), 64)
+			seq := ladderSeq(tc.n, tc.lo, tc.hi, rng.Derive(3, "ladder", "metamorphic", tc.name))
 			exact := ladderRun(t, seq, LadderOptions{Force: TierExact})
 			if exact.HalfWidth != 0 || exact.Tier != TierExact {
 				t.Fatalf("exact tier: half-width %v tier %v", exact.HalfWidth, exact.Tier)
@@ -88,7 +88,7 @@ func TestLadderMetamorphicContainment(t *testing.T) {
 // ErrBudgetInfeasible alongside the tightest interval available.
 func TestLadderAutoSelection(t *testing.T) {
 	ctx := context.Background()
-	seq := ladderSeq(2000, 0.3, 0.6, rng.Derive(3, "ladder", "auto"), 0)
+	seq := ladderSeq(2000, 0.3, 0.6, rng.Derive(3, "ladder", "auto"))
 
 	// Mean well below the threshold: Hoeffding certifies a tiny half-width,
 	// so a loose budget keeps the O(n) tier.
@@ -126,7 +126,7 @@ func TestLadderAutoSelection(t *testing.T) {
 	}
 
 	// Small n with no budget is the pure DP.
-	small := ladderSeq(100, 0.3, 0.6, rng.Derive(3, "ladder", "auto", "small"), 0)
+	small := ladderSeq(100, 0.3, 0.6, rng.Derive(3, "ladder", "auto", "small"))
 	ci, err = LadderMajority(ctx, small, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -153,31 +153,6 @@ func TestLadderAutoSelection(t *testing.T) {
 	}
 	if ci.Tier != TierNormal {
 		t.Fatalf("cost-capped tier %v, want normal", ci.Tier)
-	}
-}
-
-// TestLadderBitIdentityAcrossWorkersAndChunks pins the two determinism
-// contracts: the kernel tiers are bit-identical for every worker budget
-// (fork-join determinism), and every tier is bit-identical across chunk
-// layouts (the streaming fold visits values in index order; the kernel tiers
-// canonicalise by sorting).
-func TestLadderBitIdentityAcrossWorkersAndChunks(t *testing.T) {
-	base := ladderSeq(2500, 0.2, 0.8, rng.Derive(3, "ladder", "bitident"), 0)
-	for _, force := range []Tier{TierExact, TierFFT, TierNormal} {
-		var ref CertifiedInterval
-		for i, workers := range []int{1, 4, 16} {
-			for _, chunk := range []int{0, 64, 999} {
-				seq := SliceSeq{PS: base.PS, Chunk: chunk}
-				ci := ladderRun(t, seq, LadderOptions{Force: force, Workers: workers})
-				if i == 0 && chunk == 0 {
-					ref = ci
-					continue
-				}
-				if math.Float64bits(ci.Point) != math.Float64bits(ref.Point) || ci.HalfWidth != ref.HalfWidth {
-					t.Fatalf("tier %v workers=%d chunk=%d: %+v != reference %+v", force, workers, chunk, ci, ref)
-				}
-			}
-		}
 	}
 }
 
@@ -281,6 +256,34 @@ func TestSumStatsMergeOrdered(t *testing.T) {
 	}
 }
 
+// TestSumStatsBatchKernels pins the batch kernels to Add: AddUnits and
+// AddVoters perform Add's operations term by term, so the sums are
+// bit-identical, starting from an empty or a non-empty SumStats.
+func TestSumStatsBatchKernels(t *testing.T) {
+	s := rng.New(rng.Derive(3, "ladder", "batch"))
+	for trial := 0; trial < 20; trial++ {
+		n := s.IntN(3000)
+		voters := make([]WeightedVoter, n)
+		ps := make([]float64, n)
+		for i := range voters {
+			ps[i] = s.Float64()
+			voters[i] = WeightedVoter{Weight: 1 + s.IntN(5000), P: ps[i]}
+		}
+		var start SumStats
+		start.Add(float64(s.IntN(7)), s.Float64())
+		units, unitsRef, weighted, weightedRef := start, start, start, start
+		units.AddUnits(ps)
+		weighted.AddVoters(voters)
+		for i, v := range voters {
+			unitsRef.Add(1, ps[i])
+			weightedRef.Add(float64(v.Weight), v.P)
+		}
+		if units != unitsRef || weighted != weightedRef {
+			t.Fatalf("trial %d (n=%d): AddUnits %v, AddVoters %v; Add gives %+v, %+v", trial, n, units, weighted, unitsRef, weightedRef)
+		}
+	}
+}
+
 // TestParallelWorkerBudget pins the cost-model worker rule.
 func TestParallelWorkerBudget(t *testing.T) {
 	cases := []struct {
@@ -350,7 +353,7 @@ func FuzzLadderSoundness(f *testing.F) {
 			budget = math.Pow(10, -float64(budgetRaw%13))
 		}
 		s := rng.New(seed)
-		seq := SliceSeq{PS: randomPs(nv, lo, hi, s), Chunk: nv/3 + 1}
+		seq := SliceSeq{PS: randomPs(nv, lo, hi, s)}
 		ctx := context.Background()
 
 		exact, err := LadderMajority(ctx, seq, LadderOptions{Force: TierExact})

@@ -1,7 +1,8 @@
 package prob
 
 // The convolution engine's fork-join budget (see Workspace.dc) and the
-// context-taking entry points that use it.
+// context-taking entry points that use it, plus ParallelFor, the worker loop
+// the normal tier's moment blocks and the scale fold's chunks run on.
 //
 // The fork budget is a non-blocking token bucket: a node forks its right
 // child only if a token is free, otherwise it recurses inline. Scheduling
@@ -17,6 +18,7 @@ package prob
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // parForkMinWeight is the smallest subtree support (PMF length) worth a
@@ -82,4 +84,40 @@ func (pb *PoissonBinomial) ProbMajorityParallelWS(ctx context.Context, ws *Works
 	}
 	n := len(pb.ps)
 	return clamp01(Sum(f[n/2+1 : n+1])), nil
+}
+
+// ParallelFor calls body(w, i) once for every i in [0, n) on up to workers
+// goroutines, where w in [0, workers) names the goroutine, so a caller can
+// index per-worker scratch by it. Goroutines take the next i from a shared
+// counter: scheduling decides only which goroutine runs i, so a body that
+// writes i's result to slot i gives results that do not depend on it. One
+// worker, or one item, runs inline on the caller's goroutine. Cancelling
+// ctx stops the hand-out, and ParallelFor then returns ctx.Err().
+func ParallelFor(ctx context.Context, n, workers int, body func(w, i int)) error {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			body(0, i)
+		}
+		return nil
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				body(w, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }

@@ -17,7 +17,12 @@ type Accumulator struct {
 }
 
 // Add incorporates x into the sum.
-func (a *Accumulator) Add(x float64) {
+func (a *Accumulator) Add(x float64) { *a = a.plus(x) }
+
+// plus returns a with x incorporated. Kernels that hold running sums in
+// local variables use it, since a local whose address is never taken can
+// stay in registers.
+func (a Accumulator) plus(x float64) Accumulator {
 	t := a.sum + x
 	if math.Abs(a.sum) >= math.Abs(x) {
 		a.c += (a.sum - t) + x
@@ -25,6 +30,7 @@ func (a *Accumulator) Add(x float64) {
 		a.c += (x - t) + a.sum
 	}
 	a.sum = t
+	return a
 }
 
 // Sum returns the compensated total.

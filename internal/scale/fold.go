@@ -2,8 +2,6 @@ package scale
 
 import (
 	"context"
-	"math"
-	"sync"
 
 	"liquid/internal/prob"
 )
@@ -41,24 +39,15 @@ func (f *FoldStats) Merge(o FoldStats) {
 
 // Fold is one worker's chunk-resolution scratch: buffers sized to a chunk,
 // reused across every chunk the worker folds, so resolving a 10^6-voter
-// electorate holds only ChunkSize-voter state per worker. Not safe for
-// concurrent use; give each goroutine its own Fold.
+// electorate holds only ChunkSize-voter state per worker. The zero value is
+// ready to use. Not safe for concurrent use; give each goroutine its own
+// Fold.
 type Fold struct {
-	ws     *prob.Workspace
 	sink   []int32
 	depth  []int32
 	weight []int32
 	ps     []float64
 	voters []prob.WeightedVoter
-	// radix is sortByP's ping-pong buffer and hist its per-digit
-	// histograms, one row per byte of a key.
-	radix []prob.WeightedVoter
-	hist  [8][256]int32
-}
-
-// NewFold returns an empty fold scratch.
-func NewFold() *Fold {
-	return &Fold{ws: prob.NewWorkspace()}
 }
 
 func (f *Fold) grow(k int) {
@@ -68,7 +57,6 @@ func (f *Fold) grow(k int) {
 		f.weight = make([]int32, k)
 		f.ps = make([]float64, k)
 		f.voters = make([]prob.WeightedVoter, 0, k)
-		f.radix = make([]prob.WeightedVoter, k)
 	}
 	f.sink = f.sink[:k]
 	f.depth = f.depth[:k]
@@ -78,11 +66,9 @@ func (f *Fold) grow(k int) {
 
 // ChunkSinks resolves chunk c's delegations in one forward pass (delegation
 // is strictly backwards within the chunk, so every voter's sink is known by
-// the time it is visited) and returns the resolved sink multiset in the
-// canonical (weight, p) order the kernel caches key on: sortByP's radix
-// sort ascending by p, then the workspace counting sort ascending by
-// weight. Both passes are stable and sinks that tie on weight and p are
-// indistinguishable, so the order is a function of the multiset alone. The
+// the time it is visited) and returns the resolved sinks in generation
+// order, ascending by voter index: a pure function of (spec, c). Each
+// voter's base word is derived once and split into its three draws. The
 // returned slice aliases fold scratch and is invalidated by the next call
 // on f.
 func (f *Fold) ChunkSinks(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldStats) {
@@ -91,15 +77,15 @@ func (f *Fold) ChunkSinks(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldS
 	f.grow(k)
 	st := FoldStats{WeightSum: int64(k)}
 	for pos := 0; pos < k; pos++ {
-		i := lo + pos
-		f.ps[pos] = s.Competency(i)
+		w := s.voterWord(lo + pos)
+		f.ps[pos] = s.competency(w)
 		f.weight[pos] = 0
-		if !s.delegates(i, pos) {
+		if !s.delegates(w, pos) {
 			f.sink[pos] = int32(pos)
 			f.depth[pos] = 0
 			continue
 		}
-		t := s.targetPos(i, pos)
+		t := targetPos(w, pos)
 		f.sink[pos] = f.sink[t]
 		f.depth[pos] = f.depth[t] + 1
 		st.Delegators++
@@ -123,70 +109,24 @@ func (f *Fold) ChunkSinks(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldS
 		voters = append(voters, prob.WeightedVoter{Weight: w, P: f.ps[pos]})
 	}
 	f.voters = voters
-	return f.ws.SortVotersByWeight(f.sortByP(voters), st.MaxWeight), st
+	return voters, st
 }
 
-// sortByP stably sorts v ascending by p without comparisons: an LSD radix
-// sort on math.Float64bits(p), one 8-bit digit per pass, with every
-// digit's histogram built in a single pass over the keys. A digit that
-// every key shares is skipped; on the default [0.25, 0.75) range the top
-// byte always is. Bit order is numeric order here: streamed competencies
-// are Low + (High−Low)·u with 0 ≤ Low ≤ High ≤ 1 and u ∈ [0, 1), so they
-// are finite, never negative and never −0 (Low = −0 gives −0 + (+0) = +0),
-// and non-negative IEEE 754 doubles order as their bit patterns do. The
-// result is v or f.radix, whichever the last pass wrote.
-//
-//lint:hotpath
-func (f *Fold) sortByP(v []prob.WeightedVoter) []prob.WeightedVoter {
-	if len(v) < 2 {
-		return v
-	}
-	hist := &f.hist
-	*hist = [8][256]int32{}
-	for _, x := range v {
-		b := math.Float64bits(x.P)
-		hist[0][byte(b)]++
-		hist[1][byte(b>>8)]++
-		hist[2][byte(b>>16)]++
-		hist[3][byte(b>>24)]++
-		hist[4][byte(b>>32)]++
-		hist[5][byte(b>>40)]++
-		hist[6][byte(b>>48)]++
-		hist[7][byte(b>>56)]++
-	}
-	n := int32(len(v))
-	src, dst := v, f.radix[:len(v)]
-	for d := range hist {
-		h := &hist[d]
-		shift := 8 * uint(d)
-		if h[byte(math.Float64bits(src[0].P)>>shift)] == n {
-			continue
-		}
-		var at int32
-		for i, c := range h {
-			h[i] = at
-			at += c
-		}
-		for _, x := range src {
-			b := byte(math.Float64bits(x.P) >> shift)
-			dst[h[b]] = x
-			h[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// ChunkStats resolves chunk c and folds its sink multiset into the ladder's
-// sufficient statistics. Terms are added in the canonical multiset order, so
-// the partial is a pure function of (spec, c) — the determinism the parallel
-// fold's ordered merge relies on.
-func (f *Fold) ChunkStats(s *StreamInstance, c int) (prob.SumStats, FoldStats) {
+// ChunkStats resolves chunk c (ChunkSinks) and folds its sinks into the
+// certificate's sufficient statistics, adding terms in generation order, so
+// the partial is a pure function of (spec, c): the determinism the parallel
+// fold's ordered merge relies on. The chunk's competencies, still in hand,
+// also go into pd: the one at chunk position pos into the unit-weight
+// partial pd[pos/prob.MomentBlock], in index order. For a chunk that
+// starts on a block boundary these are the ladder's block partials
+// (prob.UnitMoments). A nil pd skips them.
+func (f *Fold) ChunkStats(s *StreamInstance, c int, pd []prob.SumStats) (prob.SumStats, FoldStats) {
 	sinks, st := f.ChunkSinks(s, c)
-	var sum prob.SumStats
-	for _, v := range sinks {
-		sum.Add(float64(v.Weight), v.P)
+	for b := range pd {
+		pd[b].AddUnits(f.ps[b*prob.MomentBlock : min(len(f.ps), (b+1)*prob.MomentBlock)])
 	}
+	var sum prob.SumStats
+	sum.AddVoters(sinks)
 	return sum, st
 }
 
@@ -199,61 +139,38 @@ type MajorityResult struct {
 	Sum      prob.SumStats
 }
 
-// EvaluateMajority resolves every chunk of s, folds the resolved sink
-// multisets into sufficient statistics, and certifies the mechanism's
-// correct-majority probability P[W > n/2] via prob.CertifyMajority. Up to
-// `workers` goroutines fold chunks concurrently, each holding one chunk of
-// state; partials merge in chunk index order, so the result is bit-identical
-// for every worker count.
+// EvaluateMajority resolves every chunk of s, folds the resolved sinks into
+// sufficient statistics, and certifies the mechanism's correct-majority
+// probability P[W > n/2] via prob.CertifyMajority. Up to `workers`
+// goroutines fold chunks (prob.ParallelFor), each holding one chunk of
+// state; partials merge in chunk index order, so the result is
+// bit-identical for every worker count.
+//
+// When every chunk is whole prob.MomentBlocks and s holds no moments yet,
+// the fold also sums the competency stream's moment blocks and stores
+// their block-order merge on s, where prob.LadderMajority finds it
+// (prob.MomentsMemo). The blocks are summed by the rule UnitMoments
+// follows, so the memo changes who computes the moments, never their bits.
+// A cancelled fold stores nothing.
 func EvaluateMajority(ctx context.Context, s *StreamInstance, workers int) (*MajorityResult, error) {
 	nc := s.NumChunks()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nc {
-		workers = nc
-	}
 	sums := make([]prob.SumStats, nc)
 	folds := make([]FoldStats, nc)
-	if workers == 1 {
-		f := NewFold()
-		for c := 0; c < nc; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sums[c], folds[c] = f.ChunkStats(s, c)
+	per := s.spec.ChunkSize / prob.MomentBlock
+	var pd []prob.SumStats
+	if s.spec.ChunkSize%prob.MomentBlock == 0 && s.moments.Load() == nil {
+		pd = make([]prob.SumStats, (s.spec.N+prob.MomentBlock-1)/prob.MomentBlock)
+	}
+	scratch := make([]Fold, max(1, min(workers, nc)))
+	err := prob.ParallelFor(ctx, nc, workers, func(w, c int) {
+		var blocks []prob.SumStats
+		if pd != nil {
+			blocks = pd[c*per : min(len(pd), (c+1)*per)]
 		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One fold scratch per worker; chunk results land in
-				// chunk-indexed slots, so scheduling cannot reorder anything.
-				f := NewFold()
-				for c := range work {
-					if ctx.Err() != nil {
-						continue
-					}
-					sums[c], folds[c] = f.ChunkStats(s, c)
-				}
-			}()
-		}
-	feed:
-		for c := 0; c < nc; c++ {
-			select {
-			case <-ctx.Done():
-				break feed
-			case work <- c:
-			}
-		}
-		close(work)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		sums[c], folds[c] = scratch[w].ChunkStats(s, c, blocks)
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &MajorityResult{}
 	for c := 0; c < nc; c++ {
@@ -261,5 +178,12 @@ func EvaluateMajority(ctx context.Context, s *StreamInstance, workers int) (*Maj
 		res.Stats.Merge(folds[c])
 	}
 	res.Interval = prob.CertifyMajority(&res.Sum, float64(s.Len()/2))
+	if pd != nil {
+		var m prob.SumStats
+		for b := range pd {
+			m.Merge(&pd[b])
+		}
+		s.moments.CompareAndSwap(nil, &m)
+	}
 	return res, nil
 }

@@ -10,12 +10,9 @@ import (
 	"liquid/internal/prob"
 )
 
-// chunkSinksReference is the comparison-sort oracle for Fold.ChunkSinks:
-// the same one-pass resolution on fresh slices, then sort.Slice ascending
-// by p and the workspace's stable counting sort by weight. sort.Slice is
-// not stable, but sinks it could swap tie on p and are then separated by
-// weight or indistinguishable, so the canonical (weight, p) sequence is
-// the same for any correct sort.
+// chunkSinksReference is the resolution oracle for Fold.ChunkSinks: the
+// same one-pass resolution on fresh slices, each draw derived on its own
+// from the voter index, with the sinks listed by ascending voter index.
 func chunkSinksReference(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldStats) {
 	lo, hi := s.ChunkBounds(c)
 	k := hi - lo
@@ -26,8 +23,8 @@ func chunkSinksReference(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldSt
 	for pos := 0; pos < k; pos++ {
 		i := lo + pos
 		sink[pos] = pos
-		if s.delegates(i, pos) {
-			t := s.targetPos(i, pos)
+		if s.delegates(s.voterWord(i), pos) {
+			t := targetPos(s.voterWord(i), pos)
 			sink[pos] = sink[t]
 			depth[pos] = depth[t] + 1
 			st.Delegators++
@@ -45,17 +42,31 @@ func chunkSinksReference(s *StreamInstance, c int) ([]prob.WeightedVoter, FoldSt
 			voters = append(voters, prob.WeightedVoter{Weight: weight[pos], P: s.Competency(lo + pos)})
 		}
 	}
-	sort.Slice(voters, func(a, b int) bool { return voters[a].P < voters[b].P })
-	return prob.NewWorkspace().SortVotersByWeight(voters, st.MaxWeight), st
+	return voters, st
 }
 
-// FuzzChunkSinksCanonical holds the radix-sorted fold, one Fold reused
-// across every chunk, to the comparison sort: the same canonical
-// (weight, p) sequence, bit for bit, and the same FoldStats. The range
-// inputs cover the default range (both zero), [0, 1], and Low == High,
-// where every key is equal and every digit is skipped. A nonzero ulps
-// narrows the range to that many ulps above Low, so keys tie on p and
-// differ only in their low bytes.
+// canonical returns a copy of a sink multiset in (weight, p) order, so two
+// multisets compare without regard to the order they were listed in.
+func canonical(v []prob.WeightedVoter) []prob.WeightedVoter {
+	out := append([]prob.WeightedVoter(nil), v...)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Weight != out[b].Weight {
+			return out[a].Weight < out[b].Weight
+		}
+		return math.Float64bits(out[a].P) < math.Float64bits(out[b].P)
+	})
+	return out
+}
+
+// FuzzChunkSinksCanonical holds the fold's chunk pass, one Fold reused
+// across every chunk, to chunkSinksReference: the same FoldStats, the same
+// sink multiset (both compared in canonical order), a weighted partial
+// equal to the reference sinks' sums in generation order, and a fused
+// moment partial equal, bit for bit, to the ladder's partial over the
+// chunk's competencies (prob.UnitMoments; a fuzzed chunk is at most 4096
+// voters, so one block). The range inputs cover the default range (both zero),
+// [0, 1], and Low == High. A nonzero ulps narrows the range to that many
+// ulps above Low, so sinks tie on p and differ only in their low bits.
 func FuzzChunkSinksCanonical(f *testing.F) {
 	f.Add(uint16(3000), uint16(256), uint64(11), uint16(0), uint16(0), uint16(0), uint16(32768))
 	f.Add(uint16(5000), uint16(4096), uint64(2026), uint16(0), uint16(65535), uint16(0), uint16(62258))
@@ -79,20 +90,38 @@ func FuzzChunkSinksCanonical(f *testing.F) {
 			High:         hi,
 			DelegateFrac: float64(fracRaw) / math.MaxUint16,
 		})
-		fold := NewFold()
+		var fold Fold
 		for c := 0; c < s.NumChunks(); c++ {
+			var pd [1]prob.SumStats
+			sum, sumSt := fold.ChunkStats(s, c, pd[:])
 			got, gotSt := fold.ChunkSinks(s, c)
 			want, wantSt := chunkSinksReference(s, c)
+			var wantSum prob.SumStats
+			wantSum.AddVoters(want)
+			if sum != wantSum || sumSt != wantSt {
+				t.Fatalf("%+v chunk %d: ChunkStats (%+v, %+v), reference sums (%+v, %+v)", s.Spec(), c, sum, sumSt, wantSum, wantSt)
+			}
 			if gotSt != wantSt {
 				t.Fatalf("%+v chunk %d: FoldStats %+v, reference %+v", s.Spec(), c, gotSt, wantSt)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%+v chunk %d: %d sinks, reference %d", s.Spec(), c, len(got), len(want))
 			}
+			got, want = canonical(got), canonical(want)
 			for i := range got {
 				if got[i].Weight != want[i].Weight || math.Float64bits(got[i].P) != math.Float64bits(want[i].P) {
 					t.Fatalf("%+v chunk %d sink %d: %+v, reference %+v", s.Spec(), c, i, got[i], want[i])
 				}
+			}
+			cLo, cHi := s.ChunkBounds(c)
+			ladder, err := prob.UnitMoments(context.Background(), prob.SliceSeq{PS: s.AppendRange(nil, cLo, cHi)}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fused prob.SumStats
+			fused.Merge(&pd[0])
+			if fused != *ladder {
+				t.Fatalf("%+v chunk %d: fused moments %+v, ladder's %+v", s.Spec(), c, fused, *ladder)
 			}
 		}
 	})
@@ -100,8 +129,8 @@ func FuzzChunkSinksCanonical(f *testing.F) {
 
 // TestEvaluateMajorityGolden pins the bits of the certified fold at
 // n = 10^5 on the default range and chunk size. Every SumStats term is
-// added in the canonical order, so any drift in that order (or in the
-// resolution) moves these bits.
+// added in generation order, so any drift in that order (or in the
+// resolution) can move these bits.
 func TestEvaluateMajorityGolden(t *testing.T) {
 	golden := []struct {
 		frac                         float64
@@ -134,22 +163,25 @@ func TestEvaluateMajorityGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkChunkSinks measures one chunk's resolution and canonical sort
-// at the default chunk width, cycling over a few chunks on one reused
-// Fold. The warm-up folds every chunk once, so the timed loop runs on
-// sized scratch and reads 0 allocs/op.
-func BenchmarkChunkSinks(b *testing.B) {
+// BenchmarkChunkStats measures the fold's fused chunk pass at the default
+// chunk width: resolution, the certificate's weighted moments and the
+// ladder's unit-weight moment block, cycling over a few chunks on one
+// reused Fold. The warm-up folds every chunk once, so the timed loop runs
+// on sized scratch and reads 0 allocs/op.
+func BenchmarkChunkStats(b *testing.B) {
 	for _, frac := range []float64{0, 0.5, 0.95} {
 		b.Run(fmt.Sprintf("frac=%v", frac), func(b *testing.B) {
-			s := mustNew(b, Spec{N: 8 << 14, ChunkSize: 1 << 14, Seed: 2026, DelegateFrac: frac})
-			f := NewFold()
+			s := mustNew(b, Spec{N: 8 << 14, Seed: 2026, DelegateFrac: frac})
+			var f Fold
+			var pd [1]prob.SumStats
 			for c := 0; c < s.NumChunks(); c++ {
-				f.ChunkSinks(s, c)
+				f.ChunkStats(s, c, pd[:])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.ChunkSinks(s, i%s.NumChunks())
+				pd[0] = prob.SumStats{}
+				f.ChunkStats(s, i%s.NumChunks(), pd[:])
 			}
 		})
 	}

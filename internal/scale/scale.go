@@ -10,27 +10,33 @@
 // Delegation is chunk-local by construction: a voter either votes directly
 // or delegates to an earlier voter in its own chunk. That is the modeling
 // choice that makes resolution exactly chunk-decomposable — each chunk folds
-// to a canonical (weight, p) sink multiset independently (fold.go), and the
-// folds merge associatively — while still exhibiting the max-weight blowup
-// pathology the scale experiments measure (Gölz et al., "The Fluid Mechanics
-// of Liquid Democracy"): as the delegation fraction grows, chains pile
-// weight onto few sinks.
+// to its sink multiset independently (fold.go), summed in generation order,
+// and the partials merge in chunk order — while still exhibiting the
+// max-weight blowup pathology the scale experiments measure (Gölz et al.,
+// "The Fluid Mechanics of Liquid Democracy"): as the delegation fraction
+// grows, chains pile weight onto few sinks.
 //
-// StreamInstance implements prob.ChunkedSeq, so the direct-vote distribution
-// feeds prob.LadderMajority without materialising; the resolved weighted
-// majority goes through the fold in fold.go and prob.CertifyMajority.
+// StreamInstance implements prob.Seq, so the direct-vote distribution feeds
+// prob.LadderMajority without materialising, and prob.MomentsMemo, so the
+// ladder reuses the unit-weight moments a fold summed on its way through;
+// the resolved weighted majority goes through the fold in fold.go and
+// prob.CertifyMajority.
 package scale
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
+	"liquid/internal/prob"
 	"liquid/internal/rng"
 )
 
-// defaultChunkSize is the chunk width when Spec.ChunkSize is zero: large
-// enough that per-chunk overheads vanish, small enough that a worker's
-// resident state stays in cache (~128 KiB of competencies).
-const defaultChunkSize = 1 << 14
+// defaultChunkSize is the chunk width when Spec.ChunkSize is zero: one
+// prob.MomentBlock, so the fold sums the ladder's moment blocks as it goes
+// (EvaluateMajority), and a worker's resident state stays in cache
+// (~128 KiB of competencies).
+const defaultChunkSize = prob.MomentBlock
 
 // Per-voter derivation lanes: each voter's base word is split into
 // independent draws by XORing a lane salt before the final SplitMix64 round.
@@ -76,11 +82,15 @@ func (sp Spec) withDefaults() Spec {
 }
 
 // StreamInstance is a streamed electorate: a validated Spec plus its derived
-// root word. It is immutable and safe for concurrent use from any number of
-// goroutines — chunk generation reads only the spec.
+// root word. It is safe for concurrent use from any number of goroutines —
+// chunk generation reads only the spec, and the one mutable field is a
+// write-once memo of values that are a pure function of the spec.
 type StreamInstance struct {
 	spec Spec
 	base uint64
+	// moments holds the competency stream's unit-weight moments by
+	// prob.MomentBlock's rule, stored by the first fold that summed them.
+	moments atomic.Pointer[prob.SumStats]
 }
 
 // New validates spec and returns the streamed instance.
@@ -101,11 +111,10 @@ func New(spec Spec) (*StreamInstance, error) {
 // Spec returns the (defaulted) spec the instance was built from.
 func (s *StreamInstance) Spec() Spec { return s.spec }
 
-// Len returns the electorate size. Part of prob.ChunkedSeq.
+// Len returns the electorate size. Part of prob.Seq.
 func (s *StreamInstance) Len() int { return s.spec.N }
 
-// NumChunks returns the number of chunks covering [0, Len). Part of
-// prob.ChunkedSeq.
+// NumChunks returns the number of chunks covering [0, Len).
 func (s *StreamInstance) NumChunks() int {
 	return (s.spec.N + s.spec.ChunkSize - 1) / s.spec.ChunkSize
 }
@@ -120,22 +129,34 @@ func (s *StreamInstance) ChunkBounds(c int) (lo, hi int) {
 	return lo, hi
 }
 
-// AppendChunk appends chunk c's competencies to dst. Part of
-// prob.ChunkedSeq: this is the direct-vote distribution's streamed form.
-func (s *StreamInstance) AppendChunk(dst []float64, c int) []float64 {
-	lo, hi := s.ChunkBounds(c)
+// AppendRange appends the competencies of voters [lo, hi) to dst. Part of
+// prob.Seq: this is the direct-vote distribution's streamed form.
+func (s *StreamInstance) AppendRange(dst []float64, lo, hi int) []float64 {
+	dst = slices.Grow(dst, hi-lo)
 	for i := lo; i < hi; i++ {
 		dst = append(dst, s.Competency(i))
 	}
 	return dst
 }
 
-// word derives voter i's draw for a lane: a pure function of (seed, i, lane),
-// so any worker can generate any voter without shared state, and the value
-// is invariant to chunk layout.
-func (s *StreamInstance) word(i int, lane uint64) uint64 {
-	return rng.SplitMix64(rng.SplitMix64(s.base+uint64(i)*0x9E3779B97F4A7C15) ^ lane)
+// Moments returns the competency stream's unit-weight moments once a fold
+// has stored them. Part of prob.MomentsMemo.
+func (s *StreamInstance) Moments() (prob.SumStats, bool) {
+	if m := s.moments.Load(); m != nil {
+		return *m, true
+	}
+	return prob.SumStats{}, false
 }
+
+// voterWord derives voter i's base word: a pure function of (seed, i), so
+// any worker can generate any voter without shared state, and every draw is
+// invariant to chunk layout. The lanes split it into independent draws.
+func (s *StreamInstance) voterWord(i int) uint64 {
+	return rng.SplitMix64(s.base + uint64(i)*0x9E3779B97F4A7C15)
+}
+
+// lane derives one independent draw from a voter's base word.
+func lane(w, salt uint64) uint64 { return rng.SplitMix64(w ^ salt) }
 
 // unit maps a 64-bit word to [0, 1) with the same 53-bit conversion as
 // rng.Stream.Float64.
@@ -145,23 +166,27 @@ func unit(w uint64) float64 {
 
 // Competency returns voter i's competency: uniform in [Low, High), derived
 // from (Seed, i) alone.
-func (s *StreamInstance) Competency(i int) float64 {
-	return s.spec.Low + (s.spec.High-s.spec.Low)*unit(s.word(i, laneCompetency))
+func (s *StreamInstance) Competency(i int) float64 { return s.competency(s.voterWord(i)) }
+
+// competency maps a voter's base word w to its competency.
+func (s *StreamInstance) competency(w uint64) float64 {
+	return s.spec.Low + (s.spec.High-s.spec.Low)*unit(lane(w, laneCompetency))
 }
 
-// delegates reports whether voter i (at position pos within its chunk)
-// delegates. The first voter of a chunk never does, so every chunk has at
-// least one sink.
-func (s *StreamInstance) delegates(i, pos int) bool {
+// delegates reports whether the voter with base word w, at position pos
+// within its chunk, delegates. The first voter of a chunk never does, so
+// every chunk has at least one sink.
+func (s *StreamInstance) delegates(w uint64, pos int) bool {
 	if pos == 0 || s.spec.DelegateFrac <= 0 {
 		return false
 	}
-	return unit(s.word(i, laneDelegate)) < s.spec.DelegateFrac
+	return unit(lane(w, laneDelegate)) < s.spec.DelegateFrac
 }
 
-// targetPos returns the chunk-local position voter i delegates to: uniform
-// over the pos earlier voters of its chunk. Delegating strictly backwards
-// makes every chain acyclic and resolvable in one forward pass.
-func (s *StreamInstance) targetPos(i, pos int) int {
-	return int(s.word(i, laneTarget) % uint64(pos))
+// targetPos returns the chunk-local position the voter with base word w
+// delegates to: uniform over the pos earlier voters of its chunk.
+// Delegating strictly backwards makes every chain acyclic and resolvable in
+// one forward pass.
+func targetPos(w uint64, pos int) int {
+	return int(lane(w, laneTarget) % uint64(pos))
 }

@@ -2,7 +2,9 @@ package scale
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"liquid/internal/prob"
@@ -51,7 +53,8 @@ func TestStreamChunkLayoutInvariance(t *testing.T) {
 		s := mustNew(t, Spec{N: 5000, ChunkSize: chunk, Seed: 7})
 		var all []float64
 		for c := 0; c < s.NumChunks(); c++ {
-			all = s.AppendChunk(all, c)
+			lo, hi := s.ChunkBounds(c)
+			all = s.AppendRange(all, lo, hi)
 		}
 		return all
 	}
@@ -88,13 +91,12 @@ func TestSpecValidation(t *testing.T) {
 
 // TestFoldStructure checks the resolved fold's structural invariants across
 // delegation fractions: weight conservation (every vote lands on exactly one
-// sink), sink/delegator partition, canonical multiset ordering (ascending
-// weight, then ascending Float64bits(p) within each weight run), and that
-// the fold totals agree with the per-chunk sink multisets they summarise.
+// sink), sink/delegator partition, and that the fold totals agree with the
+// per-chunk sink multisets they summarise.
 func TestFoldStructure(t *testing.T) {
 	for _, frac := range []float64{0, 0.3, 0.8, 1} {
 		s := mustNew(t, Spec{N: 3000, ChunkSize: 256, Seed: 11, DelegateFrac: frac})
-		f := NewFold()
+		var f Fold
 		var agg FoldStats
 		voterTotal := 0
 		maxW := 0
@@ -104,16 +106,10 @@ func TestFoldStructure(t *testing.T) {
 				t.Fatalf("frac %v chunk %d: %d sinks reported, %d returned", frac, c, st.Sinks, len(sinks))
 			}
 			wsum := 0
-			for i, v := range sinks {
+			for _, v := range sinks {
 				wsum += v.Weight
 				if v.Weight > maxW {
 					maxW = v.Weight
-				}
-				if i > 0 && sinks[i-1].Weight > v.Weight {
-					t.Fatalf("frac %v chunk %d: sinks not weight-sorted at %d", frac, c, i)
-				}
-				if i > 0 && sinks[i-1].Weight == v.Weight && math.Float64bits(sinks[i-1].P) > math.Float64bits(v.P) {
-					t.Fatalf("frac %v chunk %d: weight-%d run not p-sorted at %d", frac, c, v.Weight, i)
 				}
 			}
 			lo, hi := s.ChunkBounds(c)
@@ -149,7 +145,7 @@ func TestFoldStructure(t *testing.T) {
 func TestEvaluateMajorityContainsExact(t *testing.T) {
 	for _, frac := range []float64{0, 0.4, 0.9} {
 		s := mustNew(t, Spec{N: 400, ChunkSize: 64, Seed: rng.Derive(5, "scale", "exact"), DelegateFrac: frac, Low: 0.35, High: 0.7})
-		f := NewFold()
+		var f Fold
 		var voters []prob.WeightedVoter
 		for c := 0; c < s.NumChunks(); c++ {
 			sinks, _ := f.ChunkSinks(s, c)
@@ -242,5 +238,59 @@ func TestEvaluateMajorityCancellation(t *testing.T) {
 		if _, err := EvaluateMajority(ctx, s, workers); err == nil {
 			t.Fatalf("workers=%d: cancelled fold returned nil error", workers)
 		}
+	}
+}
+
+// countdownCtx reports cancellation from its left-th Err call on, so a test
+// can stop a pass part-way through its work.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// rangeOnly hides a sequence's moments memo from the ladder.
+type rangeOnly struct{ prob.Seq }
+
+// TestCancelledPassStoresNothing: a fold or ladder pass cancelled before or
+// part-way through its blocks returns ctx's error, and leaves the moments
+// memo empty, so a later pass computes the moments whole.
+func TestCancelledPassStoresNothing(t *testing.T) {
+	s := mustNew(t, Spec{N: 6 * prob.MomentBlock, Seed: 5, DelegateFrac: 0.3})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := prob.LadderOptions{Force: prob.TierNormal}
+	for _, workers := range []int{1, 2, 4} {
+		opts.Workers = workers
+		for name, ctx := range map[string]func() context.Context{
+			"before": func() context.Context { return cancelled },
+			"part-way": func() context.Context {
+				c := &countdownCtx{Context: context.Background()}
+				c.left.Store(3)
+				return c
+			},
+		} {
+			if _, err := EvaluateMajority(ctx(), s, workers); !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d fold cancelled %s: err = %v", workers, name, err)
+			}
+			if _, err := prob.LadderMajority(ctx(), rangeOnly{s}, opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d ladder cancelled %s: err = %v", workers, name, err)
+			}
+			if m, ok := s.Moments(); ok {
+				t.Fatalf("workers=%d: cancelled %s pass stored moments %+v", workers, name, m)
+			}
+		}
+	}
+	if _, err := EvaluateMajority(context.Background(), s, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Moments(); !ok {
+		t.Fatal("a whole fold stored no moments")
 	}
 }
