@@ -298,31 +298,36 @@ func (s *SumStats) BerryEsseen() float64 {
 const certifySlack = 1e-12
 
 // CertifyMajority builds the normal tier's certified interval for
-// q = P[S > threshold] from streamed sufficient statistics. The certified
-// band is the intersection of two rigorous enclosures of q:
+// q = P[S > threshold] from streamed sufficient statistics. It requires
+// integer weights, as every caller sums: S is then integer-valued, so with
+// k = ⌊threshold⌋, q = P[S > x] for every x in [k, k+1). The certified band
+// is the intersection of two rigorous enclosures of q:
 //
-//   - Berry–Esseen: |q - SF(threshold)| <= BerryEsseen(), uniformly;
+//   - Berry–Esseen on the lattice: |P[S > x] - SF(x)| <= BerryEsseen() for
+//     every x, and SF falls across [k, k+1), so
+//     SF(k) - BerryEsseen() <= q <= SF(k+1) + BerryEsseen();
 //   - Hoeffding, one-sided on whichever tail the threshold sits in:
 //     q <= exp(-2t²/Σspan²) when t = threshold - mean >= 0, and
 //     1 - q <= exp(-2t²/Σspan²) when t < 0.
 //
-// The point estimate is the continuity-corrected SF(threshold + 1/2) (exact
-// sums are integer-supported), clamped into the certified band; HalfWidth
-// covers the whole band, so the interval remains rigorous whatever the point.
-// A zero-variance sum is deterministic and certifies with half-width 0.
+// The point estimate is the continuity-corrected SF(k + 1/2), which lies
+// between SF(k+1) and SF(k), clamped into the certified band. HalfWidth
+// covers the whole band, so the interval remains rigorous whatever the
+// point, and it is at most BerryEsseen() plus the certify slack. A
+// zero-variance sum is deterministic and certifies with half-width 0.
 func CertifyMajority(s *SumStats, threshold float64) CertifiedInterval {
 	mu := s.Mean()
 	sigma2 := s.Variance()
 	dist := Normal{Mu: mu, Sigma: math.Sqrt(sigma2)}
-	base := dist.SF(threshold)
 	if sigma2 <= 0 {
 		// Every term is deterministic: S = mu always, and the degenerate SF
 		// is exactly P[S > threshold].
-		return CertifiedInterval{Point: base, HalfWidth: 0, Tier: TierNormal}
+		return CertifiedInterval{Point: dist.SF(threshold), HalfWidth: 0, Tier: TierNormal}
 	}
 	be := s.BerryEsseen()
-	lo := clamp01(base - be)
-	hi := clamp01(base + be)
+	k := math.Floor(threshold)
+	lo := clamp01(dist.SF(k) - be)
+	hi := clamp01(dist.SF(k+1) + be)
 	if sss := s.SumSquaredSpans(); sss > 0 {
 		t := threshold - mu
 		h := math.Exp(-2 * t * t / sss)
@@ -339,7 +344,7 @@ func CertifyMajority(s *SumStats, threshold float64) CertifiedInterval {
 	if hi < lo {
 		hi = lo
 	}
-	point := clamp01(dist.SF(threshold + 0.5))
+	point := clamp01(dist.SF(k + 0.5))
 	if point < lo {
 		point = lo
 	} else if point > hi {

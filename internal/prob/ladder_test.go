@@ -210,6 +210,48 @@ func TestCertifyMajorityWeighted(t *testing.T) {
 	}
 }
 
+// TestCertifyMajorityWithinBerryEsseen: S is integer-valued, so the
+// Berry–Esseen band around the lattice point k = ⌊threshold⌋ bounds the
+// normal tier's half-width by BerryEsseen() (plus the certify slack on each
+// side), whatever the Hoeffding tail does, and the interval still contains
+// the exact tail mass. Unit and delegation-weighted sums, with the mean
+// below, at and above the threshold.
+func TestCertifyMajorityWithinBerryEsseen(t *testing.T) {
+	s := rng.New(rng.Derive(3, "ladder", "lattice"))
+	for _, n := range []int{1, 2, 25, 101, 500, 2000} {
+		for _, lo := range []float64{0.05, 0.3, 0.45, 0.7} {
+			for _, weighted := range []bool{false, true} {
+				voters := make([]WeightedVoter, n)
+				var st SumStats
+				total := 0
+				for i := range voters {
+					voters[i] = WeightedVoter{Weight: 1, P: lo + 0.25*s.Float64()}
+					if weighted {
+						voters[i].Weight += s.IntN(1 + s.IntN(12))
+					}
+					st.Add(float64(voters[i].Weight), voters[i].P)
+					total += voters[i].Weight
+				}
+				wm, err := NewWeightedMajority(voters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := wm.PMFNaive()
+				exact := clamp01(Sum(f[total/2+1:]))
+				ci := CertifyMajority(&st, float64(total/2))
+				if bound := st.BerryEsseen() + 2*certifySlack; ci.HalfWidth > bound {
+					t.Errorf("n=%d p in [%v, %v) weighted=%v: half-width %v over the Berry–Esseen bound %v",
+						n, lo, lo+0.25, weighted, ci.HalfWidth, bound)
+				}
+				if !ci.Contains(exact) {
+					t.Errorf("n=%d p in [%v, %v) weighted=%v: interval [%v, %v] does not contain exact %v",
+						n, lo, lo+0.25, weighted, ci.Lo(), ci.Hi(), exact)
+				}
+			}
+		}
+	}
+}
+
 // TestSumStatsMergeOrdered pins the parallel-fold determinism rule: merging
 // per-chunk partials in chunk index order reproduces itself bit-for-bit, and
 // stays within float tolerance of the single-pass fold (compensated sums are

@@ -137,11 +137,11 @@ func TestEvaluateMajorityGolden(t *testing.T) {
 		point, halfWidth, mean, vari uint64
 		stats                        FoldStats
 	}{
-		{0, 0x3fd94de2f15459e2, 0x3f6ac162ad26bc80, 0x40e8650add2c5325, 0x40d65fa38f649be9,
+		{0, 0x3fd94de2f15459e2, 0x3f47a49e3814b800, 0x40e8650add2c5325, 0x40d65fa38f649be9,
 			FoldStats{Sinks: 100000, Delegators: 0, MaxWeight: 1, LongestChain: 0, WeightSum: 100000}},
-		{0.5, 0x3fd8b6867b62d694, 0x3fa55d22716d09b8, 0x40e859d3da1afcc2, 0x41089670a6b417a7,
+		{0.5, 0x3fd8b6867b62d694, 0x3fa4ed66d855e3f8, 0x40e859d3da1afcc2, 0x41089670a6b417a7,
 			FoldStats{Sinks: 49889, Delegators: 50111, MaxWeight: 209, LongestChain: 11, WeightSum: 100000}},
-		{0.95, 0x3fe25f5e80dd1a30, 0x3fd066c47d2d42c6, 0x40e97129b4786c04, 0x419e3a658b33f09c,
+		{0.95, 0x3fe25f5e80dd1a30, 0x3fd06632753d685e, 0x40e97129b4786c04, 0x419e3a658b33f09c,
 			FoldStats{Sinks: 5066, Delegators: 94934, MaxWeight: 11724, LongestChain: 22, WeightSum: 100000}},
 	}
 	for _, g := range golden {
