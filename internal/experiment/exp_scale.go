@@ -159,7 +159,7 @@ func runS2(ctx context.Context, cfg Config) (*Outcome, error) {
 	tiers := make([]prob.Tier, 0, len(sizes))
 	monotone, matchesCostModel, contained, withinBudget := true, true, true, true
 	for _, n := range sizes {
-		seq := prob.SliceSeq{PS: ps[:n]}
+		seq := prob.SliceSeq(ps[:n])
 		auto, err := prob.LadderMajority(ctx, seq, prob.LadderOptions{ErrorBudget: budget, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err

@@ -23,6 +23,7 @@ package prob
 // the exact value always lies inside any cheaper tier's interval.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -97,12 +98,10 @@ func (ci CertifiedInterval) Contains(v float64) bool {
 	return v >= ci.Lo() && v <= ci.Hi()
 }
 
-// Seq is a probability sequence read by index range: the competency (or
-// resolved sink success-probability) vector of an electorate, which the
-// ladder reads one MomentBlock at a time, so the normal tier never
-// materialises it. AppendRange appends the values at indices [lo, hi) to
-// dst and returns the extended slice. internal/scale's StreamInstance is
-// the million-voter implementation; SliceSeq adapts an in-memory vector.
+// Seq is a probability sequence read by index range: AppendRange appends
+// the values at indices [lo, hi) to dst and returns the extended slice.
+// internal/scale's StreamInstance is the million-voter implementation;
+// SliceSeq adapts an in-memory vector.
 type Seq interface {
 	Len() int
 	AppendRange(dst []float64, lo, hi int) []float64
@@ -110,37 +109,31 @@ type Seq interface {
 
 // SliceSeq adapts an in-memory probability vector to Seq. The values are
 // borrowed, not copied.
-type SliceSeq struct {
-	PS []float64
-}
+type SliceSeq []float64
 
 // Len returns the sequence length.
-func (s SliceSeq) Len() int { return len(s.PS) }
+func (s SliceSeq) Len() int { return len(s) }
 
 // AppendRange appends the values at indices [lo, hi) to dst.
 func (s SliceSeq) AppendRange(dst []float64, lo, hi int) []float64 {
-	return append(dst, s.PS[lo:hi]...)
+	return append(dst, s[lo:hi]...)
 }
 
-// MomentBlock is the normal tier's block width. The unit-weight moments of
-// a sequence are summed over consecutive blocks of MomentBlock values, each
-// block in index order from an empty SumStats, and the block partials merge
-// in block order. The moments are therefore a pure function of the values:
-// the same for every worker count, every chunk layout, and whoever sums a
-// block, UnitMoments or a fold that generated the values (MomentsMemo).
+// MomentBlock is the normal tier's block width: unit-weight moments are
+// summed over consecutive blocks of MomentBlock values, each in index order
+// (AddUnits), and the block partials merge in block order. The moments are
+// thus a pure function of the values, whoever sums the blocks.
 const MomentBlock = 1 << 14
 
-// MomentsMemo is an optional Seq extension for sequences that may already
-// hold their unit-weight moments, summed by MomentBlock's rule by whoever
-// last generated every value. Moments reports false until then.
+// MomentsMemo is an optional Seq extension: Moments returns the sequence's
+// unit-weight moments by MomentBlock's rule once something has summed them.
 type MomentsMemo interface {
 	Moments() (SumStats, bool)
 }
 
-// UnitMoments returns the unit-weight moments of seq, by MomentBlock's
-// rule, summing the blocks on up to workers goroutines; a MomentsMemo that
-// holds them answers without a pass. A value outside [0, 1] is an error,
-// reported for the first offending block.
+// UnitMoments returns seq's unit-weight moments by MomentBlock's rule,
+// summing the blocks on up to workers goroutines unless a MomentsMemo holds
+// them. A value outside [0, 1] is an error.
 func UnitMoments(ctx context.Context, seq Seq, workers int) (*SumStats, error) {
 	if m, ok := seq.(MomentsMemo); ok {
 		if st, ok := m.Moments(); ok {
@@ -155,15 +148,12 @@ func UnitMoments(ctx context.Context, seq Seq, workers int) (*SumStats, error) {
 	err := ParallelFor(ctx, nb, workers, func(w, b int) {
 		lo := b * MomentBlock
 		hi := min(n, lo+MomentBlock)
-		buf := seq.AppendRange(bufs[w][:0], lo, hi)
-		bufs[w] = buf
-		if len(buf) != hi-lo {
-			errs[b] = fmt.Errorf("%w: range [%d, %d) yielded %d values", ErrInvalidParameter, lo, hi, len(buf))
-		} else if err := validateProbs(buf); err != nil {
-			errs[b] = fmt.Errorf("range [%d, %d): %w", lo, hi, err)
-		} else {
-			parts[b].AddUnits(buf)
+		bufs[w] = seq.AppendRange(bufs[w][:0], lo, hi)
+		if err := validateProbs(bufs[w]); err != nil || len(bufs[w]) != hi-lo {
+			errs[b] = fmt.Errorf("range [%d, %d) read %d values: %w", lo, hi, len(bufs[w]), cmp.Or(err, ErrInvalidParameter))
+			return
 		}
+		parts[b].AddUnits(bufs[w])
 	})
 	if err != nil {
 		return nil, err
@@ -199,11 +189,9 @@ func (s *SumStats) Add(w, p float64) {
 	s.spans.Add(w * w)
 }
 
-// AddUnits adds one unit-weight term per p in ps, in order, and AddVoters
-// one term per voter. Each performs Add's operations, so the sums are
-// bit-identical to calling Add term by term, but holds the running sums in
-// registers: these are the block kernels of the normal tier and the scale
-// fold.
+// AddUnits adds one unit-weight term per p in ps, in order, with Add(1, p)'s
+// operations, so the sums are bit-identical to Add's term by term; the
+// running sums stay in registers. It is the moment blocks' kernel.
 //
 //lint:hotpath
 func (s *SumStats) AddUnits(ps []float64) {
@@ -216,22 +204,6 @@ func (s *SumStats) AddUnits(ps []float64) {
 		spans = spans.plus(1)
 	}
 	s.n += int64(len(ps))
-	s.mu, s.vr, s.rho, s.spans = mu, vr, rho, spans
-}
-
-//lint:hotpath
-func (s *SumStats) AddVoters(vs []WeightedVoter) {
-	mu, vr, rho, spans := s.mu, s.vr, s.rho, s.spans
-	for _, v := range vs {
-		w, p := float64(v.Weight), v.P
-		q := p * (1 - p)
-		aw := math.Abs(w)
-		mu = mu.plus(w * p)
-		vr = vr.plus(w * w * q)
-		rho = rho.plus(aw * aw * aw * q * (p*p + (1-p)*(1-p)))
-		spans = spans.plus(w * w)
-	}
-	s.n += int64(len(vs))
 	s.mu, s.vr, s.rho, s.spans = mu, vr, rho, spans
 }
 
@@ -576,15 +548,12 @@ func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (Certified
 // sequence produced the values.
 func materializeSorted(ctx context.Context, seq Seq) ([]float64, error) {
 	n := seq.Len()
-	ps := make([]float64, 0, n)
-	for lo := 0; lo < n; lo += MomentBlock {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ps = seq.AppendRange(ps, lo, min(n, lo+MomentBlock))
-	}
+	ps := seq.AppendRange(make([]float64, 0, n), 0, n)
 	if len(ps) != n {
-		return nil, fmt.Errorf("%w: ranges yielded %d values for Len() = %d", ErrInvalidParameter, len(ps), n)
+		return nil, fmt.Errorf("%w: range read %d values for Len() = %d", ErrInvalidParameter, len(ps), n)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if err := validateProbs(ps); err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func TestLadderBitIdentityAcrossWorkersAndChunks(t *testing.T) {
 	workerCounts := []int{1, 2, 3, 8}
 
 	small := instance(2500, 1000)
-	smallSeqs := []prob.Seq{small, prob.SliceSeq{PS: small.AppendRange(nil, 0, small.Len())}}
+	smallSeqs := []prob.Seq{small, prob.SliceSeq(small.AppendRange(nil, 0, small.Len()))}
 	for _, force := range []prob.Tier{prob.TierExact, prob.TierFFT, prob.TierNormal} {
 		ref := run(smallSeqs[1], prob.LadderOptions{Force: force, Workers: 1})
 		for _, workers := range workerCounts {
@@ -55,7 +55,7 @@ func TestLadderBitIdentityAcrossWorkersAndChunks(t *testing.T) {
 
 	// The normal tier over several moment blocks, the last one partial.
 	const n = 100_003
-	values := prob.SliceSeq{PS: instance(n, 1000).AppendRange(nil, 0, n)}
+	values := prob.SliceSeq(instance(n, 1000).AppendRange(nil, 0, n))
 	want, err := prob.UnitMoments(ctx, values, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // [lo, hi) from a derived seed.
 func ladderSeq(n int, lo, hi float64, seed uint64) SliceSeq {
 	s := rng.New(seed)
-	return SliceSeq{PS: randomPs(n, lo, hi, s)}
+	return SliceSeq(randomPs(n, lo, hi, s))
 }
 
 // ladderRun forces one tier and fails the test on error.
@@ -298,30 +298,25 @@ func TestSumStatsMergeOrdered(t *testing.T) {
 	}
 }
 
-// TestSumStatsBatchKernels pins the batch kernels to Add: AddUnits and
-// AddVoters perform Add's operations term by term, so the sums are
+// TestSumStatsAddUnits pins the moment blocks' kernel to Add: AddUnits
+// performs Add(1, p)'s operations term by term, so the sums are
 // bit-identical, starting from an empty or a non-empty SumStats.
-func TestSumStatsBatchKernels(t *testing.T) {
+func TestSumStatsAddUnits(t *testing.T) {
 	s := rng.New(rng.Derive(3, "ladder", "batch"))
 	for trial := 0; trial < 20; trial++ {
-		n := s.IntN(3000)
-		voters := make([]WeightedVoter, n)
-		ps := make([]float64, n)
-		for i := range voters {
+		ps := make([]float64, s.IntN(3000))
+		for i := range ps {
 			ps[i] = s.Float64()
-			voters[i] = WeightedVoter{Weight: 1 + s.IntN(5000), P: ps[i]}
 		}
 		var start SumStats
 		start.Add(float64(s.IntN(7)), s.Float64())
-		units, unitsRef, weighted, weightedRef := start, start, start, start
-		units.AddUnits(ps)
-		weighted.AddVoters(voters)
-		for i, v := range voters {
-			unitsRef.Add(1, ps[i])
-			weightedRef.Add(float64(v.Weight), v.P)
+		got, want := start, start
+		got.AddUnits(ps)
+		for _, p := range ps {
+			want.Add(1, p)
 		}
-		if units != unitsRef || weighted != weightedRef {
-			t.Fatalf("trial %d (n=%d): AddUnits %v, AddVoters %v; Add gives %+v, %+v", trial, n, units, weighted, unitsRef, weightedRef)
+		if got != want {
+			t.Fatalf("trial %d (n=%d): AddUnits %+v, Add gives %+v", trial, len(ps), got, want)
 		}
 	}
 }
@@ -395,7 +390,7 @@ func FuzzLadderSoundness(f *testing.F) {
 			budget = math.Pow(10, -float64(budgetRaw%13))
 		}
 		s := rng.New(seed)
-		seq := SliceSeq{PS: randomPs(nv, lo, hi, s)}
+		seq := SliceSeq(randomPs(nv, lo, hi, s))
 		ctx := context.Background()
 
 		exact, err := LadderMajority(ctx, seq, LadderOptions{Force: TierExact})
@@ -423,7 +418,7 @@ func FuzzLadderSoundness(f *testing.F) {
 		voters := make([]WeightedVoter, nv)
 		var st SumStats
 		total := 0
-		for i, p := range seq.PS {
+		for i, p := range seq {
 			w := 1
 			if len(weights) > 0 {
 				w += int(weights[i%len(weights)] % 9)

@@ -86,13 +86,11 @@ func (pb *PoissonBinomial) ProbMajorityParallelWS(ctx context.Context, ws *Works
 	return clamp01(Sum(f[n/2+1 : n+1])), nil
 }
 
-// ParallelFor calls body(w, i) once for every i in [0, n) on up to workers
-// goroutines, where w in [0, workers) names the goroutine, so a caller can
-// index per-worker scratch by it. Goroutines take the next i from a shared
-// counter: scheduling decides only which goroutine runs i, so a body that
-// writes i's result to slot i gives results that do not depend on it. One
-// worker, or one item, runs inline on the caller's goroutine. Cancelling
-// ctx stops the hand-out, and ParallelFor then returns ctx.Err().
+// ParallelFor calls body(w, i) for every i in [0, n) on up to workers
+// goroutines; w < workers names the goroutine, for per-worker scratch.
+// Scheduling decides only which goroutine runs i, so a body that writes
+// slot i gives results that do not depend on it. One worker or one item
+// runs inline. A cancelled ctx stops the hand-out and is returned.
 func ParallelFor(ctx context.Context, n, workers int, body func(w, i int)) error {
 	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {

@@ -19,9 +19,8 @@ type Accumulator struct {
 // Add incorporates x into the sum.
 func (a *Accumulator) Add(x float64) { *a = a.plus(x) }
 
-// plus returns a with x incorporated. Kernels that hold running sums in
-// local variables use it, since a local whose address is never taken can
-// stay in registers.
+// plus returns a with x incorporated, so kernels can keep running sums in
+// registers (a local whose address is taken cannot stay in one).
 func (a Accumulator) plus(x float64) Accumulator {
 	t := a.sum + x
 	if math.Abs(a.sum) >= math.Abs(x) {

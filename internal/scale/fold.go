@@ -126,7 +126,9 @@ func (f *Fold) ChunkStats(s *StreamInstance, c int, pd []prob.SumStats) (prob.Su
 		pd[b].AddUnits(f.ps[b*prob.MomentBlock : min(len(f.ps), (b+1)*prob.MomentBlock)])
 	}
 	var sum prob.SumStats
-	sum.AddVoters(sinks)
+	for _, v := range sinks {
+		sum.Add(float64(v.Weight), v.P)
+	}
 	return sum, st
 }
 
@@ -146,28 +148,24 @@ type MajorityResult struct {
 // state; partials merge in chunk index order, so the result is
 // bit-identical for every worker count.
 //
-// When every chunk is whole prob.MomentBlocks and s holds no moments yet,
-// the fold also sums the competency stream's moment blocks and stores
-// their block-order merge on s, where prob.LadderMajority finds it
-// (prob.MomentsMemo). The blocks are summed by the rule UnitMoments
-// follows, so the memo changes who computes the moments, never their bits.
-// A cancelled fold stores nothing.
+// When its chunks are whole prob.MomentBlocks and s holds no moments yet,
+// the fold also sums the stream's moment blocks by prob.UnitMoments' rule
+// and stores their merge on s for prob.LadderMajority (prob.MomentsMemo):
+// the memo changes who computes the moments, never their bits. A cancelled
+// fold stores nothing.
 func EvaluateMajority(ctx context.Context, s *StreamInstance, workers int) (*MajorityResult, error) {
 	nc := s.NumChunks()
 	sums := make([]prob.SumStats, nc)
 	folds := make([]FoldStats, nc)
-	per := s.spec.ChunkSize / prob.MomentBlock
-	var pd []prob.SumStats
+	var pd []prob.SumStats // the stream's moment blocks, per of them a chunk
+	per := 0
 	if s.spec.ChunkSize%prob.MomentBlock == 0 && s.moments.Load() == nil {
+		per = s.spec.ChunkSize / prob.MomentBlock
 		pd = make([]prob.SumStats, (s.spec.N+prob.MomentBlock-1)/prob.MomentBlock)
 	}
 	scratch := make([]Fold, max(1, min(workers, nc)))
 	err := prob.ParallelFor(ctx, nc, workers, func(w, c int) {
-		var blocks []prob.SumStats
-		if pd != nil {
-			blocks = pd[c*per : min(len(pd), (c+1)*per)]
-		}
-		sums[c], folds[c] = scratch[w].ChunkStats(s, c, blocks)
+		sums[c], folds[c] = scratch[w].ChunkStats(s, c, pd[c*per:min(len(pd), (c+1)*per)])
 	})
 	if err != nil {
 		return nil, err

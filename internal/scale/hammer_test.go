@@ -29,7 +29,7 @@ func TestHammerStreamConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	normal := prob.LadderOptions{Force: prob.TierNormal, Workers: 1}
-	refDirect, err := prob.LadderMajority(ctx, prob.SliceSeq{PS: refStream}, normal)
+	refDirect, err := prob.LadderMajority(ctx, prob.SliceSeq(refStream), normal)
 	if err != nil {
 		t.Fatal(err)
 	}

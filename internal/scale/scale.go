@@ -122,11 +122,7 @@ func (s *StreamInstance) NumChunks() int {
 // ChunkBounds returns chunk c's half-open voter index range [lo, hi).
 func (s *StreamInstance) ChunkBounds(c int) (lo, hi int) {
 	lo = c * s.spec.ChunkSize
-	hi = lo + s.spec.ChunkSize
-	if hi > s.spec.N {
-		hi = s.spec.N
-	}
-	return lo, hi
+	return lo, min(lo+s.spec.ChunkSize, s.spec.N)
 }
 
 // AppendRange appends the competencies of voters [lo, hi) to dst. Part of

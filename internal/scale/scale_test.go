@@ -250,8 +250,8 @@ func TestEvaluateMajorityCancellation(t *testing.T) {
 	}
 }
 
-// countdownCtx reports cancellation from its left-th Err call on, so a test
-// can stop a pass part-way through its work.
+// countdownCtx reports cancellation once Err has been called left times, so
+// a test can stop a pass part-way through its work.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int32
@@ -277,14 +277,18 @@ func TestCancelledPassStoresNothing(t *testing.T) {
 	opts := prob.LadderOptions{Force: prob.TierNormal}
 	for _, workers := range []int{1, 2, 4} {
 		opts.Workers = workers
-		for name, ctx := range map[string]func() context.Context{
-			"before": func() context.Context { return cancelled },
-			"part-way": func() context.Context {
+		for _, tc := range []struct {
+			name string
+			ctx  func() context.Context
+		}{
+			{"before", func() context.Context { return cancelled }},
+			{"part-way", func() context.Context {
 				c := &countdownCtx{Context: context.Background()}
 				c.left.Store(3)
 				return c
-			},
+			}},
 		} {
+			name, ctx := tc.name, tc.ctx
 			if _, err := EvaluateMajority(ctx(), s, workers); !errors.Is(err, context.Canceled) {
 				t.Errorf("workers=%d fold cancelled %s: err = %v", workers, name, err)
 			}
