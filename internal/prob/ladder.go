@@ -482,9 +482,9 @@ func KernelInterval(n int, point float64) CertifiedInterval {
 // Poisson binomial over seq's probabilities — on the cheapest ladder tier
 // whose certified half-width fits opts.ErrorBudget (Certify's rule). The
 // normal tier reads seq one MomentBlock per worker at a time (UnitMoments);
-// the kernel tiers materialise the vector (sorted ascending, the kernels' canonical
-// order) only when selected and only below opts.MaxExactN and within
-// opts.CostBudget. When no tier satisfies the constraints the tightest
+// the kernel tiers materialise the vector (sorted ascending, the kernels'
+// canonical order) only when selected and only below opts.MaxExactN and
+// within opts.CostBudget. When no tier satisfies the constraints the tightest
 // certified interval is returned along with ErrBudgetInfeasible, so
 // degrading callers still get a sound answer.
 func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (CertifiedInterval, error) {

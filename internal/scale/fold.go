@@ -157,15 +157,15 @@ func EvaluateMajority(ctx context.Context, s *StreamInstance, workers int) (*Maj
 	nc := s.NumChunks()
 	sums := make([]prob.SumStats, nc)
 	folds := make([]FoldStats, nc)
-	var pd []prob.SumStats // the stream's moment blocks, per of them a chunk
-	per := 0
+	var pd []prob.SumStats // the stream's moment blocks, when the fold sums them
+	perChunk := 0
 	if s.spec.ChunkSize%prob.MomentBlock == 0 && s.moments.Load() == nil {
-		per = s.spec.ChunkSize / prob.MomentBlock
+		perChunk = s.spec.ChunkSize / prob.MomentBlock
 		pd = make([]prob.SumStats, (s.spec.N+prob.MomentBlock-1)/prob.MomentBlock)
 	}
 	scratch := make([]Fold, max(1, min(workers, nc)))
 	err := prob.ParallelFor(ctx, nc, workers, func(w, c int) {
-		sums[c], folds[c] = scratch[w].ChunkStats(s, c, pd[c*per:min(len(pd), (c+1)*per)])
+		sums[c], folds[c] = scratch[w].ChunkStats(s, c, pd[c*perChunk:min(len(pd), (c+1)*perChunk)])
 	})
 	if err != nil {
 		return nil, err
