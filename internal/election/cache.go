@@ -8,8 +8,8 @@ package election
 // canonical sorted multiset, so repeated realizations cost one sort and
 // one map probe instead of a full weighted-majority DP.
 // DirectProbabilityExact gets the same treatment one level up: P^D depends
-// only on the instance, so sweeps that evaluate many mechanisms on one
-// instance run the Poisson-binomial DP once.
+// only on the competency multiset, so sweeps that evaluate many mechanisms
+// on one instance run the Poisson-binomial DP once.
 //
 // Determinism contract (see DESIGN.md "Performance kernels"): the canonical
 // voter ordering is applied on every exact scoring path, cached or not, so
@@ -191,32 +191,46 @@ func ResolutionProbabilityExactCached(in *core.Instance, res *core.Resolution, w
 // scoreCacheMaxEntries for the drop-all eviction rationale.
 const pdCacheMaxEntries = 256
 
-// pdCache memoizes DirectProbabilityExact by instance identity.
-// core.Instance is immutable after construction, so the pointer is a sound
-// key, and the exact branch involves no randomness, so a cached P^D is
-// valid for every caller. Sweeps that score many mechanisms on one
-// instance run the O(n^2) Poisson-binomial DP once.
+// pdCache memoizes the exact P^D by instance content. P^D is a function of
+// the competency multiset alone, and the exact branch involves no
+// randomness, so a cached P^D is valid for every caller: sweeps that score
+// many mechanisms on one instance run the Poisson-binomial DP once, a
+// request that decodes an instance seen before hits, and the memo keeps no
+// instance alive.
 var pdCache = struct {
 	mu sync.Mutex
-	m  map[*core.Instance]float64
-}{m: make(map[*core.Instance]float64)}
+	m  map[string]float64
+}{m: make(map[string]float64)}
 
-// pdCacheGet looks up the memoized exact P^D of in.
-func pdCacheGet(in *core.Instance) (float64, bool) {
+// pdKey encodes in's competency multiset into ws's key buffer: the exact
+// bits of every competency, 8 bytes each, in CompetencyOrder — the
+// ascending order both exact P^D paths sort into. Equal keys imply equal
+// multisets, so a hit returns exactly what the DP would.
+func pdKey(ws *prob.Workspace, in *core.Instance) []byte {
+	b := ws.KeyBuffer(8 * in.N())
+	for _, v := range in.CompetencyOrder() {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Competency(v)))
+	}
+	return b
+}
+
+// pdCacheGet looks up a memoized exact P^D by pdKey.
+func pdCacheGet(key []byte) (float64, bool) {
 	pdCache.mu.Lock()
-	v, ok := pdCache.m[in]
+	v, ok := pdCache.m[string(key)]
 	pdCache.mu.Unlock()
 	return v, ok
 }
 
-// pdCachePut memoizes the exact P^D of in, dropping the whole map at the
-// size bound (see scoreCacheMaxEntries for why eviction is all-or-nothing).
-func pdCachePut(in *core.Instance, v float64) {
+// pdCachePut memoizes an exact P^D under its pdKey, dropping the whole map
+// at the size bound (see scoreCacheMaxEntries for why eviction is
+// all-or-nothing).
+func pdCachePut(key []byte, v float64) {
 	pdCache.mu.Lock()
 	if len(pdCache.m) >= pdCacheMaxEntries {
-		pdCache.m = make(map[*core.Instance]float64)
+		pdCache.m = make(map[string]float64)
 	}
-	pdCache.m[in] = v
+	pdCache.m[string(key)] = v
 	pdCache.mu.Unlock()
 }
 
@@ -226,13 +240,15 @@ func pdCachePut(in *core.Instance, v float64) {
 // resolutionVoters keeps P^M of an everyone-votes-directly delegation
 // bit-identical to P^D (tests and do-no-harm checks rely on the equality).
 func directProbabilityCached(in *core.Instance) (float64, error) {
-	if v, ok := pdCacheGet(in); ok {
+	ws := wsPool.Get().(*prob.Workspace)
+	defer wsPool.Put(ws)
+	// The kernel reads only ws's arena/FFT scratch, so key stays valid.
+	key := pdKey(ws, in)
+	if v, ok := pdCacheGet(key); ok {
 		cDirectHits.Inc()
 		return v, nil
 	}
 	cDirectMisses.Inc()
-	ws := wsPool.Get().(*prob.Workspace)
-	defer wsPool.Put(ws)
 	ps := in.Competencies()
 	sort.Float64s(ps)
 	pb, err := ws.PoissonBinomial(ps)
@@ -240,7 +256,7 @@ func directProbabilityCached(in *core.Instance) (float64, error) {
 		return 0, fmt.Errorf("direct probability: %w", err)
 	}
 	v := pb.ProbMajorityWS(ws)
-	pdCachePut(in, v)
+	pdCachePut(key, v)
 	return v, nil
 }
 

@@ -2,8 +2,11 @@ package election
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
+	"liquid/internal/core"
 	"liquid/internal/graph"
 	"liquid/internal/mechanism"
 	"liquid/internal/prob"
@@ -152,6 +155,39 @@ func TestDirectCacheStability(t *testing.T) {
 	if telemetry.Enabled && after < before+4 {
 		t.Fatalf("direct hits %d -> %d, want at least +4", before, after)
 	}
+}
+
+// TestDirectCacheKeyedByContent: the P^D memo is keyed by competency
+// content, not by instance identity. A separately built instance with the
+// same competencies, in another voter order, hits the entry the first one
+// wrote, and the memo does not keep the first instance alive.
+func TestDirectCacheKeyedByContent(t *testing.T) {
+	ps := randComps(173, 0.3, 0.7, 71)
+	collected := make(chan struct{})
+	func() {
+		a := mustInstance(t, graph.NewComplete(len(ps)), ps)
+		runtime.SetFinalizer(a, func(*core.Instance) { close(collected) })
+		if _, err := DirectProbabilityExact(a); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	rev := make([]float64, len(ps))
+	for i, p := range ps {
+		rev[len(ps)-1-i] = p
+	}
+	b := mustInstance(t, graph.NewComplete(len(rev)), rev)
+	if _, ok := pdCacheGet(pdKey(prob.NewWorkspace(), b)); !ok {
+		t.Fatal("an instance with equal competencies missed the P^D memo")
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the P^D memo keeps its instance alive")
 }
 
 // TestDirectMatchesAllDirectResolution pins the canonicalization contract:

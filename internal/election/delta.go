@@ -276,7 +276,9 @@ func (p *Plan) refreshPDLocked() (float64, error) {
 	v := p.pdTree.ProbCorrectDecision()
 	p.pdStale = false
 	p.pd, p.pdSet = v, true
-	pdCachePut(p.in, v)
+	ws := wsPool.Get().(*prob.Workspace)
+	pdCachePut(pdKey(ws, p.in), v)
+	wsPool.Put(ws)
 	return v, nil
 }
 
@@ -558,7 +560,8 @@ func (s *Scenario) PD() (float64, error) {
 	if in.N() == 0 {
 		return 0, ErrNoVoters
 	}
-	if v, ok := pdCacheGet(in); ok {
+	key := append([]byte(nil), pdKey(s.ws, in)...)
+	if v, ok := pdCacheGet(key); ok {
 		cDirectHits.Inc()
 		return v, nil
 	}
@@ -573,7 +576,7 @@ func (s *Scenario) PD() (float64, error) {
 		return 0, err
 	}
 	v := s.pdTree.ProbCorrectDecision()
-	pdCachePut(in, v)
+	pdCachePut(key, v)
 	return v, nil
 }
 

@@ -12,8 +12,9 @@ import (
 
 // freshEquivalent rebuilds the derived plan's instance from scratch — the
 // plan a caller with no delta machinery would construct — for bit-identity
-// comparison. The fresh instance is a distinct pointer, so it shares no
-// P^D memo with the derived chain.
+// comparison. The P^D memo is keyed by content, so the fresh plan reads the
+// derived chain's memoized P^D; deltaSweepPoints' cache-disabled point is
+// what checks that value against a from-scratch kernel run.
 func freshEquivalent(t *testing.T, p *Plan) *Plan {
 	t.Helper()
 	in := mustInstance(t, p.Instance().Topology(), p.Instance().Competencies())
@@ -247,26 +248,25 @@ func TestScenarioRepointSequence(t *testing.T) {
 	if st := sc.TreeStats(); st.Patches == 0 {
 		t.Fatalf("repoint sequence never patched the retained tree: %+v", st)
 	}
-	// PD through the scenario's own tree must match the transient exact
+	// PD through the scenario's own tree must match the unmemoized exact
 	// evaluator.
 	got, err := sc.PD()
 	if err != nil {
 		t.Fatalf("PD: %v", err)
 	}
-	want, err := DirectProbabilityExact(in)
+	want, err := directProbabilityExactFresh(context.Background(), in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("scenario PD %v != DirectProbabilityExact %v", got, want)
+		t.Fatalf("scenario PD %v != from-scratch %v", got, want)
 	}
 }
 
 // TestScenarioPDAboveExactDirectMaxN: a scenario's P^D is exact at every
 // size, not just where Plan computes P^D exactly. Above ExactDirectMaxN it
-// must still be bit-identical to DirectProbabilityExact on a fresh instance
-// (a distinct pointer, so no memo is shared), also after a competency delta
-// patches the retained tree.
+// must still be bit-identical to the unmemoized exact kernel on a fresh
+// instance, also after a competency delta.
 func TestScenarioPDAboveExactDirectMaxN(t *testing.T) {
 	s := rng.New(rng.Derive(97, "scenario-pd"))
 	for _, n := range []int{ExactDirectMaxN + 1, 9001, 20000} {
@@ -291,12 +291,12 @@ func TestScenarioPDAboveExactDirectMaxN(t *testing.T) {
 			}
 			cur := sc.Plan().Instance()
 			fresh := mustInstance(t, cur.Topology(), cur.Competencies())
-			want, err := DirectProbabilityExact(fresh)
+			want, err := directProbabilityExactFresh(context.Background(), fresh, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d step %d: scenario PD %v != DirectProbabilityExact %v", n, step, got, want)
+				t.Fatalf("n=%d step %d: scenario PD %v != from-scratch %v", n, step, got, want)
 			}
 		}
 	}
@@ -467,7 +467,8 @@ func FuzzDeltaEquivalence(f *testing.F) {
 				t.Fatalf("%s: incremental P^M %v (bits %x) != from-scratch %v (bits %x)",
 					delta.Kind, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
-			// P^D: the plan chain's patched memo vs a fresh instance.
+			// P^D: the scenario's memoized value vs an unmemoized kernel
+			// run on a fresh instance.
 			inCur := sc.Plan().Instance()
 			fresh, err := core.NewInstance(inCur.Topology(), inCur.Competencies())
 			if err != nil {
@@ -477,9 +478,9 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("PD: %v", err)
 			}
-			wantPD, err := DirectProbabilityExact(fresh)
+			wantPD, err := directProbabilityExactFresh(context.Background(), fresh, 1)
 			if err != nil {
-				t.Fatalf("DirectProbabilityExact: %v", err)
+				t.Fatalf("directProbabilityExactFresh: %v", err)
 			}
 			if math.Float64bits(gotPD) != math.Float64bits(wantPD) {
 				t.Fatalf("%s: incremental P^D %v != from-scratch %v", delta.Kind, gotPD, wantPD)

@@ -159,9 +159,9 @@ func DirectProbability(ctx context.Context, in *core.Instance, samples int, s *r
 }
 
 // DirectProbabilityExact returns the exact P^D(G) via the Poisson-binomial
-// DP. Cost is O(n^2) the first time; repeat calls on the same instance hit
-// a process-wide cache (sound because instances are immutable and the
-// exact branch is seed-free; see cache.go).
+// DP. The first call on a competency multiset pays the kernel; repeat
+// calls on any instance with the same competencies hit a process-wide
+// memo (sound because the exact branch is seed-free; see cache.go).
 func DirectProbabilityExact(in *core.Instance) (float64, error) {
 	if in.N() == 0 {
 		return 0, ErrNoVoters

@@ -359,7 +359,10 @@ func (p *Plan) directProbability(ctx context.Context, opts Options, s *rng.Strea
 		return v, nil
 	}
 	p.pdMu.Unlock()
-	v, ok := pdCacheGet(p.in)
+	ws := wsPool.Get().(*prob.Workspace)
+	defer wsPool.Put(ws)
+	key := pdKey(ws, p.in)
+	v, ok := pdCacheGet(key)
 	if ok {
 		cDirectHits.Inc()
 	} else {
@@ -368,12 +371,13 @@ func (p *Plan) directProbability(ctx context.Context, opts Options, s *rng.Strea
 		// The one-off exact table is the natural home for the parallel D&C
 		// tree: it runs before the replication pool exists, so the whole
 		// worker budget is otherwise idle. Bit-identical to the sequential
-		// evaluator for every budget.
+		// evaluator for every budget. It borrows its own workspace, so key
+		// stays valid.
 		v, err = directProbabilityExactFresh(ctx, p.in, opts.Workers)
 		if err != nil {
 			return 0, err
 		}
-		pdCachePut(p.in, v)
+		pdCachePut(key, v)
 	}
 	p.pdMu.Lock()
 	p.pd, p.pdSet = v, true

@@ -198,14 +198,23 @@ func runR4(ctx context.Context, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 		chained := results[0].PD
+		// The scratch P^D comes from a rebuilt instance on a point that
+		// bypasses the P^D memo, which holds the chained value under the
+		// same content, so the check compares against a kernel run.
 		fresh, err := core.NewInstance(plan.Instance().Topology(), plan.Instance().Competencies())
 		if err != nil {
 			return nil, err
 		}
-		scratch, err := election.DirectProbabilityExact(fresh)
+		fplan, err := election.NewPlan(fresh, election.Options{Replications: 1, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
+		fresults, err := election.EvaluateSweep(ctx, fplan, []election.SweepPoint{
+			{Mechanism: direct, Seed: rng.Derive(cfg.Seed, "R4", "growth-eval", report.Itoa(n)), DisableResolutionCache: true}})
+		if err != nil {
+			return nil, err
+		}
+		scratch := fresults[0].PD
 		equal := math.Float64bits(chained) == math.Float64bits(scratch)
 		if !equal {
 			growMismatches++
@@ -255,8 +264,10 @@ func runR4(ctx context.Context, cfg Config) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Bypass the memos: the surrogate's P^D is memoized under this
+		// period's competency content.
 		results, err := election.EvaluateSweep(ctx, fplan, []election.SweepPoint{
-			{Mechanism: mech, Seed: st.EvalSeed}})
+			{Mechanism: mech, Seed: st.EvalSeed, DisableResolutionCache: true}})
 		if err != nil {
 			return nil, err
 		}
