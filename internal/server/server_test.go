@@ -123,7 +123,10 @@ func TestEvaluateBitIdenticalToOffline(t *testing.T) {
 // TestEvaluateSampledPDHasNoTier pins pd_tier above the exact P^D cutoff:
 // one voter past election.ExactDirectMaxN the engine samples P^D, so the
 // exact rung's response must not label it with a kernel tier, whose
-// accuracy a Monte-Carlo estimate does not have.
+// accuracy a Monte-Carlo estimate does not have. The request asks for the
+// longest deadline the server allows: the test asserts the tier label, not
+// latency, and under the race detector the evaluate can outlast the 5 s
+// default.
 func TestEvaluateSampledPDHasNoTier(t *testing.T) {
 	n := election.ExactDirectMaxN + 1
 	spec := make([]string, n)
@@ -131,7 +134,7 @@ func TestEvaluateSampledPDHasNoTier(t *testing.T) {
 		spec[i] = fmt.Sprintf("%g", 0.49+0.02*float64(i)/float64(n))
 	}
 	_, ts := newTestServer(t, server.Config{})
-	body := fmt.Sprintf(`{"instance": {"n": %d, "complete": true, "p": [%s]}, "mechanism": {"name": "approval-threshold", "alpha": 0.05}, "seed": 1, "replications": 2}`, n, strings.Join(spec, ","))
+	body := fmt.Sprintf(`{"instance": {"n": %d, "complete": true, "p": [%s]}, "mechanism": {"name": "approval-threshold", "alpha": 0.05}, "seed": 1, "replications": 2, "deadline_ms": 60000}`, n, strings.Join(spec, ","))
 	resp, data := post(t, ts.URL, "/v1/evaluate", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
