@@ -329,12 +329,11 @@ func BenchmarkMultiDelegationProbability(b *testing.B) {
 	}
 }
 
-// --- incremental re-evaluation (the BENCH_004 trajectory) ---
+// --- delta application (the BENCH_004 trajectory) ---
 
 // benchDeltaInstance is benchInstance with a designated probe voter: voter
 // 2 carries the electorate's highest competency, so a small competency
-// drift keeps its rank in the canonical sorted sequence and the retained
-// tree's diff window stays a single leaf.
+// drift keeps its rank in the canonical sorted sequence.
 func benchDeltaInstance(b *testing.B, n int) *core.Instance {
 	b.Helper()
 	s := rng.New(99)
@@ -370,10 +369,9 @@ func benchDeltaProfile(n int) *core.DelegationGraph {
 func deltaDriftP(i int) float64 { return 0.95 - float64(i+1)*1e-9 }
 
 // benchDeltaSingleVoter measures steady-state single-delta re-evaluation:
-// one retained scenario, each iteration applies a fresh competency delta
-// to the probe voter and re-scores, so the retained tree recomputes one
-// root path instead of rebuilding. Divide benchDeltaScratchSweep at the
-// same n by this to read off the incremental win.
+// one scenario, each iteration applies a fresh competency delta to the
+// probe voter and re-scores it through the memoized exact kernel, on a
+// multiset the score cache has never seen.
 func benchDeltaSingleVoter(b *testing.B, n int) {
 	b.Helper()
 	in := benchDeltaInstance(b, n)
@@ -385,7 +383,7 @@ func benchDeltaSingleVoter(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sc.Score(); err != nil { // warm the retained tree
+	if _, err := sc.Score(); err != nil { // warm the workspace
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -432,11 +430,10 @@ func benchDeltaScratchSweep(b *testing.B, n int) {
 	}
 }
 
-// benchDeltaChurn measures sustained repoint churn: the probing voter
-// rotates across the electorate and every iteration re-points a different
-// voter, so consecutive diffs wander through the weight-sorted multiset —
-// the dynamics/history workload, where windows legitimately cross the
-// rebuild threshold — rather than the single-leaf serving probe.
+// benchDeltaChurn measures sustained repoint churn, the dynamics/history
+// workload: the probing voter rotates across the electorate and every
+// iteration re-points a different voter, so consecutive profiles move
+// sinks between weight runs of the sorted multiset.
 func benchDeltaChurn(b *testing.B, n int) {
 	b.Helper()
 	in := benchDeltaInstance(b, n)

@@ -18,8 +18,7 @@
 //
 // -whatif-delta-frac carves out a slice of delta what-ifs: every such
 // request probes the same shared base election with a short list of
-// incremental edits, the traffic shape the daemon's retained-scenario
-// cache serves without re-evaluating from scratch.
+// incremental edits.
 //
 // With -bench the run writes a schema-stable JSON snapshot
 // ("liquid-bench-serve/1") with the outcome counts, latency percentiles,
@@ -356,10 +355,9 @@ func buildSchedule(seed uint64, n, voters, reps int, deadlineMS int64, whatifF, 
 		case u < malformedF+whatifF+whatifDF:
 			rq.kind = "whatif-delta"
 			rq.path = "/v1/whatif"
-			// Every delta what-if probes the SAME base election — that is
-			// the workload the daemon's retained-scenario cache exists for —
-			// with a short list of upward (acyclic by construction) repoints
-			// and an occasional competency edit, which forces the
+			// Every delta what-if probes the SAME base election with a
+			// short list of upward (acyclic by construction) repoints and
+			// an occasional competency edit, which forces the
 			// instance-level path.
 			k := 1 + int(s.Uint64()%3)
 			deltas := make([]server.DeltaSpec, 0, k+1)
@@ -417,9 +415,7 @@ func buildSchedule(seed uint64, n, voters, reps int, deadlineMS int64, whatifF, 
 }
 
 // baseDelegations is the shared base profile every delta what-if probes:
-// a fixed, acyclic pattern (every third voter delegates one step up), so
-// all delta requests content-address the same retained scenario in the
-// daemon.
+// a fixed, acyclic pattern (every third voter delegates one step up).
 func baseDelegations(voters int) []int {
 	deleg := make([]int, voters)
 	for v := range deleg {
@@ -513,9 +509,8 @@ func fetchStats(base string) (server.Stats, error) {
 
 // offlineWhatIfDelta rebuilds a completed delta what-if response from the
 // request's own body: re-parse it with the daemon's decoder, then score
-// the post-delta election with the exact kernels — a path that shares no
-// retained scenario or patched tree with the daemon, so byte equality
-// certifies the incremental path against from-scratch evaluation.
+// the post-delta election with the exact kernels, so byte equality
+// certifies the served response against offline evaluation.
 func offlineWhatIfDelta(rq request) ([]byte, error) {
 	parsed, aerr := server.ParseWhatIfRequest(rq.body)
 	if aerr != nil {

@@ -48,11 +48,11 @@ func churnInstance(t *testing.T, n int, seed uint64) *core.Instance {
 }
 
 // TestChurnMatchesFromScratch is the bit-identity gate for the churn path:
-// every step's incrementally-patched PM must equal from-scratch exact
-// scoring of the step's Delegation snapshot.
+// every step's PM, scored through the scenario's score cache, must equal
+// from-scratch exact scoring of the step's Delegation snapshot.
 func TestChurnMatchesFromScratch(t *testing.T) {
 	in := churnInstance(t, 60, 11)
-	steps, stats, err := Churn(context.Background(), in, ChurnOptions{Alpha: 0.02, Periods: 15, MovesPerPeriod: 4}, 7)
+	steps, err := Churn(context.Background(), in, ChurnOptions{Alpha: 0.02, Periods: 15, MovesPerPeriod: 4}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,25 +70,22 @@ func TestChurnMatchesFromScratch(t *testing.T) {
 			t.Fatalf("period %d: %v", st.Period, err)
 		}
 		if math.Float64bits(st.PM) != math.Float64bits(want) {
-			t.Fatalf("period %d: incremental PM %v != from-scratch %v", st.Period, st.PM, want)
+			t.Fatalf("period %d: churn PM %v != from-scratch %v", st.Period, st.PM, want)
 		}
 		if st.Delegators != d.NumDelegators() {
 			t.Fatalf("period %d: delegator count %d != %d", st.Period, st.Delegators, d.NumDelegators())
 		}
-	}
-	if stats.Patches == 0 {
-		t.Fatalf("churn never patched the retained tree: %+v", stats)
 	}
 }
 
 func TestChurnDeterminism(t *testing.T) {
 	in := churnInstance(t, 40, 5)
 	opts := ChurnOptions{Alpha: 0.05, Periods: 8, MovesPerPeriod: 3}
-	a, _, err := Churn(context.Background(), in, opts, 21)
+	a, err := Churn(context.Background(), in, opts, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Churn(context.Background(), in, opts, 21)
+	b, err := Churn(context.Background(), in, opts, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +108,11 @@ func TestChurnCancellation(t *testing.T) {
 	in := churnInstance(t, 20, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Churn(ctx, in, ChurnOptions{Alpha: 0.05}, 1); !errors.Is(err, context.Canceled) {
+	if _, err := Churn(ctx, in, ChurnOptions{Alpha: 0.05}, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v", err)
 	}
 	// Mid-sequence: allow two period checks, fail on the third.
-	steps, _, err := Churn(newCountdownCtx(2), in, ChurnOptions{Alpha: 0.05, Periods: 10}, 1)
+	steps, err := Churn(newCountdownCtx(2), in, ChurnOptions{Alpha: 0.05, Periods: 10}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sequence: err = %v", err)
 	}
@@ -126,11 +123,11 @@ func TestChurnCancellation(t *testing.T) {
 
 func TestChurnValidation(t *testing.T) {
 	in := churnInstance(t, 10, 3)
-	if _, _, err := Churn(context.Background(), in, ChurnOptions{Alpha: -1}, 1); !errors.Is(err, ErrInvalidDynamics) {
+	if _, err := Churn(context.Background(), in, ChurnOptions{Alpha: -1}, 1); !errors.Is(err, ErrInvalidDynamics) {
 		t.Fatalf("err = %v", err)
 	}
 	empty := mustInstance(t, graph.NewComplete(0), nil)
-	if _, _, err := Churn(context.Background(), empty, ChurnOptions{}, 1); !errors.Is(err, ErrInvalidDynamics) {
+	if _, err := Churn(context.Background(), empty, ChurnOptions{}, 1); !errors.Is(err, ErrInvalidDynamics) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -11,12 +11,12 @@
 // equilibrium. Starting from all-direct voting, the equilibrium can only
 // improve on direct voting — a game-theoretic route to positive gain.
 //
-// Scoring runs on election.Scenario, the retained incremental evaluator:
-// consecutive candidate profiles differ by one delegation edge, so each
-// candidate costs an O(log n) tree patch instead of a full weighted-majority
-// DP. Scenario scores are bit-identical to ResolutionProbabilityExact, so
-// the dynamics' accepted-move sequence — and every reproduced trace — is
-// unchanged from the transient evaluator it replaced.
+// Scoring runs on election.Scenario: each candidate profile differs from
+// the current one by one delegation edge, and the scenario scores it
+// through the memoized exact kernel, so a candidate whose sink multiset
+// was seen before costs one cache probe. Scenario scores are
+// bit-identical to ResolutionProbabilityExact, so the accepted-move
+// sequence is that of from-scratch scoring.
 package dynamics
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"liquid/internal/core"
 	"liquid/internal/election"
-	"liquid/internal/prob"
 	"liquid/internal/rng"
 )
 
@@ -199,7 +198,7 @@ type ChurnStep struct {
 	// Period is the step index (0-based).
 	Period int
 	// PM is the exact group probability of the profile after the period's
-	// moves, scored incrementally.
+	// moves.
 	PM float64
 	// Delegators counts delegating voters after the period.
 	Delegators int
@@ -211,38 +210,36 @@ type ChurnStep struct {
 // Churn simulates sustained delegation churn: each period a few voters
 // re-point — to a random approved neighbour when that keeps the graph
 // acyclic, otherwise back to direct — and the resulting profile is scored
-// through the retained incremental evaluator. It returns one step per
-// period. Cancelling ctx aborts between periods with ctx's error.
+// through an election.Scenario. It returns one step per period. Cancelling
+// ctx aborts between periods with ctx's error.
 //
 // All randomness derives from seed; equal inputs give bit-identical step
 // sequences. Each step's PM is bit-identical to from-scratch
 // ResolutionProbabilityExact on the step's Delegation snapshot (the churn
-// experiment re-verifies this per step). The returned stats are the
-// retained tree's deterministic patch/rebuild counters over the whole run.
-func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint64) ([]ChurnStep, prob.DeltaTreeStats, error) {
-	var noStats prob.DeltaTreeStats
+// experiment re-verifies this per step).
+func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint64) ([]ChurnStep, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
-		return nil, noStats, err
+		return nil, err
 	}
 	n := in.N()
 	if n == 0 {
-		return nil, noStats, fmt.Errorf("%w: empty instance", ErrInvalidDynamics)
+		return nil, fmt.Errorf("%w: empty instance", ErrInvalidDynamics)
 	}
 	plan, err := election.NewPlan(in, election.Options{})
 	if err != nil {
-		return nil, noStats, err
+		return nil, err
 	}
 	sc, err := election.NewScenario(plan, core.NewDelegationGraph(n))
 	if err != nil {
-		return nil, noStats, err
+		return nil, err
 	}
 	s := rng.New(seed)
 	d := sc.Delegation()
 	steps := make([]ChurnStep, 0, opts.Periods)
 	for period := 0; period < opts.Periods; period++ {
 		if err := ctx.Err(); err != nil {
-			return nil, noStats, err
+			return nil, err
 		}
 		for m := 0; m < opts.MovesPerPeriod; m++ {
 			i := int(s.IntN(n))
@@ -251,12 +248,12 @@ func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint6
 				j = core.NoDelegate
 			}
 			if err := sc.SetDelegate(i, j); err != nil {
-				return nil, noStats, err
+				return nil, err
 			}
 		}
 		pm, err := sc.Score()
 		if err != nil {
-			return nil, noStats, err
+			return nil, err
 		}
 		steps = append(steps, ChurnStep{
 			Period:     period,
@@ -265,5 +262,5 @@ func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint6
 			Delegation: append([]int(nil), d.Delegate...),
 		})
 	}
-	return steps, sc.TreeStats(), nil
+	return steps, nil
 }

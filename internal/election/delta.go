@@ -1,35 +1,31 @@
 package election
 
-// Incremental re-evaluation (DESIGN.md §15). A Plan canonicalises one
-// instance; evolving-graph workloads — delegation churn, BA growth, liquidd
-// what-if queries — evaluate long chains of instances that differ from
-// their predecessor by a handful of voters. ApplyDelta derives the next
-// plan from the previous one instead of starting over:
+// Delta application (DESIGN.md §15). A Plan canonicalises one instance;
+// evolving-graph workloads — delegation churn, BA growth, best-response
+// dynamics, liquidd what-if queries — evaluate chains of elections that
+// differ from their predecessor by a handful of voters. A delta edits the
+// instance (a competency, a voter, an edge) or the delegation profile (a
+// repoint), and the edited election is scored by the memoized exact
+// kernels, exactly as an explicit one would be:
 //
-//   - the ScoreCache is shared: its values are pure functions of canonical
-//     (weight, p) multisets, independent of which instance produced them,
-//     so every multiset the mutated instance re-realizes is a hit;
-//   - the exact P^D is patched through a retained prob.DeltaTree over the
-//     weight-1 competency multiset: a k-voter delta costs O(k log n)
-//     merges instead of the full O(n^2 / FFT) table build
-//     (n <= ExactDirectMaxN only — above that P^D is Monte-Carlo and
-//     seed-dependent, never memoized);
-//   - everything else a Plan owns is either immutable or rebuilt lazily.
+//   - ApplyDelta derives the next plan sharing the receiver's ScoreCache:
+//     its values are pure functions of canonical (weight, p) multisets,
+//     independent of which instance produced them, so every multiset the
+//     mutated instance re-realizes is a hit;
+//   - the exact P^D goes through the process-wide memo keyed by competency
+//     content, so an edit that returns to a multiset seen before is a hit;
+//   - nothing else is carried between edits.
 //
 // Scenario is the delegation-level counterpart: it pins one plan and one
-// delegation profile and re-scores P^M through its own retained tree as
-// the profile is edited. Dynamics (best-response sweeps, churn) and the
-// liquidd what-if endpoint sit on Scenario.
+// delegation profile and scores the profile as it is edited. Dynamics
+// (best-response sweeps, churn) sit on Scenario.
 //
 // The correctness gate for everything in this file is bit-identity: a
 // derived plan must be indistinguishable, byte for byte, from a fresh
 // NewPlan on the mutated instance, and a Scenario score must equal
-// ResolutionProbabilityExact on the same resolution. Both reduce to the
-// DeltaTree's own guarantee (a patched tree equals a from-scratch build)
-// plus using the same canonical voter orders the transient paths use:
-// CompetencyOrder for P^D — ascending competency, which is the value
-// order sort.Float64s produces in directProbabilityCached, competencies
-// being non-negative — and resolutionVoters for P^M.
+// ResolutionProbabilityExact on the same resolution. Both hold because the
+// edited election is scored by the same kernels, in the same canonical
+// voter orders, as a from-scratch one.
 
 import (
 	"fmt"
@@ -212,31 +208,11 @@ func editEdge(in *core.Instance, d Delta) (*core.Instance, error) {
 	return core.NewInstance(g, in.Competencies())
 }
 
-// competencyVoters fills buf with the instance's weight-1 canonical voter
-// sequence — ascending competency, the order both P^D paths score.
-func competencyVoters(in *core.Instance, buf []prob.WeightedVoter) []prob.WeightedVoter {
-	buf = buf[:0]
-	for _, v := range in.CompetencyOrder() {
-		buf = append(buf, prob.WeightedVoter{Weight: 1, P: in.Competency(v)})
-	}
-	return buf
-}
-
 // ApplyDelta derives the plan of the mutated instance. The derived plan is
 // bit-identical in every evaluation to NewPlan on the same mutated
-// instance — EvaluateSweep, P^D, the lot — but shares the receiver's score
-// cache (its values are instance-independent pure functions) and, for
-// n <= ExactDirectMaxN, patches the receiver's retained P^D tree instead of
-// re-running the full table, an O(k log n) update for a k-voter delta.
-//
-// The retained tree MOVES to the derived plan: a chain of ApplyDelta calls
-// (churn, growth) keeps patching one tree, while the receiver — typically
-// retired at that point — falls back to the ordinary memo path if evaluated
-// again. The patch itself is lazy: it runs on the derived plan's first
-// exact P^D read (refreshPDLocked), so delta chains that never ask for P^D
-// — P^M-only what-if probes, churn scoring — pay nothing, and a chain of k
-// unread deltas collapses into one diff when finally read. Repoint deltas
-// are rejected here; apply them through a Scenario.
+// instance — EvaluateSweep, P^D, the lot — and shares the receiver's score
+// cache, whose values are instance-independent pure functions. Repoint
+// deltas are rejected here; apply them through a Scenario.
 func (p *Plan) ApplyDelta(deltas ...Delta) (*Plan, error) {
 	in2, err := applyInstanceDeltas(p.in, deltas)
 	if err != nil {
@@ -245,75 +221,24 @@ func (p *Plan) ApplyDelta(deltas ...Delta) (*Plan, error) {
 	if in2.N() == 0 {
 		return nil, ErrNoVoters
 	}
-	derived := &Plan{in: in2, opts: p.opts, scores: p.scores}
-	if in2.N() > ExactDirectMaxN {
-		return derived, nil
-	}
-	p.pdMu.Lock()
-	derived.pdTree = p.pdTree
-	p.pdTree = nil
-	p.pdMu.Unlock()
-	derived.pdStale = true
-	return derived, nil
+	return p.derive(in2), nil
 }
 
-// refreshPDLocked settles a delta-derived plan's deferred P^D: seed or
-// patch the retained tree against the current instance and memoize its
-// majority mass. Tree results are bit-identical to from-scratch builds, so
-// the memoized value equals what directProbabilityExactFresh would compute
-// — the global pdCache entry it feeds is sound for every future reader.
-// The caller holds p.pdMu.
-func (p *Plan) refreshPDLocked() (float64, error) {
-	voters := competencyVoters(p.in, nil)
-	var err error
-	if p.pdTree == nil {
-		if p.pdTree, err = prob.NewDeltaTree(voters); err != nil {
-			return 0, fmt.Errorf("election: delta P^D tree: %w", err)
-		}
-	} else if err = p.pdTree.Update(voters); err != nil {
-		return 0, fmt.Errorf("election: delta P^D tree: %w", err)
-	}
-	v := p.pdTree.ProbCorrectDecision()
-	p.pdStale = false
-	p.pd, p.pdSet = v, true
-	ws := wsPool.Get().(*prob.Workspace)
-	pdCachePut(pdKey(ws, p.in), v)
-	wsPool.Put(ws)
-	return v, nil
+// derive returns the plan of in with the receiver's options and score
+// cache.
+func (p *Plan) derive(in *core.Instance) *Plan {
+	return &Plan{in: in, opts: p.opts, scores: p.scores}
 }
 
-// DeltaTreeStats returns the retained P^D tree's deterministic counters
-// (zero if the plan has none). Deterministic: pure functions of the
-// ApplyDelta call sequence, safe to render in reproduced tables.
-func (p *Plan) DeltaTreeStats() prob.DeltaTreeStats {
-	p.pdMu.Lock()
-	defer p.pdMu.Unlock()
-	if p.pdTree == nil {
-		return prob.DeltaTreeStats{}
-	}
-	return p.pdTree.Stats()
-}
-
-// Scenario pins one plan and one delegation profile and re-scores the
-// profile incrementally as it is edited. It owns its resolver, workspace,
-// and retained trees — a Scenario is single-threaded scratch, not a shared
-// artifact — and its plan reference advances through derived plans as
-// instance-level deltas arrive.
+// Scenario pins one plan and one delegation profile and scores the profile
+// as it is edited. It owns its resolver and workspace — a Scenario is
+// single-threaded scratch, not a shared artifact — and its plan reference
+// advances through derived plans as instance-level deltas arrive.
 type Scenario struct {
 	plan *Plan
 	d    *core.DelegationGraph
 	rv   core.Resolver
 	ws   *prob.Workspace
-
-	// tree retains the weighted-majority evaluation of the current
-	// resolution's canonical multiset; consecutive scores after small
-	// edits patch it instead of re-running the DP.
-	tree *prob.DeltaTree
-
-	// pdTree retains the scenario's own weight-1 P^D evaluation,
-	// independent of the plan chain's tree so that serving scenarios never
-	// steal a tree the plan chain is still patching.
-	pdTree *prob.DeltaTree
 
 	pm    float64
 	pmSet bool
@@ -358,11 +283,11 @@ func (s *Scenario) Plan() *Plan { return s.plan }
 
 // Delegation returns the scenario's profile. It is the scenario's own
 // mutable copy: callers may read it freely but must route edits through
-// ApplyDelta/SetDelegate so the retained score stays coherent.
+// ApplyDelta/SetDelegate so the memoized score stays coherent.
 func (s *Scenario) Delegation() *core.DelegationGraph { return s.d }
 
 // SetDelegate re-points voter i to j (core.NoDelegate for direct),
-// invalidating the retained score. It is the primitive behind
+// invalidating the memoized score. It is the primitive behind
 // DeltaRepoint, exposed directly for tight loops (best-response sweeps
 // try many candidate targets per voter).
 func (s *Scenario) SetDelegate(i, j int) error {
@@ -380,8 +305,7 @@ func (s *Scenario) SetDelegate(i, j int) error {
 }
 
 // SetDelegation replaces the whole profile (the scenario keeps its own
-// copy). The retained tree diffs the next Score against whatever it last
-// evaluated, so rebasing between nearby profiles stays cheap.
+// copy).
 func (s *Scenario) SetDelegation(d *core.DelegationGraph) error {
 	if d.N() != s.plan.Instance().N() {
 		return fmt.Errorf("%w: delegation over %d voters for instance of %d", core.ErrInvalidDelegation, d.N(), s.plan.Instance().N())
@@ -392,37 +316,25 @@ func (s *Scenario) SetDelegation(d *core.DelegationGraph) error {
 	return nil
 }
 
-// ApplyDelta applies deltas in order: repoints edit the profile in place,
+// ApplyDelta applies deltas in order: repoints edit the profile, and
 // instance-level deltas advance the plan chain and remap the profile where
-// ids shift. On error the scenario is left unchanged (deltas are staged
-// against copies until all validate).
+// ids shift. The deltas are staged through PreviewDeltas, so on error the
+// scenario is left unchanged.
 func (s *Scenario) ApplyDelta(deltas ...Delta) error {
-	plan := s.plan
-	d := copyDelegation(s.d)
-	profileEdited := false
-	for _, dl := range deltas {
-		if dl.Kind != DeltaRepoint {
-			p2, err := plan.ApplyDelta(dl)
-			if err != nil {
-				return err
-			}
-			plan = p2
-		}
-		switch dl.Kind {
-		case DeltaRepoint, DeltaAddVoter, DeltaRemoveVoter:
-			profileEdited = true
-		}
-		d2, err := applyProfileDelta(d, dl)
-		if err != nil {
-			return err
-		}
-		d = d2
+	in, d, err := PreviewDeltas(s.plan.Instance(), s.d, deltas...)
+	if err != nil {
+		return err
 	}
-	s.plan = plan
+	if in != s.plan.Instance() {
+		s.plan = s.plan.derive(in)
+	}
 	s.d = d
 	s.pmSet = false
-	if profileEdited {
-		s.lastRes = nil
+	for _, dl := range deltas {
+		switch dl.Kind {
+		case DeltaRepoint, DeltaAddVoter, DeltaRemoveVoter:
+			s.lastRes = nil
+		}
 	}
 	return nil
 }
@@ -459,11 +371,10 @@ func applyProfileDelta(d *core.DelegationGraph, dl Delta) (*core.DelegationGraph
 }
 
 // PreviewDeltas applies deltas to an instance and delegation profile
-// without any plan or retained-tree work: the same per-delta validation
-// and profile remapping Scenario.ApplyDelta performs, minus the
-// evaluation state. Serving layers use it to validate a delta list — and
-// resolve the post-delta profile for cycle rejection — before paying for
-// admission. The inputs are never mutated.
+// without any plan: the per-delta validation and profile remapping that
+// Scenario.ApplyDelta stages through. Serving layers use it to validate a
+// delta list — and resolve the post-delta profile for cycle rejection —
+// before paying for admission. The inputs are never mutated.
 func PreviewDeltas(in *core.Instance, d *core.DelegationGraph, deltas ...Delta) (*core.Instance, *core.DelegationGraph, error) {
 	if d.N() != in.N() {
 		return nil, nil, fmt.Errorf("%w: delegation over %d voters for instance of %d", core.ErrInvalidDelegation, d.N(), in.N())
@@ -514,16 +425,16 @@ func removeVoterFromDelegation(d *core.DelegationGraph, v int) *core.DelegationG
 	return out
 }
 
-// Score resolves the profile and returns P^M exactly — bit-identical to
-// ResolutionProbabilityExact on the same instance and profile — patching
-// the retained tree with whatever changed since the last Score.
+// Score resolves the profile and returns P^M exactly through the memoized
+// kernel and the plan's shared score cache — bit-identical to
+// ResolutionProbabilityExact on the same instance and profile.
 func (s *Scenario) Score() (float64, error) {
 	if s.pmSet {
 		return s.pm, nil
 	}
 	res := s.lastRes
-	var err error
 	if res == nil {
+		var err error
 		if res, err = s.rv.Resolve(s.d); err != nil {
 			return 0, err
 		}
@@ -536,48 +447,18 @@ func (s *Scenario) Score() (float64, error) {
 		delegators:   res.Delegators,
 		longestChain: res.LongestChain,
 	}
-	// The same canonical multiset every exact scoring path uses; the tree
-	// then matches ResolutionProbabilityExact byte for byte (empty multiset
-	// included: the all-abstained PMF is the point mass at zero, whose
-	// strict majority probability is 0, the cached path's early return).
-	voters := resolutionVoters(s.plan.Instance(), res, s.ws)
-	if s.tree == nil {
-		if s.tree, err = prob.NewDeltaTree(voters); err != nil {
-			return 0, err
-		}
-	} else if err = s.tree.Update(voters); err != nil {
+	pm, err := ResolutionProbabilityExactCached(s.plan.Instance(), res, s.ws, s.plan.scores)
+	if err != nil {
 		return 0, err
 	}
-	s.pm = s.tree.ProbCorrectDecision()
-	s.pmSet = true
-	return s.pm, nil
+	s.pm, s.pmSet = pm, true
+	return pm, nil
 }
 
-// PD returns the instance's exact P^D through the scenario's own retained
-// tree, at every n. Bit-identical to DirectProbabilityExact.
+// PD returns the instance's exact P^D at every n: DirectProbabilityExact,
+// memoized by competency content.
 func (s *Scenario) PD() (float64, error) {
-	in := s.plan.Instance()
-	if in.N() == 0 {
-		return 0, ErrNoVoters
-	}
-	key := append([]byte(nil), pdKey(s.ws, in)...)
-	if v, ok := pdCacheGet(key); ok {
-		cDirectHits.Inc()
-		return v, nil
-	}
-	cDirectMisses.Inc()
-	voters := competencyVoters(in, s.ws.VoterBuffer(in.N()))
-	var err error
-	if s.pdTree == nil {
-		if s.pdTree, err = prob.NewDeltaTree(voters); err != nil {
-			return 0, err
-		}
-	} else if err = s.pdTree.Update(voters); err != nil {
-		return 0, err
-	}
-	v := s.pdTree.ProbCorrectDecision()
-	pdCachePut(key, v)
-	return v, nil
+	return DirectProbabilityExact(s.plan.Instance())
 }
 
 // Structural accessors for the last scored resolution (valid after Score).
@@ -597,12 +478,3 @@ func (s *Scenario) Delegators() int { return s.res.delegators }
 // LongestChain returns the longest delegation chain of the last scored
 // resolution.
 func (s *Scenario) LongestChain() int { return s.res.longestChain }
-
-// TreeStats returns the retained P^M tree's deterministic counters (zero
-// before the first Score).
-func (s *Scenario) TreeStats() prob.DeltaTreeStats {
-	if s.tree == nil {
-		return prob.DeltaTreeStats{}
-	}
-	return s.tree.Stats()
-}

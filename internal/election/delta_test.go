@@ -48,7 +48,7 @@ func requirePlanEquivalence(t *testing.T, label string, derived *Plan, points []
 func deltaSweepPoints(seed uint64) []SweepPoint {
 	pts := sweepPoints(seed)
 	// A cache-disabled point recomputes P^D and every resolution score
-	// from scratch; if the patched memo ever diverged from the true value
+	// from scratch; if the memoized P^D ever diverged from the true value
 	// it would disagree with the cached points' PD.
 	pts = append(pts, SweepPoint{Mechanism: pts[0].Mechanism, Seed: pts[0].Seed, DisableResolutionCache: true})
 	return pts
@@ -57,10 +57,11 @@ func deltaSweepPoints(seed uint64) []SweepPoint {
 func TestApplyDeltaCompetencyChain(t *testing.T) {
 	s := rng.New(90)
 	in := randomInstance(t, 60, 0.3, 0.9, s)
-	plan, err := NewPlan(in, Options{Replications: 8, Workers: 2, Seed: 7})
+	base, err := NewPlan(in, Options{Replications: 8, Workers: 2, Seed: 7})
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
+	plan := base
 	for step := 0; step < 8; step++ {
 		v := int(s.IntN(plan.Instance().N()))
 		plan, err = plan.ApplyDelta(Delta{Kind: DeltaCompetency, Voter: v, P: 0.3 + 0.6*s.Float64()})
@@ -69,24 +70,15 @@ func TestApplyDeltaCompetencyChain(t *testing.T) {
 		}
 		requirePlanEquivalence(t, "competency chain", plan, deltaSweepPoints(uint64(step)))
 	}
-	// A competency change relocates the voter inside the sorted sequence,
-	// so the diff window spans old and new rank — short moves patch, long
-	// moves legitimately cross the rebuild threshold.
-	st := plan.DeltaTreeStats()
-	if st.Patches == 0 {
-		t.Fatalf("chain of single-voter deltas never patched, stats %+v", st)
-	}
-	// The first ApplyDelta seeds the tree (a build); the remaining seven
-	// patch or rebuild it.
-	if st.Builds != 1 || st.Patches+st.Rebuilds != 7 {
-		t.Fatalf("expected 1 build + 7 updates, stats %+v", st)
+	// The whole chain shares the base plan's score cache.
+	if plan.scores != base.scores {
+		t.Fatal("derived plan does not share the base plan's score cache")
 	}
 }
 
 // TestApplyDeltaChainWithoutReads drives a delta chain that never reads
-// P^D between steps: the deferred refresh must collapse the whole chain
-// into a single tree settle at the final read, and the settled value must
-// still be bit-identical to a from-scratch plan.
+// P^D between steps: the first read, at the end of the chain, must still
+// be bit-identical to a from-scratch plan.
 func TestApplyDeltaChainWithoutReads(t *testing.T) {
 	s := rng.New(93)
 	in := randomInstance(t, 60, 0.3, 0.9, s)
@@ -101,16 +93,7 @@ func TestApplyDeltaChainWithoutReads(t *testing.T) {
 			t.Fatalf("step %d: ApplyDelta: %v", step, err)
 		}
 	}
-	// No evaluation has happened yet, so the chain is still unsettled: the
-	// base plan had no tree to move, and no step forced one into existence.
-	if st := plan.DeltaTreeStats(); st.Builds+st.Patches+st.Rebuilds != 0 {
-		t.Fatalf("unread chain already touched the tree, stats %+v", st)
-	}
 	requirePlanEquivalence(t, "unread chain", plan, deltaSweepPoints(9))
-	// The single read settles the whole 8-delta chain with one build.
-	if st := plan.DeltaTreeStats(); st.Builds != 1 || st.Patches+st.Rebuilds != 0 {
-		t.Fatalf("expected one deferred build and no per-step updates, stats %+v", st)
-	}
 }
 
 func TestApplyDeltaVotersAndEdges(t *testing.T) {
@@ -245,11 +228,7 @@ func TestScenarioRepointSequence(t *testing.T) {
 		}
 		requireScenarioMatchesScratch(t, "repoint", sc)
 	}
-	if st := sc.TreeStats(); st.Patches == 0 {
-		t.Fatalf("repoint sequence never patched the retained tree: %+v", st)
-	}
-	// PD through the scenario's own tree must match the unmemoized exact
-	// evaluator.
+	// PD through the scenario must match the unmemoized exact evaluator.
 	got, err := sc.PD()
 	if err != nil {
 		t.Fatalf("PD: %v", err)
@@ -378,10 +357,10 @@ func TestScenarioFailedDeltaLeavesStateIntact(t *testing.T) {
 }
 
 // FuzzDeltaEquivalence drives a random instance through a random delta
-// sequence and demands, at every step, bit-identity between the
-// incremental path (Scenario + plan chain) and from-scratch evaluation of
-// the mutated state. This is the correctness gate for the whole
-// incremental engine, wired into make-check's fuzz-smoke stage.
+// sequence and demands, at every step, bit-identity between the delta path
+// (Scenario + plan chain, memoized kernels) and unmemoized from-scratch
+// evaluation of the mutated state. This is the correctness gate for delta
+// application, wired into make-check's fuzz-smoke stage.
 func FuzzDeltaEquivalence(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{12, 0, 200, 100, 3, 50, 1, 9, 9, 2, 2, 2, 0, 255, 63, 17})
@@ -450,7 +429,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			if err := sc.ApplyDelta(delta); err != nil {
 				t.Fatalf("ApplyDelta(%s): %v", delta.Kind, err)
 			}
-			// P^M: incremental score vs transient exact path.
+			// P^M: the scenario's cached score vs the uncached exact path.
 			got, err := sc.Score()
 			if err != nil {
 				t.Fatalf("Score: %v", err)
@@ -464,7 +443,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 				t.Fatalf("ResolutionProbabilityExact: %v", err)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: incremental P^M %v (bits %x) != from-scratch %v (bits %x)",
+				t.Fatalf("%s: scenario P^M %v (bits %x) != from-scratch %v (bits %x)",
 					delta.Kind, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 			// P^D: the scenario's memoized value vs an unmemoized kernel
@@ -483,7 +462,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 				t.Fatalf("directProbabilityExactFresh: %v", err)
 			}
 			if math.Float64bits(gotPD) != math.Float64bits(wantPD) {
-				t.Fatalf("%s: incremental P^D %v != from-scratch %v", delta.Kind, gotPD, wantPD)
+				t.Fatalf("%s: scenario P^D %v != from-scratch %v", delta.Kind, gotPD, wantPD)
 			}
 		}
 	})

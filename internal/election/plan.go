@@ -53,19 +53,9 @@ type Plan struct {
 
 	// pd memoizes the exact P^D table's majority mass (n <= ExactDirectMaxN
 	// only; the Monte-Carlo branch is seed-dependent and stays per-point).
-	// pdStale marks a delta-derived plan whose retained tree has not been
-	// brought up to this instance yet; the first exact read settles it.
-	pdMu    sync.Mutex
-	pd      float64
-	pdSet   bool
-	pdStale bool
-
-	// pdTree is the retained weight-1 evaluation tree behind the memoized
-	// P^D, present only on plans that have been through ApplyDelta (or
-	// seeded one). ApplyDelta MOVES it to the derived plan — along a chain
-	// of derived plans (churn sequences, growth experiments) each step then
-	// pays one O(log n) patch instead of the full DP. See delta.go.
-	pdTree *prob.DeltaTree
+	pdMu  sync.Mutex
+	pd    float64
+	pdSet bool
 }
 
 // NewPlan canonicalises in and returns a Plan carrying opts as the base
@@ -345,17 +335,6 @@ func (p *Plan) directProbability(ctx context.Context, opts Options, s *rng.Strea
 		v := p.pd
 		p.pdMu.Unlock()
 		cDirectHits.Inc()
-		return v, nil
-	}
-	if p.pdStale {
-		// Delta-derived plan: settle the deferred tree patch rather than
-		// re-running the full table.
-		v, err := p.refreshPDLocked()
-		p.pdMu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		cDirectMisses.Inc()
 		return v, nil
 	}
 	p.pdMu.Unlock()

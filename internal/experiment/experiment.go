@@ -143,7 +143,7 @@ var registry = []Definition{
 	{ID: "A3", Title: "Ablation: exact DP vs Monte-Carlo engine", Claim: "The exact weighted-majority DP and the sampling engine agree within sampling error.", Run: runA3},
 	{ID: "R1", Title: "Robustness: availability faults and recovery policies", Claim: "When sinks go down or voters abstain, do-no-harm degrades gracefully: losing the stranded weight hurts measurably, while fallback-to-direct and redelegation recover most of it; with no faults the recovery machinery is bit-for-bit invisible.", Run: runR1},
 	{ID: "R2", Title: "Robustness: crash faults and partitions in the distributed protocol", Claim: "The crash-tolerant convergecast accounts for every weight unit under crash-stop faults, partitions, duplication and reordering (live + trapped == n), benign plans reproduce the fault-free run exactly, and the surviving election degrades only with the weight actually trapped at crashed nodes.", Run: runR2},
-	{ID: "R3", Title: "Robustness: sustained delegation churn under incremental re-evaluation", Claim: "A retained evaluation scenario absorbs per-period delegation churn through in-place updates of a single persistent convolution tree while every period's P^M stays bit-identical to from-scratch exact scoring; below mean competency 1/2 the churned profiles still beat direct voting on average (the variance thesis is robust to who exactly delegates).", Run: runR3},
+	{ID: "R3", Title: "Robustness: sustained delegation churn under incremental re-evaluation", Claim: "An evaluation scenario absorbs per-period delegation churn, scoring each period through the memoized exact kernels, while every period conserves its n votes and its P^M stays bit-identical to from-scratch exact scoring; below mean competency 1/2 the churned profiles still beat direct voting on average (the variance thesis is robust to who exactly delegates).", Run: runR3},
 	{ID: "R4", Title: "Robustness: evolving electorates via add-voter and competency deltas", Claim: "Growing a preferential-attachment electorate one add-voter delta at a time, and replaying a partial-participation track record through sparse competency deltas, both keep the chained plan bit-identical to from-scratch instances at every step — incremental re-evaluation is exact on structurally evolving elections, where direct voting decays below mean 1/2 and misdelegation stays controlled as records accumulate.", Run: runR4},
 	{ID: "S1", Title: "Scale: max-weight blowup on a streamed million-voter electorate", Claim: "Streaming a 10^6-voter electorate in fixed-size chunks, raising the delegation fraction concentrates weight on fewer sinks and inflates both the maximum sink weight and the standard deviation of the correct-vote count — the variance manipulation of the title — which in turn widens the certifiable interval; at moderate delegation the certificate from folded sufficient statistics stays inside the error budget, and the direct vote resolves through the ladder's normal tier within 1e-3, all without any worker materialising the full instance.", Run: runS1},
 	{ID: "S2", Title: "Scale: approximation-ladder tier escalation and certified containment", Claim: "With a fixed 1e-3 error budget, the approximation ladder auto-selects the cheapest sound tier at every size — exact DP for small prefixes, FFT divide-and-conquer at the cost-model crossover, normal-plus-Hoeffding certification once concentration makes the analytic band tight — escalating monotonically with n and always returning an interval that contains the exact tail mass wherever the quadratic reference is feasible.", Run: runS2},

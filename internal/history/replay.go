@@ -5,11 +5,10 @@ package history
 // (observed-accuracy) instance drifts a few competencies per period, and
 // mechanisms are re-evaluated against the drifting surrogate. The
 // surrogate plan advances through election.Plan.ApplyDelta — one sparse
-// competency-delta batch per period — so a T-period replay pays one plan
-// construction plus T incremental patches, while remaining bit-identical
-// to rebuilding the plan from scratch every period (the R4 experiment
-// re-verifies this per period using each step's EvalSeed and
-// Competencies snapshot).
+// competency-delta batch per period, sharing one score cache across the
+// replay — while remaining bit-identical to rebuilding the plan from
+// scratch every period (the R4 experiment re-verifies this per period
+// using each step's EvalSeed and Competencies snapshot).
 
 import (
 	"context"
@@ -85,7 +84,7 @@ type ReplayStep struct {
 // advanced by the period's sparse competency deltas via ApplyDelta, the
 // mechanism is evaluated on the surrogate (SurrogatePD/PM), and one
 // realized delegation profile is scored against the true instance through
-// a retained Scenario (TruthPM, Misdelegation).
+// a Scenario (TruthPM, Misdelegation).
 //
 // All randomness derives from seed. Results are bit-identical for every
 // Workers value (the exact scoring paths are worker-independent, and all

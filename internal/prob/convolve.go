@@ -1,8 +1,8 @@
 package prob
 
 // The convolution engine: every exact PMF in this package — Poisson
-// binomial, weighted majority, transient or retained in a DeltaTree — is
-// the distribution of a weighted sum of independent voters, and one engine
+// binomial and weighted majority, sequential or fork-join — is the
+// distribution of a weighted sum of independent voters, and one engine
 // computes it. The voter set is split (weight-balanced), each half's PMF is
 // computed recursively, and the halves are merged by convolution. With FFT
 // merges the work is O(W log^2 W) on total weight W instead of the naive
@@ -47,6 +47,21 @@ func fftMergeCost(resultLen int) int64 {
 	return fftUnitCost * m * int64(lg)
 }
 
+// DeltaUpdateCost is the serving layer's delta admission class
+// (server.EstimateWhatIfDeltaCost) in DP units, the same units as
+// PoissonBinomialDPCost and WeightedMajorityDPCost: two root-sized FFT
+// merges of total weight w, the price of patching one leaf of a
+// weight-balanced convolution tree. A delta what-if runs the full exact
+// kernels on the post-delta election, so this prices less work than the
+// engine does; it stays the delta class until admission is calibrated
+// against the engine's own decisions.
+func DeltaUpdateCost(w int) int64 {
+	if w <= 0 {
+		return 1
+	}
+	return 2 * fftMergeCost(w+1)
+}
+
 // PoissonBinomialDPCost returns the DP-unit cost of the exact n-voter
 // Poisson-binomial table (the naive quadratic DP, sum_{i=1..n} i updates;
 // the D&C evaluator only ever does less work). Exported so admission
@@ -86,7 +101,7 @@ func dcLeaf(k, w int, gain int64) bool {
 // segment's, which keeps both convolution operands (and so the padded FFT
 // size) small. Every decision depends only on prefix-weight differences
 // inside the segment, so a segment's PMF is a pure function of its
-// contents wherever it sits — the property DeltaTree's reuse rests on.
+// contents wherever it sits.
 func dcSplit(pw []int64, lo, hi int) (mid int, leaf bool) {
 	target := pw[lo] + (pw[hi]-pw[lo])/2
 	a, b := lo+1, hi-1

@@ -269,9 +269,8 @@ func TestClassifyExactTierMatchesEngineRoot(t *testing.T) {
 // FuzzConvolutionEquivalence feeds arbitrary voter encodings through the
 // convolution engine and requires total-variation agreement with the naive
 // DP, plus bit-identity wherever the engine promises it: across fork-join
-// worker budgets, between a retained DeltaTree and the transient
-// evaluator, and between the Poisson-binomial and weighted entry points on
-// unit weights. Wired into the `make check` fuzz-smoke stage.
+// worker budgets, and between the Poisson-binomial and weighted entry
+// points on unit weights. Wired into the `make check` fuzz-smoke stage.
 func FuzzConvolutionEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(10), uint8(4))
 	f.Add(uint64(7), uint16(300), uint8(1))
@@ -302,13 +301,6 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 				t.Fatalf("seed=%d n=%d maxW=%d: %d workers differ from sequential", seed, nv, mw, workers)
 			}
 		}
-		dt, err := NewDeltaTree(voters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalBits(want, dt.PMF()) {
-			t.Fatalf("seed=%d n=%d maxW=%d: DeltaTree PMF differs from PMFWS", seed, nv, mw)
-		}
 
 		ps := make([]float64, nv)
 		for i, v := range voters {
@@ -326,4 +318,23 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 			t.Fatalf("seed=%d n=%d: unit-weight PoissonBinomial differs from WeightedMajority", seed, nv)
 		}
 	})
+}
+
+func TestDeltaUpdateCost(t *testing.T) {
+	if c := DeltaUpdateCost(0); c != 1 {
+		t.Fatalf("DeltaUpdateCost(0) = %d, want 1", c)
+	}
+	prev := int64(0)
+	for _, w := range []int{1, 10, 100, 2000, 20000} {
+		c := DeltaUpdateCost(w)
+		if c <= 0 || c < prev {
+			t.Fatalf("DeltaUpdateCost(%d) = %d not positive/monotone", w, c)
+		}
+		prev = c
+	}
+	// The delta price must stay well under the full evaluation cost for
+	// large n — otherwise the serving cost class would never prefer deltas.
+	if full, delta := WeightedMajorityDPCost(2000, 2000), DeltaUpdateCost(2000); delta*10 > full {
+		t.Fatalf("DeltaUpdateCost(2000)=%d not <= 1/10 of DP cost %d", delta, full)
+	}
 }

@@ -21,14 +21,4 @@ var (
 	cWorkspaceResets = telemetry.NewCounter("prob/workspace_resets")
 	cArenaGrows      = telemetry.NewCounter("prob/arena_grows")
 	cArenaFallbacks  = telemetry.NewCounter("prob/arena_fallback_allocs")
-
-	// DeltaTree update telemetry: cDeltaPatches counts Updates that reused
-	// the retained tree through the diff window, cDeltaRebuilds counts
-	// Updates that crossed the cost threshold and rebuilt from scratch, and
-	// cDeltaNodesReused counts subtrees carried over unchanged. The
-	// deterministic per-tree equivalents live in DeltaTreeStats; these
-	// aggregates exist for process-wide observability (liquidd /statsz).
-	cDeltaPatches     = telemetry.NewCounter("prob/delta_patches")
-	cDeltaRebuilds    = telemetry.NewCounter("prob/delta_rebuilds")
-	cDeltaNodesReused = telemetry.NewCounter("prob/delta_nodes_reused")
 )

@@ -30,11 +30,11 @@ func EstimateCost(n, replications int, exactLimit int64) int64 {
 }
 
 // EstimateWhatIfDeltaCost prices a delta what-if against an n-voter
-// post-delta election: resolving the profile is O(n), and each delta plus
-// the final rebase patches the retained trees at the root-path merge cost
-// of one leaf update. Saturated at the explicit-profile cost — a delta
-// request never out-prices the from-scratch evaluation it replaces, which
-// is exactly the admission-visible form of the incremental win.
+// post-delta election: O(n) to resolve the profile, plus
+// prob.DeltaUpdateCost(n) for each delta and one more, saturated at the
+// explicit-profile cost. A delta what-if runs the same exact kernels as an
+// explicit one, so this class prices it below EstimateCost; it keeps its
+// values until admission is calibrated against the engine.
 func EstimateWhatIfDeltaCost(n, deltas int, exactLimit int64) int64 {
 	cost := int64(n) + int64(deltas+1)*prob.DeltaUpdateCost(n)
 	if full := EstimateCost(n, 1, exactLimit); cost > full {

@@ -135,9 +135,7 @@ type EvaluateRequest struct {
 // score against an instance. Delegations has one entry per voter: the
 // delegate's index, or -1 for a direct vote. Deltas, when present, are
 // incremental edits applied in order on top of the base (instance,
-// delegations) pair; the response scores the post-delta election, and the
-// daemon serves repeated deltas against the same base through a retained
-// evaluation scenario instead of re-evaluating from scratch.
+// delegations) pair; the response scores the post-delta election.
 type WhatIfRequest struct {
 	Instance    InstanceSpec `json:"instance"`
 	Delegations []int        `json:"delegations"`
@@ -168,8 +166,8 @@ type DeltaSpec struct {
 	Edges  []int   `json:"edges,omitempty"`
 }
 
-// maxDeltas caps the delta list per request; the retained-scenario win is
-// for short edit lists, and an unbounded list is just a slow full rebuild.
+// maxDeltas caps the delta list per request: deltas describe short edits
+// of a base election, and each one rebuilds the instance at parse time.
 const maxDeltas = 256
 
 // parseDelta maps one wire delta onto the election type, with the typed

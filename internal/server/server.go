@@ -140,8 +140,6 @@ type Server struct {
 	hLatency      *telemetry.Histogram
 	cRequests     *telemetry.Counter
 	cWhatIfDeltas *telemetry.Counter
-
-	scenarios *scenarioCache
 }
 
 // New builds a Server and starts its worker shards.
@@ -155,7 +153,6 @@ func New(cfg Config) *Server {
 		hLatency:      telemetry.NewHistogram("server/latency_seconds", 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10),
 		cRequests:     telemetry.NewCounter("server/requests"),
 		cWhatIfDeltas: telemetry.NewCounter("server/whatif_deltas"),
-		scenarios:     newScenarioCache(),
 	}
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("POST /v1/whatif", s.handleWhatIf)
@@ -346,10 +343,9 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(parsed.Req.DeadlineMS))
 	defer cancel()
 
-	// The exact price decides affordability. Delta requests get their own
-	// cost class: patching a retained scenario is far cheaper than a
-	// from-scratch evaluation, and pricing it honestly is what lets the
-	// daemon admit a deeper what-if stream at the same cost budget.
+	// The exact price decides affordability. Delta requests keep their own
+	// cost class (EstimateWhatIfDeltaCost), although they are scored by the
+	// same exact kernels as explicit ones.
 	exactCost := EstimateCost(parsed.Instance.N(), 1, s.cfg.ExactCostLimit)
 	if len(parsed.Deltas) > 0 {
 		s.cWhatIfDeltas.Inc()
@@ -535,9 +531,9 @@ func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int,
 }
 
 // whatIf scores one explicit delegation profile, always the post-delta
-// election. The exact evaluators exist only when the deadline affords the
-// request's exact price: the retained scenario's PD/Score for delta
-// requests, the memoized exact kernels otherwise. Both give the same bits.
+// election, which request parsing has already built and resolved. The
+// exact evaluators, the memoized exact kernels, exist only when the
+// deadline affords the request's exact price.
 func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Resolution, exactCost int64) (*WhatIfResponse, error) {
 	budget := s.budget(ctx)
 	if budget <= 0 {
@@ -552,23 +548,12 @@ func (s *Server) whatIf(ctx context.Context, parsed *ParsedWhatIf, res *core.Res
 		LongestChain:  res.LongestChain,
 		DeltasApplied: len(parsed.Deltas),
 	}
-	score := func(pdExact, pmExact func() (float64, error)) error {
-		return resp.certify(parsed.Req.ErrorBudget, in, res, pdExact, pmExact)
+	var pdExact, pmExact func() (float64, error)
+	if s.affords(exactCost, budget) {
+		pdExact = func() (float64, error) { return election.DirectProbabilityExact(in) }
+		pmExact = func() (float64, error) { return election.ResolutionProbabilityExact(in, res) }
 	}
-	var err error
-	switch {
-	case !s.affords(exactCost, budget):
-		err = score(nil, nil)
-	case len(parsed.Deltas) > 0:
-		err = s.scenarios.score(parsed, s.cfg.ExactCostLimit, func(sc *election.Scenario) error {
-			return score(sc.PD, sc.Score)
-		})
-	default:
-		err = score(
-			func() (float64, error) { return election.DirectProbabilityExact(in) },
-			func() (float64, error) { return election.ResolutionProbabilityExact(in, res) })
-	}
-	if err != nil {
+	if err := resp.certify(parsed.Req.ErrorBudget, in, res, pdExact, pmExact); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -714,9 +714,8 @@ func deltaBody(instJSON string, delegations string, deltasJSON string) string {
 	return fmt.Sprintf(`{"instance": %s, "delegations": %s, "deltas": %s}`, instJSON, delegations, deltasJSON)
 }
 
-// offlineWhatIfDelta recomputes a delta what-if response from scratch:
-// apply the deltas offline, resolve, and score with the exact kernels —
-// a path that shares no retained state with the daemon.
+// offlineWhatIfDelta recomputes a delta what-if response offline: apply
+// the deltas, resolve, and score with the exact kernels.
 func offlineWhatIfDelta(t *testing.T, in *core.Instance, delegations []int, deltas []election.Delta) server.WhatIfResponse {
 	t.Helper()
 	d := core.NewDelegationGraph(in.N())
@@ -772,16 +771,15 @@ func postWhatIfDelta(t *testing.T, url string, in *core.Instance, instJSON, dele
 
 // TestWhatIfDeltaBitIdentical is the delta endpoint's core contract: a
 // served delta response is byte-identical to applying the deltas and
-// scoring from scratch offline — including on repeats (retained-scenario
-// reuse) and across different edits of the same base (rebase after
-// mutation).
+// scoring from scratch offline — including on repeats and across
+// different edits of the same base.
 func TestWhatIfDeltaBitIdentical(t *testing.T) {
 	in, instJSON := testInstance(t, 9)
 	_, ts := newTestServer(t, server.Config{})
 	delegations := `[8, 8, -1, -1, -1, -1, -1, -1, -1]`
 	baseDeleg := []int{8, 8, -1, -1, -1, -1, -1, -1, -1}
 
-	// Repoint-only probe, twice: the second hits the retained scenario.
+	// Repoint-only probe, twice.
 	repoints := `[{"kind": "repoint", "voter": 2, "target": 8}, {"kind": "repoint", "voter": 0, "target": -1}]`
 	repointDeltas := []election.Delta{
 		{Kind: election.DeltaRepoint, Voter: 2, Target: 8},
@@ -790,14 +788,14 @@ func TestWhatIfDeltaBitIdentical(t *testing.T) {
 	postWhatIfDelta(t, ts.URL, in, instJSON, delegations, repoints, baseDeleg, repointDeltas)
 	postWhatIfDelta(t, ts.URL, in, instJSON, delegations, repoints, baseDeleg, repointDeltas)
 
-	// A different edit of the same base: the retained scenario must rebase
-	// off the previous probe's profile, not accumulate it.
+	// A different edit of the same base must start from the base profile,
+	// not from the previous probe's.
 	other := `[{"kind": "repoint", "voter": 5, "target": 8}]`
 	otherDeltas := []election.Delta{{Kind: election.DeltaRepoint, Voter: 5, Target: 8}}
 	postWhatIfDelta(t, ts.URL, in, instJSON, delegations, other, baseDeleg, otherDeltas)
 
-	// Instance-level deltas (throwaway-scenario path): competency change,
-	// voter add with an initial delegation, voter removal with id remap.
+	// Instance-level deltas: competency change, voter add with an initial
+	// delegation, voter removal with id remap.
 	structural := `[{"kind": "competency", "voter": 3, "p": 0.9},
 		{"kind": "add-voter", "p": 0.7, "target": 8},
 		{"kind": "remove-voter", "voter": 1},
@@ -810,8 +808,7 @@ func TestWhatIfDeltaBitIdentical(t *testing.T) {
 	}
 	postWhatIfDelta(t, ts.URL, in, instJSON, delegations, structural, baseDeleg, structuralDeltas)
 
-	// The retained scenario must have stayed pinned to the base election
-	// through the structural probe.
+	// The base election must be unchanged by the structural probe.
 	postWhatIfDelta(t, ts.URL, in, instJSON, delegations, repoints, baseDeleg, repointDeltas)
 }
 
