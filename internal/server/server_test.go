@@ -445,6 +445,55 @@ func TestMalformedAccounting(t *testing.T) {
 	}
 }
 
+// TestBodyWithoutLength covers request bodies sent chunked, with no
+// Content-Length to size the read: the answer matches the same request
+// sent with its length, and the MaxBytesReader cap still applies.
+func TestBodyWithoutLength(t *testing.T) {
+	_, instJSON := testInstance(t, 9)
+	srv := server.New(server.Config{MaxBody: 1024})
+	lengths := make(chan int64, 3)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lengths <- r.ContentLength
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	postChunked := func(body string) (*http.Response, []byte) {
+		// A reader of unknown length makes the client send the body chunked.
+		resp, err := http.Post(ts.URL+"/v1/whatif", "application/json", io.MultiReader(strings.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
+	}
+
+	body := fmt.Sprintf(`{"instance": %s, "delegations": [8, 8, 8, 8, -1, -1, -1, -1, -1]}`, instJSON)
+	resp, chunked := postChunked(body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked: status %d: %s", resp.StatusCode, chunked)
+	}
+	if _, sized := post(t, ts.URL, "/v1/whatif", body); !bytes.Equal(chunked, sized) {
+		t.Fatalf("chunked answer differs from the sized one:\n got: %s\nwant: %s", chunked, sized)
+	}
+
+	resp, data := postChunked(strings.Replace(body, `"delegations"`, strings.Repeat(" ", 1024)+`"delegations"`, 1))
+	if resp.StatusCode != http.StatusBadRequest || errorCode(t, data) != server.CodeBodyTooLarge {
+		t.Fatalf("oversized chunked: status %d, body %s", resp.StatusCode, data)
+	}
+	for i, want := range []int64{-1, int64(len(body)), -1} {
+		if got := <-lengths; got != want {
+			t.Fatalf("request %d: server saw Content-Length %d, want %d", i, got, want)
+		}
+	}
+}
+
 // TestWhatIfExact compares the what-if scoring against the exact kernels.
 func TestWhatIfExact(t *testing.T) {
 	in, instJSON := testInstance(t, 9)
