@@ -369,7 +369,9 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 // readBody drains the capped request body. length is its declared
 // Content-Length (-1 when unknown); a length within the cap sizes one
 // buffer for the whole body, where io.ReadAll's repeated growth would
-// allocate almost five times the body.
+// allocate almost five times the body. The buffer is reserved before the
+// body arrives, so the cap, not the bytes sent, bounds what a request can
+// make the server hold.
 func (s *Server) readBody(w http.ResponseWriter, rc io.ReadCloser, length int64) ([]byte, *Error) {
 	var buf bytes.Buffer
 	if length > 0 && length <= s.cfg.MaxBody {
