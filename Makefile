@@ -75,7 +75,7 @@ test-race:
 
 # test-faults exercises just the fault-injection stack: the fault plans and
 # recovery policies, the crash-tolerant convergecast, and the engine's
-# panic/retry hardening.
+# panic recovery.
 test-faults:
 	$(GO) test ./internal/fault/... ./internal/localsim/... ./internal/engine/...
 

@@ -231,3 +231,18 @@ func httpPost(url, body string) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// TestDependencyCone pins what the daemon links. It answers each request
+// once from the election and prob kernels, so the batch experiment
+// scheduler and the experiment registry stay out of its import graph.
+func TestDependencyCone(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "liquid/internal/engine" || pkg == "liquid/internal/experiment" {
+			t.Errorf("liquidd depends on %s", pkg)
+		}
+	}
+}

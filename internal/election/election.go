@@ -24,6 +24,10 @@ import (
 // ErrNoVoters reports an election over an empty electorate.
 var ErrNoVoters = errors.New("election: no voters")
 
+// DefaultExactCostLimit is Options.ExactCostLimit's default, and the limit
+// liquidd's admission prices evaluations at.
+const DefaultExactCostLimit = 1 << 23
+
 // Options configures gain estimation.
 type Options struct {
 	// Replications is the number of mechanism realizations to average over.
@@ -33,7 +37,8 @@ type Options struct {
 	// scored by Monte Carlo instead of the exact DP. Defaults to 2000.
 	VoteSamples int
 	// ExactCostLimit bounds the DP cost (#sinks x total weight) above which
-	// a realization is scored by Monte Carlo. Defaults to 1 << 23.
+	// a realization is scored by Monte Carlo. Defaults to
+	// DefaultExactCostLimit.
 	ExactCostLimit int64
 	// Workers bounds parallelism. Defaults to GOMAXPROCS.
 	Workers int
@@ -63,7 +68,7 @@ func (o Options) withDefaults() Options {
 		o.VoteSamples = 2000
 	}
 	if o.ExactCostLimit <= 0 {
-		o.ExactCostLimit = 1 << 23
+		o.ExactCostLimit = DefaultExactCostLimit
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

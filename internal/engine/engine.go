@@ -12,7 +12,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -29,10 +28,6 @@ type EventKind string
 // experiment. SuiteFinished is emitted exactly once, after all workers drain.
 const (
 	ExperimentStarted EventKind = "experiment_started"
-	// ExperimentRetried reports a transient failure about to be retried
-	// (the experiment returned an error wrapping experiment.ErrTransient
-	// and attempts remain).
-	ExperimentRetried EventKind = "experiment_retried"
 	// ExperimentPanicked reports a panic recovered from an experiment; the
 	// experiment still finishes (with a *PanicError), the suite continues.
 	ExperimentPanicked EventKind = "experiment_panicked"
@@ -74,12 +69,9 @@ type Event struct {
 	Check  string `json:"check,omitempty"`
 	Detail string `json:"detail,omitempty"`
 
-	// Err is the run error, if any (ExperimentRetried, ExperimentPanicked,
-	// ExperimentFinished, SuiteFinished).
+	// Err is the run error, if any (ExperimentPanicked, ExperimentFinished,
+	// SuiteFinished).
 	Err string `json:"err,omitempty"`
-
-	// Attempt is the failed attempt number (ExperimentRetried only).
-	Attempt int `json:"attempt,omitempty"`
 
 	// ElapsedSeconds, Replications, Checks and Failed summarize a finished
 	// experiment; on SuiteFinished, ElapsedSeconds covers the whole suite and
@@ -105,23 +97,9 @@ type Options struct {
 	// Timeout bounds each experiment's run (0 = none). A timed-out
 	// experiment reports context.DeadlineExceeded as its error.
 	Timeout time.Duration
-	// Retries is how many times an experiment whose error wraps
-	// experiment.ErrTransient is re-attempted (0 = never). Panics and
-	// permanent errors are never retried.
-	Retries int
-	// RetryBackoff is the wait before the first retry; it doubles per
-	// attempt, capped at RetryBackoffCap. Zero means 100ms.
-	RetryBackoff time.Duration
-	// RetryBackoffCap caps the doubling backoff. Zero means 2s.
-	RetryBackoffCap time.Duration
 	// Events, when non-nil, receives every scheduler event. Calls are
 	// serialized; the callback must not block for long.
 	Events func(Event)
-	// Telemetry is the registry the runner records spans and counters on
-	// (one span per scheduled experiment, retry/panic counters). Nil means
-	// telemetry.Default. Telemetry is write-only with respect to results:
-	// attaching a registry, or none, never changes a Result.
-	Telemetry *telemetry.Registry
 }
 
 // Result pairs a definition with its outcome. Exactly one of Outcome/Err is
@@ -155,15 +133,6 @@ type Runner struct {
 // run-everything, silent runner.
 func New(opts Options) *Runner {
 	return &Runner{opts: opts}
-}
-
-// registry returns the telemetry registry in use (Default unless
-// overridden in Options).
-func (r *Runner) registry() *telemetry.Registry {
-	if r.opts.Telemetry != nil {
-		return r.opts.Telemetry
-	}
-	return telemetry.Default
 }
 
 func (r *Runner) emit(ev Event) {
@@ -207,7 +176,10 @@ func (r *Runner) Run(ctx context.Context, defs []experiment.Definition, cfg expe
 		cfg.Workers = max(1, defaultWorkers()/workers)
 	}
 
-	// stop is closed at most once, when FailFast trips.
+	// stop is closed at most once, when FailFast trips. Once it is closed
+	// the feeder's select may still pick a ready send over it, so a worker
+	// checks stop after each receive: an index handed over after the first
+	// failure stays Skipped.
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	work := make(chan int)
@@ -217,6 +189,11 @@ func (r *Runner) Run(ctx context.Context, defs []experiment.Definition, cfg expe
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				select {
+				case <-stop:
+					continue
+				default:
+				}
 				results[i] = r.runOne(ctx, defs[i], cfg)
 				if r.opts.FailFast && results[i].Failed() {
 					stopOnce.Do(func() { close(stop) })
@@ -260,20 +237,18 @@ feed:
 	return results, nil
 }
 
-// runOne executes a single definition, emitting its lifecycle events.
-// Transient errors are retried with capped exponential backoff; panics are
-// recovered into a *PanicError and never retried.
+// runOne executes a single definition once, emitting its lifecycle events.
+// A panic is recovered into a *PanicError; any error is final, since a
+// re-run with the same seed would repeat the same computation.
 func (r *Runner) runOne(ctx context.Context, def experiment.Definition, cfg experiment.Config) Result {
 	r.emit(Event{Kind: ExperimentStarted, ID: def.ID, Title: def.Title})
 	// Timing lives here, not in the experiment layer: outcomes carry only
-	// reproducible data, and elapsed time is engine telemetry. The measured
-	// span covers retries and backoff waits — it is "how long the slot was
-	// busy", which is the number the progress display wants.
+	// reproducible data, and elapsed time is engine telemetry.
 	start := time.Now()
 	// One telemetry span per scheduled task, installed in the context so
 	// downstream layers (election, fault evaluation) can hang child spans
-	// off it. Same coverage as `start`: retries and backoff included.
-	reg := r.registry()
+	// off it.
+	reg := telemetry.Default
 	reg.Counter("engine/experiments_started").Inc()
 	sp := reg.StartSpan("experiment/" + def.ID)
 	defer sp.End()
@@ -283,21 +258,7 @@ func (r *Runner) runOne(ctx context.Context, def experiment.Definition, cfg expe
 		runCtx, cancel = context.WithTimeout(runCtx, r.opts.Timeout)
 		defer cancel()
 	}
-	backoff := Backoff{Initial: r.opts.RetryBackoff, Cap: r.opts.RetryBackoffCap}
-	var out *experiment.Outcome
-	var err error
-	for attempt := 1; ; attempt++ {
-		out, err = r.runAttempt(runCtx, def, cfg)
-		if err == nil || !errors.Is(err, experiment.ErrTransient) ||
-			attempt > r.opts.Retries || runCtx.Err() != nil {
-			break
-		}
-		reg.Counter("engine/experiment_retries").Inc()
-		r.emit(Event{Kind: ExperimentRetried, ID: def.ID, Title: def.Title, Err: err.Error(), Attempt: attempt})
-		// A cancelled wait falls through to the loop condition, which exits
-		// on runCtx.Err() exactly as the pre-Backoff code did.
-		_ = backoff.Wait(runCtx)
-	}
+	out, err := r.runRecovered(runCtx, def, cfg)
 	res := Result{Def: def, Outcome: out, Err: err}
 	reg.Histogram("engine/experiment_seconds", 0.01, 0.1, 1, 10, 60, 600).
 		Observe(time.Since(start).Seconds())
@@ -331,13 +292,12 @@ func (r *Runner) runOne(ctx context.Context, def experiment.Definition, cfg expe
 // stream (the full stack stays on the PanicError).
 const panicStackLimit = 2048
 
-// runAttempt executes one attempt of a definition, converting panics into
-// a *PanicError and an ExperimentPanicked event instead of crashing the
-// worker pool.
-func (r *Runner) runAttempt(ctx context.Context, def experiment.Definition, cfg experiment.Config) (out *experiment.Outcome, err error) {
+// runRecovered executes a definition, converting panics into a *PanicError
+// and an ExperimentPanicked event instead of crashing the worker pool.
+func (r *Runner) runRecovered(ctx context.Context, def experiment.Definition, cfg experiment.Config) (out *experiment.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			r.registry().Counter("engine/experiment_panics").Inc()
+			telemetry.Default.Counter("engine/experiment_panics").Inc()
 			pe := &PanicError{ID: def.ID, Value: v, Stack: debug.Stack()}
 			out, err = nil, pe
 			stack := string(pe.Stack)

@@ -201,6 +201,39 @@ func TestFailFastStopsScheduling(t *testing.T) {
 	}
 }
 
+// TestFailFastSkipsLateHandoff repeats the fail-fast scenario with a slow
+// first experiment, so the feeder is parked on its next send when the
+// worker takes the failing one. Once the worker has closed stop and waits
+// for work again, both of the feeder's select cases are ready and it may
+// still hand over the next index; that index must stay skipped. Without
+// the worker's check a single run fails only about half the time, so the
+// scenario repeats.
+func TestFailFastSkipsLateHandoff(t *testing.T) {
+	var ran atomic.Int32
+	mk := func(id string, fail bool, wait time.Duration) experiment.Definition {
+		return stubDef(id, func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
+			ran.Add(1)
+			time.Sleep(wait)
+			out := &experiment.Outcome{}
+			if fail {
+				out.Checks = []experiment.Check{{Name: "shape", Passed: false, Detail: "wrong"}}
+			}
+			return out, nil
+		})
+	}
+	defs := []experiment.Definition{mk("SLOW", false, 100*time.Microsecond), mk("BAD", true, 0), mk("OK", false, 0)}
+	for iter := 0; iter < 100; iter++ {
+		ran.Store(0)
+		results, err := New(Options{Workers: 1, FailFast: true}).Run(context.Background(), defs, experiment.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != 2 || !results[2].Skipped {
+			t.Fatalf("run %d: ran %d experiments (want 2), OK skipped = %v", iter, got, results[2].Skipped)
+		}
+	}
+}
+
 // TestPerExperimentTimeout bounds a hanging experiment.
 func TestPerExperimentTimeout(t *testing.T) {
 	defs := []experiment.Definition{stubDef("HANG",
@@ -220,9 +253,12 @@ func TestPerExperimentTimeout(t *testing.T) {
 
 // TestEventStream checks the emitted event sequence for one pass: started
 // and finished per experiment, check_failed for failing checks, one
-// suite_finished, and strictly increasing Seq.
+// suite_finished, and strictly increasing Seq. An experiment that returns
+// an error runs once and reports it.
 func TestEventStream(t *testing.T) {
 	var events []Event
+	var errRuns atomic.Int32
+	boom := errors.New("boom")
 	opts := Options{Workers: 1, Events: func(ev Event) { events = append(events, ev) }}
 	defs := []experiment.Definition{
 		stubDef("GOOD", func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
@@ -234,11 +270,17 @@ func TestEventStream(t *testing.T) {
 				{Name: "broken", Passed: false, Detail: "off by one"}}}, nil
 		}),
 		stubDef("ERR", func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
-			return nil, errors.New("boom")
+			errRuns.Add(1)
+			return nil, boom
 		}),
 	}
-	if _, err := New(opts).Run(context.Background(), defs, experiment.Config{Seed: 1}); err != nil {
+	results, err := New(opts).Run(context.Background(), defs, experiment.Config{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// An error is final: the experiment ran once and its result carries it.
+	if errRuns.Load() != 1 || !errors.Is(results[2].Err, boom) {
+		t.Fatalf("ERR ran %d times with err %v, want once with %v", errRuns.Load(), results[2].Err, boom)
 	}
 
 	var kinds []string
@@ -330,76 +372,23 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestTransientRetry checks the bounded-retry contract: transient errors
-// are retried with backoff up to the budget, permanent errors are not.
-func TestTransientRetry(t *testing.T) {
-	var attempts atomic.Int32
-	flaky := stubDef("FLAKY", func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
-		if attempts.Add(1) < 3 {
-			return nil, fmt.Errorf("%w: simulated resource exhaustion", experiment.ErrTransient)
-		}
-		return &experiment.Outcome{Checks: []experiment.Check{{Name: "fine", Passed: true}}}, nil
-	})
-
-	var retries []Event
-	opts := Options{Workers: 1, Retries: 3, RetryBackoff: time.Millisecond, RetryBackoffCap: 2 * time.Millisecond,
-		Events: func(ev Event) {
-			if ev.Kind == ExperimentRetried {
-				retries = append(retries, ev)
-			}
-		}}
-	results, err := New(opts).Run(context.Background(), []experiment.Definition{flaky}, experiment.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Failed() {
-		t.Fatalf("flaky experiment should recover: %v", results[0].Err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("ran %d attempts, want 3", attempts.Load())
-	}
-	if len(retries) != 2 || retries[0].Attempt != 1 || retries[1].Attempt != 2 {
-		t.Fatalf("retry events = %+v", retries)
-	}
-
-	// Exhausted budget: the transient error is returned as the result.
-	attempts.Store(-10)
-	results, err = New(Options{Workers: 1, Retries: 1, RetryBackoff: time.Millisecond}).
-		Run(context.Background(), []experiment.Definition{flaky}, experiment.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(results[0].Err, experiment.ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient after exhausted retries", results[0].Err)
-	}
-
-	// Permanent errors are never retried, even with budget available.
-	var permRuns atomic.Int32
-	perm := stubDef("PERM", func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
-		permRuns.Add(1)
-		return nil, errors.New("permanent")
-	})
-	if _, err := New(Options{Workers: 1, Retries: 5, RetryBackoff: time.Millisecond}).
-		Run(context.Background(), []experiment.Definition{perm}, experiment.Config{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if permRuns.Load() != 1 {
-		t.Fatalf("permanent error ran %d times, want 1", permRuns.Load())
-	}
-}
-
-// TestProgressWriter smoke-tests the human-readable consumer.
+// TestProgressWriter smoke-tests the human-readable consumer: one line per
+// event kind, and the error, failed-check and cancelled variants of the
+// finish lines.
 func TestProgressWriter(t *testing.T) {
 	var sb strings.Builder
 	p := Progress(&sb)
 	p(Event{Kind: ExperimentStarted, ID: "T2", Title: "Theorem 2"})
-	p(Event{Kind: ExperimentRetried, ID: "T2", Attempt: 1, Err: "transient"})
 	p(Event{Kind: ExperimentPanicked, ID: "T2", Err: "experiment T2 panicked: boom"})
 	p(Event{Kind: ExperimentFinished, ID: "T2", Checks: 4, ElapsedSeconds: 0.5, Replications: 32})
+	p(Event{Kind: ExperimentFinished, ID: "X1", Err: "permanent"})
+	p(Event{Kind: ExperimentFinished, ID: "X2", Checks: 3, Failed: 1, ElapsedSeconds: 0.5})
 	p(Event{Kind: CheckFailed, ID: "T2", Check: "gain", Detail: "0.001"})
 	p(Event{Kind: SuiteFinished, Experiments: 1, Workers: 2, ElapsedSeconds: 0.5})
+	p(Event{Kind: SuiteFinished, Err: "context canceled", ElapsedSeconds: 0.5})
 	out := sb.String()
-	for _, frag := range []string{"start T2", "retry T2", "panic T2", "ok    T2", "check failed: gain", "suite done"} {
+	for _, frag := range []string{"start T2", "panic T2", "ok    T2", "error X1   permanent", "FAIL  X2   1/3 checks failed",
+		"check failed: gain", "suite done", "suite cancelled after 0.50s: context canceled"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("progress output missing %q:\n%s", frag, out)
 		}

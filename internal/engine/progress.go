@@ -34,8 +34,6 @@ func Progress(w io.Writer) func(Event) {
 		switch ev.Kind {
 		case ExperimentStarted:
 			fmt.Fprintf(w, "start %-4s %s\n", ev.ID, ev.Title)
-		case ExperimentRetried:
-			fmt.Fprintf(w, "retry %-4s attempt %d failed: %s\n", ev.ID, ev.Attempt, ev.Err)
 		case ExperimentPanicked:
 			fmt.Fprintf(w, "panic %-4s %s\n", ev.ID, ev.Err)
 		case ExperimentFinished:

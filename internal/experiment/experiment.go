@@ -26,14 +26,6 @@ import (
 // ErrUnknownExperiment reports a lookup of an unregistered experiment id.
 var ErrUnknownExperiment = errors.New("experiment: unknown experiment")
 
-// ErrTransient marks an experiment failure as retryable: an experiment that
-// returns an error wrapping ErrTransient is re-attempted by the execution
-// engine (with capped backoff) up to its retry budget. Determinism note:
-// experiments derive all randomness from Config.Seed, so a retry re-runs
-// the identical computation — appropriate for environmental failures
-// (resource exhaustion), not for seed-dependent ones.
-var ErrTransient = errors.New("experiment: transient failure")
-
 // Config controls experiment size and determinism.
 type Config struct {
 	// Seed drives all randomness; equal configs give identical outputs.

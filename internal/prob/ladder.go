@@ -398,17 +398,19 @@ func LadderCostEstimate(n int, errorBudget float64) int64 {
 	return moments + exactTierCost(n)
 }
 
+// maxExactN caps the size the ladder's kernel tiers will materialise.
+// Beyond it the ladder stays on the streaming normal tier, which is what
+// keeps million-voter queries out of O(n^2) memory-time space.
+const maxExactN = 1 << 17
+
 // LadderOptions tunes LadderMajority. The zero value auto-selects with no
-// error budget (most precise affordable tier), the default exact-tier size
-// cap, and the full GOMAXPROCS worker budget.
+// error budget (most precise affordable tier) and the full GOMAXPROCS
+// worker budget.
 type LadderOptions struct {
 	// ErrorBudget is the maximum acceptable certified half-width. > 0 lets
 	// the ladder stop at the cheapest tier within budget; <= 0 demands the
-	// most precise tier the other constraints afford.
+	// most precise tier maxExactN affords.
 	ErrorBudget float64
-	// CostBudget, when > 0, caps the kernel tiers' DP-unit cost; a query
-	// whose exact evaluation would exceed it stays on the normal tier.
-	CostBudget int64
 	// Workers caps the normal tier's block workers and the kernel tiers'
 	// fork-join budget (0 = GOMAXPROCS). The kernels' effective budget is
 	// cost-model-chosen via ParallelWorkerBudget; neither affects any result.
@@ -417,18 +419,11 @@ type LadderOptions struct {
 	// DP whatever n (the metamorphic reference), TierFFT the D&C evaluator,
 	// TierNormal the streaming pass. TierAuto (zero) selects.
 	Force Tier
-	// MaxExactN caps the size the kernel tiers will materialise (default
-	// 1<<17). Beyond it the ladder stays on the streaming normal tier, which
-	// is what keeps million-voter queries out of O(n^2) memory-time space.
-	MaxExactN int
 }
 
 func (o LadderOptions) withDefaults() LadderOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxExactN <= 0 {
-		o.MaxExactN = 1 << 17
 	}
 	return o
 }
@@ -483,10 +478,10 @@ func KernelInterval(n int, point float64) CertifiedInterval {
 // whose certified half-width fits opts.ErrorBudget (Certify's rule). The
 // normal tier reads seq one MomentBlock per worker at a time (UnitMoments);
 // the kernel tiers materialise the vector (sorted ascending, the kernels'
-// canonical order) only when selected and only below opts.MaxExactN and
-// within opts.CostBudget. When no tier satisfies the constraints the tightest
-// certified interval is returned along with ErrBudgetInfeasible, so
-// degrading callers still get a sound answer.
+// canonical order) only when selected and only up to maxExactN voters.
+// When no tier satisfies the budget the tightest certified interval is
+// returned along with ErrBudgetInfeasible, so degrading callers still get a
+// sound answer.
 func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (CertifiedInterval, error) {
 	n := seq.Len()
 	if n <= 0 {
@@ -530,7 +525,7 @@ func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (Certified
 	}
 
 	var exact func() (CertifiedInterval, error)
-	if n <= opts.MaxExactN && (opts.CostBudget <= 0 || exactTierCost(n) <= opts.CostBudget) {
+	if n <= maxExactN {
 		exact = func() (CertifiedInterval, error) {
 			point, err := kernel()
 			if err != nil {

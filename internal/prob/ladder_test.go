@@ -84,7 +84,7 @@ func TestLadderMetamorphicContainment(t *testing.T) {
 
 // TestLadderAutoSelection pins the tier-selection rule: generous budgets stay
 // on the streaming tier, tight budgets escalate to the kernels, and budgets
-// no kernel can certify within the cost constraints surface
+// no tier can certify within the exact tiers' size cap surface
 // ErrBudgetInfeasible alongside the tightest interval available.
 func TestLadderAutoSelection(t *testing.T) {
 	ctx := context.Background()
@@ -135,24 +135,16 @@ func TestLadderAutoSelection(t *testing.T) {
 		t.Fatalf("small no-budget selection ran %v (±%v), want exact ±0", ci.Tier, ci.HalfWidth)
 	}
 
-	// Beyond MaxExactN the ladder must refuse to materialise: the streaming
-	// interval comes back with ErrBudgetInfeasible.
-	ci, err = LadderMajority(ctx, seq, LadderOptions{ErrorBudget: 1e-15, MaxExactN: 1000})
+	// Beyond maxExactN the ladder must refuse to materialise: the streaming
+	// interval comes back with ErrBudgetInfeasible. The competencies centre
+	// on 1/2, so the normal tier's half-width is far above the budget.
+	big := ladderSeq(maxExactN+1, 0.4, 0.6, rng.Derive(3, "ladder", "auto", "big"))
+	ci, err = LadderMajority(ctx, big, LadderOptions{ErrorBudget: 1e-15})
 	if !errors.Is(err, ErrBudgetInfeasible) {
 		t.Fatalf("err = %v, want ErrBudgetInfeasible", err)
 	}
 	if ci.Tier != TierNormal || ci.HalfWidth <= 0 {
 		t.Fatalf("degraded interval %+v, want normal tier with positive half-width", ci)
-	}
-
-	// A kernel cost budget below the exact tier's price pins the ladder to
-	// the streaming tier the same way.
-	ci, err = LadderMajority(ctx, seq, LadderOptions{ErrorBudget: 1e-15, CostBudget: 10})
-	if !errors.Is(err, ErrBudgetInfeasible) {
-		t.Fatalf("err = %v, want ErrBudgetInfeasible", err)
-	}
-	if ci.Tier != TierNormal {
-		t.Fatalf("cost-capped tier %v, want normal", ci.Tier)
 	}
 }
 

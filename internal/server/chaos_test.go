@@ -14,8 +14,6 @@ import (
 
 	"liquid/internal/core"
 	"liquid/internal/election"
-	"liquid/internal/engine"
-	"liquid/internal/experiment"
 	"liquid/internal/fault"
 	"liquid/internal/mechanism"
 	"liquid/internal/rng"
@@ -46,8 +44,9 @@ func TestChaos(t *testing.T) {
 	// The chaos schedule comes from the fault package's own sampler: shards
 	// stand in for nodes, the worker's task sequence (mod the crash window)
 	// for rounds. A "crashed" shard panics on the task — exercising the
-	// typed-500 recovery — and a cut between a shard and its neighbor
-	// surfaces as a transient error, exercising the retry/backoff path.
+	// typed internal_panic 500 — and a cut between a shard and its neighbor
+	// returns a plain error, which is final and answers a typed internal
+	// 500.
 	plan, err := fault.SamplePlan(shards, fault.PlanParams{
 		CrashRate:     0.5,
 		CrashWindow:   30,
@@ -62,15 +61,13 @@ func TestChaos(t *testing.T) {
 		Shards:     shards,
 		QueueDepth: queueDepth,
 		Workers:    1,
-		Retries:    2,
-		Backoff:    engine.Backoff{Initial: time.Millisecond, Cap: 4 * time.Millisecond},
 		ChaosHook: func(shard int, seq uint64) error {
 			round := int(seq % 30)
 			if plan.Crashed(shard, round) {
 				panic(fmt.Sprintf("chaos: shard %d crashed at round %d", shard, round))
 			}
 			if plan.Cut(shard, (shard+1)%shards, round) {
-				return fmt.Errorf("%w: chaos partition at shard %d round %d", experiment.ErrTransient, shard, round)
+				return fmt.Errorf("chaos partition at shard %d round %d", shard, round)
 			}
 			return nil
 		},

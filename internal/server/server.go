@@ -8,14 +8,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"liquid/internal/core"
 	"liquid/internal/election"
-	"liquid/internal/engine"
 	"liquid/internal/fault"
 	"liquid/internal/prob"
 	"liquid/internal/telemetry"
@@ -43,19 +41,11 @@ type Config struct {
 	// MaxDeadline clamps what a request may ask for (default 60s).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// RetryAfter is the hint sent with 429/503 sheds (default 1s).
-	RetryAfter time.Duration
-	// Retries bounds transient-failure retries per request (default 2);
-	// Backoff's zero value uses the engine defaults (100ms doubling to 2s).
-	Retries int
-	Backoff engine.Backoff
-	// ExactCostLimit is forwarded to election.Options (default 1 << 23);
-	// Replications likewise (default 64). Workers bounds the per-request
-	// evaluation parallelism (default 1: the serving layer's parallelism is
-	// across requests, not within them).
-	ExactCostLimit int64
-	Replications   int
-	Workers        int
+	// Replications is forwarded to election.Options (default 64). Workers
+	// bounds the per-request evaluation parallelism (default 1: the serving
+	// layer's parallelism is across requests, not within them).
+	Replications int
+	Workers      int
 	// ChaosHook, when set, runs before each task executes (shard index and
 	// the shard's task sequence number). Errors are returned as the task's
 	// result; panics exercise the recovery path. Test-only.
@@ -83,15 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 60 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Retries <= 0 {
-		c.Retries = 2
-	}
-	if c.ExactCostLimit <= 0 {
-		c.ExactCostLimit = 1 << 23
 	}
 	if c.Replications <= 0 {
 		c.Replications = 64
@@ -149,7 +130,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:           cfg,
 		adm:           newAdmission(cfg.Shards*cfg.QueueDepth, cfg.MaxCost),
-		pool:          newPool(cfg.Shards, cfg.QueueDepth, cfg.Retries, cfg.Backoff, cfg.ChaosHook),
+		pool:          newPool(cfg.Shards, cfg.QueueDepth, cfg.ChaosHook),
 		mux:           http.NewServeMux(),
 		hLatency:      telemetry.NewHistogram("server/latency_seconds", 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10),
 		cRequests:     telemetry.NewCounter("server/requests"),
@@ -303,7 +284,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if reps == 0 {
 		reps = s.cfg.Replications
 	}
-	cost := int64(len(parsed.Alphas)) * EstimateCost(parsed.Instance.N(), reps, s.cfg.ExactCostLimit)
+	cost := int64(len(parsed.Alphas)) * EstimateCost(parsed.Instance.N(), reps, election.DefaultExactCostLimit)
 
 	var resp *EvaluateResponse
 	s.dispatch(ctx, w, cost, func(ctx context.Context) error {
@@ -347,10 +328,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	// The exact price decides affordability. Delta requests keep their own
 	// cost class (EstimateWhatIfDeltaCost), although they are scored by the
 	// same exact kernels as explicit ones.
-	exactCost := EstimateCost(parsed.Instance.N(), 1, s.cfg.ExactCostLimit)
+	exactCost := EstimateCost(parsed.Instance.N(), 1, election.DefaultExactCostLimit)
 	if len(parsed.Deltas) > 0 {
 		s.cWhatIfDeltas.Inc()
-		exactCost = EstimateWhatIfDeltaCost(parsed.FinalInstance.N(), len(parsed.Deltas), s.cfg.ExactCostLimit)
+		exactCost = EstimateWhatIfDeltaCost(parsed.FinalInstance.N(), len(parsed.Deltas), election.DefaultExactCostLimit)
 	}
 	cost := exactCost
 	if parsed.Req.ErrorBudget > 0 {
@@ -479,7 +460,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, err error, ok func()) {
 }
 
 func (s *Server) shedResponse(w http.ResponseWriter, status int) {
-	w.Header().Set("Retry-After", itoa(int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
+	w.Header().Set("Retry-After", "1")
 	writeError(w, &Error{Code: CodeShed, Message: "admission budget exhausted; retry later", Status: status})
 }
 
@@ -491,10 +472,9 @@ func (s *Server) shedResponse(w http.ResponseWriter, status int) {
 // fault evaluate runs, and degrades, like any other.
 func (s *Server) evaluate(ctx context.Context, parsed *ParsedEvaluate, reps int, cost int64) (*EvaluateResponse, error) {
 	opts := election.Options{
-		Replications:   reps,
-		ExactCostLimit: s.cfg.ExactCostLimit,
-		Workers:        s.cfg.Workers,
-		Seed:           parsed.Req.Seed,
+		Replications: reps,
+		Workers:      s.cfg.Workers,
+		Seed:         parsed.Req.Seed,
 	}
 	budget := s.budget(ctx)
 	if budget <= 0 {
@@ -689,12 +669,4 @@ type errorEnvelope struct {
 
 func writeError(w http.ResponseWriter, aerr *Error) {
 	writeJSON(w, aerr.Status, errorEnvelope{Error: aerr})
-}
-
-// itoa renders the Retry-After seconds, clamping to at least 1.
-func itoa(v int) string {
-	if v <= 0 {
-		return "1"
-	}
-	return strconv.Itoa(v)
 }

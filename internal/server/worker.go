@@ -3,21 +3,16 @@ package server
 // The shard-per-core worker pool. Each shard owns one goroutine and one
 // bounded channel; a request is hashed onto a shard by arrival sequence, so
 // a single slow evaluation delays only its shard's queue, not the whole
-// server. Workers recover panics into typed 500 errors (one poisoned
-// request cannot take a shard down) and retry transient failures on the
-// engine's capped-doubling backoff — the same machinery (engine.Backoff,
-// experiment.ErrTransient) the batch scheduler uses.
+// server. Workers recover panics into typed 500 errors, so one poisoned
+// request cannot take a shard down. A task runs once: every answer is a
+// pure function of the request, so a failed evaluation would fail again.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
 	"sync"
-
-	"liquid/internal/engine"
-	"liquid/internal/experiment"
 )
 
 // task is one admitted request waiting for a shard.
@@ -40,17 +35,12 @@ type pool struct {
 	// chaos, when set, is invoked before each task runs (test-only fault
 	// injection; see Config.ChaosHook).
 	chaos func(shard int, seq uint64) error
-	// retries bounds transient-failure retries per task.
-	retries int
-	backoff engine.Backoff
 }
 
-func newPool(shards, queueDepth, retries int, backoff engine.Backoff, chaos func(int, uint64) error) *pool {
+func newPool(shards, queueDepth int, chaos func(int, uint64) error) *pool {
 	p := &pool{
-		shards:  make([]chan *task, shards),
-		chaos:   chaos,
-		retries: retries,
-		backoff: backoff,
+		shards: make([]chan *task, shards),
+		chaos:  chaos,
 	}
 	for i := range p.shards {
 		p.shards[i] = make(chan *task, queueDepth)
@@ -94,30 +84,13 @@ func (p *pool) worker(shard int) {
 	}
 }
 
-// execute runs one task with panic isolation and transient-failure retries.
-func (p *pool) execute(shard int, seq uint64, t *task) error {
+// execute runs one task once, converting panics into typed 500s.
+func (p *pool) execute(shard int, seq uint64, t *task) (err error) {
 	// A task whose deadline already passed while queued is not worth
 	// starting; the handler has counted it expired.
 	if err := t.ctx.Err(); err != nil {
 		return err
 	}
-	backoff := p.backoff
-	for attempt := 0; ; attempt++ {
-		err := p.runOnce(shard, seq, t)
-		if err == nil || attempt >= p.retries || !errors.Is(err, experiment.ErrTransient) {
-			return err
-		}
-		if t.ctx.Err() != nil || backoff.Wait(t.ctx) != nil {
-			// Cancelled mid-backoff: surface the context error, not the
-			// transient one — the client's deadline is what actually ended
-			// the request.
-			return t.ctx.Err()
-		}
-	}
-}
-
-// runOnce executes the task body once, converting panics into typed 500s.
-func (p *pool) runOnce(shard int, seq uint64, t *task) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &Error{
