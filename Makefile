@@ -98,14 +98,16 @@ cover:
 # the simulator's message validation, the divide-and-conquer convolution
 # kernels against the naive DP reference, the approximation ladder's
 # certified intervals against the exact DP answer, the bit-sliced
-# multi-delegate sampler against its one-sample-at-a-time reference, and
-# the scale fold's chunk pass against its reference resolution and the
-# ladder's moment blocks.
+# multi-delegate sampler against its one-sample-at-a-time reference, the
+# scale fold's chunk pass against its reference resolution and the
+# ladder's moment blocks, and liquidd's two request decoders against
+# encoding/json.
 fuzz-smoke:
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
 	$(GO) test ./internal/scale -run='^$$' -fuzz=FuzzChunkSinksCanonical -fuzztime=5s

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,44 +117,73 @@ func NewInstance(top graph.Topology, p []float64) (*Instance, error) {
 		}
 		ps[i] = positiveZero(v)
 	}
-	in := &Instance{top: top, p: ps}
-	// Ascending by (competency, id). The Float64bits image preserves float
-	// order for the validated competencies, which are non-negative, not NaN
-	// and, once normalised, never −0, so the keys sort through the
-	// specialized ordered-type path (no comparator calls). Ids are recovered
-	// afterwards: visiting voters in ascending id order and appending each
-	// to its key's run reproduces the ascending-id tiebreak a stable sort by
-	// competency would give. Instance construction sits on every
-	// experiment's setup path, so this is a measured hot spot.
-	n := len(ps)
-	ks := make([]uint64, n)
-	for i, v := range ps {
-		ks[i] = math.Float64bits(v)
-	}
-	slices.Sort(ks)
-	in.byCompetency = make([]int, n)
-	in.sortedP = make([]float64, n)
-	for i, b := range ks {
-		in.sortedP[i] = math.Float64frombits(b)
-	}
-	fill := make([]int32, n) // fill[r] = ids already placed in the run at r
-	for i, v := range ps {
-		b := math.Float64bits(v)
-		// First index of b's run in ks (manual search: the closure-free loop
-		// matters at this call rate).
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ks[mid] < b {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		in.byCompetency[lo+int(fill[lo])] = i
-		fill[lo]++
+	in := &Instance{top: top, p: ps, byCompetency: sortByBits(ps)}
+	in.sortedP = make([]float64, len(ps))
+	for i, id := range in.byCompetency {
+		in.sortedP[i] = ps[id]
 	}
 	return in, nil
+}
+
+// sortByBits returns the voter ids ascending by (Float64bits(ps[id]), id).
+// The bit image preserves float order for validated competencies, which are
+// non-negative, not NaN and, once normalised, never −0. Instance
+// construction sits on every experiment's setup path and on every served
+// request, so this is a measured hot spot.
+func sortByBits(ps []float64) []int {
+	n := len(ps)
+	ids := make([]int, n)
+	if n <= 64 {
+		// Insertion sort: at this size the radix passes' fixed cost of 256
+		// buckets a digit outweighs the comparisons.
+		var keys [64]uint64
+		for i := range n {
+			b, j := math.Float64bits(ps[i]), i
+			for ; j > 0 && keys[j-1] > b; j-- {
+				keys[j], ids[j] = keys[j-1], ids[j-1]
+			}
+			keys[j], ids[j] = b, i
+		}
+		return ids
+	}
+	// A stable LSD radix sort, 8 bits a pass, from ascending ids, so they
+	// stay the tiebreak. One pass over the keys fills all eight digit
+	// histograms, and a digit every key shares is skipped: the top byte is
+	// 0x3f for every competency in [2^-7, 1).
+	for i := range ids {
+		ids[i] = i
+	}
+	tmp := make([]int, n)
+	var hist [8][256]int
+	for _, v := range ps {
+		b := math.Float64bits(v)
+		hist[0][byte(b)]++
+		hist[1][byte(b>>8)]++
+		hist[2][byte(b>>16)]++
+		hist[3][byte(b>>24)]++
+		hist[4][byte(b>>32)]++
+		hist[5][byte(b>>40)]++
+		hist[6][byte(b>>48)]++
+		hist[7][byte(b>>56)]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		if h[byte(math.Float64bits(ps[0])>>(8*d))] == n {
+			continue
+		}
+		sum := 0
+		for k, c := range h {
+			h[k] = sum
+			sum += c
+		}
+		for _, id := range ids {
+			k := byte(math.Float64bits(ps[id]) >> (8 * d))
+			tmp[h[k]] = id
+			h[k]++
+		}
+		ids, tmp = tmp, ids
+	}
+	return ids
 }
 
 // positiveZero maps −0 to +0 and returns every other value unchanged.

@@ -338,3 +338,45 @@ func TestNegativeZeroCompetency(t *testing.T) {
 		}
 	}
 }
+
+// TestSortedTablesMatchStableSort: NewInstance's byCompetency and sortedP
+// are the order a stable sort by competency gives, ties by ascending id,
+// on vectors with ties, zeros (−0 among them), ones and competencies small
+// enough to vary the keys' top byte.
+func TestSortedTablesMatchStableSort(t *testing.T) {
+	s := rng.New(rng.Derive(21, "core", "sorted-tables"))
+	for _, n := range []int{0, 1, 2, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			p := make([]float64, n)
+			for i := range p {
+				switch {
+				case trial < 2: // every key shares its top byte, or every byte
+					p[i] = 0.5 + 0.25*s.Float64()*float64(trial)
+				case s.IntN(5) == 0:
+					p[i] = float64(s.IntN(2))
+				case s.IntN(4) == 0:
+					p[i] = float64(s.IntN(4)) / 4
+				case s.IntN(3) == 0:
+					p[i] = []float64{math.Copysign(0, -1), 1e-5 * s.Float64()}[s.IntN(2)]
+				default:
+					p[i] = s.Float64()
+				}
+			}
+			in := mustInstance(t, graph.NewComplete(n), p)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return p[want[a]] < p[want[b]] })
+			for i, id := range want {
+				if in.byCompetency[i] != id || math.Float64bits(in.sortedP[i]) != math.Float64bits(positiveZero(p[id])) {
+					t.Fatalf("n = %d, trial %d, rank %d: (id %d, p %v), want (id %d, p %v)",
+						n, trial, i, in.byCompetency[i], in.sortedP[i], id, p[id])
+				}
+			}
+			if len(in.byCompetency) != n || len(in.sortedP) != n {
+				t.Fatalf("n = %d: tables of %d and %d entries", n, len(in.byCompetency), len(in.sortedP))
+			}
+		}
+	}
+}

@@ -15,8 +15,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -206,22 +204,6 @@ func parseDelta(i int, spec *DeltaSpec) (election.Delta, *Error) {
 	return d, nil
 }
 
-// decodeStrict unmarshals body into dst with unknown fields rejected,
-// mapping the error taxonomy onto the typed codes.
-func decodeStrict(body []byte, dst any) *Error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequest(CodeBadJSON, "decoding request: %v", err)
-	}
-	// Trailing garbage after the document is a malformed request, not a
-	// second message.
-	if dec.More() {
-		return badRequest(CodeBadJSON, "trailing data after JSON document")
-	}
-	return nil
-}
-
 // validateInstance checks the spec and builds the immutable instance.
 // Competency and edge validation happens here, before graph/core see the
 // data, so every rejection carries its typed code.
@@ -327,7 +309,7 @@ type ParsedEvaluate struct {
 // target exercises exactly what production traffic hits.
 func ParseEvaluateRequest(body []byte) (*ParsedEvaluate, *Error) {
 	var req EvaluateRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeEvaluate(body, &req); aerr != nil {
 		return nil, aerr
 	}
 	in, aerr := validateInstance(&req.Instance)
@@ -398,7 +380,7 @@ type ParsedWhatIf struct {
 // ParseWhatIfRequest decodes and validates a what-if body.
 func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
 	var req WhatIfRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeWhatIf(body, &req); aerr != nil {
 		return nil, aerr
 	}
 	in, aerr := validateInstance(&req.Instance)

@@ -1,10 +1,34 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"liquid/internal/rng"
 )
+
+// decodeStrict is the oracle for the request decoder: encoding/json with
+// unknown fields rejected. Whenever decodeEvaluate or decodeWhatIf accepts a
+// body, decodeStrict accepts it too with reflect.DeepEqual values.
+func decodeStrict(body []byte, dst any) *Error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return badRequest(CodeBadJSON, "decoding request: %v", err)
+	}
+	if dec.More() {
+		return badRequest(CodeBadJSON, "trailing data after JSON document")
+	}
+	return nil
+}
 
 func validEvaluateBody() string {
 	return `{
@@ -55,6 +79,10 @@ func TestParseEvaluateRequestRejections(t *testing.T) {
 		{"unknown policy", `{"instance": {"n": 1, "p": [0.5]}, "mechanism": {"name": "direct"}, "fault": {"policy": "wish"}}`, CodeBadRequest},
 		{"down rate one", `{"instance": {"n": 1, "p": [0.5]}, "mechanism": {"name": "direct"}, "fault": {"policy": "lose-weight", "down_rate": 1}}`, CodeBadRequest},
 		{"fault alpha", `{"instance": {"n": 1, "p": [0.5]}, "mechanism": {"name": "direct"}, "fault": {"policy": "redelegate", "alpha": 2}}`, CodeBadAlpha},
+		{"trailing close brace", `{"instance": {"n": 1, "p": [0.5]}, "mechanism": {"name": "direct"}}}`, CodeBadJSON},
+		{"null competency", `{"instance": {"n": 2, "p": [0.5, null]}, "mechanism": {"name": "direct"}}`, CodeBadJSON},
+		{"key case", `{"Instance": {"n": 1, "p": [0.5]}, "mechanism": {"name": "direct"}}`, CodeBadJSON},
+		{"edge of three", `{"instance": {"n": 3, "edges": [[0,1,2]], "p": [0.5,0.5,0.5]}, "mechanism": {"name": "direct"}}`, CodeBadJSON},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,6 +132,10 @@ func TestParseWhatIfRequest(t *testing.T) {
 		{"length mismatch", `{"instance": {"n": 3, "complete": true, "p": [0.5,0.5,0.5]}, "delegations": [1]}`, CodeBadRequest},
 		{"self delegation", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [0, -1]}`, CodeBadRequest},
 		{"out of range", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [5, -1]}`, CodeBadRequest},
+		{"trailing close bracket", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [-1, -1]}]`, CodeBadJSON},
+		{"null delegation", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [-1, null]}`, CodeBadJSON},
+		{"repeated key", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [1, -1], "delegations": [-1, -1]}`, CodeBadJSON},
+		{"edge of one", `{"instance": {"n": 2, "edges": [[1]], "p": [0.5,0.5]}, "delegations": [-1, -1]}`, CodeBadJSON},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, aerr := ParseWhatIfRequest([]byte(tc.body)); aerr == nil || aerr.Code != tc.code {
@@ -114,8 +146,9 @@ func TestParseWhatIfRequest(t *testing.T) {
 }
 
 // FuzzDecodeEvaluateRequest is the decode-hardening fuzz target: whatever
-// the bytes, the parser must not panic, and anything it accepts must
-// satisfy the invariants the handlers rely on.
+// the bytes, the parser must not panic, anything it accepts must satisfy
+// the invariants the handlers rely on, and any body the decoder accepts
+// the oracle accepts with equal values.
 func FuzzDecodeEvaluateRequest(f *testing.F) {
 	f.Add([]byte(validEvaluateBody()))
 	f.Add([]byte(`{"instance": {"n": 3, "edges": [[0,1],[1,2]], "p": [0.1,0.2,0.3]}, "mechanism": {"name": "half-neighborhood", "alpha": 0.2}, "seed": 1}`))
@@ -125,6 +158,7 @@ func FuzzDecodeEvaluateRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkOracle(t, body, decodeEvaluate)
 		parsed, aerr := ParseEvaluateRequest(body)
 		if aerr != nil {
 			if parsed != nil {
@@ -157,4 +191,416 @@ func FuzzDecodeEvaluateRequest(f *testing.F) {
 			t.Fatalf("re-encoding accepted request: %v", err)
 		}
 	})
+}
+
+// FuzzDecodeWhatIfRequest holds the what-if decoder to the oracle and the
+// what-if parser to its invariants.
+func FuzzDecodeWhatIfRequest(f *testing.F) {
+	// README's three what-if bodies, and one with every delta kind.
+	f.Add([]byte(`{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]}, "delegations": [2, 2, -1]}`))
+	f.Add([]byte(`{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]}, "delegations": [2, 2, -1],
+		"deltas": [{"kind": "repoint", "voter": 0}, {"kind": "competency", "voter": 1, "p": 0.65}]}`))
+	f.Add([]byte(`{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]}, "delegations": [2, 2, -1], "error_budget": 1e-3}`))
+	f.Add([]byte(`{"instance": {"n": 4, "edges": [[0,1],[1,2],[2,3]], "p": [0.5, 0.6, 0.7, 0.9]}, "delegations": [1, -1, -1, 2],
+		"deltas": [{"kind": "competency", "voter": 0, "p": 0.55}, {"kind": "repoint", "voter": 0, "target": null},
+		{"kind": "add-voter", "p": 0.8, "edges": [3], "target": 3}, {"kind": "remove-voter", "voter": 2},
+		{"kind": "add-edge", "voter": 0, "target": 2}, {"kind": "remove-edge", "voter": 0, "target": 1}],
+		"deadline_ms": 500}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkOracle(t, body, decodeWhatIf)
+		parsed, aerr := ParseWhatIfRequest(body)
+		if aerr != nil {
+			if parsed != nil || aerr.Code == "" || aerr.Status != 400 {
+				t.Fatalf("malformed rejection: %+v", aerr)
+			}
+			return
+		}
+		n := parsed.Instance.N()
+		if n <= 0 || n > maxVoters || len(parsed.Graph.Delegate) != n || parsed.FinalInstance.N() > maxVoters {
+			t.Fatalf("accepted what-if out of bounds: n = %d, %d delegations", n, len(parsed.Graph.Delegate))
+		}
+	})
+}
+
+// checkOracle fails t when decode accepts body and the oracle does not, or
+// reads different values.
+func checkOracle[T any](t *testing.T, body []byte, decode func([]byte, *T) *Error) {
+	t.Helper()
+	var got, want T
+	if aerr := decode(body, &got); aerr != nil {
+		if aerr.Code != CodeBadJSON || aerr.Status != 400 {
+			t.Fatalf("decoder rejection %+v, want a 400 %s", aerr, CodeBadJSON)
+		}
+		return
+	}
+	if aerr := decodeStrict(body, &want); aerr != nil {
+		t.Fatalf("decoder accepted %q, oracle refused it: %v", body, aerr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoder read %q as %+v, oracle as %+v", body, got, want)
+	}
+}
+
+// TestDecoderRefusals covers the decoder's error paths, each body under
+// both schemas. The first group is the four kinds of body encoding/json
+// accepts and the decoder refuses; the oracle refuses every other body here
+// too.
+func TestDecoderRefusals(t *testing.T) {
+	const inst = `"instance": {"n": 2, "p": [0.5, 0.5]}`
+	for _, tc := range []struct {
+		name, body    string
+		oracleAccepts bool
+	}{
+		{"trailing brace", `{"deadline_ms": 1}}`, true},
+		{"trailing bracket", `{"deadline_ms": 1}]`, true},
+		{"null element", `{"instance": {"p": [0.1, null]}}`, true},
+		{"null edge", `{"instance": {"edges": [null]}}`, true},
+		{"folded key", `{"DEADLINE_MS": 1}`, true},
+		{"folded nested key", `{"instance": {"N": 2}}`, true},
+		{"repeated key", `{"deadline_ms": 1, "deadline_ms": 2}`, true},
+		{"repeated object", `{` + inst + `, ` + inst + `}`, true},
+		{"three endpoints", `{"instance": {"edges": [[0, 1, 2]]}}`, true},
+		{"one endpoint", `{"instance": {"edges": [[1]]}}`, true},
+		{"null endpoint", `{"instance": {"edges": [[0, null]]}}`, true},
+
+		{"empty", ``, false},
+		{"space", " \n\t", false},
+		{"array document", `[]`, false},
+		{"second document", `{"seed": 1} {}`, false},
+		{"nul byte", "{\x00}", false},
+		{"truncated null", `nul`, false},
+		{"truncated object", `{"seed": 1`, false},
+		{"truncated key", `{"see`, false},
+		{"truncated array", `{"alphas": [1`, false},
+		{"unknown key", `{"bogus": 1}`, false},
+		{"escaped unknown key", `{"se\u0065ds": 1}`, false},
+		{"bare key", `{seed: 1}`, false},
+		{"missing colon", `{"seed" 1}`, false},
+		{"missing comma", `{"seed": 1 "replications": 2}`, false},
+		{"trailing comma", `{"seed": 1,}`, false},
+		{"trailing element comma", `{"alphas": [1,]}`, false},
+		{"leading comma", `{"alphas": [,1]}`, false},
+		{"missing element comma", `{"alphas": [1 2]}`, false},
+		{"object for array", `{"alphas": {}}`, false},
+		{"array for object", `{"instance": [1]}`, false},
+		{"number for string", `{"mechanism": {"name": 5}}`, false},
+		{"string for number", `{"seed": "1"}`, false},
+		{"number for bool", `{"instance": {"complete": 1}}`, false},
+		{"bad literal", `{"instance": {"complete": tru}}`, false},
+		{"bad null", `{"seed": nul}`, false},
+		{"leading zero", `{"seed": 01}`, false},
+		{"plus sign", `{"seed": +1}`, false},
+		{"hex", `{"mechanism": {"alpha": 0x1p-2}}`, false},
+		{"infinity", `{"mechanism": {"alpha": Inf}}`, false},
+		{"underscore", `{"seed": 1_0}`, false},
+		{"bare minus", `{"seed": -}`, false},
+		{"bare point", `{"mechanism": {"alpha": .5}}`, false},
+		{"point without digits", `{"mechanism": {"alpha": 1.}}`, false},
+		{"exponent without digits", `{"mechanism": {"alpha": 1e+}}`, false},
+		{"fraction for int", `{"replications": 1.0}`, false},
+		{"exponent for int", `{"instance": {"n": 1e2}}`, false},
+		{"negative uint", `{"seed": -1}`, false},
+		{"int overflow", `{"deadline_ms": 9223372036854775808}`, false},
+		{"float overflow", `{"error_budget": 1e400}`, false},
+		{"control byte", "{\"mechanism\": {\"name\": \"a\x01\"}}", false},
+		{"bad escape", `{"mechanism": {"name": "\x41"}}`, false},
+		{"short unicode escape", `{"mechanism": {"name": "\u00"}}`, false},
+		{"unterminated string", `{"mechanism": {"name": "abc}}`, false},
+		{"escaped quote unterminated", `{"mechanism": {"name": "abc\"}}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, decode := range []func() (*Error, *Error){
+				func() (*Error, *Error) {
+					var a, b EvaluateRequest
+					return decodeEvaluate([]byte(tc.body), &a), decodeStrict([]byte(tc.body), &b)
+				},
+				func() (*Error, *Error) {
+					var a, b WhatIfRequest
+					return decodeWhatIf([]byte(tc.body), &a), decodeStrict([]byte(tc.body), &b)
+				},
+			} {
+				aerr, oracle := decode()
+				if aerr == nil || aerr.Code != CodeBadJSON || aerr.Status != 400 || !strings.Contains(aerr.Message, "byte ") {
+					t.Fatalf("rejection %+v, want a 400 %s naming the byte", aerr, CodeBadJSON)
+				}
+				if (oracle == nil) != tc.oracleAccepts {
+					t.Fatalf("oracle error %v, want accepted = %v", oracle, tc.oracleAccepts)
+				}
+			}
+		})
+	}
+	// The message names the offset of the first byte that broke the schema.
+	var req EvaluateRequest
+	if aerr := decodeEvaluate([]byte(`{"seed": 1}}`), &req); aerr == nil || aerr.Message != "decoding request: byte 11: want end of input" {
+		t.Fatalf("message = %v", aerr)
+	}
+}
+
+// TestDecoderMatchesOracle is the direction the fuzz targets cannot check:
+// every well-formed request, spelled with varied key order, white space,
+// number spellings, nulls for absent fields and escaped strings, reads the
+// same through the decoder and the oracle, and as the value it spells.
+func TestDecoderMatchesOracle(t *testing.T) {
+	s := rng.New(rng.Derive(21, "server", "decoder-oracle"))
+	for trial := 0; trial < 2000; trial++ {
+		checkSpelled(t, s, decodeEvaluate)
+		checkSpelled(t, s, decodeWhatIf)
+	}
+}
+
+func checkSpelled[T any](t *testing.T, s *rng.Stream, decode func([]byte, *T) *Error) {
+	t.Helper()
+	var want, got, oracle T
+	fill(s, reflect.ValueOf(&want).Elem())
+	sp := speller{s: s}
+	sp.value(reflect.ValueOf(want))
+	if aerr := decode(sp.b, &got); aerr != nil {
+		t.Fatalf("decoder refused %s: %v", sp.b, aerr)
+	}
+	if aerr := decodeStrict(sp.b, &oracle); aerr != nil {
+		t.Fatalf("oracle refused %s: %v", sp.b, aerr)
+	}
+	if !reflect.DeepEqual(got, oracle) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s\nspells %+v\ndecoder %+v\noracle  %+v", sp.b, want, got, oracle)
+	}
+}
+
+// fill sets v to a random value of its type, leaving it zero a quarter of
+// the time.
+func fill(s *rng.Stream, v reflect.Value) {
+	if s.IntN(4) == 0 {
+		return
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(s, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(s, v.Field(i))
+		}
+	case reflect.Slice:
+		n := s.IntN(6)
+		if s.IntN(8) == 0 {
+			n = 100 + s.IntN(200)
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(s, v.Index(i))
+		}
+	case reflect.String:
+		runes := []string{"a", "Z", "_", "-", "/", `"`, `\`, "\n", "\x01", "\x7f", "é", "\u2028", "😀"}
+		var b strings.Builder
+		for k := s.IntN(8); k > 0; k-- {
+			b.WriteString(runes[s.IntN(len(runes))])
+		}
+		v.SetString(b.String())
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		if s.IntN(2) == 0 {
+			v.SetInt(int64(s.Uint64()))
+		} else {
+			v.SetInt(int64(s.IntN(4000)) - 2)
+		}
+	case reflect.Uint64:
+		v.SetUint(s.Uint64())
+	case reflect.Float64:
+		f := []float64{s.Float64(), float64(s.IntN(3)), -s.Float64() * 1e-310, math.Float64frombits(s.Uint64()), 1e300 * s.Float64()}[s.IntN(5)]
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = 0.5
+		}
+		v.SetFloat(f)
+	}
+}
+
+// speller writes a request value as JSON, choosing the spelling at random.
+type speller struct {
+	s *rng.Stream
+	b []byte
+}
+
+func (sp *speller) space() {
+	sp.b = append(sp.b, []string{"", "", " ", "\n\t", "\r\n  "}[sp.s.IntN(5)]...)
+}
+
+func (sp *speller) value(v reflect.Value) {
+	sp.space()
+	switch v.Kind() {
+	case reflect.Pointer:
+		sp.value(v.Elem())
+	case reflect.Struct:
+		sp.b = append(sp.b, '{')
+		first := true
+		for _, i := range sp.s.Perm(v.NumField()) {
+			f, key := v.Field(i), strings.Split(v.Type().Field(i).Tag.Get("json"), ",")[0]
+			if f.IsZero() && sp.s.IntN(3) == 0 {
+				continue // absent
+			}
+			if !first {
+				sp.b = append(sp.b, ',')
+			}
+			first = false
+			sp.space()
+			sp.string(key)
+			sp.space()
+			sp.b = append(sp.b, ':')
+			if f.IsZero() && (sp.s.IntN(2) == 0 || f.Kind() == reflect.Pointer || f.Kind() == reflect.Slice) {
+				sp.space()
+				sp.b = append(sp.b, "null"...) // absent too
+			} else {
+				sp.value(f)
+			}
+		}
+		sp.space()
+		sp.b = append(sp.b, '}')
+	case reflect.Slice, reflect.Array:
+		sp.b = append(sp.b, '[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				sp.b = append(sp.b, ',')
+			}
+			sp.value(v.Index(i))
+		}
+		sp.space()
+		sp.b = append(sp.b, ']')
+	case reflect.String:
+		sp.string(v.String())
+	case reflect.Bool:
+		sp.b = strconv.AppendBool(sp.b, v.Bool())
+	case reflect.Int, reflect.Int64:
+		if v.Int() == 0 && sp.s.IntN(2) == 0 {
+			sp.b = append(sp.b, "-0"...)
+		} else {
+			sp.b = strconv.AppendInt(sp.b, v.Int(), 10)
+		}
+	case reflect.Uint64:
+		sp.b = strconv.AppendUint(sp.b, v.Uint(), 10)
+	case reflect.Float64:
+		sp.float(v.Float())
+	}
+	sp.space()
+}
+
+// float writes one of several spellings of the decimal that formats f
+// shortest, so every spelling parses back to f: 0.5 as 0.5, 5e-01, 5E-01,
+// 50e-2 or 5.0E-1, and zero also as -0, 0.0e3 or -0.000.
+func (sp *speller) float(f float64) {
+	e := strconv.FormatFloat(f, 'e', -1, 64) // [-]d[.ddd]e±dd
+	mant, exp, _ := strings.Cut(e, "e")
+	x, _ := strconv.Atoi(exp)
+	sign := ""
+	if mant[0] == '-' {
+		sign, mant = "-", mant[1:]
+	}
+	digits := strings.Replace(mant, ".", "", 1)
+	switch k := sp.s.IntN(6); {
+	case f == 0 && k < 3:
+		sp.b = append(sp.b, []string{"-0", "0.0e3", "-0.000"}[k]...)
+	case k == 0:
+		sp.b = strconv.AppendFloat(sp.b, f, 'g', -1, 64)
+	case k == 1:
+		sp.b = append(sp.b, e...)
+	case k == 2:
+		sp.b = append(sp.b, strings.ToUpper(e)...)
+	case k == 3 && f != 0: // digits as an integer, then a longer exponent
+		sp.b = append(sp.b, sign+digits+"0e"+strconv.Itoa(x-len(digits))...)
+	case k == 4: // a fraction with a trailing zero
+		exp := strconv.Itoa(x)
+		if x >= 0 {
+			exp = "+" + exp
+		}
+		sp.b = append(sp.b, sign+mant[:1]+"."+mant[min(2, len(mant)):]+"0E"+exp...)
+	default:
+		sp.b = strconv.AppendFloat(sp.b, f, 'f', -1, 64)
+	}
+}
+
+// string writes s quoted, escaping each rune at random where JSON allows
+// it and always where it must.
+func (sp *speller) string(s string) {
+	sp.b = append(sp.b, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\' || r < 0x20 || sp.s.IntN(3) == 0:
+			if short := map[rune]string{'"': `\"`, '\\': `\\`, '\n': `\n`, '/': `\/`}[r]; short != "" && sp.s.IntN(2) == 0 {
+				sp.b = append(sp.b, short...)
+			} else if r1, r2 := utf16.EncodeRune(r); r1 != utf8.RuneError {
+				sp.b = fmt.Appendf(sp.b, `\u%04x\u%04x`, r1, r2)
+			} else {
+				sp.b = fmt.Appendf(sp.b, `\u%04x`, r)
+			}
+		default:
+			sp.b = utf8.AppendRune(sp.b, r)
+		}
+	}
+	sp.b = append(sp.b, '"')
+}
+
+// TestDecoderStrings pins the string paths: plain ASCII is read in place,
+// and anything else reads as encoding/json reads it, invalid UTF-8 included.
+func TestDecoderStrings(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"mechanism": {"name": "direct"}}`:            "direct",
+		`{"mechanism": {"name": "dir\u0065ct"}}`:       "direct",
+		`{"mechanism": {"name": "a\"b\\c\/d\td"}}`:     "a\"b\\c/d\td",
+		"{\"mechanism\": {\"name\": \"caf\xc3\xa9\"}}": "café",
+		"{\"mechanism\": {\"name\": \"bad\xff\"}}":     "bad\ufffd",
+		`{"mechanism": {"name": "\ud83d\ude00"}}`:      "😀",
+		`{"mechanism": {"name": "\ud83d"}}`:            "\ufffd",
+		`{"mechanism": {"n\u0061me": "x"}, "seed": 3}`: "x",
+	} {
+		var got EvaluateRequest
+		if aerr := decodeEvaluate([]byte(body), &got); aerr != nil || got.Mechanism.Name != want {
+			t.Fatalf("%s: name %q (%v), want %q", body, got.Mechanism.Name, aerr, want)
+		}
+		checkOracle(t, []byte(body), decodeEvaluate)
+	}
+}
+
+// TestDecoderKeysMatchTags keeps the decoder's key tables in step with the
+// wire types' json tags.
+func TestDecoderKeysMatchTags(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		keys []string
+	}{
+		{EvaluateRequest{}, evaluateKeys},
+		{WhatIfRequest{}, whatIfKeys},
+		{InstanceSpec{}, instanceKeys},
+		{MechanismSpec{}, mechanismKeys},
+		{FaultSpec{}, faultKeys},
+		{DeltaSpec{}, deltaKeys},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var tags []string
+		for i := 0; i < typ.NumField(); i++ {
+			tags = append(tags, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
+		}
+		if !reflect.DeepEqual(tags, tc.keys) {
+			t.Errorf("%s: decoder keys %q, json tags %q", typ, tc.keys, tags)
+		}
+	}
+}
+
+// TestDecoderSizesArraysByTheirElements: an array's slice is reserved from
+// the array's own elements, so a hostile n reserves nothing and key order
+// does not matter.
+func TestDecoderSizesArraysByTheirElements(t *testing.T) {
+	for body, want := range map[string]int{
+		`{"instance": {"n": 1000000000, "p": [0.5]}}`:             1,
+		`{"instance": {"n": -1, "p": [0.5, 0.5]}}`:                2,
+		`{"instance": {"p": [0.5, 0.5, 0.5], "n": 9}}`:            3,
+		`{"delegations": [1, -1, 0, 2], "instance": {"n": 4000}}`: 4,
+	} {
+		var req WhatIfRequest
+		if aerr := decodeWhatIf([]byte(body), &req); aerr != nil {
+			t.Fatalf("%s: %v", body, aerr)
+		}
+		if got := cap(req.Instance.P) + cap(req.Delegations); got != want {
+			t.Fatalf("%s: reserved %d elements, want %d", body, got, want)
+		}
+	}
 }
