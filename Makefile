@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-facts lint-baseline test test-short test-race test-faults cover fuzz-smoke bench bench-smoke bench-json bench-large bench-serve serve-smoke reproduce reproduce-fast examples fmt
+.PHONY: all check build vet lint lint-facts lint-baseline test test-short test-race test-faults cover fuzz-smoke bench bench-smoke serve-smoke reproduce reproduce-fast examples fmt
 
 all: check
 
@@ -119,49 +119,19 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test ./cmd/liquidd -run='^TestServeSmoke$$' -count=1
 
-# bench-serve runs the load generator against a fresh daemon and writes
-# the schema-stable serving snapshots: BENCH_SERVE_001.json is the base
-# evaluate-heavy profile, BENCH_SERVE_002.json the delta-what-if-heavy mix
-# that measures the incremental serving win (latency percentiles,
-# throughput, outcome mix); see README "Benchmark trajectory".
-bench-serve:
-	@$(GO) build -o /tmp/liquidd.bench ./cmd/liquidd
-	@$(GO) build -o /tmp/liquidload.bench ./cmd/liquidload
-	@/tmp/liquidd.bench -addr 127.0.0.1:0 2>/tmp/liquidd.bench.log & \
-	pid=$$!; \
-	for i in $$(seq 50); do grep -q 'serving on' /tmp/liquidd.bench.log && break; sleep 0.1; done; \
-	addr=$$(sed -n 's|.*serving on http://||p' /tmp/liquidd.bench.log | head -1); \
-	/tmp/liquidload.bench -addr $$addr -requests 400 -rate 800 -seed 1 -verify -bench BENCH_SERVE_001.json; rc=$$?; \
-	if [ $$rc -eq 0 ]; then \
-		/tmp/liquidload.bench -addr $$addr -requests 400 -rate 800 -seed 2 -whatif-delta-frac 0.5 -verify -bench BENCH_SERVE_002.json; rc=$$?; \
-	fi; \
-	kill -TERM $$pid; wait $$pid; exit $$rc
-
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke runs the exact-engine kernel benchmarks for a single
 # iteration each: a crash check over benchmark-only code, cheap enough for
 # the check gate. Timings from one iteration are meaningless; use
-# bench/bench-json for numbers. The second line covers the convolution
+# `bash bench/run.sh` for numbers. The second line covers the convolution
 # engine's fork-join path, whose benchmark lives in internal/prob; the
 # third the scale tier's fused chunk pass.
 bench-smoke:
 	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkScaleEvaluateMajority100000|BenchmarkCertifyQuery100000|BenchmarkMultiDelegationProbability)$$' .
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
 	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkStats$$'
-
-# bench-json runs the full benchmark suite and appends a schema-stable
-# snapshot BENCH_<n>.json (next free index) for trajectory tracking across
-# PRs; see cmd/benchjson and README "Benchmark trajectory".
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# bench-large snapshots the million-voter scale tier only: the streamed
-# certified ladder and the chunk-folded mechanism evaluation at n = 10^5
-# and 10^6 (see DESIGN.md §16 and README "Benchmark trajectory").
-bench-large:
-	$(GO) run ./cmd/benchjson -bench '^(BenchmarkLadderMajority|BenchmarkScaleEvaluateMajority)(100000|1000000)$$'
 
 # Regenerate every paper experiment at full scale (deterministic, seed 1).
 reproduce:

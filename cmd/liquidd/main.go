@@ -7,7 +7,7 @@
 // The daemon is built for partial failure: requests carry deadlines that
 // propagate into engine cancellation, a bounded admission queue sheds load
 // with 429 + Retry-After before it builds up, worker panics surface as
-// typed 500s without taking a shard down, and when a deadline cannot
+// typed 500s without taking a worker down, and when a deadline cannot
 // afford the exact engine the response degrades to certified normal
 // intervals (flagged, with their half-widths) instead of missing the
 // deadline.
@@ -58,8 +58,8 @@ func run(ctx context.Context, args []string, errOut io.Writer) error {
 	fs.SetOutput(errOut)
 	var (
 		addr       = fs.String("addr", "localhost:8090", "listen address (use :0 for an ephemeral port)")
-		shards     = fs.Int("shards", 0, "worker shards (0 = one per CPU core)")
-		queueDepth = fs.Int("queue-depth", 0, "per-shard queue depth (0 = default 64)")
+		shards     = fs.Int("shards", 0, "workers, which all read one queue (0 = one per CPU core)")
+		queueDepth = fs.Int("queue-depth", 0, "queued requests per worker; the queue holds shards*queue-depth (0 = default 64)")
 		maxCost    = fs.Int64("max-cost", 0, "admission budget in DP units (0 = default 1<<28)")
 		costRate   = fs.Float64("cost-rate", 0, "degradation calibration in DP units/sec (0 = default 50e6)")
 		deadlineD  = fs.Duration("deadline", 0, "default per-request deadline (0 = 5s)")
@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, errOut io.Writer) error {
 	}
 
 	// Drain: stop accepting, let in-flight handlers finish (their own
-	// deadlines still apply), then stop the worker shards.
+	// deadlines still apply), then stop the workers.
 	fmt.Fprintln(errOut, "liquidd: draining")
 	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainGrace)
 	defer cancel()

@@ -20,16 +20,12 @@
 // request probes the same shared base election with a short list of
 // incremental edits.
 //
-// With -bench the run writes a schema-stable JSON snapshot
-// ("liquid-bench-serve/1") with the outcome counts, latency percentiles,
-// and achieved throughput, for trajectory tracking alongside BENCH_<n>.json.
-//
 // Usage:
 //
 //	liquidload -addr host:port [-requests N] [-rate R] [-seed N]
 //	           [-voters N] [-replications N] [-deadline-ms N]
 //	           [-whatif-frac F] [-whatif-delta-frac F] [-fault-frac F]
-//	           [-malformed-frac F] [-slow-frac F] [-verify] [-bench out.json]
+//	           [-malformed-frac F] [-slow-frac F] [-verify]
 package main
 
 import (
@@ -41,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -101,7 +96,6 @@ func run(args []string, out, errOut io.Writer) error {
 		malformedF = fs.Float64("malformed-frac", 0.1, "fraction of malformed bodies (typed 400s)")
 		slowF      = fs.Float64("slow-frac", 0.1, "fraction of slow clients (trickled request bodies)")
 		verify     = fs.Bool("verify", false, "recompute completed exact evaluate, fault and delta what-if responses offline and require bit-identity")
-		benchOut   = fs.String("bench", "", "write a liquid-bench-serve/1 JSON snapshot here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -242,71 +236,7 @@ func run(args []string, out, errOut io.Writer) error {
 		return float64(latencies[idx]) / float64(time.Millisecond)
 	}
 	fmt.Fprintf(out, "latency ms: p50 %.2f, p90 %.2f, p99 %.2f, max %.2f\n", p(0.50), p(0.90), p(0.99), p(1))
-
-	if *benchOut != "" {
-		snap := benchSnapshot{
-			Schema:    "liquid-bench-serve/1",
-			Go:        runtime.Version(),
-			Seed:      *seed,
-			Requests:  *requests,
-			RatePerS:  *rate,
-			Voters:    *voters,
-			Completed: got.Completed, Malformed: got.Malformed, Shed: got.Shed,
-			Failed: got.Failed, Expired: got.Expired,
-			ReqPerSec: float64(got.Received) / wall.Seconds(),
-			P50MS:     p(0.50), P90MS: p(0.90), P99MS: p(0.99), MaxMS: p(1),
-			Verified: verified, VerifiedWhatIf: verifiedWhatIf,
-			WhatIfDeltas: countKind(reqs, "whatif-delta"),
-		}
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(errOut, "bench snapshot: %s\n", *benchOut)
-	}
 	return nil
-}
-
-// benchSnapshot is the schema-stable serving benchmark record. Timings are
-// machine-dependent; the outcome counts are seed-deterministic up to
-// scheduling (how many requests shed depends on timing, their sum does
-// not).
-type benchSnapshot struct {
-	Schema    string  `json:"schema"`
-	Go        string  `json:"go"`
-	Seed      uint64  `json:"seed"`
-	Requests  int     `json:"requests"`
-	RatePerS  float64 `json:"rate_per_sec"`
-	Voters    int     `json:"voters"`
-	Completed uint64  `json:"completed"`
-	Malformed uint64  `json:"malformed"`
-	Shed      uint64  `json:"shed"`
-	Failed    uint64  `json:"failed"`
-	Expired   uint64  `json:"expired"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	P50MS     float64 `json:"p50_ms"`
-	P90MS     float64 `json:"p90_ms"`
-	P99MS     float64 `json:"p99_ms"`
-	MaxMS     float64 `json:"max_ms"`
-	Verified  int     `json:"verified"`
-	// Delta what-if extras: how many delta requests the schedule carried
-	// and how many completed responses passed offline bit-identity.
-	WhatIfDeltas   int `json:"whatif_deltas,omitempty"`
-	VerifiedWhatIf int `json:"verified_whatif,omitempty"`
-}
-
-// countKind tallies scheduled requests of one kind.
-func countKind(reqs []request, kind string) int {
-	n := 0
-	for _, rq := range reqs {
-		if rq.kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // buildSchedule derives the full request mix from the seed. Request i's

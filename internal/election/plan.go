@@ -255,10 +255,10 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 }
 
 // replicate runs opts.Replications realizations of mech, each repaired
-// when repair is set, in the worker pool and returns their outcomes in
+// when repair is set, on prob.ParallelFor and returns their outcomes in
 // replication order. Replication r draws only from stream r+1 of the
 // seed's root, so two mechanisms replicated at one seed see the same
-// streams: CompareMechanisms pairs them. Cancelling ctx stops the feed
+// streams: CompareMechanisms pairs them. Cancelling ctx stops the hand-out
 // and returns ctx's error.
 func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair Repair, opts Options, certify bool) ([]repOut, error) {
 	// Telemetry: a replication counter, write-only like evaluatePoint's span.
@@ -266,42 +266,26 @@ func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair R
 	root := rng.New(opts.Seed)
 	cache := p.scoreCache(opts, certify)
 	outs := make([]repOut, opts.Replications)
-	workers := opts.Workers
-	if workers > opts.Replications {
-		workers = opts.Replications
+	// One workspace and resolver per worker: scratch is reused across the
+	// worker's replications and never shared. The score cache is shared —
+	// its values are pure functions of their keys, so scheduling cannot
+	// change any result, only the hit counts.
+	workers := min(opts.Workers, opts.Replications)
+	wss := make([]*prob.Workspace, workers)
+	rvs := make([]*core.Resolver, workers)
+	for w := range wss {
+		wss[w], rvs[w] = wsPool.Get().(*prob.Workspace), rvPool.Get().(*core.Resolver)
 	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One workspace and resolver per worker: scratch is reused
-			// across this worker's replications and never shared. The score
-			// cache is shared — its values are pure functions of their keys,
-			// so scheduling cannot change any result, only the hit counts.
-			ws := wsPool.Get().(*prob.Workspace)
-			rv := rvPool.Get().(*core.Resolver)
-			defer wsPool.Put(ws)
-			defer rvPool.Put(rv)
-			for r := range work {
-				// Each replication draws from a stream derived only from
-				// (seed, r), so scheduling order cannot change the outcome.
-				outs[r] = evaluateReplication(ctx, p.in, mech, repair, opts, certify, root.Derive(uint64(r)+1), ws, rv, cache)
-			}
-		}()
+	err := prob.ParallelFor(ctx, opts.Replications, workers, func(w, r int) {
+		// Each replication draws from a stream derived only from (seed, r),
+		// so scheduling order cannot change the outcome.
+		outs[r] = evaluateReplication(ctx, p.in, mech, repair, opts, certify, root.Derive(uint64(r)+1), wss[w], rvs[w], cache)
+	})
+	for w := range wss {
+		wsPool.Put(wss[w])
+		rvPool.Put(rvs[w])
 	}
-feed:
-	for r := 0; r < opts.Replications; r++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case work <- r:
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return outs, nil

@@ -5,9 +5,9 @@
 // rng.Derive, never from scheduling order, so running the registry with one
 // worker or sixteen produces byte-identical outcomes; the engine only decides
 // *when* each experiment runs. Cancellation is cooperative: cancelling the
-// context passed to Run stops the scheduler from feeding new experiments and
-// aborts in-flight replication loops through the context plumbed into the
-// election and localsim layers.
+// context passed to Run stops the scheduler from handing out new experiments
+// and aborts in-flight replication loops through the context plumbed into
+// the election and localsim layers.
 package engine
 
 import (
@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"liquid/internal/experiment"
+	"liquid/internal/prob"
 	"liquid/internal/telemetry"
 )
 
@@ -176,44 +178,20 @@ func (r *Runner) Run(ctx context.Context, defs []experiment.Definition, cfg expe
 		cfg.Workers = max(1, defaultWorkers()/workers)
 	}
 
-	// stop is closed at most once, when FailFast trips. Once it is closed
-	// the feeder's select may still pick a ready send over it, so a worker
-	// checks stop after each receive: an index handed over after the first
-	// failure stays Skipped.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				select {
-				case <-stop:
-					continue
-				default:
-				}
-				results[i] = r.runOne(ctx, defs[i], cfg)
-				if r.opts.FailFast && results[i].Failed() {
-					stopOnce.Do(func() { close(stop) })
-				}
-			}
-		}()
-	}
-
-feed:
-	for i := range defs {
-		select {
-		case <-ctx.Done():
-			break feed
-		case <-stop:
-			break feed
-		case work <- i:
+	// ParallelFor checks ctx before it hands out each index, so a cancelled
+	// run starts no further experiment and a pre-cancelled one starts none.
+	// Once FailFast trips, an index handed out later stays Skipped. The
+	// loop's error is ctx's, which the suite reports below.
+	var stop atomic.Bool
+	_ = prob.ParallelFor(ctx, len(defs), workers, func(_, i int) {
+		if stop.Load() {
+			return
 		}
-	}
-	close(work)
-	wg.Wait()
+		results[i] = r.runOne(ctx, defs[i], cfg)
+		if r.opts.FailFast && results[i].Failed() {
+			stop.Store(true)
+		}
+	})
 
 	failed := 0
 	for _, res := range results {

@@ -161,6 +161,41 @@ func TestRunCancellationRealExperiment(t *testing.T) {
 	}
 }
 
+// TestPreCancelledRunStartsNothing runs a suite whose context is cancelled
+// before Run starts: no experiment may start, every result stays Skipped,
+// and Run returns ctx's error. A hand-out that raced the cancellation
+// would start an experiment in a small share of runs, so each width
+// repeats the run.
+func TestPreCancelledRunStartsNothing(t *testing.T) {
+	var ran atomic.Int32
+	var defs []experiment.Definition
+	for i := 0; i < 8; i++ {
+		defs = append(defs, stubDef(fmt.Sprintf("S%d", i),
+			func(ctx context.Context, cfg experiment.Config) (*experiment.Outcome, error) {
+				ran.Add(1)
+				return &experiment.Outcome{}, nil
+			}))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2, 4} {
+		for iter := 0; iter < 2000; iter++ {
+			results, err := New(Options{Workers: workers}).Run(ctx, defs, experiment.Config{Seed: 1})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers %d, run %d: err = %v, want context.Canceled", workers, iter, err)
+			}
+			for i, res := range results {
+				if !res.Skipped {
+					t.Fatalf("workers %d, run %d: result %d not skipped", workers, iter, i)
+				}
+			}
+			if got := ran.Load(); got != 0 {
+				t.Fatalf("workers %d, run %d: %d experiments started after cancellation", workers, iter, got)
+			}
+		}
+	}
+}
+
 // TestFailFastStopsScheduling runs a failing experiment first with one
 // worker: everything after the failure must be skipped, and without
 // FailFast everything runs.
@@ -202,12 +237,10 @@ func TestFailFastStopsScheduling(t *testing.T) {
 }
 
 // TestFailFastSkipsLateHandoff repeats the fail-fast scenario with a slow
-// first experiment, so the feeder is parked on its next send when the
-// worker takes the failing one. Once the worker has closed stop and waits
-// for work again, both of the feeder's select cases are ready and it may
-// still hand over the next index; that index must stay skipped. Without
-// the worker's check a single run fails only about half the time, so the
-// scenario repeats.
+// first experiment. The worker takes the failing experiment next, and the
+// index after it is still handed out once FailFast has tripped; that index
+// must stay skipped. A hand-out that raced the failure would run it in
+// only some runs, so the scenario repeats.
 func TestFailFastSkipsLateHandoff(t *testing.T) {
 	var ran atomic.Int32
 	mk := func(id string, fail bool, wait time.Duration) experiment.Definition {

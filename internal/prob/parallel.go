@@ -1,8 +1,8 @@
 package prob
 
 // The convolution engine's fork-join budget (see Workspace.dc) and the
-// context-taking entry points that use it, plus ParallelFor, the worker loop
-// the normal tier's moment blocks and the scale fold's chunks run on.
+// context-taking entry points that use it, plus ParallelFor, the shared
+// worker loop over independent items.
 //
 // The fork budget is a non-blocking token bucket: a node forks its right
 // child only if a token is free, otherwise it recurses inline. Scheduling
@@ -91,6 +91,11 @@ func (pb *PoissonBinomial) ProbMajorityParallelWS(ctx context.Context, ws *Works
 // Scheduling decides only which goroutine runs i, so a body that writes
 // slot i gives results that do not depend on it. One worker or one item
 // runs inline. A cancelled ctx stops the hand-out and is returned.
+//
+// It has four callers: the normal tier's moment blocks (UnitMoments), the
+// scale fold's chunks (scale.EvaluateMajority), the election Plan's
+// replications (election's Plan.replicate) and the experiment engine's
+// definitions (engine.Runner.Run).
 func ParallelFor(ctx context.Context, n, workers int, body func(w, i int)) error {
 	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {

@@ -54,7 +54,7 @@ func EstimateLadderCost(n int, errorBudget float64) int64 {
 }
 
 // admission is the bounded-queue, bounded-cost gate in front of the worker
-// shards.
+// pool.
 type admission struct {
 	maxQueue int64
 	maxCost  int64

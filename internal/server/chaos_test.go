@@ -21,7 +21,7 @@ import (
 )
 
 // TestChaos drives the daemon at twice its admission budget while a fault
-// plan crashes and partitions the worker shards, and asserts the three
+// plan crashes and partitions the workers, and asserts the three
 // serving invariants:
 //
 //  1. no request outlives its deadline beyond a drain grace,
@@ -31,23 +31,23 @@ import (
 //     evaluation of the same request.
 func TestChaos(t *testing.T) {
 	const (
-		shards     = 4
+		workers    = 4
 		queueDepth = 2
 		n          = 30
-		requests   = 60 // budget is shards*queueDepth = 8 concurrent
+		requests   = 60 // budget is workers*queueDepth = 8 concurrent
 		deadline   = 5 * time.Second
 		grace      = 3 * time.Second
 	)
 
 	in, instJSON := testInstance(t, n)
 
-	// The chaos schedule comes from the fault package's own sampler: shards
+	// The chaos schedule comes from the fault package's own sampler: workers
 	// stand in for nodes, the worker's task sequence (mod the crash window)
-	// for rounds. A "crashed" shard panics on the task — exercising the
-	// typed internal_panic 500 — and a cut between a shard and its neighbor
+	// for rounds. A "crashed" worker panics on the task — exercising the
+	// typed internal_panic 500 — and a cut between a worker and its neighbor
 	// returns a plain error, which is final and answers a typed internal
 	// 500.
-	plan, err := fault.SamplePlan(shards, fault.PlanParams{
+	plan, err := fault.SamplePlan(workers, fault.PlanParams{
 		CrashRate:     0.5,
 		CrashWindow:   30,
 		PartitionSize: 2,
@@ -58,16 +58,16 @@ func TestChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, ts := newTestServer(t, server.Config{
-		Shards:     shards,
+		Shards:     workers,
 		QueueDepth: queueDepth,
 		Workers:    1,
-		ChaosHook: func(shard int, seq uint64) error {
+		ChaosHook: func(worker int, seq uint64) error {
 			round := int(seq % 30)
-			if plan.Crashed(shard, round) {
-				panic(fmt.Sprintf("chaos: shard %d crashed at round %d", shard, round))
+			if plan.Crashed(worker, round) {
+				panic(fmt.Sprintf("chaos: worker %d crashed at round %d", worker, round))
 			}
-			if plan.Cut(shard, (shard+1)%shards, round) {
-				return fmt.Errorf("chaos partition at shard %d round %d", shard, round)
+			if plan.Cut(worker, (worker+1)%workers, round) {
+				return fmt.Errorf("chaos partition at worker %d round %d", worker, round)
 			}
 			return nil
 		},
@@ -327,7 +327,7 @@ func TestChaosDrain(t *testing.T) {
 	// Draining begins immediately even while Close blocks on the pool. A
 	// probe racing ahead of the draining flag can be admitted and queued
 	// behind the blocked workers, so probes carry a short deadline: they
-	// expire (504) or shed on a full queue (429) until the flag lands and
+	// expire (504) or are shed by admission (429) until the flag lands and
 	// they shed with 503.
 	probe := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "direct"}, "deadline_ms": 50}`, instJSON)
 	deadline := time.After(5 * time.Second)

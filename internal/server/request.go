@@ -2,8 +2,8 @@
 // front of the election engines. It owns the robustness stack the batch
 // binaries never needed — request validation, per-request deadlines
 // propagated as contexts into the engines' cancellation paths, a bounded
-// admission queue with cost-aware load shedding, shard-per-core workers
-// with panic isolation, and graceful degradation that trades the exact
+// admission queue with cost-aware load shedding, workers that share one
+// queue and isolate panics, and graceful degradation that trades the exact
 // kernels for certified normal intervals (prob.CertifyMajority) when a
 // deadline budget cannot afford exact (see DESIGN.md §14).
 //

@@ -24,10 +24,11 @@ import (
 type Config struct {
 	// MaxBody caps request bodies in bytes (default 1 MiB).
 	MaxBody int64
-	// Shards is the worker-pool width (default GOMAXPROCS).
+	// Shards is the number of workers, which all read one queue (default
+	// GOMAXPROCS).
 	Shards int
-	// QueueDepth bounds each shard's queue (default 64). The admission
-	// controller's global queue bound is Shards*QueueDepth.
+	// QueueDepth sizes that queue at Shards*QueueDepth tasks (default 64),
+	// which is also admission's bound on admitted-but-unfinished requests.
 	QueueDepth int
 	// MaxCost bounds the DP-unit cost of admitted-but-unfinished work
 	// (default 1 << 28). See EstimateCost.
@@ -46,10 +47,10 @@ type Config struct {
 	// layer's parallelism is across requests, not within them).
 	Replications int
 	Workers      int
-	// ChaosHook, when set, runs before each task executes (shard index and
-	// the shard's task sequence number). Errors are returned as the task's
-	// result; panics exercise the recovery path. Test-only.
-	ChaosHook func(shard int, seq uint64) error
+	// ChaosHook, when set, runs before each task executes (the worker's
+	// index and that worker's task sequence number). Errors are returned as
+	// the task's result; panics exercise the recovery path. Test-only.
+	ChaosHook func(worker int, seq uint64) error
 }
 
 func (c Config) withDefaults() Config {
@@ -106,7 +107,6 @@ type Server struct {
 	adm  *admission
 	pool *pool
 	mux  *http.ServeMux
-	seq  atomic.Uint64
 
 	// drainMu guards submission against Close: submitters hold it shared,
 	// Close exclusively.
@@ -124,13 +124,15 @@ type Server struct {
 	cWhatIfDeltas *telemetry.Counter
 }
 
-// New builds a Server and starts its worker shards.
+// New builds a Server and starts its workers.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	// Admission's bound is the queue's capacity: see admitAndSubmit.
+	queue := cfg.Shards * cfg.QueueDepth
 	s := &Server{
 		cfg:           cfg,
-		adm:           newAdmission(cfg.Shards*cfg.QueueDepth, cfg.MaxCost),
-		pool:          newPool(cfg.Shards, cfg.QueueDepth, cfg.ChaosHook),
+		adm:           newAdmission(queue, cfg.MaxCost),
+		pool:          newPool(cfg.Shards, queue, cfg.ChaosHook),
 		mux:           http.NewServeMux(),
 		hLatency:      telemetry.NewHistogram("server/latency_seconds", 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10),
 		cRequests:     telemetry.NewCounter("server/requests"),
@@ -258,7 +260,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvaluate serves /v1/evaluate: decode and validate, derive the
-// request deadline, admit or shed, then evaluate on a worker shard.
+// request deadline, admit or shed, then evaluate on a worker.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.received.Add(1)
@@ -385,7 +387,7 @@ func (s *Server) deadline(ms int64) time.Duration {
 func (s *Server) dispatch(ctx context.Context, w http.ResponseWriter, cost int64, fn func(context.Context) error, ok func()) {
 	// The task's reservation is released by the worker (via task.release)
 	// once it finishes or skips the task — not when this handler returns,
-	// because an abandoned task still occupies its shard.
+	// because an abandoned task still occupies a worker.
 	t := s.newTask(ctx, cost, fn)
 	if status, admitted := s.admitAndSubmit(t, cost); !admitted {
 		s.shedResponse(w, status)
@@ -401,9 +403,9 @@ func (s *Server) dispatch(ctx context.Context, w http.ResponseWriter, cost int64
 }
 
 // admitAndSubmit applies the admission gate and queues the task, all under
-// the drain lock so Close cannot close a shard channel between the two
-// steps. On refusal it returns the shed status: 503 while draining, 429
-// otherwise.
+// the drain lock so Close cannot close the queue between the two steps. On
+// refusal it returns the shed status: 503 while draining, 429 when
+// admission refuses.
 func (s *Server) admitAndSubmit(t *task, cost int64) (status int, admitted bool) {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -415,12 +417,11 @@ func (s *Server) admitAndSubmit(t *task, cost int64) (status int, admitted bool)
 	if !s.adm.admit(cost) {
 		return http.StatusTooManyRequests, false
 	}
-	if !s.pool.submit(s.seq.Add(1), t) {
-		s.adm.release(cost)
-		s.adm.shed.Add(1)
-		s.adm.cShed.Inc()
-		return http.StatusTooManyRequests, false
-	}
+	// The send never blocks. Admission holds the admitted-but-unfinished
+	// count at or below Shards*QueueDepth, the queue's capacity, and a task
+	// leaves the queue before its worker releases the reservation. So every
+	// queued task is admitted and unfinished, and this one still fits.
+	s.pool.tasks <- t
 	return 0, true
 }
 
@@ -464,7 +465,7 @@ func (s *Server) shedResponse(w http.ResponseWriter, status int) {
 	writeError(w, &Error{Code: CodeShed, Message: "admission budget exhausted; retry later", Status: status})
 }
 
-// evaluate runs one evaluate request on a worker shard: the exact sweep
+// evaluate runs one evaluate request on a worker: the exact sweep
 // when the deadline budget affords its DP-unit cost at the calibrated rate,
 // otherwise the certified sweep, which draws the same realizations and
 // scores them by certified normal intervals; with no budget at all, the

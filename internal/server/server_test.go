@@ -324,8 +324,8 @@ func TestEvaluateDeadline(t *testing.T) {
 	}
 }
 
-// TestShedding fills the single shard and asserts the 429 + Retry-After
-// path and its accounting.
+// TestShedding fills the single worker and the admission bound, and
+// asserts the 429 + Retry-After path and its accounting.
 func TestShedding(t *testing.T) {
 	_, instJSON := testInstance(t, 5)
 	release := make(chan struct{})
@@ -366,6 +366,64 @@ func TestShedding(t *testing.T) {
 	st := srv.Stats()
 	if st.Received != 2 || st.Completed != 1 || st.Shed != 1 {
 		t.Fatalf("stats = %+v, want received 2 = completed 1 + shed 1", st)
+	}
+}
+
+// TestSlowTaskDoesNotBlockQueue parks one of two workers on its first task
+// and sends a request every 20 ms: the other worker drains the one queue,
+// so no request waits behind the parked one, and admission, with room to
+// spare, sheds none. Only the parked request may miss its deadline.
+func TestSlowTaskDoesNotBlockQueue(t *testing.T) {
+	const requests = 8
+	_, instJSON := testInstance(t, 5)
+	release := make(chan struct{})
+	srv, ts := newTestServer(t, server.Config{
+		Shards:     2,
+		QueueDepth: 2,
+		ChaosHook: func(worker int, _ uint64) error {
+			if worker == 0 {
+				<-release
+			}
+			return nil
+		},
+	})
+	// Cleanups run last-in first-out, so worker 0 is let go before Close
+	// waits for it.
+	t.Cleanup(func() { close(release) })
+
+	body := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "direct"}, "deadline_ms": 300}`, instJSON)
+	statuses := make(chan int, requests)
+	for i := 0; i < requests; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+			if err != nil {
+				statuses <- -1
+				return
+			}
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+		time.Sleep(20 * time.Millisecond)
+	}
+	var got server.Stats
+	for i := 0; i < requests; i++ {
+		got.Received++
+		switch status := <-statuses; status {
+		case http.StatusOK:
+			got.Completed++
+		case http.StatusTooManyRequests:
+			got.Shed++
+		case http.StatusGatewayTimeout:
+			got.Expired++
+		default:
+			t.Fatalf("unexpected status %d", status)
+		}
+	}
+	if got.Shed != 0 || got.Completed < requests-2 {
+		t.Fatalf("outcomes %+v: want no shed and at least %d completed", got, requests-2)
+	}
+	if st := srv.Stats(); st != got {
+		t.Fatalf("server accounting %+v != client-observed %+v", st, got)
 	}
 }
 

@@ -1,11 +1,10 @@
 package server
 
-// The shard-per-core worker pool. Each shard owns one goroutine and one
-// bounded channel; a request is hashed onto a shard by arrival sequence, so
-// a single slow evaluation delays only its shard's queue, not the whole
-// server. Workers recover panics into typed 500 errors, so one poisoned
-// request cannot take a shard down. A task runs once: every answer is a
-// pure function of the request, so a failed evaluation would fail again.
+// The worker pool. Every worker reads one FIFO channel of admitted tasks,
+// so a slow evaluation holds one worker while the others drain the queue.
+// Workers recover panics into typed 500 errors, so one poisoned request
+// cannot take a worker down. A task runs once: every answer is a pure
+// function of the request, so a failed evaluation would fail again.
 
 import (
 	"context"
@@ -15,67 +14,52 @@ import (
 	"sync"
 )
 
-// task is one admitted request waiting for a shard.
+// task is one admitted request waiting for a worker.
 type task struct {
 	ctx context.Context
 	run func(ctx context.Context) error
 	// release returns the task's admission reservation; the worker calls it
 	// exactly once, when the task finishes or is skipped — not when the
-	// handler gives up, because an abandoned task still occupies its shard.
+	// handler gives up, because an abandoned task still occupies a worker.
 	release func()
 	// done receives exactly one completion error (buffered: the handler may
 	// have given up on the deadline and stopped listening).
 	done chan error
 }
 
-// pool is the shard-per-core worker set.
+// pool is the worker set and its one queue.
 type pool struct {
-	shards []chan *task
-	wg     sync.WaitGroup
+	tasks chan *task
+	wg    sync.WaitGroup
 	// chaos, when set, is invoked before each task runs (test-only fault
 	// injection; see Config.ChaosHook).
-	chaos func(shard int, seq uint64) error
+	chaos func(worker int, seq uint64) error
 }
 
-func newPool(shards, queueDepth int, chaos func(int, uint64) error) *pool {
-	p := &pool{
-		shards: make([]chan *task, shards),
-		chaos:  chaos,
-	}
-	for i := range p.shards {
-		p.shards[i] = make(chan *task, queueDepth)
+// newPool starts workers goroutines reading one queue of the given
+// capacity.
+func newPool(workers, capacity int, chaos func(int, uint64) error) *pool {
+	p := &pool{tasks: make(chan *task, capacity), chaos: chaos}
+	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
-		go p.worker(i)
+		go p.worker(w)
 	}
 	return p
 }
 
-// submit queues t on its sequence's shard, reporting false if the shard's
-// queue is full (the caller sheds).
-func (p *pool) submit(seq uint64, t *task) bool {
-	select {
-	case p.shards[seq%uint64(len(p.shards))] <- t:
-		return true
-	default:
-		return false
-	}
-}
-
-// close drains the shards: no new submissions are accepted by the caller,
-// queued tasks still run (their contexts decide how far they get), and the
+// close drains the queue: no new tasks are sent by the caller, queued
+// tasks still run (their contexts decide how far they get), and the
 // workers exit.
 func (p *pool) close() {
-	for _, ch := range p.shards {
-		close(ch)
-	}
+	close(p.tasks)
 	p.wg.Wait()
 }
 
-func (p *pool) worker(shard int) {
+func (p *pool) worker(w int) {
 	defer p.wg.Done()
 	var seq uint64
-	for t := range p.shards[shard] {
-		err := p.execute(shard, seq, t)
+	for t := range p.tasks {
+		err := p.execute(w, seq, t)
 		if t.release != nil {
 			t.release()
 		}
@@ -85,7 +69,7 @@ func (p *pool) worker(shard int) {
 }
 
 // execute runs one task once, converting panics into typed 500s.
-func (p *pool) execute(shard int, seq uint64, t *task) (err error) {
+func (p *pool) execute(w int, seq uint64, t *task) (err error) {
 	// A task whose deadline already passed while queued is not worth
 	// starting; the handler has counted it expired.
 	if err := t.ctx.Err(); err != nil {
@@ -95,13 +79,13 @@ func (p *pool) execute(shard int, seq uint64, t *task) (err error) {
 		if v := recover(); v != nil {
 			err = &Error{
 				Code:    CodeInternalPanic,
-				Message: fmt.Sprintf("shard %d recovered a panic: %v\n%s", shard, v, debug.Stack()),
+				Message: fmt.Sprintf("worker %d recovered a panic: %v\n%s", w, v, debug.Stack()),
 				Status:  http.StatusInternalServerError,
 			}
 		}
 	}()
 	if p.chaos != nil {
-		if err := p.chaos(shard, seq); err != nil {
+		if err := p.chaos(w, seq); err != nil {
 			return err
 		}
 	}
