@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,8 +33,8 @@ import (
 )
 
 // wsPool hands workspaces to the entry points whose callers do not thread
-// their own (ResolutionProbabilityExact, DirectProbabilityExact). Pooling
-// affects allocation only, never results.
+// their own (ResolutionProbabilityExact, the P^D memo's keys) and to the
+// replication workers. Pooling affects allocation only, never results.
 var wsPool = sync.Pool{New: func() any { return prob.NewWorkspace() }}
 
 // rvPool pools delegation resolvers for the replication workers, for the
@@ -139,16 +138,10 @@ func scoreVoterSet(ws *prob.Workspace, voters []prob.WeightedVoter) (float64, er
 	return wm.ProbCorrectDecisionWS(ws), nil
 }
 
-// ResolutionProbabilityExactWS is ResolutionProbabilityExact with
-// caller-provided scratch: once ws is warm the call allocates nothing.
-func ResolutionProbabilityExactWS(in *core.Instance, res *core.Resolution, ws *prob.Workspace) (float64, error) {
-	return ResolutionProbabilityExactCached(in, res, ws, nil)
-}
-
 // ResolutionProbabilityExactCached scores a resolution exactly, consulting
 // cache first (nil disables memoization without changing any value). The
 // DP runs outside the cache lock; the key bytes live in ws and are copied
-// only on insertion.
+// only on insertion. Once ws is warm an uncached call allocates nothing.
 func ResolutionProbabilityExactCached(in *core.Instance, res *core.Resolution, ws *prob.Workspace, cache *ScoreCache) (float64, error) {
 	if in.N() == 0 {
 		return 0, ErrNoVoters
@@ -204,7 +197,7 @@ var pdCache = struct {
 
 // pdKey encodes in's competency multiset into ws's key buffer: the exact
 // bits of every competency, 8 bytes each, in CompetencyOrder — the
-// ascending order both exact P^D paths sort into. Equal keys imply equal
+// ascending order the exact P^D kernel sorts into. Equal keys imply equal
 // multisets, so a hit returns exactly what the DP would.
 func pdKey(ws *prob.Workspace, in *core.Instance) []byte {
 	b := ws.KeyBuffer(8 * in.N())
@@ -234,49 +227,35 @@ func pdCachePut(key []byte, v float64) {
 	pdCache.mu.Unlock()
 }
 
-// directProbabilityCached is the memoized body of DirectProbabilityExact.
-// Competencies are sorted ascending before the DP: direct voting is the
-// all-weight-1 resolution, and scoring it in the same canonical order as
-// resolutionVoters keeps P^M of an everyone-votes-directly delegation
-// bit-identical to P^D (tests and do-no-harm checks rely on the equality).
-func directProbabilityCached(in *core.Instance) (float64, error) {
-	ws := wsPool.Get().(*prob.Workspace)
-	defer wsPool.Put(ws)
-	// The kernel reads only ws's arena/FFT scratch, so key stays valid.
-	key := pdKey(ws, in)
-	if v, ok := pdCacheGet(key); ok {
-		cDirectHits.Inc()
-		return v, nil
+// exactDirectProbability is the one exact P^D: prob.KernelMajority over the
+// competencies with a fork budget of workers (1 never forks, and ctx may
+// then be nil). With memo set it keys the instance by pdKey, returns a
+// memoized value, and otherwise computes and stores one; without it the
+// process-wide memo is neither read nor filled (the contract of
+// SweepPoint.DisableResolutionCache). The kernel sorts the competencies
+// ascending, the order resolutionVoters scores in, so P^M of an
+// everyone-votes-directly delegation is bit-identical to P^D (tests and
+// do-no-harm checks rely on the equality), and memoized, fresh, sequential
+// and forked values are the same bytes.
+func exactDirectProbability(ctx context.Context, in *core.Instance, memo bool, workers int) (float64, error) {
+	var key []byte
+	if memo {
+		ws := wsPool.Get().(*prob.Workspace)
+		defer wsPool.Put(ws)
+		// The kernel borrows its own workspace, so key stays valid.
+		key = pdKey(ws, in)
+		if v, ok := pdCacheGet(key); ok {
+			cDirectHits.Inc()
+			return v, nil
+		}
+		cDirectMisses.Inc()
 	}
-	cDirectMisses.Inc()
-	ps := in.Competencies()
-	sort.Float64s(ps)
-	pb, err := ws.PoissonBinomial(ps)
+	v, err := prob.KernelMajority(ctx, in.Competencies(), workers)
 	if err != nil {
 		return 0, fmt.Errorf("direct probability: %w", err)
 	}
-	v := pb.ProbMajorityWS(ws)
-	pdCachePut(key, v)
+	if memo {
+		pdCachePut(key, v)
+	}
 	return v, nil
-}
-
-// directProbabilityExactFresh computes the exact P^D with no memoization at
-// either level — the uncached reference the DisableResolutionCache contract
-// promises — running the majority tail on the fork-join D&C evaluator. The
-// fork budget is cost-model-chosen (prob.ParallelWorkerBudget capped at
-// workers): 1 when the D&C root stays a DP leaf, so small tables skip the
-// fork-join machinery, and roughly one worker per forkable subtree for large
-// n, so the tree is parallel by default. Bit-identical to the sequential
-// kernel for every budget. The canonical ascending sort matches
-// directProbabilityCached, so fresh and memoized values are the same bytes.
-func directProbabilityExactFresh(ctx context.Context, in *core.Instance, workers int) (float64, error) {
-	ws := wsPool.Get().(*prob.Workspace)
-	defer wsPool.Put(ws)
-	ps := in.Competencies()
-	sort.Float64s(ps)
-	pb, err := ws.PoissonBinomial(ps)
-	if err != nil {
-		return 0, fmt.Errorf("direct probability: %w", err)
-	}
-	return pb.ProbMajorityParallelWS(ctx, ws, prob.ParallelWorkerBudget(len(ps), workers))
 }

@@ -2,6 +2,7 @@ package election
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -25,29 +26,35 @@ func randComps(n int, lo, hi float64, seed uint64) []float64 {
 
 // TestResolutionCacheBitIdentical pins the determinism contract of the
 // score cache: enabling or disabling it changes no Result value, because
-// both paths score the same canonical voter multiset.
+// both paths score the same canonical voter multiset. A cache-disabled
+// point leaves the plan's ScoreCache untouched.
 func TestResolutionCacheBitIdentical(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(201), randComps(201, 0.3, 0.49, 11))
-	mech := mechanism.ApprovalThreshold{Alpha: 0.05}
-	base := Options{Replications: 24, Seed: 7, Workers: 1}
-	cached, err := EvaluateMechanism(context.Background(), in, mech, base)
+	plan, err := NewPlan(in, Options{Replications: 24, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := base
+	pt := SweepPoint{Mechanism: mechanism.ApprovalThreshold{Alpha: 0.05}, Seed: 7}
+	off := pt
 	off.DisableResolutionCache = true
-	plain, err := EvaluateMechanism(context.Background(), in, mech, off)
-	if err != nil {
-		t.Fatal(err)
+	plain := evaluateOne(t, plan, off)
+	if hits, misses := plan.scores.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("disabled cache saw traffic: %d hits, %d misses", hits, misses)
 	}
-	if cached.PM != plain.PM || cached.PD != plain.PD || cached.Gain != plain.Gain ||
-		cached.PMStdErr != plain.PMStdErr || cached.MeanSinks != plain.MeanSinks {
+	cached := evaluateOne(t, plan, pt)
+	if *cached != *plain {
 		t.Fatalf("cache changed results: with %+v, without %+v", cached, plain)
 	}
-	if plain.ResolutionCacheHits != 0 || plain.ResolutionCacheMisses != 0 {
-		t.Fatalf("disabled cache reported traffic: %d hits, %d misses",
-			plain.ResolutionCacheHits, plain.ResolutionCacheMisses)
+}
+
+// evaluateOne evaluates one sweep point against plan.
+func evaluateOne(t *testing.T, plan *Plan, pt SweepPoint) *Result {
+	t.Helper()
+	got, err := EvaluateSweep(context.Background(), plan, []SweepPoint{pt})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return got[0]
 }
 
 // TestResolutionCacheWorkerInvariance runs the same evaluation at 1 and 8
@@ -82,15 +89,13 @@ func TestResolutionCacheWorkerInvariance(t *testing.T) {
 func TestResolutionCacheAccounting(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(101), randComps(101, 0.3, 0.49, 31))
 	const reps = 16
-	res, err := EvaluateMechanism(context.Background(), in, mechanism.Direct{}, Options{
-		Replications: reps, Seed: 3, Workers: 1,
-	})
+	plan, err := NewPlan(in, Options{Replications: reps, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ResolutionCacheMisses != 1 || res.ResolutionCacheHits != reps-1 {
-		t.Fatalf("direct mechanism: %d misses, %d hits; want 1 and %d",
-			res.ResolutionCacheMisses, res.ResolutionCacheHits, reps-1)
+	evaluateOne(t, plan, SweepPoint{Mechanism: mechanism.Direct{}, Seed: 3})
+	if hits, misses := plan.scores.Stats(); misses != 1 || hits != reps-1 {
+		t.Fatalf("direct mechanism: %d misses, %d hits; want 1 and %d", misses, hits, reps-1)
 	}
 }
 
@@ -213,5 +218,81 @@ func TestDirectMatchesAllDirectResolution(t *testing.T) {
 	}
 	if pm != pd {
 		t.Fatalf("all-direct P^M %v != P^D %v", pm, pd)
+	}
+}
+
+// TestDirectMemoFollowsPointSwitch pins the P^D half of
+// SweepPoint.DisableResolutionCache: a cache-disabled point neither reads
+// nor fills the process-wide P^D memo, and a cached point does both. The
+// instance is built by no other test, and its memo entry is removed again.
+func TestDirectMemoFollowsPointSwitch(t *testing.T) {
+	in := mustInstance(t, graph.NewComplete(89), randComps(89, 0.35, 0.65, 8911))
+	key := pdKey(prob.NewWorkspace(), in)
+	if _, ok := pdCacheGet(key); ok {
+		t.Fatal("the instance is already memoized")
+	}
+	forget := func() {
+		pdCache.mu.Lock()
+		delete(pdCache.m, string(key))
+		pdCache.mu.Unlock()
+	}
+	t.Cleanup(forget)
+	want, err := exactDirectProbability(context.Background(), in, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(in, Options{Replications: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := func(disable bool) float64 {
+		return evaluateOne(t, plan, SweepPoint{Mechanism: mechanism.Direct{}, Seed: 1, DisableResolutionCache: disable}).PD
+	}
+
+	if got := pd(true); got != want {
+		t.Fatalf("cache-disabled P^D %v, want %v", got, want)
+	}
+	if _, ok := pdCacheGet(key); ok {
+		t.Fatal("a cache-disabled point filled the P^D memo")
+	}
+	// A sentinel under the instance's key tells a read from a recompute.
+	const sentinel = 0.125
+	pdCachePut(key, sentinel)
+	if got := pd(true); got != want {
+		t.Fatalf("a cache-disabled point read the P^D memo: got %v, want %v", got, want)
+	}
+	if got := pd(false); got != sentinel {
+		t.Fatalf("a cached point did not read the P^D memo: got %v, want the sentinel %v", got, sentinel)
+	}
+	forget()
+	if got := pd(false); got != want {
+		t.Fatalf("cached P^D %v, want %v", got, want)
+	}
+	if v, ok := pdCacheGet(key); !ok || v != want {
+		t.Fatalf("a cached point did not fill the P^D memo: %v, %v", v, ok)
+	}
+}
+
+// TestPlanForkedPDMatchesSequential: a Plan point's exact P^D runs the
+// kernel with the point's worker budget, which forks at this size, and
+// must equal the sequential DirectProbabilityExact bit for bit. The point
+// bypasses the memo so that it computes rather than reads the value.
+func TestPlanForkedPDMatchesSequential(t *testing.T) {
+	const n, workers = ExactDirectMaxN, 4
+	if b := prob.ParallelWorkerBudget(n, workers); b < 2 {
+		t.Fatalf("fork budget %d at n=%d: the kernel would not fork", b, n)
+	}
+	in := mustInstance(t, graph.NewComplete(n), randComps(n, 0.3, 0.7, 4096))
+	plan, err := NewPlan(in, Options{Replications: 1, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := evaluateOne(t, plan, SweepPoint{Mechanism: mechanism.Direct{}, Seed: 1, DisableResolutionCache: true}).PD
+	sequential, err := DirectProbabilityExact(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(forked) != math.Float64bits(sequential) {
+		t.Fatalf("forked P^D %v != sequential %v", forked, sequential)
 	}
 }

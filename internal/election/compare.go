@@ -53,11 +53,11 @@ func CompareMechanisms(ctx context.Context, in *core.Instance, mechA, mechB mech
 	if err != nil {
 		return nil, err
 	}
-	outA, err := plan.replicate(ctx, mechA, nil, plan.opts, false)
+	outA, err := plan.replicate(ctx, mechA, nil, plan.opts, false, plan.scores)
 	if err != nil {
 		return nil, err
 	}
-	outB, err := plan.replicate(ctx, mechB, nil, plan.opts, false)
+	outB, err := plan.replicate(ctx, mechB, nil, plan.opts, false, plan.scores)
 	if err != nil {
 		return nil, err
 	}

@@ -233,31 +233,14 @@ func (p *Plan) derive(in *core.Instance) *Plan {
 // Scenario pins one plan and one delegation profile and scores the profile
 // as it is edited. It owns its resolver and workspace — a Scenario is
 // single-threaded scratch, not a shared artifact — and its plan reference
-// advances through derived plans as instance-level deltas arrive.
+// advances through derived plans as instance-level deltas arrive. It keeps
+// no evaluation state of its own: Score resolves and scores the current
+// profile through the plan's ScoreCache every time.
 type Scenario struct {
 	plan *Plan
 	d    *core.DelegationGraph
 	rv   core.Resolver
 	ws   *prob.Workspace
-
-	pm    float64
-	pmSet bool
-	res   resolutionSummary
-
-	// lastRes retains the most recent resolve of s.d. Resolution structure
-	// is a pure function of the delegation profile, so competency and edge
-	// deltas — which leave the profile alone — keep it valid and Score skips
-	// the re-resolve.
-	lastRes *core.Resolution
-}
-
-// resolutionSummary is the structural snapshot of the last resolve.
-type resolutionSummary struct {
-	sinks        int
-	maxWeight    int
-	totalWeight  int
-	delegators   int
-	longestChain int
 }
 
 // NewScenario pins plan's current instance and a copy of d.
@@ -265,9 +248,7 @@ func NewScenario(plan *Plan, d *core.DelegationGraph) (*Scenario, error) {
 	if d.N() != plan.Instance().N() {
 		return nil, fmt.Errorf("%w: delegation over %d voters for instance of %d", core.ErrInvalidDelegation, d.N(), plan.Instance().N())
 	}
-	s := &Scenario{plan: plan, ws: prob.NewWorkspace()}
-	s.d = copyDelegation(d)
-	return s, nil
+	return &Scenario{plan: plan, d: copyDelegation(d), ws: prob.NewWorkspace()}, nil
 }
 
 func copyDelegation(d *core.DelegationGraph) *core.DelegationGraph {
@@ -278,18 +259,14 @@ func copyDelegation(d *core.DelegationGraph) *core.DelegationGraph {
 	return c
 }
 
-// Plan returns the scenario's current (possibly derived) plan.
-func (s *Scenario) Plan() *Plan { return s.plan }
-
 // Delegation returns the scenario's profile. It is the scenario's own
-// mutable copy: callers may read it freely but must route edits through
-// ApplyDelta/SetDelegate so the memoized score stays coherent.
+// mutable copy: callers may read it freely but should route edits through
+// ApplyDelta/SetDelegate, which validate them.
 func (s *Scenario) Delegation() *core.DelegationGraph { return s.d }
 
-// SetDelegate re-points voter i to j (core.NoDelegate for direct),
-// invalidating the memoized score. It is the primitive behind
-// DeltaRepoint, exposed directly for tight loops (best-response sweeps
-// try many candidate targets per voter).
+// SetDelegate re-points voter i to j (core.NoDelegate for direct). It is
+// the primitive behind DeltaRepoint, exposed directly for tight loops
+// (best-response sweeps try many candidate targets per voter).
 func (s *Scenario) SetDelegate(i, j int) error {
 	if j == core.NoDelegate {
 		if i < 0 || i >= s.d.N() {
@@ -299,8 +276,6 @@ func (s *Scenario) SetDelegate(i, j int) error {
 	} else if err := s.d.SetDelegate(i, j); err != nil {
 		return err
 	}
-	s.pmSet = false
-	s.lastRes = nil
 	return nil
 }
 
@@ -311,8 +286,6 @@ func (s *Scenario) SetDelegation(d *core.DelegationGraph) error {
 		return fmt.Errorf("%w: delegation over %d voters for instance of %d", core.ErrInvalidDelegation, d.N(), s.plan.Instance().N())
 	}
 	s.d = copyDelegation(d)
-	s.pmSet = false
-	s.lastRes = nil
 	return nil
 }
 
@@ -329,13 +302,6 @@ func (s *Scenario) ApplyDelta(deltas ...Delta) error {
 		s.plan = s.plan.derive(in)
 	}
 	s.d = d
-	s.pmSet = false
-	for _, dl := range deltas {
-		switch dl.Kind {
-		case DeltaRepoint, DeltaAddVoter, DeltaRemoveVoter:
-			s.lastRes = nil
-		}
-	}
 	return nil
 }
 
@@ -429,52 +395,15 @@ func removeVoterFromDelegation(d *core.DelegationGraph, v int) *core.DelegationG
 // kernel and the plan's shared score cache — bit-identical to
 // ResolutionProbabilityExact on the same instance and profile.
 func (s *Scenario) Score() (float64, error) {
-	if s.pmSet {
-		return s.pm, nil
-	}
-	res := s.lastRes
-	if res == nil {
-		var err error
-		if res, err = s.rv.Resolve(s.d); err != nil {
-			return 0, err
-		}
-		s.lastRes = res
-	}
-	s.res = resolutionSummary{
-		sinks:        len(res.Sinks),
-		maxWeight:    res.MaxWeight,
-		totalWeight:  res.TotalWeight,
-		delegators:   res.Delegators,
-		longestChain: res.LongestChain,
-	}
-	pm, err := ResolutionProbabilityExactCached(s.plan.Instance(), res, s.ws, s.plan.scores)
+	res, err := s.rv.Resolve(s.d)
 	if err != nil {
 		return 0, err
 	}
-	s.pm, s.pmSet = pm, true
-	return pm, nil
+	return ResolutionProbabilityExactCached(s.plan.in, res, s.ws, s.plan.scores)
 }
 
 // PD returns the instance's exact P^D at every n: DirectProbabilityExact,
 // memoized by competency content.
 func (s *Scenario) PD() (float64, error) {
-	return DirectProbabilityExact(s.plan.Instance())
+	return DirectProbabilityExact(s.plan.in)
 }
-
-// Structural accessors for the last scored resolution (valid after Score).
-
-// Sinks returns the sink count of the last scored resolution.
-func (s *Scenario) Sinks() int { return s.res.sinks }
-
-// MaxWeight returns the largest sink weight of the last scored resolution.
-func (s *Scenario) MaxWeight() int { return s.res.maxWeight }
-
-// TotalWeight returns the total sink weight of the last scored resolution.
-func (s *Scenario) TotalWeight() int { return s.res.totalWeight }
-
-// Delegators returns the delegator count of the last scored resolution.
-func (s *Scenario) Delegators() int { return s.res.delegators }
-
-// LongestChain returns the longest delegation chain of the last scored
-// resolution.
-func (s *Scenario) LongestChain() int { return s.res.longestChain }

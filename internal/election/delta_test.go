@@ -193,7 +193,7 @@ func requireScenarioMatchesScratch(t *testing.T, label string, sc *Scenario) {
 	if err != nil {
 		t.Fatalf("%s: Resolve: %v", label, err)
 	}
-	want, err := ResolutionProbabilityExact(sc.Plan().Instance(), res)
+	want, err := ResolutionProbabilityExact(sc.plan.Instance(), res)
 	if err != nil {
 		t.Fatalf("%s: ResolutionProbabilityExact: %v", label, err)
 	}
@@ -233,7 +233,7 @@ func TestScenarioRepointSequence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PD: %v", err)
 	}
-	want, err := directProbabilityExactFresh(context.Background(), in, 1)
+	want, err := exactDirectProbability(context.Background(), in, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +268,9 @@ func TestScenarioPDAboveExactDirectMaxN(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d step %d: PD: %v", n, step, err)
 			}
-			cur := sc.Plan().Instance()
+			cur := sc.plan.Instance()
 			fresh := mustInstance(t, cur.Topology(), cur.Competencies())
-			want, err := directProbabilityExactFresh(context.Background(), fresh, 1)
+			want, err := exactDirectProbability(context.Background(), fresh, false, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestScenarioMixedDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 30; step++ {
-		n := sc.Plan().Instance().N()
+		n := sc.plan.Instance().N()
 		var d Delta
 		switch s.IntN(4) {
 		case 0:
@@ -315,7 +315,7 @@ func TestScenarioMixedDeltas(t *testing.T) {
 	}
 	// The plan chain advanced through instance deltas; it must still be
 	// sweep-equivalent to a fresh plan.
-	requirePlanEquivalence(t, "scenario plan chain", sc.Plan(), deltaSweepPoints(5))
+	requirePlanEquivalence(t, "scenario plan chain", sc.plan, deltaSweepPoints(5))
 }
 
 func TestScenarioFailedDeltaLeavesStateIntact(t *testing.T) {
@@ -401,7 +401,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			t.Fatalf("NewScenario: %v", err)
 		}
 		for len(data) > 0 {
-			nCur := sc.Plan().Instance().N()
+			nCur := sc.plan.Instance().N()
 			op := next()
 			var delta Delta
 			switch op % 4 {
@@ -438,7 +438,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Resolve: %v", err)
 			}
-			want, err := ResolutionProbabilityExact(sc.Plan().Instance(), res)
+			want, err := ResolutionProbabilityExact(sc.plan.Instance(), res)
 			if err != nil {
 				t.Fatalf("ResolutionProbabilityExact: %v", err)
 			}
@@ -448,7 +448,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 			// P^D: the scenario's memoized value vs an unmemoized kernel
 			// run on a fresh instance.
-			inCur := sc.Plan().Instance()
+			inCur := sc.plan.Instance()
 			fresh, err := core.NewInstance(inCur.Topology(), inCur.Competencies())
 			if err != nil {
 				t.Fatalf("fresh NewInstance: %v", err)
@@ -457,9 +457,9 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("PD: %v", err)
 			}
-			wantPD, err := directProbabilityExactFresh(context.Background(), fresh, 1)
+			wantPD, err := exactDirectProbability(context.Background(), fresh, false, 1)
 			if err != nil {
-				t.Fatalf("directProbabilityExactFresh: %v", err)
+				t.Fatalf("exactDirectProbability: %v", err)
 			}
 			if math.Float64bits(gotPD) != math.Float64bits(wantPD) {
 				t.Fatalf("%s: scenario P^D %v != from-scratch %v", delta.Kind, gotPD, wantPD)
@@ -500,7 +500,7 @@ func TestPreviewDeltasMatchesScenario(t *testing.T) {
 	if err := sc.ApplyDelta(deltas...); err != nil {
 		t.Fatal(err)
 	}
-	want := sc.Plan().Instance()
+	want := sc.plan.Instance()
 	if fin.N() != want.N() {
 		t.Fatalf("preview n = %d, scenario n = %d", fin.N(), want.N())
 	}

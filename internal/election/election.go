@@ -45,19 +45,6 @@ type Options struct {
 	// Seed drives all randomness. Two runs with equal options are
 	// bit-identical.
 	Seed uint64
-	// DisableResolutionCache turns off every memoized pure value on the
-	// evaluation path: the resolution-score cache AND the exact-P^D memos
-	// (both the Plan's and the process-wide instance cache). Results are
-	// bit-identical either way — every exact path scores the canonical
-	// sorted voter multiset — so the knob exists only for benchmarking the
-	// kernels and for the equivalence tests proving that claim.
-	//
-	// Semantics under sweeps: the flag is consulted per sweep point, on
-	// every evaluation. A point with DisableResolutionCache set recomputes
-	// all exact DPs from scratch even when the plan (or an earlier point,
-	// or an earlier EvaluateMechanism call on the same instance) already
-	// memoized them, and contributes nothing to the shared caches.
-	DisableResolutionCache bool
 }
 
 func (o Options) withDefaults() Options {
@@ -115,12 +102,6 @@ type Result struct {
 	MeanLost        float64
 	MeanFellBack    float64
 	MeanRedelegated float64
-
-	// ResolutionCacheHits/Misses report the evaluation's score-cache
-	// traffic. Telemetry only: the split depends on goroutine scheduling,
-	// so it must never appear in reproduced tables.
-	ResolutionCacheHits   uint64
-	ResolutionCacheMisses uint64
 }
 
 // ExactDirectMaxN is the largest electorate whose P^D the evaluation paths
@@ -164,14 +145,15 @@ func DirectProbability(ctx context.Context, in *core.Instance, samples int, s *r
 }
 
 // DirectProbabilityExact returns the exact P^D(G) via the Poisson-binomial
-// DP. The first call on a competency multiset pays the kernel; repeat
-// calls on any instance with the same competencies hit a process-wide
-// memo (sound because the exact branch is seed-free; see cache.go).
+// kernel, sequentially. The first call on a competency multiset pays the
+// kernel; repeat calls on any instance with the same competencies hit a
+// process-wide memo (sound because the exact branch is seed-free; see
+// cache.go).
 func DirectProbabilityExact(in *core.Instance) (float64, error) {
 	if in.N() == 0 {
 		return 0, ErrNoVoters
 	}
-	return directProbabilityCached(in)
+	return exactDirectProbability(nil, in, true, 1)
 }
 
 // CertifyDirect returns P^D's certified normal-tier interval:
@@ -201,7 +183,7 @@ func CertifyResolution(in *core.Instance, res *core.Resolution) prob.CertifiedIn
 // ResolutionProbabilityExact returns the exact probability that the
 // resolved delegation outcome decides correctly. Scratch comes from an
 // internal pool; callers on a hot path should thread their own workspace
-// via ResolutionProbabilityExactWS or ResolutionProbabilityExactCached.
+// via ResolutionProbabilityExactCached (a nil cache memoizes nothing).
 func ResolutionProbabilityExact(in *core.Instance, res *core.Resolution) (float64, error) {
 	ws := wsPool.Get().(*prob.Workspace)
 	v, err := ResolutionProbabilityExactCached(in, res, ws, nil)
@@ -319,10 +301,9 @@ func EvaluateMechanism(ctx context.Context, in *core.Instance, mech mechanism.Me
 		return nil, err
 	}
 	results, err := EvaluateSweep(ctx, plan, []SweepPoint{{
-		Mechanism:              mech,
-		Seed:                   opts.Seed,
-		Replications:           opts.Replications,
-		DisableResolutionCache: opts.DisableResolutionCache,
+		Mechanism:    mech,
+		Seed:         opts.Seed,
+		Replications: opts.Replications,
 	}})
 	if err != nil {
 		return nil, err

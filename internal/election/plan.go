@@ -6,19 +6,20 @@ package election
 // every point. The pipeline splits evaluation into:
 //
 //  1. Plan (NewPlan)      — a per-instance artifact owning everything that
-//     does not depend on the sweep point: the exact P^D table, the shared
-//     resolution-score cache over canonical (weight, p) multisets, and the
-//     instance's approval suffix memos (prewarmable per alpha). The D&C
-//     convolution tree is a pure function of a resolution's canonical
-//     multiset, so "owning the tree" means owning the score cache: a
-//     repeated multiset skips the tree entirely.
+//     does not depend on the sweep point: the shared resolution-score cache
+//     over canonical (weight, p) multisets and the instance's approval
+//     suffix memos (prewarmable per alpha). The D&C convolution tree is a
+//     pure function of a resolution's canonical multiset, so "owning the
+//     tree" means owning the score cache: a repeated multiset skips the
+//     tree entirely. The exact P^D is memoized process-wide by competency
+//     content (cache.go), not by the Plan.
 //  2. Sweep (EvaluateSweep) — evaluates many SweepPoints against one Plan.
 //     Each point derives all randomness from its own Seed exactly as the
 //     single-point evaluator always did, so batched results are
 //     bit-identical to point-by-point EvaluateMechanism calls, with
 //     identical RNG draw sequences.
 //  3. Parallel kernels — the one-off exact P^D runs on the fork-join D&C
-//     evaluator (prob.PMFParallelWS) with the point's worker budget, since
+//     evaluator (prob.KernelMajority) with the point's worker budget, since
 //     it is computed before the replication pool spins up and would
 //     otherwise leave every worker idle. Replication scoring stays
 //     sequential per worker; the workers are the parallelism there.
@@ -28,7 +29,6 @@ package election
 
 import (
 	"context"
-	"sync"
 
 	"liquid/internal/core"
 	"liquid/internal/mechanism"
@@ -41,7 +41,7 @@ import (
 // canonicalises one instance and owns the sweep-invariant state shared by
 // every point evaluated against it. A Plan is safe for concurrent use; all
 // shared state is either immutable or memoized values that are pure
-// functions of the instance.
+// functions of their keys.
 type Plan struct {
 	in   *core.Instance
 	opts Options
@@ -50,18 +50,11 @@ type Plan struct {
 	// point. Values are pure functions of the canonical voter multiset, so
 	// sharing across points (or mechanisms) cannot change any result.
 	scores *ScoreCache
-
-	// pd memoizes the exact P^D table's majority mass (n <= ExactDirectMaxN
-	// only; the Monte-Carlo branch is seed-dependent and stays per-point).
-	pdMu  sync.Mutex
-	pd    float64
-	pdSet bool
 }
 
 // NewPlan canonicalises in and returns a Plan carrying opts as the base
 // options of every sweep point. Per-point fields of opts (Seed,
-// Replications, DisableResolutionCache) become defaults a SweepPoint can
-// override.
+// Replications) become defaults a SweepPoint can override.
 func NewPlan(in *core.Instance, opts Options) (*Plan, error) {
 	if in.N() == 0 {
 		return nil, ErrNoVoters
@@ -94,8 +87,14 @@ type SweepPoint struct {
 	Seed uint64
 	// Replications overrides the plan's base replication count when > 0.
 	Replications int
-	// DisableResolutionCache bypasses the plan's shared score cache and the
-	// P^D memos for this point (see Options.DisableResolutionCache).
+	// DisableResolutionCache turns off, for this point only, both memos of
+	// exact values: the plan's ScoreCache and the process-wide P^D memo.
+	// The point recomputes every exact DP from scratch even when the plan,
+	// an earlier point or an earlier evaluation of the same instance
+	// already memoized it, and reads and fills neither memo. Results are
+	// bit-identical either way — every exact path scores the canonical
+	// sorted voter multiset — so the switch exists only for benchmarking
+	// the kernels and for the tests proving that claim.
 	DisableResolutionCache bool
 	// Repair, when set, transforms each replication's realization before it
 	// is resolved and scored (see Repair).
@@ -129,9 +128,7 @@ type FaultCounts struct {
 // point in input order. Results are bit-identical to calling
 // EvaluateMechanism once per point with the plan's base options and the
 // point's overrides — batching shares scratch and memoized pure values,
-// never randomness — except for the Result cache-traffic telemetry fields,
-// which depend on sharing and scheduling. Cancelling ctx aborts the sweep
-// with ctx's error.
+// never randomness. Cancelling ctx aborts the sweep with ctx's error.
 func EvaluateSweep(ctx context.Context, plan *Plan, points []SweepPoint) ([]*Result, error) {
 	return plan.sweep(ctx, points, false)
 }
@@ -173,9 +170,6 @@ func (p *Plan) pointOptions(pt SweepPoint) Options {
 	if pt.Replications > 0 {
 		opts.Replications = pt.Replications
 	}
-	if pt.DisableResolutionCache {
-		opts.DisableResolutionCache = true
-	}
 	return opts
 }
 
@@ -195,17 +189,21 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 	// below reads it back.
 	sp := telemetry.SpanFromContext(ctx).Child("evaluate")
 	defer sp.End()
+	cache := p.scores
+	if pt.DisableResolutionCache {
+		cache = nil
+	}
 	var pd, pdHalfWidth float64
 	if certify {
 		ci := CertifyDirect(p.in)
 		pd, pdHalfWidth = ci.Point, ci.HalfWidth
 	} else {
 		var err error
-		if pd, err = p.directProbability(ctx, opts, rng.New(opts.Seed).DeriveString("direct")); err != nil {
+		if pd, err = p.directProbability(ctx, opts, !pt.DisableResolutionCache, rng.New(opts.Seed).DeriveString("direct")); err != nil {
 			return nil, err
 		}
 	}
-	outs, err := p.replicate(ctx, pt.Mechanism, pt.Repair, opts, certify)
+	outs, err := p.replicate(ctx, pt.Mechanism, pt.Repair, opts, certify, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +240,6 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 	result.MeanLost = float64(faults.Lost) / reps
 	result.MeanFellBack = float64(faults.FellBack) / reps
 	result.MeanRedelegated = float64(faults.Redelegated) / reps
-	if cache := p.scoreCache(opts, certify); cache != nil {
-		result.ResolutionCacheHits, result.ResolutionCacheMisses = cache.Stats()
-	}
 	result.PM = pmSum.Mean()
 	result.PMStdErr = pmSum.StdErr()
 	result.Gain = result.PM - pd
@@ -256,15 +251,15 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 
 // replicate runs opts.Replications realizations of mech, each repaired
 // when repair is set, on prob.ParallelFor and returns their outcomes in
-// replication order. Replication r draws only from stream r+1 of the
-// seed's root, so two mechanisms replicated at one seed see the same
-// streams: CompareMechanisms pairs them. Cancelling ctx stops the hand-out
-// and returns ctx's error.
-func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair Repair, opts Options, certify bool) ([]repOut, error) {
+// replication order. Exact scores go through cache (nil: none), certified
+// ones never do. Replication r draws only from stream r+1 of the seed's
+// root, so two mechanisms replicated at one seed see the same streams:
+// CompareMechanisms pairs them. Cancelling ctx stops the hand-out and
+// returns ctx's error.
+func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair Repair, opts Options, certify bool, cache *ScoreCache) ([]repOut, error) {
 	// Telemetry: a replication counter, write-only like evaluatePoint's span.
 	telemetry.NewCounter("election/replications").Add(uint64(opts.Replications))
 	root := rng.New(opts.Seed)
-	cache := p.scoreCache(opts, certify)
 	outs := make([]repOut, opts.Replications)
 	// One workspace and resolver per worker: scratch is reused across the
 	// worker's replications and never shared. The score cache is shared —
@@ -291,59 +286,17 @@ func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair R
 	return outs, nil
 }
 
-// scoreCache returns the plan's shared score cache for exact scoring, or
-// nil when the point bypasses it or scores by certified intervals.
-func (p *Plan) scoreCache(opts Options, certify bool) *ScoreCache {
-	if certify || opts.DisableResolutionCache {
-		return nil
-	}
-	return p.scores
-}
-
 // directProbability returns the point's P^D. The exact branch
-// (n <= ExactDirectMaxN) is seed-free, so cached points share the plan memo
-// (and the process-wide instance cache under it); a cache-disabled point
-// recomputes the DP from scratch. The Monte-Carlo branch draws from the
-// point's "direct" stream and is never memoized — its value is part of the
-// point's RNG contract.
-func (p *Plan) directProbability(ctx context.Context, opts Options, s *rng.Stream) (float64, error) {
-	n := p.in.N()
-	if n > ExactDirectMaxN {
+// (n <= ExactDirectMaxN) is seed-free and runs the one exact P^D with the
+// point's worker budget, through the process-wide memo when cached is set.
+// The Monte-Carlo branch draws from the point's "direct" stream and is
+// never memoized — its value is part of the point's RNG contract.
+func (p *Plan) directProbability(ctx context.Context, opts Options, cached bool, s *rng.Stream) (float64, error) {
+	if p.in.N() > ExactDirectMaxN {
 		return DirectProbability(ctx, p.in, opts.VoteSamples*4, s)
 	}
-	if opts.DisableResolutionCache {
-		return directProbabilityExactFresh(ctx, p.in, opts.Workers)
-	}
-	p.pdMu.Lock()
-	if p.pdSet {
-		v := p.pd
-		p.pdMu.Unlock()
-		cDirectHits.Inc()
-		return v, nil
-	}
-	p.pdMu.Unlock()
-	ws := wsPool.Get().(*prob.Workspace)
-	defer wsPool.Put(ws)
-	key := pdKey(ws, p.in)
-	v, ok := pdCacheGet(key)
-	if ok {
-		cDirectHits.Inc()
-	} else {
-		cDirectMisses.Inc()
-		var err error
-		// The one-off exact table is the natural home for the parallel D&C
-		// tree: it runs before the replication pool exists, so the whole
-		// worker budget is otherwise idle. Bit-identical to the sequential
-		// evaluator for every budget. It borrows its own workspace, so key
-		// stays valid.
-		v, err = directProbabilityExactFresh(ctx, p.in, opts.Workers)
-		if err != nil {
-			return 0, err
-		}
-		pdCachePut(key, v)
-	}
-	p.pdMu.Lock()
-	p.pd, p.pdSet = v, true
-	p.pdMu.Unlock()
-	return v, nil
+	// The one-off exact table is the natural home for the parallel D&C
+	// tree: it runs before the replication pool exists, so the whole
+	// worker budget is otherwise idle.
+	return exactDirectProbability(ctx, p.in, cached, opts.Workers)
 }

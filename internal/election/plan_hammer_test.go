@@ -12,9 +12,7 @@ import (
 	"liquid/internal/rng"
 )
 
-// hammerResultEqual compares the result-bearing fields bit for bit. The
-// cache-traffic telemetry fields are excluded by contract: they depend on
-// scheduling and sharing, never on correctness.
+// hammerResultEqual compares the result-bearing fields bit for bit.
 func hammerResultEqual(a, b *Result) bool {
 	return math.Float64bits(a.PD) == math.Float64bits(b.PD) &&
 		math.Float64bits(a.PM) == math.Float64bits(b.PM) &&

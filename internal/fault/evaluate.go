@@ -141,11 +141,10 @@ func EvaluateSweep(ctx context.Context, in *core.Instance, points []SweepPoint) 
 			return nil, err
 		}
 		sweep[i] = election.SweepPoint{
-			Mechanism:              pt.Mechanism,
-			Seed:                   o.Seed,
-			Replications:           o.Replications,
-			DisableResolutionCache: o.DisableResolutionCache,
-			Repair:                 repair,
+			Mechanism:    pt.Mechanism,
+			Seed:         o.Seed,
+			Replications: o.Replications,
+			Repair:       repair,
 		}
 	}
 	evaluated, err := election.EvaluateSweep(ctx, plan, sweep)

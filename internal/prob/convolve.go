@@ -153,7 +153,7 @@ func (ws *Workspace) dc(ctx context.Context, voters []WeightedVoter, pw []int64,
 	var childWS *Workspace
 	var join chan forkResult
 	if b != nil && w+1 >= parForkMinWeight && b.tryAcquire() {
-		childWS = parWSPool.Get().(*Workspace)
+		childWS = getWorkspace()
 		childWS.reset(3*(int(pw[hi]-pw[mid])+1) + 64)
 		join = make(chan forkResult, 1)
 		go func(ctx context.Context, cws *Workspace) {
@@ -184,7 +184,7 @@ func (ws *Workspace) dc(ctx context.Context, voters []WeightedVoter, pw []int64,
 	// The child workspace goes back to the pool only after its operand has
 	// been consumed.
 	if childWS != nil {
-		parWSPool.Put(childWS)
+		putWorkspace(childWS)
 	}
 	return out, err
 }

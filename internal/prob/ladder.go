@@ -499,19 +499,20 @@ func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (Certified
 		return CertifyMajority(st, float64(n/2)), nil
 	}
 	kernel := func() (float64, error) {
-		ps, err := materializeSorted(ctx, seq)
+		ps, err := materialize(ctx, seq)
 		if err != nil {
 			return 0, err
 		}
-		return kernelMajority(ctx, ps, opts.Workers)
+		return KernelMajority(ctx, ps, opts.Workers)
 	}
 
 	switch opts.Force {
 	case TierExact:
-		ps, err := materializeSorted(ctx, seq)
+		ps, err := materialize(ctx, seq)
 		if err != nil {
 			return CertifiedInterval{}, err
 		}
+		sort.Float64s(ps)
 		f := (&PoissonBinomial{ps: ps}).PMFNaive()
 		return CertifiedInterval{Point: clamp01(Sum(f[n/2+1:])), HalfWidth: 0, Tier: TierExact}, nil
 	case TierFFT:
@@ -537,11 +538,11 @@ func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (Certified
 	return Certify(opts.ErrorBudget, normal, exact)
 }
 
-// materializeSorted collects seq into one vector sorted ascending — the
-// canonical competency order the exact kernels (and the election engine's
-// P^D path) evaluate in, so a ladder kernel result is bit-identical whatever
-// sequence produced the values.
-func materializeSorted(ctx context.Context, seq Seq) ([]float64, error) {
+// materialize collects seq into one validated vector. The kernel tiers
+// sort it ascending — the canonical competency order the exact kernels (and
+// the election engine's P^D path) evaluate in — so a ladder kernel result
+// is bit-identical whatever sequence produced the values.
+func materialize(ctx context.Context, seq Seq) ([]float64, error) {
 	n := seq.Len()
 	ps := seq.AppendRange(make([]float64, 0, n), 0, n)
 	if len(ps) != n {
@@ -553,19 +554,31 @@ func materializeSorted(ctx context.Context, seq Seq) ([]float64, error) {
 	if err := validateProbs(ps); err != nil {
 		return nil, err
 	}
-	sort.Float64s(ps)
 	return ps, nil
 }
 
-// kernelMajority runs the cost-model kernel (DP leaf or FFT D&C) on the
-// fork-join evaluator with a cost-model-chosen worker budget. Bit-identical
-// for every workers value.
-func kernelMajority(ctx context.Context, ps []float64, workers int) (float64, error) {
+// KernelMajority returns the majority mass P[sum > n/2] of the Poisson
+// binomial over ps on the exact kernel. It sorts ps ascending in place, the
+// canonical order, and runs the engine (DP leaf or FFT D&C, as the cost
+// model decides) on a pooled workspace with a fork budget of
+// ParallelWorkerBudget(len(ps), workers). The result is bit-identical for
+// every workers value. With workers <= 1 nothing forks and ctx is never
+// consulted, so it may be nil.
+//
+// It is the one exact P^D kernel, with two callers: LadderMajority's kernel
+// tiers, and the election engine's exact P^D (election.DirectProbabilityExact
+// and the Plan's exact branch).
+func KernelMajority(ctx context.Context, ps []float64, workers int) (float64, error) {
+	sort.Float64s(ps)
+	if err := validateProbs(ps); err != nil {
+		return 0, err
+	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	pb, err := ws.PoissonBinomial(ps)
+	f, err := ws.pmf(ctx, ws.unitVoters(ps), ParallelWorkerBudget(len(ps), workers))
 	if err != nil {
 		return 0, err
 	}
-	return pb.ProbMajorityParallelWS(ctx, ws, ParallelWorkerBudget(len(ps), workers))
+	n := len(ps)
+	return clamp01(Sum(f[n/2+1 : n+1])), nil
 }

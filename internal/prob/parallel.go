@@ -25,11 +25,6 @@ import (
 // goroutine: below it the fork/join overhead exceeds the subtree's work.
 const parForkMinWeight = 1 << 10
 
-// parWSPool holds subtree workspaces for the fork-join evaluator. Pooled
-// workspaces retain their arenas across calls; pooling affects allocation
-// only, never results.
-var parWSPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
 // forkBudget is the non-blocking token bucket bounding extra goroutines.
 type forkBudget struct{ tokens chan struct{} }
 
@@ -73,17 +68,6 @@ func (pb *PoissonBinomial) PMFParallelWS(ctx context.Context, ws *Workspace, wor
 		return nil, err
 	}
 	return ws.pmf(ctx, ws.unitVoters(pb.ps), workers)
-}
-
-// ProbMajorityParallelWS is ProbMajorityWS on the parallel evaluator:
-// P[sum > n/2], bit-identical to the sequential value for any workers.
-func (pb *PoissonBinomial) ProbMajorityParallelWS(ctx context.Context, ws *Workspace, workers int) (float64, error) {
-	f, err := pb.PMFParallelWS(ctx, ws, workers)
-	if err != nil {
-		return 0, err
-	}
-	n := len(pb.ps)
-	return clamp01(Sum(f[n/2+1 : n+1])), nil
 }
 
 // ParallelFor calls body(w, i) for every i in [0, n) on up to workers

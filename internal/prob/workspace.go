@@ -44,9 +44,11 @@ func NewWorkspace() *Workspace {
 	return &Workspace{}
 }
 
-// wsPool backs the non-workspace entry points (PMF, ProbAtLeast, ...), so
-// even legacy callers reuse kernels' scratch instead of reallocating it.
-// Pooling affects allocation only, never results.
+// wsPool backs the non-workspace entry points (PMF, ProbAtLeast,
+// KernelMajority, ...) and the fork-join evaluator's subtrees, so every
+// kernel call reuses scratch instead of reallocating it. Pooled workspaces
+// retain their arenas across calls; pooling affects allocation only, never
+// results.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 func getWorkspace() *Workspace  { return wsPool.Get().(*Workspace) }

@@ -170,10 +170,9 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// PointResult is one sweep point of an evaluate response: an
-// election.Result without the cache-traffic telemetry fields, which depend
-// on goroutine scheduling and would break the bit-identity contract with
-// offline evaluation.
+// PointResult is one sweep point of an evaluate response: the wire form of
+// an election.Result, or of a fault.ElectionResult for requests with a
+// fault block, with the point's alpha, certified error bound and P^D tier.
 type PointResult struct {
 	Mechanism string  `json:"mechanism"`
 	Alpha     float64 `json:"alpha"`
@@ -608,11 +607,10 @@ func (s *Server) affords(cost int64, budget time.Duration) bool {
 	return float64(cost)/s.cfg.CostRate <= 0.8*budget.Seconds()
 }
 
-// exactPoint projects an election.Result onto the wire form, dropping the
-// scheduling-dependent cache-traffic fields. PDTier names the kernel tier
-// only when P^D was computed exactly: above election.ExactDirectMaxN the
-// engine samples it, and a tier label would promise an accuracy the
-// sample does not have.
+// exactPoint projects an election.Result onto the wire form. PDTier names
+// the kernel tier only when P^D was computed exactly: above
+// election.ExactDirectMaxN the engine samples it, and a tier label would
+// promise an accuracy the sample does not have.
 func exactPoint(res *election.Result, alpha float64) PointResult {
 	pt := PointResult{
 		Mechanism:        res.Mechanism,
