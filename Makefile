@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet bench-vet lint lint-facts lint-baseline test test-short test-race test-faults cover fuzz-smoke bench bench-smoke serve-smoke reproduce reproduce-fast examples fmt
+.PHONY: all check build vet cross-vet bench-vet lint lint-facts lint-baseline test test-short test-race test-faults cover fuzz-smoke bench bench-smoke serve-smoke reproduce reproduce-fast examples fmt
 
 all: check
 
-# check is the gate for a change, in order: compile, go vet, go vet over the
-# benchmark module (bench-vet), the repo's own determinism analyzers
+# check is the gate for a change, in order: compile, go vet, go vet for
+# arm64 (cross-vet: the build without the amd64 vector kernels), go vet over
+# the benchmark module (bench-vet), the repo's own determinism analyzers
 # (cmd/liquidlint — see DESIGN.md "Static invariants"), the lint baseline
 # ratchet (lint-facts), tests, the race detector over the
 # parallel engine and election sampling, the coverage floor against
@@ -21,7 +22,7 @@ all: check
 # first failure (later stages report as skip).
 check:
 	@rc=0; summary=""; \
-	for stage in build vet bench-vet lint lint-facts test test-race cover fuzz-smoke bench-smoke serve-smoke; do \
+	for stage in build vet cross-vet bench-vet lint lint-facts test test-race cover fuzz-smoke bench-smoke serve-smoke; do \
 		if [ $$rc -ne 0 ]; then summary="$$summary $$stage:skip"; continue; fi; \
 		echo "== $$stage"; \
 		if $(MAKE) --no-print-directory $$stage; then summary="$$summary $$stage:ok"; \
@@ -34,6 +35,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# cross-vet type-checks and vets the module for arm64, which compiles the
+# non-amd64 fallback of internal/prob's DP leaf (dp_other.go) that no amd64
+# build sees. It needs no network: the standard library is cross-compiled
+# from the local toolchain.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # bench-vet compiles and vets bench/, which is its own module (bench/go.mod)
 # and so is skipped by the root's ./... patterns: a change that deletes an
@@ -105,7 +113,8 @@ cover:
 
 # fuzz-smoke is a short deterministic-budget fuzz pass (also part of check):
 # the simulator's message validation, the divide-and-conquer convolution
-# kernels against the naive DP reference, the approximation ladder's
+# kernels against the naive DP reference, the DP leaf's vector lanes
+# against its scalar loops, the approximation ladder's
 # certified intervals against the exact DP answer, the bit-sliced
 # multi-delegate sampler against its one-sample-at-a-time reference, the
 # scale fold's chunk pass against its reference resolution and the
@@ -114,6 +123,7 @@ cover:
 fuzz-smoke:
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzDPIntoLanesMatchScalar -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s

@@ -302,10 +302,19 @@ func (in *Instance) Approves(i, j int, alpha float64) bool {
 }
 
 // ApprovalSet returns J(i), the neighbors of i that i approves at margin
-// alpha, in ascending vertex order.
+// alpha, in ascending vertex order. On complete topologies it scans the
+// voters directly instead of allocating Neighbors' n-1 list.
 func (in *Instance) ApprovalSet(i int, alpha float64) []int {
 	var out []int
 	threshold := in.p[i] + alpha
+	if _, ok := in.top.(graph.Complete); ok {
+		for j, pj := range in.p {
+			if j != i && pj >= threshold {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
 	for _, j := range in.top.Neighbors(i) {
 		if in.p[j] >= threshold {
 			out = append(out, j)

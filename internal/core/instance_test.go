@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -135,6 +136,34 @@ func TestCompleteApprovalFastPathMatchesExplicit(t *testing.T) {
 			want := exp.ApprovalCount(v, alpha)
 			if got := imp.ApprovalCount(v, alpha); got != want {
 				t.Fatalf("alpha=%v voter=%d: fast count %d, scan count %d", alpha, v, got, want)
+			}
+		}
+	}
+}
+
+// TestCompleteApprovalSetMatchesNeighborScan: on K_n, ApprovalSet scans the
+// voters instead of Neighbors' list; on random instances with tied
+// competencies its sets, order included, equal a scan over Neighbors.
+func TestCompleteApprovalSetMatchesNeighborScan(t *testing.T) {
+	s := rng.New(43)
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + s.IntN(40)
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = float64(1+s.IntN(4)) / 5
+		}
+		in := mustInstance(t, graph.NewComplete(n), p)
+		for _, alpha := range []float64{0, 0.2, 0.3, 1} {
+			for v := 0; v < n; v++ {
+				var want []int
+				for _, j := range in.Topology().Neighbors(v) {
+					if p[j] >= p[v]+alpha {
+						want = append(want, j)
+					}
+				}
+				if got := in.ApprovalSet(v, alpha); !slices.Equal(got, want) {
+					t.Fatalf("n=%d alpha=%v voter=%d: ApprovalSet %v, Neighbors scan %v", n, alpha, v, got, want)
+				}
 			}
 		}
 	}

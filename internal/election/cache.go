@@ -41,19 +41,26 @@ var wsPool = sync.Pool{New: func() any { return prob.NewWorkspace() }}
 // same reason: resolver scratch never influences Resolution values.
 var rvPool = sync.Pool{New: func() any { return new(core.Resolver) }}
 
-// scoreCacheMaxEntries bounds one ScoreCache's memory. When the bound is
-// hit the map is dropped wholesale: eviction order would otherwise depend
-// on insertion order, i.e. on scheduling, and a cold restart is cheap
-// because every entry is recomputable.
-const scoreCacheMaxEntries = 1 << 15
+// scoreCacheMaxBytes bounds one ScoreCache's memory in bytes: each entry is
+// charged its key's length (12 bytes a sink) plus scoreCacheEntryBytes.
+// When an insertion would pass the budget the map is dropped wholesale:
+// eviction order would otherwise depend on insertion order, i.e. on
+// scheduling, and a cold restart is cheap because every entry is
+// recomputable. A full `reproduce -scale 1 -seed 1` peaks at 815 KB of keys.
+const scoreCacheMaxBytes = 32 << 20
+
+// scoreCacheEntryBytes is the fixed part of an entry's charge: the map
+// slot's string header and value, and the key allocation's rounding.
+const scoreCacheEntryBytes = 64
 
 // ScoreCache memoizes exact resolution scores by canonical voter multiset.
 // It is safe for concurrent use; EvaluateMechanism shares one across its
 // replication workers. Values are pure functions of their keys, so lookups
 // compute outside the lock and a duplicated concurrent compute is harmless.
 type ScoreCache struct {
-	mu sync.Mutex
-	m  map[string]float64
+	mu    sync.Mutex
+	m     map[string]float64
+	bytes int // the entries' charge against scoreCacheMaxBytes
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -171,17 +178,37 @@ func ResolutionProbabilityExactCached(in *core.Instance, res *core.Resolution, w
 	if err != nil {
 		return 0, err
 	}
-	cache.mu.Lock()
-	if len(cache.m) >= scoreCacheMaxEntries {
-		cache.m = make(map[string]float64)
-	}
-	cache.m[string(key)] = v
-	cache.mu.Unlock()
+	cache.store(key, v)
 	return v, nil
 }
 
+// store memoizes v under key within the byte budget. A key already present
+// (two workers computed it concurrently) is charged once, and a key larger
+// than the whole budget is not memoized.
+func (c *ScoreCache) store(key []byte, v float64) {
+	cost := len(key) + scoreCacheEntryBytes
+	if cost > scoreCacheMaxBytes {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[string(key)]; ok {
+		return
+	}
+	if c.bytes+cost > scoreCacheMaxBytes {
+		c.m = make(map[string]float64)
+		c.bytes = 0
+	}
+	c.m[string(key)] = v
+	c.bytes += cost
+}
+
 // pdCacheMaxEntries bounds the direct-probability cache; see
-// scoreCacheMaxEntries for the drop-all eviction rationale.
+// scoreCacheMaxBytes for the drop-all eviction rationale. A key is 8 bytes
+// a voter, so the Plan's exact branch (n <= ExactDirectMaxN) holds at most
+// 256 × 8 × ExactDirectMaxN bytes of keys, 8 MiB. DirectProbabilityExact
+// and Scenario.PD memoize at any n, so through them the worst case is
+// 256 × 8n bytes for the largest n they are called with.
 const pdCacheMaxEntries = 256
 
 // pdCache memoizes the exact P^D by instance content. P^D is a function of
@@ -216,7 +243,7 @@ func pdCacheGet(key []byte) (float64, bool) {
 }
 
 // pdCachePut memoizes an exact P^D under its pdKey, dropping the whole map
-// at the size bound (see scoreCacheMaxEntries for why eviction is
+// at the size bound (see scoreCacheMaxBytes for why eviction is
 // all-or-nothing).
 func pdCachePut(key []byte, v float64) {
 	pdCache.mu.Lock()

@@ -136,6 +136,43 @@ func TestScoreCacheSharedAcrossCallers(t *testing.T) {
 	}
 }
 
+// TestScoreCacheByteBudget inserts keys of 1 MiB and more: the charge never
+// passes scoreCacheMaxBytes, the cache drops everything when the next key
+// would, a repeated key is charged once, and a key larger than the whole
+// budget is not memoized.
+func TestScoreCacheByteBudget(t *testing.T) {
+	cache := NewScoreCache()
+	drops := 0
+	for i := 0; i < 80; i++ {
+		key := make([]byte, 1<<20+i)
+		key[0] = byte(i)
+		before := cache.Len()
+		cache.store(key, float64(i))
+		cache.store(key, float64(i))
+		if cache.Len() <= before {
+			drops++
+		}
+		if cache.bytes > scoreCacheMaxBytes {
+			t.Fatalf("insert %d: %d bytes charged, budget %d", i, cache.bytes, scoreCacheMaxBytes)
+		}
+		want := 0
+		for k := range cache.m {
+			want += len(k) + scoreCacheEntryBytes
+		}
+		if cache.bytes != want {
+			t.Fatalf("insert %d: %d bytes charged, entries cost %d", i, cache.bytes, want)
+		}
+	}
+	if drops < 2 {
+		t.Fatalf("%d drops over 80 MiB of keys, want at least 2", drops)
+	}
+	entries, charged := cache.Len(), cache.bytes
+	cache.store(make([]byte, scoreCacheMaxBytes), 1)
+	if cache.Len() != entries || cache.bytes != charged {
+		t.Fatalf("a key larger than the budget changed the cache: %d entries, %d bytes; want %d, %d", cache.Len(), cache.bytes, entries, charged)
+	}
+}
+
 // TestDirectCacheStability: repeated P^D queries on one instance return
 // the identical float and the process-wide telemetry records the hits.
 func TestDirectCacheStability(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"liquid/internal/core"
+	"liquid/internal/graph"
 	"liquid/internal/rng"
 )
 
@@ -132,12 +133,26 @@ func (m GreedyBest) Apply(in *core.Instance, _ *rng.Stream) (*core.DelegationGra
 		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	d := core.NewDelegationGraph(in.N())
+	// On K_n the scan counts through the voters, in Neighbors' ascending
+	// order, instead of allocating an n-1 list per voter.
+	_, complete := in.Topology().(graph.Complete)
 	for i := 0; i < in.N(); i++ {
 		best := core.NoDelegate
 		bestP := in.Competency(i) + m.Alpha
-		for _, j := range in.Topology().Neighbors(i) {
+		consider := func(j int) {
 			if p := in.Competency(j); p >= bestP && (best == core.NoDelegate || p > in.Competency(best)) {
 				best = j
+			}
+		}
+		if complete {
+			for j := 0; j < in.N(); j++ {
+				if j != i {
+					consider(j)
+				}
+			}
+		} else {
+			for _, j := range in.Topology().Neighbors(i) {
+				consider(j)
 			}
 		}
 		if best != core.NoDelegate {

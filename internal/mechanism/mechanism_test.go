@@ -187,6 +187,39 @@ func TestGreedyBestPicksMostCompetent(t *testing.T) {
 	}
 }
 
+// TestGreedyBestCompleteMatchesNeighborScan: on K_n, GreedyBest scans the
+// voters instead of Neighbors' list; on random instances with tied
+// competencies every delegate, tie-breaks included, equals a scan over
+// Neighbors.
+func TestGreedyBestCompleteMatchesNeighborScan(t *testing.T) {
+	s := rng.New(44)
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + s.IntN(40)
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = float64(1+s.IntN(4)) / 5
+		}
+		in := mustInstance(t, graph.NewComplete(n), p)
+		for _, alpha := range []float64{0, 0.2, 1} {
+			d, err := GreedyBest{Alpha: alpha}.Apply(in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				want := core.NoDelegate
+				for _, j := range in.Topology().Neighbors(i) {
+					if p[j] >= p[i]+alpha && (want == core.NoDelegate || p[j] > p[want]) {
+						want = j
+					}
+				}
+				if d.Delegate[i] != want {
+					t.Fatalf("n=%d alpha=%v voter %d: delegate %d, Neighbors scan %d", n, alpha, i, d.Delegate[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestHalfNeighborhood(t *testing.T) {
 	// Path 0-1-2 with competencies 0.3, 0.5, 0.9.
 	g, err := graph.Path(3)

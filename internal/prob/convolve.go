@@ -33,7 +33,9 @@ const (
 	// scalar FFT butterflies, so small merges go further before the FFT
 	// pays for itself (~1.7x on BenchmarkPoissonBinomialPMF at n=2000, no
 	// measurable change on the weight-heavy BenchmarkWeightedMajorityDP
-	// whose large merges stay FFT either way).
+	// whose large merges stay FFT either way). Tuned against the scalar
+	// leaf, before the vector lanes: retuning for the cheaper leaf moves
+	// the crossover, and so changes bytes.
 	fftUnitCost = 6
 	dcMinLeaf   = 32
 )
@@ -209,6 +211,17 @@ func (ws *Workspace) pmf(ctx context.Context, voters []WeightedVoter, workers in
 //
 //lint:hotpath
 func dpInto(f []float64, voters []WeightedVoter) {
+	dpIntoLanes(f, voters, fmaLanes)
+}
+
+// dpIntoLanes is dpInto, with the bulk of every pass run four lanes at a
+// time by the vector kernels when lanes is set (DESIGN.md §11 "Vector
+// lanes"). The scalar loops finish each pass either way, and each lane
+// performs the scalar loop's operations in its order, so the bits do not
+// depend on lanes.
+//
+//lint:hotpath
+func dpIntoLanes(f []float64, voters []WeightedVoter, lanes bool) {
 	zeroFloats(f)
 	f[0] = 1
 	// Consecutive voters of equal weight are folded in as a pair: one pass
@@ -229,18 +242,28 @@ func dpInto(f []float64, voters []WeightedVoter) {
 			a1 := math.FMA(p1, q2, q1*p2)
 			a2 := p1 * p2
 			reached += 2 * w
+			// The vector blocks take the pass's lanes from reached down to
+			// at least 2w, and the scalar loop resumes at top. The kernel
+			// checks no bounds, so f[reached] is checked before it runs.
+			top := reached
+			if lanes {
+				blocks := (reached - 2*w + 1) / 4
+				_ = f[reached]
+				pairLanes(f, w, reached, blocks, a0, a1, a2)
+				top -= 4 * blocks
+			}
 			if w == 1 {
 				// Unit-weight pairs (every Poisson-binomial voter) run the
 				// general loops below with constant offsets, which compile
 				// to a tighter inner loop; the float operations are the
 				// same.
-				for t := reached; t >= 2; t-- {
+				for t := top; t >= 2; t-- {
 					f[t] = math.FMA(f[t-2], a2, math.FMA(f[t-1], a1, f[t]*a0))
 				}
 				f[1] = math.FMA(f[0], a1, f[1]*a0)
 				f[0] *= a0
 			} else {
-				for t := reached; t >= 2*w; t-- {
+				for t := top; t >= 2*w; t-- {
 					f[t] = math.FMA(f[t-2*w], a2, math.FMA(f[t-w], a1, f[t]*a0))
 				}
 				for t := 2*w - 1; t >= w; t-- {
@@ -256,7 +279,14 @@ func dpInto(f []float64, voters []WeightedVoter) {
 		p := v.P
 		q := 1 - p
 		reached += w
-		for t := reached; t >= w; t-- {
+		top := reached
+		if lanes {
+			blocks := (reached - w + 1) / 4
+			_ = f[reached]
+			singleLanes(f, w, reached, blocks, p, q)
+			top -= 4 * blocks
+		}
+		for t := top; t >= w; t-- {
 			f[t] = math.FMA(f[t-w], p, f[t]*q)
 		}
 		for t := w - 1; t >= 0; t-- {

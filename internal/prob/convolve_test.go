@@ -3,6 +3,7 @@ package prob
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"liquid/internal/rng"
@@ -337,4 +338,148 @@ func TestDeltaUpdateCost(t *testing.T) {
 	if full, delta := WeightedMajorityDPCost(2000, 2000), DeltaUpdateCost(2000); delta*10 > full {
 		t.Fatalf("DeltaUpdateCost(2000)=%d not <= 1/10 of DP cost %d", delta, full)
 	}
+}
+
+// lanesMatchScalar runs the DP leaf over voters with and without the vector
+// lanes, into buffers prefilled with NaN so a skipped lane shows, and
+// reports the first differing index, or -1 when the PMFs agree bit for bit.
+func lanesMatchScalar(voters []WeightedVoter) int {
+	total := 0
+	for _, v := range voters {
+		total += v.Weight
+	}
+	got := make([]float64, total+1)
+	want := make([]float64, total+1)
+	for i := range got {
+		got[i], want[i] = math.NaN(), math.NaN()
+	}
+	dpIntoLanes(got, voters, true)
+	dpIntoLanes(want, voters, false)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// approvalRealization draws one approval-threshold resolution on K_n: with
+// competencies p ~ U[0.3, 0.8) and a margin alpha in (0, 0.2), every voter
+// with an approved voter (p_j >= p_i + alpha) delegates to a uniformly
+// random one, and the sinks' (weight, p) pairs come back in the canonical
+// (weight, p) order the engine scores in.
+func approvalRealization(s *rng.Stream, n int, ws *Workspace) []WeightedVoter {
+	ps := make([]float64, n)
+	for i := range ps {
+		ps[i] = 0.3 + 0.5*s.Float64()
+	}
+	sort.Float64s(ps)
+	alpha := 0.2 * (1 - s.Float64())
+	// Every delegation climbs to a strictly higher competency, so a
+	// descending pass has each delegate's sink before its delegators.
+	sink := make([]int, n)
+	weight := make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		lo := sort.SearchFloat64s(ps, ps[i]+alpha)
+		sink[i] = i
+		if lo < n {
+			sink[i] = sink[lo+s.IntN(n-lo)]
+		}
+		weight[sink[i]]++
+	}
+	voters := ws.VoterBuffer(n)
+	maxW := 0
+	for i, w := range weight {
+		if w > 0 {
+			voters = append(voters, WeightedVoter{Weight: w, P: ps[i]})
+			maxW = max(maxW, w)
+		}
+	}
+	return ws.SortVotersByWeight(voters, maxW)
+}
+
+// TestDPIntoLanesMatchScalar pins the vector lanes to the scalar leaf bit
+// for bit: for every weight class, pass lengths at every remainder mod 4
+// (a leading voter of each weight in 0..8 shifts the passes), pairs and a
+// trailing single, edge probabilities, and whole approval-threshold
+// realizations at n = 2000.
+func TestDPIntoLanesMatchScalar(t *testing.T) {
+	if !fmaLanes {
+		t.Skip("this CPU runs the scalar leaf only: no AVX and FMA lanes to compare")
+	}
+	s := rng.New(24)
+	// Two of every three voters of a weight class take the edge
+	// probability, so pairs see (edge, edge), (edge, uniform) and
+	// (uniform, edge); -1 draws them all uniformly.
+	edges := []float64{0, 1, 0.5, 1e-300, -1}
+	for _, w := range []int{1, 2, 3, 4, 5, 8, 40} {
+		for lead := 0; lead <= 8; lead++ {
+			if lead == w {
+				continue
+			}
+			for _, k := range []int{1, 2, 3, 7, 12} {
+				for _, pe := range edges {
+					var voters []WeightedVoter
+					if lead > 0 {
+						voters = append(voters, WeightedVoter{Weight: lead, P: s.Float64()})
+					}
+					for i := 0; i < k; i++ {
+						p := pe
+						if p < 0 || i%3 == 2 {
+							p = s.Float64()
+						}
+						voters = append(voters, WeightedVoter{Weight: w, P: p})
+					}
+					if i := lanesMatchScalar(voters); i >= 0 {
+						t.Fatalf("w=%d lead=%d k=%d p=%g: lanes differ from scalar at %d", w, lead, k, pe, i)
+					}
+				}
+			}
+		}
+	}
+	ws := NewWorkspace()
+	for r := 0; r < 4; r++ {
+		voters := approvalRealization(s, 2000, ws)
+		if i := lanesMatchScalar(voters); i >= 0 {
+			t.Fatalf("realization %d (%d sinks): lanes differ from scalar at %d", r, len(voters), i)
+		}
+	}
+}
+
+// FuzzDPIntoLanesMatchScalar draws voter sets of 1–70 voters with weights up
+// to 40, runs of equal weights (so pairs form) and probabilities from
+// {0, 1, 1e-300, uniform}, and requires the vector lanes to match the
+// scalar leaf bit for bit. Wired into the `make check` fuzz-smoke stage.
+func FuzzDPIntoLanesMatchScalar(f *testing.F) {
+	f.Add(uint64(1), uint8(10), uint8(4))
+	f.Add(uint64(2), uint8(69), uint8(1))
+	f.Add(uint64(3), uint8(40), uint8(39))
+	f.Fuzz(func(t *testing.T, seed uint64, n, maxW uint8) {
+		if !fmaLanes {
+			t.Skip("this CPU runs the scalar leaf only: no AVX and FMA lanes to compare")
+		}
+		nv := int(n)%70 + 1
+		mw := int(maxW)%40 + 1
+		s := rng.New(seed)
+		voters := make([]WeightedVoter, nv)
+		w := 1 + s.IntN(mw)
+		for i := range voters {
+			if s.IntN(2) == 0 {
+				w = 1 + s.IntN(mw)
+			}
+			p := s.Float64()
+			switch s.IntN(4) {
+			case 0:
+				p = 0
+			case 1:
+				p = 1
+			case 2:
+				p = 1e-300
+			}
+			voters[i] = WeightedVoter{Weight: w, P: p}
+		}
+		if i := lanesMatchScalar(voters); i >= 0 {
+			t.Fatalf("seed=%d n=%d maxW=%d: lanes differ from scalar at %d", seed, nv, mw, i)
+		}
+	})
 }
