@@ -111,6 +111,17 @@ cover:
 	awk -v t="$$total" -v b="$$base" 'BEGIN{exit (t+0 < b+0) ? 1 : 0}' || \
 		{ echo "coverage: total $$total% fell below committed baseline $$base% — add tests or (deliberately) update COVERAGE.baseline"; exit 1; }
 
+# require-tests fails unless package $(1) has every test, benchmark or fuzz
+# target named in $(2). `go test -fuzz=NoSuch` and `-bench='^(NoSuch)$$'`
+# match nothing and exit 0, so without this check a renamed or deleted
+# target would drop out of the smoke stages below silently. Each smoke line
+# is preceded by a check of the targets it names.
+define require-tests
+@for name in $(2); do \
+	$(GO) test -list "^$$name$$" $(1) | grep -qx "$$name" || { echo "$(1) has no target $$name"; exit 1; }; \
+done
+endef
+
 # fuzz-smoke is a short deterministic-budget fuzz pass (also part of check):
 # the simulator's message validation, the divide-and-conquer convolution
 # kernels against the naive DP reference, the DP leaf's vector lanes
@@ -121,14 +132,19 @@ cover:
 # ladder's moment blocks, and liquidd's two request decoders against
 # encoding/json.
 fuzz-smoke:
+	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
+	$(call require-tests,./internal/prob,FuzzConvolutionEquivalence FuzzDPIntoLanesMatchScalar FuzzLadderSoundness)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzDPIntoLanesMatchScalar -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
+	$(call require-tests,./internal/server,FuzzDecodeEvaluateRequest FuzzDecodeWhatIfRequest)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
+	$(call require-tests,./internal/election,FuzzDeltaEquivalence FuzzMultiDelegationEquivalence)
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
+	$(call require-tests,./internal/scale,FuzzChunkSinksCanonical)
 	$(GO) test ./internal/scale -run='^$$' -fuzz=FuzzChunkSinksCanonical -fuzztime=5s
 
 # serve-smoke is the end-to-end serving gate (also part of check): build
@@ -144,12 +160,20 @@ bench:
 # bench-smoke runs the exact-engine kernel benchmarks for a single
 # iteration each: a crash check over benchmark-only code, cheap enough for
 # the check gate. Timings from one iteration are meaningless; use
-# `bash bench/run.sh` for numbers. The second line covers the convolution
-# engine's fork-join path, whose benchmark lives in internal/prob; the
-# third the scale tier's fused chunk pass.
+# `bash bench/run.sh` for numbers. The first run covers the root package's
+# benchmarks in BENCH_SMOKE, the second the convolution engine's fork-join
+# path, whose benchmark lives in internal/prob, and the third the scale
+# tier's fused chunk pass.
+BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability
+empty :=
+space := $(empty) $(empty)
+
 bench-smoke:
-	$(GO) test -run='^$$' -benchtime=1x -bench='^(BenchmarkPoissonBinomialPMF|BenchmarkWeightedMajorityDP|BenchmarkResolutionScoreCached|BenchmarkEvaluateMechanismSmall|BenchmarkEvaluateSweepSmall|BenchmarkDeltaSingleVoter2000|BenchmarkDeltaChurn2000|BenchmarkLadderMajority100000|BenchmarkScaleEvaluateMajority100000|BenchmarkCertifyQuery100000|BenchmarkMultiDelegationProbability)$$' .
+	$(call require-tests,.,$(BENCH_SMOKE))
+	$(GO) test -run='^$$' -benchtime=1x -bench='^($(subst $(space),|,$(BENCH_SMOKE)))$$' .
+	$(call require-tests,./internal/prob,BenchmarkPBPMFParallel)
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
+	$(call require-tests,./internal/scale,BenchmarkChunkStats)
 	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkStats$$'
 
 # Regenerate every paper experiment at full scale (deterministic, seed 1).

@@ -127,22 +127,22 @@ func benchInstance(b *testing.B, n int) *core.Instance {
 }
 
 // BenchmarkPoissonBinomialPMF measures the exact P^D kernel (n=2000)
-// through the workspace API: construct the distribution (borrowing, no
-// copy) and resolve the majority probability from its PMF.
+// through the workspace API: the competencies as unit voters in workspace
+// memory (no copy), and the majority probability from their PMF.
 // BenchmarkPoissonBinomialPMFNaive is the same workload on the plain
-// O(n^2) DP with allocating construction — the pre-overhaul engine, kept
-// for trajectory comparison (see BENCH_*.json).
+// O(n^2) DP into a fresh slice — the pre-overhaul engine, kept for
+// trajectory comparison (see BENCH_*.json).
 func BenchmarkPoissonBinomialPMF(b *testing.B) {
 	in := benchInstance(b, 2000)
 	ps := in.Competencies()
 	ws := prob.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pb, err := ws.PoissonBinomial(ps)
+		f, err := ws.PMF(ws.UnitVoters(ps))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if pb.ProbMajorityWS(ws) < 0 {
+		if prob.MajorityMass(f) < 0 {
 			b.Fatal("impossible")
 		}
 	}
@@ -150,15 +150,14 @@ func BenchmarkPoissonBinomialPMF(b *testing.B) {
 
 func BenchmarkPoissonBinomialPMFNaive(b *testing.B) {
 	in := benchInstance(b, 2000)
-	ps := in.Competencies()
+	voters := prob.NewWorkspace().UnitVoters(in.Competencies())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pb, err := prob.NewPoissonBinomial(ps)
+		f, err := prob.PMFNaive(voters)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f := pb.PMFNaive()
-		if prob.Sum(f[len(ps)/2+1:]) < 0 {
+		if prob.MajorityMass(f) < 0 {
 			b.Fatal("impossible")
 		}
 	}
@@ -180,11 +179,11 @@ func BenchmarkWeightedMajorityDP(b *testing.B) {
 	ws := prob.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wm, err := ws.WeightedMajority(voters)
+		f, err := ws.PMF(voters)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if wm.ProbCorrectDecisionWS(ws) < 0 {
+		if prob.MajorityMass(f) < 0 {
 			b.Fatal("impossible")
 		}
 	}
@@ -194,12 +193,11 @@ func BenchmarkWeightedMajorityDPNaive(b *testing.B) {
 	voters := benchVoters(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wm, err := prob.NewWeightedMajority(voters)
+		f, err := prob.PMFNaive(voters)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f := wm.PMFNaive()
-		if prob.Sum(f[wm.TotalWeight()/2+1:]) < 0 {
+		if prob.MajorityMass(f) < 0 {
 			b.Fatal("impossible")
 		}
 	}

@@ -41,7 +41,7 @@ var wsPool = sync.Pool{New: func() any { return prob.NewWorkspace() }}
 // same reason: resolver scratch never influences Resolution values.
 var rvPool = sync.Pool{New: func() any { return new(core.Resolver) }}
 
-// scoreCacheMaxBytes bounds one ScoreCache's memory in bytes: each entry is
+// scoreCacheMaxBytes bounds a plan's ScoreCache in bytes: each entry is
 // charged its key's length (12 bytes a sink) plus scoreCacheEntryBytes.
 // When an insertion would pass the budget the map is dropped wholesale:
 // eviction order would otherwise depend on insertion order, i.e. on
@@ -53,22 +53,25 @@ const scoreCacheMaxBytes = 32 << 20
 // slot's string header and value, and the key allocation's rounding.
 const scoreCacheEntryBytes = 64
 
-// ScoreCache memoizes exact resolution scores by canonical voter multiset.
-// It is safe for concurrent use; EvaluateMechanism shares one across its
-// replication workers. Values are pure functions of their keys, so lookups
-// compute outside the lock and a duplicated concurrent compute is harmless.
+// ScoreCache memoizes exact scores by a canonical key within a byte budget:
+// a plan's resolution scores by voter multiset, and the process-wide P^D
+// memo (pdCache) by competency multiset. It is safe for concurrent use;
+// EvaluateMechanism shares one across its replication workers. Values are
+// pure functions of their keys, so lookups compute outside the lock and a
+// duplicated concurrent compute is harmless.
 type ScoreCache struct {
-	mu    sync.Mutex
-	m     map[string]float64
-	bytes int // the entries' charge against scoreCacheMaxBytes
+	mu       sync.Mutex
+	m        map[string]float64
+	bytes    int // the entries' charge against maxBytes
+	maxBytes int
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// NewScoreCache returns an empty cache.
+// NewScoreCache returns an empty cache bounded at scoreCacheMaxBytes.
 func NewScoreCache() *ScoreCache {
-	return &ScoreCache{m: make(map[string]float64)}
+	return &ScoreCache{m: make(map[string]float64), maxBytes: scoreCacheMaxBytes}
 }
 
 // Stats returns the cache's lifetime hit and miss counts. Telemetry only:
@@ -135,14 +138,14 @@ func resolutionKey(ws *prob.Workspace, voters []prob.WeightedVoter) []byte {
 	return b
 }
 
-// scoreVoterSet runs the exact weighted-majority DP over the canonical
-// voters using ws for scratch.
+// scoreVoterSet runs the exact kernel over the canonical voters using ws
+// for scratch and returns the PMF's majority mass.
 func scoreVoterSet(ws *prob.Workspace, voters []prob.WeightedVoter) (float64, error) {
-	wm, err := ws.WeightedMajority(voters)
+	f, err := ws.PMF(voters)
 	if err != nil {
 		return 0, fmt.Errorf("delegation probability: %w", err)
 	}
-	return wm.ProbCorrectDecisionWS(ws), nil
+	return prob.MajorityMass(f), nil
 }
 
 // ResolutionProbabilityExactCached scores a resolution exactly, consulting
@@ -162,15 +165,10 @@ func ResolutionProbabilityExactCached(in *core.Instance, res *core.Resolution, w
 		return scoreVoterSet(ws, voters)
 	}
 	key := resolutionKey(ws, voters)
-	cache.mu.Lock()
-	v, ok := cache.m[string(key)]
-	cache.mu.Unlock()
-	if ok {
-		cache.hits.Add(1)
+	if v, ok := cache.load(key); ok {
 		cResolutionHits.Inc()
 		return v, nil
 	}
-	cache.misses.Add(1)
 	cResolutionMisses.Inc()
 	// The DP reads only ws's arena/FFT scratch, never the key buffer, so
 	// key stays valid across the call.
@@ -182,12 +180,26 @@ func ResolutionProbabilityExactCached(in *core.Instance, res *core.Resolution, w
 	return v, nil
 }
 
+// load returns the value memoized under key, counting the lookup in the
+// cache's hit and miss stats.
+func (c *ScoreCache) load(key []byte) (float64, bool) {
+	c.mu.Lock()
+	v, ok := c.m[string(key)]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
 // store memoizes v under key within the byte budget. A key already present
 // (two workers computed it concurrently) is charged once, and a key larger
 // than the whole budget is not memoized.
 func (c *ScoreCache) store(key []byte, v float64) {
 	cost := len(key) + scoreCacheEntryBytes
-	if cost > scoreCacheMaxBytes {
+	if cost > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
@@ -195,7 +207,7 @@ func (c *ScoreCache) store(key []byte, v float64) {
 	if _, ok := c.m[string(key)]; ok {
 		return
 	}
-	if c.bytes+cost > scoreCacheMaxBytes {
+	if c.bytes+cost > c.maxBytes {
 		c.m = make(map[string]float64)
 		c.bytes = 0
 	}
@@ -203,24 +215,21 @@ func (c *ScoreCache) store(key []byte, v float64) {
 	c.bytes += cost
 }
 
-// pdCacheMaxEntries bounds the direct-probability cache; see
-// scoreCacheMaxBytes for the drop-all eviction rationale. A key is 8 bytes
-// a voter, so the Plan's exact branch (n <= ExactDirectMaxN) holds at most
-// 256 × 8 × ExactDirectMaxN bytes of keys, 8 MiB. DirectProbabilityExact
-// and Scenario.PD memoize at any n, so through them the worst case is
-// 256 × 8n bytes for the largest n they are called with.
-const pdCacheMaxEntries = 256
+// pdCacheMaxBytes bounds the P^D memo. A key is 8 bytes a voter, so the
+// memo holds 261 keys at n = 2000, 127 at ExactDirectMaxN, and none at 2^19
+// voters or more. It is not the plans' budget: the memo is process-wide and
+// lives as long as the process, so it is sized to keep liquidd's resident
+// set where it is. A full `reproduce -scale 1 -seed 1` peaks at 1.04 MB in
+// 334 keys.
+const pdCacheMaxBytes = 4 << 20
 
 // pdCache memoizes the exact P^D by instance content. P^D is a function of
 // the competency multiset alone, and the exact branch involves no
 // randomness, so a cached P^D is valid for every caller: sweeps that score
-// many mechanisms on one instance run the Poisson-binomial DP once, a
+// many mechanisms on one instance run the Poisson-binomial kernel once, a
 // request that decodes an instance seen before hits, and the memo keeps no
 // instance alive.
-var pdCache = struct {
-	mu sync.Mutex
-	m  map[string]float64
-}{m: make(map[string]float64)}
+var pdCache = &ScoreCache{m: make(map[string]float64), maxBytes: pdCacheMaxBytes}
 
 // pdKey encodes in's competency multiset into ws's key buffer: the exact
 // bits of every competency, 8 bytes each, in CompetencyOrder — the
@@ -232,26 +241,6 @@ func pdKey(ws *prob.Workspace, in *core.Instance) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Competency(v)))
 	}
 	return b
-}
-
-// pdCacheGet looks up a memoized exact P^D by pdKey.
-func pdCacheGet(key []byte) (float64, bool) {
-	pdCache.mu.Lock()
-	v, ok := pdCache.m[string(key)]
-	pdCache.mu.Unlock()
-	return v, ok
-}
-
-// pdCachePut memoizes an exact P^D under its pdKey, dropping the whole map
-// at the size bound (see scoreCacheMaxBytes for why eviction is
-// all-or-nothing).
-func pdCachePut(key []byte, v float64) {
-	pdCache.mu.Lock()
-	if len(pdCache.m) >= pdCacheMaxEntries {
-		pdCache.m = make(map[string]float64)
-	}
-	pdCache.m[string(key)] = v
-	pdCache.mu.Unlock()
 }
 
 // exactDirectProbability is the one exact P^D: prob.KernelMajority over the
@@ -271,7 +260,7 @@ func exactDirectProbability(ctx context.Context, in *core.Instance, memo bool, w
 		defer wsPool.Put(ws)
 		// The kernel borrows its own workspace, so key stays valid.
 		key = pdKey(ws, in)
-		if v, ok := pdCacheGet(key); ok {
+		if v, ok := pdCache.load(key); ok {
 			cDirectHits.Inc()
 			return v, nil
 		}
@@ -282,7 +271,7 @@ func exactDirectProbability(ctx context.Context, in *core.Instance, memo bool, w
 		return 0, fmt.Errorf("direct probability: %w", err)
 	}
 	if memo {
-		pdCachePut(key, v)
+		pdCache.store(key, v)
 	}
 	return v, nil
 }

@@ -218,7 +218,7 @@ func TestDirectCacheKeyedByContent(t *testing.T) {
 		rev[len(ps)-1-i] = p
 	}
 	b := mustInstance(t, graph.NewComplete(len(rev)), rev)
-	if _, ok := pdCacheGet(pdKey(prob.NewWorkspace(), b)); !ok {
+	if _, ok := pdCache.load(pdKey(prob.NewWorkspace(), b)); !ok {
 		t.Fatal("an instance with equal competencies missed the P^D memo")
 	}
 	for i := 0; i < 20; i++ {
@@ -265,13 +265,17 @@ func TestDirectMatchesAllDirectResolution(t *testing.T) {
 func TestDirectMemoFollowsPointSwitch(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(89), randComps(89, 0.35, 0.65, 8911))
 	key := pdKey(prob.NewWorkspace(), in)
-	if _, ok := pdCacheGet(key); ok {
+	if _, ok := pdCache.load(key); ok {
 		t.Fatal("the instance is already memoized")
 	}
+	// forget removes the instance's entry and its charge.
 	forget := func() {
 		pdCache.mu.Lock()
-		delete(pdCache.m, string(key))
-		pdCache.mu.Unlock()
+		defer pdCache.mu.Unlock()
+		if _, ok := pdCache.m[string(key)]; ok {
+			delete(pdCache.m, string(key))
+			pdCache.bytes -= len(key) + scoreCacheEntryBytes
+		}
 	}
 	t.Cleanup(forget)
 	want, err := exactDirectProbability(context.Background(), in, false, 1)
@@ -289,12 +293,12 @@ func TestDirectMemoFollowsPointSwitch(t *testing.T) {
 	if got := pd(true); got != want {
 		t.Fatalf("cache-disabled P^D %v, want %v", got, want)
 	}
-	if _, ok := pdCacheGet(key); ok {
+	if _, ok := pdCache.load(key); ok {
 		t.Fatal("a cache-disabled point filled the P^D memo")
 	}
 	// A sentinel under the instance's key tells a read from a recompute.
 	const sentinel = 0.125
-	pdCachePut(key, sentinel)
+	pdCache.store(key, sentinel)
 	if got := pd(true); got != want {
 		t.Fatalf("a cache-disabled point read the P^D memo: got %v, want %v", got, want)
 	}
@@ -305,8 +309,44 @@ func TestDirectMemoFollowsPointSwitch(t *testing.T) {
 	if got := pd(false); got != want {
 		t.Fatalf("cached P^D %v, want %v", got, want)
 	}
-	if v, ok := pdCacheGet(key); !ok || v != want {
+	if v, ok := pdCache.load(key); !ok || v != want {
 		t.Fatalf("a cached point did not fill the P^D memo: %v, %v", v, ok)
+	}
+}
+
+// TestDirectMemoByteBudget: the P^D memo is bounded in bytes, not entries.
+// Exact P^D on distinct 20000-voter instances (160 KB keys) keeps the
+// memo's charge at or below pdCacheMaxBytes, dropping the map when the next
+// key would pass it, and a key larger than the budget (8 MiB, a 2^20-voter
+// electorate's) is not memoized.
+func TestDirectMemoByteBudget(t *testing.T) {
+	const n = 20000
+	s := rng.New(rng.Derive(25, "pd-memo"))
+	charge := func() int {
+		pdCache.mu.Lock()
+		defer pdCache.mu.Unlock()
+		return pdCache.bytes
+	}
+	drops := 0
+	for i := 0; i < 30; i++ {
+		before := pdCache.Len()
+		if _, err := DirectProbabilityExact(randomInstance(t, n, 0.3, 0.7, s)); err != nil {
+			t.Fatal(err)
+		}
+		if pdCache.Len() <= before {
+			drops++
+		}
+		if c := charge(); c > pdCacheMaxBytes {
+			t.Fatalf("instance %d: %d bytes charged, budget %d", i, c, pdCacheMaxBytes)
+		}
+	}
+	if drops == 0 {
+		t.Fatalf("30 keys of %d bytes never dropped a %d-byte memo", 8*n, pdCacheMaxBytes)
+	}
+	entries, charged := pdCache.Len(), charge()
+	pdCache.store(make([]byte, 8<<20), 1)
+	if pdCache.Len() != entries || charge() != charged {
+		t.Fatalf("an 8 MiB key changed the memo: %d entries, %d bytes; want %d, %d", pdCache.Len(), charge(), entries, charged)
 	}
 }
 

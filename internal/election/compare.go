@@ -7,6 +7,7 @@ import (
 	"liquid/internal/core"
 	"liquid/internal/mechanism"
 	"liquid/internal/prob"
+	"liquid/internal/rng"
 )
 
 // Comparison is the result of a paired evaluation of two mechanisms on the
@@ -53,11 +54,16 @@ func CompareMechanisms(ctx context.Context, in *core.Instance, mechA, mechB mech
 	if err != nil {
 		return nil, err
 	}
-	outA, err := plan.replicate(ctx, mechA, nil, plan.opts, false, plan.scores)
+	scorer := func(mech mechanism.Mechanism) func(*rng.Stream, *prob.Workspace, *core.Resolver) repOut {
+		return func(s *rng.Stream, ws *prob.Workspace, rv *core.Resolver) repOut {
+			return evaluateReplication(ctx, in, mech, nil, plan.opts, false, s, ws, rv, plan.scores)
+		}
+	}
+	outA, err := plan.replicate(ctx, plan.opts, scorer(mechA))
 	if err != nil {
 		return nil, err
 	}
-	outB, err := plan.replicate(ctx, mechB, nil, plan.opts, false, plan.scores)
+	outB, err := plan.replicate(ctx, plan.opts, scorer(mechB))
 	if err != nil {
 		return nil, err
 	}

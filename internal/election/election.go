@@ -122,26 +122,14 @@ func DirectProbability(ctx context.Context, in *core.Instance, samples int, s *r
 	if n <= ExactDirectMaxN {
 		return DirectProbabilityExact(in)
 	}
-	if samples <= 0 {
-		samples = 2000
+	// Direct voting is the all-direct resolution: its sinks are the voters
+	// in ascending order with one vote each, so the one Monte-Carlo sampler
+	// draws and decides as a loop over the competencies would.
+	res, err := core.NewDelegationGraph(n).Resolve()
+	if err != nil {
+		return 0, err
 	}
-	p := in.Competencies()
-	wins := 0
-	for t := 0; t < samples; t++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		correct := 0
-		for _, pi := range p {
-			if s.Bernoulli(pi) {
-				correct++
-			}
-		}
-		if 2*correct > n {
-			wins++
-		}
-	}
-	return float64(wins) / float64(samples), nil
+	return ResolutionProbabilityMC(ctx, in, res, samples, s)
 }
 
 // DirectProbabilityExact returns the exact P^D(G) via the Poisson-binomial

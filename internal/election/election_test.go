@@ -73,6 +73,39 @@ func TestDirectProbabilityMCPathAgreesWithExact(t *testing.T) {
 	}
 }
 
+// TestDirectProbabilityMCPinned pins the Monte-Carlo P^D above
+// ExactDirectMaxN bit for bit, with the stream position after it, at two
+// seeds for n = 5000 (one competency at 0, one at 1). The values are those
+// of one Bernoulli draw per voter in voter order, a sample winning on a
+// strict majority: the draws and decisions the all-direct resolution's
+// sampler must keep, since they are part of every seeded P^D above
+// ExactDirectMaxN.
+func TestDirectProbabilityMCPinned(t *testing.T) {
+	const n = 5000
+	ps := randComps(n, 0.4, 0.6, 5000)
+	ps[7], ps[11] = 0, 1
+	in := mustInstance(t, graph.NewComplete(n), ps)
+	for _, want := range []struct {
+		seed       uint64
+		bits, next uint64
+	}{
+		{1, 0x3fd872b020c49ba6, 0x29f27c4dde53dc3},  // 0.382
+		{2, 0x3fd9f3b645a1cac1, 0x8dfaf1852ddadd1f}, // 0.4055
+	} {
+		s := rng.New(want.seed)
+		got, err := DirectProbability(context.Background(), in, 0, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != want.bits {
+			t.Errorf("seed %d: P^D %v (%#x), want %v (%#x)", want.seed, got, math.Float64bits(got), math.Float64frombits(want.bits), want.bits)
+		}
+		if next := s.Uint64(); next != want.next {
+			t.Errorf("seed %d: the stream continues at %#x, want %#x", want.seed, next, want.next)
+		}
+	}
+}
+
 // TestCertifyDirect: P^D's certified normal tier on a balanced electorate
 // (mean exactly at the threshold, so only Berry–Esseen bounds it) contains
 // the exact value with a half-width of the Berry–Esseen order.

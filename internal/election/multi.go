@@ -302,43 +302,32 @@ func lanesAbove(c []uint64, h uint64) (gt, eq uint64) {
 }
 
 // EvaluateMultiMechanism estimates the gain of a multi-delegate mechanism,
-// averaging over both mechanism randomness and vote randomness. Cancelling
-// ctx aborts the replication loop with ctx's error.
+// averaging over both mechanism randomness and vote randomness. It runs on
+// a Plan like a sweep point: P^D from the plan's "direct" stream, and
+// replication r on stream r+1, whose "mechanism" child draws the
+// multi-delegation and whose "votes" child samples it. The result is
+// bit-identical for every Workers value. Cancelling ctx aborts the
+// replications with ctx's error.
 func EvaluateMultiMechanism(ctx context.Context, in *core.Instance, mech mechanism.MultiMechanism, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if in.N() == 0 {
-		return nil, ErrNoVoters
-	}
-	root := rng.New(opts.Seed)
-	pd, err := DirectProbability(ctx, in, opts.VoteSamples*4, root.DeriveString("direct"))
+	plan, err := NewPlan(in, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Mechanism: mech.Name(), N: in.N(), PD: pd}
-	var pmSum prob.Summary
-	var delegators prob.Accumulator
-	for r := 0; r < opts.Replications; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s := root.Derive(uint64(r) + 1)
+	opts = plan.opts
+	pd, err := plan.directProbability(ctx, opts, true, rng.New(opts.Seed).DeriveString("direct"))
+	if err != nil {
+		return nil, err
+	}
+	outs, err := plan.replicate(ctx, opts, func(s *rng.Stream, _ *prob.Workspace, _ *core.Resolver) repOut {
 		md, err := mech.ApplyMulti(in, s.DeriveString("mechanism"))
 		if err != nil {
-			return nil, err
+			return repOut{err: err}
 		}
 		pm, err := MultiDelegationProbability(ctx, in, md, opts.VoteSamples, s.DeriveString("votes"))
-		if err != nil {
-			return nil, err
-		}
-		pmSum.Add(pm)
-		delegators.Add(float64(md.NumDelegators()))
+		return repOut{pm: pm, delegators: md.NumDelegators(), err: err}
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.MeanDelegators = delegators.Sum() / float64(opts.Replications)
-	res.PM = pmSum.Mean()
-	res.PMStdErr = pmSum.StdErr()
-	res.Gain = res.PM - pd
-	lo, hi := pmSum.MeanCI(0.95)
-	res.GainLo = lo - pd
-	res.GainHi = hi - pd
-	return res, nil
+	return summarize(&Result{Mechanism: mech.Name(), N: in.N(), PD: pd}, outs)
 }

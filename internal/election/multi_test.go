@@ -88,6 +88,9 @@ func TestMultiDelegationSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestEvaluateMultiMechanismGain: multi-delegation gains over direct
+// voting, and its replications, which run on the Plan's worker loop, give
+// the same Result bit for bit at every worker count.
 func TestEvaluateMultiMechanismGain(t *testing.T) {
 	const n = 151
 	s := rng.New(6)
@@ -96,17 +99,25 @@ func TestEvaluateMultiMechanismGain(t *testing.T) {
 		p[i] = 0.3 + 0.35*s.Float64()
 	}
 	in := mustInstance(t, graph.NewComplete(n), p)
-	res, err := EvaluateMultiMechanism(context.Background(), in, mechanism.MultiDelegate{Alpha: 0.05, K: 3}, Options{
-		Replications: 8, VoteSamples: 2000, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Gain <= 0 {
-		t.Fatalf("multi-delegate gain = %v (PM=%v PD=%v)", res.Gain, res.PM, res.PD)
-	}
-	if res.MeanDelegators == 0 {
-		t.Fatal("expected delegators")
+	var first *Result
+	for _, workers := range []int{1, 4} {
+		res, err := EvaluateMultiMechanism(context.Background(), in, mechanism.MultiDelegate{Alpha: 0.05, K: 3}, Options{
+			Replications: 8, VoteSamples: 2000, Seed: 7, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Gain <= 0 {
+			t.Fatalf("multi-delegate gain = %v (PM=%v PD=%v)", res.Gain, res.PM, res.PD)
+		}
+		if res.MeanDelegators == 0 {
+			t.Fatal("expected delegators")
+		}
+		if first == nil {
+			first = res
+		} else {
+			sameResult(t, "4 workers", res, first)
+		}
 	}
 }
 

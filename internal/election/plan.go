@@ -203,15 +203,23 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 			return nil, err
 		}
 	}
-	outs, err := p.replicate(ctx, pt.Mechanism, pt.Repair, opts, certify, cache)
+	outs, err := p.replicate(ctx, opts, func(s *rng.Stream, ws *prob.Workspace, rv *core.Resolver) repOut {
+		return evaluateReplication(ctx, p.in, pt.Mechanism, pt.Repair, opts, certify, s, ws, rv, cache)
+	})
 	if err != nil {
 		return nil, err
 	}
+	return summarize(&Result{Mechanism: pt.Mechanism.Name(), N: p.in.N(), PD: pd, PDHalfWidth: pdHalfWidth}, outs)
+}
 
+// summarize fills result, whose Mechanism, N, PD and PDHalfWidth the caller
+// has set, with the averages of a point's replication outcomes, folded in
+// replication order. The first failed replication's error is returned
+// instead.
+func summarize(result *Result, outs []repOut) (*Result, error) {
 	var pmSum prob.Summary
 	var halfWidths, delegators, sinks, maxWeights, chains prob.Accumulator
 	var faults FaultCounts
-	result := &Result{Mechanism: pt.Mechanism.Name(), N: p.in.N(), PD: pd, PDHalfWidth: pdHalfWidth}
 	for _, o := range outs {
 		if o.err != nil {
 			return nil, o.err
@@ -230,7 +238,7 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 		faults.FellBack += o.faults.FellBack
 		faults.Redelegated += o.faults.Redelegated
 	}
-	reps := float64(opts.Replications)
+	reps := float64(len(outs))
 	result.PMHalfWidth = halfWidths.Sum() / reps
 	result.MeanDelegators = delegators.Sum() / reps
 	result.MeanSinks = sinks.Sum() / reps
@@ -242,29 +250,30 @@ func (p *Plan) evaluatePoint(ctx context.Context, pt SweepPoint, certify bool) (
 	result.MeanRedelegated = float64(faults.Redelegated) / reps
 	result.PM = pmSum.Mean()
 	result.PMStdErr = pmSum.StdErr()
-	result.Gain = result.PM - pd
+	result.Gain = result.PM - result.PD
 	lo, hi := pmSum.MeanCI(0.95)
-	result.GainLo = lo - pd
-	result.GainHi = hi - pd
+	result.GainLo = lo - result.PD
+	result.GainHi = hi - result.PD
 	return result, nil
 }
 
-// replicate runs opts.Replications realizations of mech, each repaired
-// when repair is set, on prob.ParallelFor and returns their outcomes in
-// replication order. Exact scores go through cache (nil: none), certified
-// ones never do. Replication r draws only from stream r+1 of the seed's
-// root, so two mechanisms replicated at one seed see the same streams:
-// CompareMechanisms pairs them. Cancelling ctx stops the hand-out and
-// returns ctx's error.
-func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair Repair, opts Options, certify bool, cache *ScoreCache) ([]repOut, error) {
+// replicate runs rep once per replication, opts.Replications times, on
+// prob.ParallelFor and returns the outcomes in replication order. It is the
+// one replication loop: sweep points, paired comparisons and multi-delegate
+// evaluations pass their own per-replication scorer. Replication r gets
+// stream r+1 of the seed's root, so two scorers replicated at one seed see
+// the same streams (CompareMechanisms pairs them), and the worker's own
+// workspace and resolver, which are scratch only. Cancelling ctx stops the
+// hand-out and returns ctx's error.
+func (p *Plan) replicate(ctx context.Context, opts Options, rep func(s *rng.Stream, ws *prob.Workspace, rv *core.Resolver) repOut) ([]repOut, error) {
 	// Telemetry: a replication counter, write-only like evaluatePoint's span.
 	telemetry.NewCounter("election/replications").Add(uint64(opts.Replications))
 	root := rng.New(opts.Seed)
 	outs := make([]repOut, opts.Replications)
 	// One workspace and resolver per worker: scratch is reused across the
-	// worker's replications and never shared. The score cache is shared —
-	// its values are pure functions of their keys, so scheduling cannot
-	// change any result, only the hit counts.
+	// worker's replications and never shared. A score cache the scorer
+	// shares is fine too — its values are pure functions of their keys, so
+	// scheduling cannot change any result, only the hit counts.
 	workers := min(opts.Workers, opts.Replications)
 	wss := make([]*prob.Workspace, workers)
 	rvs := make([]*core.Resolver, workers)
@@ -274,7 +283,7 @@ func (p *Plan) replicate(ctx context.Context, mech mechanism.Mechanism, repair R
 	err := prob.ParallelFor(ctx, opts.Replications, workers, func(w, r int) {
 		// Each replication draws from a stream derived only from (seed, r),
 		// so scheduling order cannot change the outcome.
-		outs[r] = evaluateReplication(ctx, p.in, mech, repair, opts, certify, root.Derive(uint64(r)+1), wss[w], rvs[w], cache)
+		outs[r] = rep(root.Derive(uint64(r)+1), wss[w], rvs[w])
 	})
 	for w := range wss {
 		wsPool.Put(wss[w])

@@ -373,11 +373,10 @@ func runL3(ctx context.Context, cfg Config) (*Outcome, error) {
 			small[0] *= 1 - p
 		}
 
-		pbC, err := ws.PoissonBinomial(common)
+		pmf, err := ws.PMF(ws.UnitVoters(common))
 		if err != nil {
 			return nil, err
 		}
-		pmf := pbC.PMFWS(ws)
 		// tail[m] = P[C >= m].
 		tail := tailBuf[:len(pmf)+1]
 		tail[len(pmf)] = 0

@@ -26,18 +26,21 @@ func runL4(ctx context.Context, cfg Config) (*Outcome, error) {
 		"n", "mu", "sigma", "KS distance", "KS * sqrt(n)")
 
 	dists := make([]float64, 0, len(sizes))
+	ws := prob.NewWorkspace()
 	for _, n := range sizes {
 		s := root.Derive(uint64(n))
 		p := make([]float64, n)
 		for i := range p {
 			p[i] = 0.2 + 0.6*s.Float64()
 		}
-		pb, err := prob.NewPoissonBinomial(p)
+		pmf, err := ws.PMF(ws.UnitVoters(p))
 		if err != nil {
 			return nil, err
 		}
-		nrm := pb.NormalApproximation()
-		d := prob.KolmogorovDistanceToNormal(pb.PMF(), nrm)
+		var st prob.SumStats
+		st.AddUnits(p)
+		nrm := prob.Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())}
+		d := prob.KolmogorovDistanceToNormal(pmf, nrm)
 		dists = append(dists, d)
 		tab.AddRow(report.Itoa(n), report.F2(nrm.Mu), report.F2(nrm.Sigma),
 			report.G(d), report.F(d*math.Sqrt(float64(n))))

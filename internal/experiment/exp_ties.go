@@ -23,23 +23,22 @@ func runA5(ctx context.Context, cfg Config) (*Outcome, error) {
 		"n", "P(tie)", "P ties-lose", "P ties-win", "P ties-coin", "spread", "spread * sqrt(n)")
 
 	spreads := make([]float64, 0, len(sizes))
+	ws := prob.NewWorkspace()
 	for _, n := range sizes {
 		in, err := uniformInstance(graph.NewComplete(n), 0.4, 0.6, root.Derive(uint64(n)))
 		if err != nil {
 			return nil, err
 		}
-		voters := make([]prob.WeightedVoter, n)
-		for i := range voters {
-			voters[i] = prob.WeightedVoter{Weight: 1, P: in.Competency(i)}
-		}
-		wm, err := prob.NewWeightedMajority(voters)
+		// One PMF per n gives every rule: the majority mass loses the tie,
+		// and the tie's own mass sits at n/2 (every n here is even).
+		pmf, err := ws.PMF(ws.UnitVoters(in.Competencies()))
 		if err != nil {
 			return nil, err
 		}
-		lose := wm.ProbCorrectDecisionRule(prob.TiesLose)
-		win := wm.ProbCorrectDecisionRule(prob.TiesWin)
-		coin := wm.ProbCorrectDecisionRule(prob.TiesCoin)
-		tie := wm.ProbTie()
+		lose := prob.MajorityMass(pmf)
+		tie := pmf[n/2]
+		win := min(1, lose+tie)
+		coin := min(1, lose+tie/2)
 		spread := win - lose
 		spreads = append(spreads, spread)
 		tab.AddRow(report.Itoa(n), report.G(tie), report.F(lose), report.F(win),

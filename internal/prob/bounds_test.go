@@ -26,11 +26,11 @@ func TestBerryEsseenBoundCertifiesPoissonBinomial(t *testing.T) {
 		for i := range ps {
 			ps[i] = 0.05 + 0.9*s.Float64()
 		}
-		pb, err := NewPoissonBinomial(ps)
+		f, err := PMFNaive(appendUnitVoters(nil, ps))
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := pb.ProbMajority()
+		exact := MajorityMass(f)
 		st := unitStats(ps)
 		// P[S > n/2] = P[S >= floor(n/2)+1]; the approximation evaluates the
 		// survival function at the majority threshold.
@@ -59,11 +59,11 @@ func TestBerryEsseenWeightedBoundCertifiesWeightedMajority(t *testing.T) {
 			st.Add(float64(w), p)
 			total += w
 		}
-		wm, err := NewWeightedMajority(voters)
+		f, err := PMFNaive(voters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := wm.ProbCorrectDecision()
+		exact := MajorityMass(f)
 		approx := Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())}.SF(float64(total) / 2)
 		bound := st.BerryEsseen()
 		if diff := math.Abs(exact - approx); diff > bound {

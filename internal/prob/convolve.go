@@ -1,16 +1,17 @@
 package prob
 
-// The convolution engine: every exact PMF in this package — Poisson
-// binomial and weighted majority, sequential or fork-join — is the
-// distribution of a weighted sum of independent voters, and one engine
-// computes it. The voter set is split (weight-balanced), each half's PMF is
-// computed recursively, and the halves are merged by convolution. With FFT
-// merges the work is O(W log^2 W) on total weight W instead of the naive
-// DP's O(n*W); the crossover to the in-place DP is decided locally from a
-// cost model, so small instances run exactly the code they always did while
-// large ones get the asymptotic win. A Poisson binomial is a weighted
-// majority of unit-weight voters, so P^M of an all-direct profile equals
-// P^D bit for bit by construction.
+// The convolution engine: every exact PMF in this package — P^D or P^M,
+// sequential or fork-join — is the distribution of a weighted sum of
+// independent voters, and one engine computes it: Workspace.PMF and
+// KernelMajority enter it, and PMFNaive runs its leaf over the whole set.
+// The voter set is split (weight-balanced), each half's PMF is computed
+// recursively, and the halves are merged by convolution. With FFT merges
+// the work is O(W log^2 W) on total weight W instead of the naive DP's
+// O(n*W); the crossover to the in-place DP is decided locally from a cost
+// model, so small instances run exactly the code they always did while
+// large ones get the asymptotic win. Direct voting is a weighted sum of
+// unit-weight voters (Workspace.UnitVoters), so P^M of an all-direct
+// profile equals P^D bit for bit by construction.
 //
 // The engine is four pieces: one split rule (dcSplit), one leaf kernel
 // (dpInto), one merge (copyClampNonneg over Workspace.convolve), and one

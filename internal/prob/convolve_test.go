@@ -73,162 +73,6 @@ func TestConvolveMatchesDirect(t *testing.T) {
 	}
 }
 
-// pmfTV is the total-variation distance between a divide-and-conquer PMF
-// and its naive-DP reference.
-func pmfTV(t *testing.T, voters []WeightedVoter, ws *Workspace) float64 {
-	t.Helper()
-	wm, err := NewWeightedMajority(voters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := wm.PMFWS(ws)
-	return TotalVariation(fast, wm.PMFNaive())
-}
-
-// TestDivideAndConquerEquivalence is the seeded property test for the
-// kernel overhaul: across random sizes and weights, the divide-and-conquer
-// PMF must match the naive DP within 1e-9 total-variation distance.
-func TestDivideAndConquerEquivalence(t *testing.T) {
-	ws := NewWorkspace()
-	s := rng.New(20240806)
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + s.IntN(700)
-		maxW := 1 + s.IntN(24)
-		voters := make([]WeightedVoter, n)
-		for i := range voters {
-			voters[i] = WeightedVoter{Weight: 1 + s.IntN(maxW), P: s.Float64()}
-		}
-		if tv := pmfTV(t, voters, ws); tv > 1e-9 {
-			t.Fatalf("trial %d (n=%d maxW=%d): TV %g > 1e-9", trial, n, maxW, tv)
-		}
-	}
-}
-
-func TestDivideAndConquerEdgeCases(t *testing.T) {
-	ws := NewWorkspace()
-	s := rng.New(7)
-
-	t.Run("weight-1-only", func(t *testing.T) {
-		// All weights 1: the weighted-majority kernel degenerates to the
-		// Poisson binomial; both evaluators must agree with the PB DP.
-		for _, n := range []int{1, 2, 63, 256, 701} {
-			voters := make([]WeightedVoter, n)
-			ps := make([]float64, n)
-			for i := range voters {
-				p := s.Float64()
-				voters[i] = WeightedVoter{Weight: 1, P: p}
-				ps[i] = p
-			}
-			if tv := pmfTV(t, voters, ws); tv > 1e-9 {
-				t.Fatalf("n=%d: weighted TV %g > 1e-9", n, tv)
-			}
-			pb, err := NewPoissonBinomial(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tv := TotalVariation(pb.PMFWS(ws), pb.PMFNaive()); tv > 1e-9 {
-				t.Fatalf("n=%d: poisson-binomial TV %g > 1e-9", n, tv)
-			}
-		}
-	})
-
-	t.Run("single-voter", func(t *testing.T) {
-		if tv := pmfTV(t, []WeightedVoter{{Weight: 17, P: 0.3}}, ws); tv != 0 {
-			t.Fatalf("single voter: TV %g != 0", tv)
-		}
-	})
-
-	t.Run("all-p-degenerate", func(t *testing.T) {
-		// Every p in {0, 1}: the distribution is a point mass; the fast
-		// evaluator must keep it exact to within clamping noise.
-		for trial := 0; trial < 10; trial++ {
-			n := 200 + s.IntN(400)
-			voters := make([]WeightedVoter, n)
-			for i := range voters {
-				voters[i] = WeightedVoter{Weight: 1 + s.IntN(8), P: float64(s.IntN(2))}
-			}
-			if tv := pmfTV(t, voters, ws); tv > 1e-9 {
-				t.Fatalf("trial %d (n=%d): TV %g > 1e-9", trial, n, tv)
-			}
-		}
-	})
-
-	t.Run("empty", func(t *testing.T) {
-		pb, err := NewPoissonBinomial(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := pb.PMFWS(ws)
-		if len(f) != 1 || f[0] != 1 {
-			t.Fatalf("empty PMF = %v, want [1]", f)
-		}
-	})
-}
-
-// TestWorkspaceReuse pins the workspace contract: repeated use of one
-// workspace yields bit-identical results to fresh evaluation.
-func TestWorkspaceReuse(t *testing.T) {
-	ws := NewWorkspace()
-	s := rng.New(99)
-	for trial := 0; trial < 5; trial++ {
-		n := 300 + s.IntN(300)
-		voters := make([]WeightedVoter, n)
-		for i := range voters {
-			voters[i] = WeightedVoter{Weight: 1 + s.IntN(10), P: s.Float64()}
-		}
-		wm, err := NewWeightedMajority(voters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := wm.PMF()
-		reused := wm.PMFWS(ws)
-		for i := range fresh {
-			if fresh[i] != reused[i] {
-				t.Fatalf("trial %d index %d: fresh %v != reused %v", trial, i, fresh[i], reused[i])
-			}
-		}
-		if got, want := wm.ProbCorrectDecisionWS(ws), wm.ProbCorrectDecision(); got != want {
-			t.Fatalf("trial %d: ProbCorrectDecisionWS %v != ProbCorrectDecision %v", trial, got, want)
-		}
-	}
-}
-
-// TestBorrowingConstructors covers the zero-copy Workspace constructors.
-func TestBorrowingConstructors(t *testing.T) {
-	ws := NewWorkspace()
-	if _, err := ws.PoissonBinomial([]float64{0.5, 1.5}); err == nil {
-		t.Fatal("expected validation error for p > 1")
-	}
-	if _, err := ws.WeightedMajority([]WeightedVoter{{Weight: 0, P: 0.5}}); err == nil {
-		t.Fatal("expected validation error for weight 0")
-	}
-	ps := []float64{0.2, 0.8, 0.5}
-	pb, err := ws.PoissonBinomial(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewPoissonBinomial(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pb.ProbMajorityWS(ws), ref.ProbMajority(); got != want {
-		t.Fatalf("borrowed ProbMajority %v != copied %v", got, want)
-	}
-	voters := ws.VoterBuffer(3)
-	voters = append(voters, WeightedVoter{3, 0.9}, WeightedVoter{1, 0.2}, WeightedVoter{2, 0.5})
-	wm, err := ws.WeightedMajority(voters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refWM, err := NewWeightedMajority(voters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := wm.ProbCorrectDecisionWS(ws), refWM.ProbCorrectDecision(); got != want {
-		t.Fatalf("borrowed ProbCorrectDecision %v != copied %v", got, want)
-	}
-}
-
 // TestClassifyExactTierMatchesEngineRoot pins ClassifyExactTier to the
 // engine's own root decision on n unit-weight voters, and the split gain's
 // closed form to its definition: the quadratic DP's cost of the segment
@@ -269,9 +113,8 @@ func TestClassifyExactTierMatchesEngineRoot(t *testing.T) {
 
 // FuzzConvolutionEquivalence feeds arbitrary voter encodings through the
 // convolution engine and requires total-variation agreement with the naive
-// DP, plus bit-identity wherever the engine promises it: across fork-join
-// worker budgets, and between the Poisson-binomial and weighted entry
-// points on unit weights. Wired into the `make check` fuzz-smoke stage.
+// DP, plus bit-identity across fork-join worker budgets, where the engine
+// promises it. Wired into the `make check` fuzz-smoke stage.
 func FuzzConvolutionEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(10), uint8(4))
 	f.Add(uint64(7), uint16(300), uint8(1))
@@ -284,13 +127,15 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 		for i := range voters {
 			voters[i] = WeightedVoter{Weight: 1 + s.IntN(mw), P: s.Float64()}
 		}
-		wm, err := NewWeightedMajority(voters)
+		f, err := NewWorkspace().PMF(voters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := NewWorkspace()
-		want := append([]float64(nil), wm.PMFWS(ws)...)
-		if tv := TotalVariation(want, wm.PMFNaive()); tv > 1e-9 {
+		naive, err := PMFNaive(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tv := TotalVariation(f, naive); tv > 1e-9 {
 			t.Fatalf("seed=%d n=%d maxW=%d: TV %g > 1e-9", seed, nv, mw, tv)
 		}
 		for _, workers := range []int{2, 4} {
@@ -298,25 +143,9 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalBits(want, got) {
+			if !equalBits(f, got) {
 				t.Fatalf("seed=%d n=%d maxW=%d: %d workers differ from sequential", seed, nv, mw, workers)
 			}
-		}
-
-		ps := make([]float64, nv)
-		for i, v := range voters {
-			ps[i] = v.P
-		}
-		pb, err := NewPoissonBinomial(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unit, err := NewWeightedMajority(appendUnitVoters(nil, ps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalBits(unit.PMFWS(ws), pb.PMFWS(NewWorkspace())) {
-			t.Fatalf("seed=%d n=%d: unit-weight PoissonBinomial differs from WeightedMajority", seed, nv)
 		}
 	})
 }

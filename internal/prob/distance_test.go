@@ -14,8 +14,13 @@ func TestKolmogorovDistanceDecreasesWithN(t *testing.T) {
 		for i := range ps {
 			ps[i] = 0.4
 		}
-		pb := mustPB(t, ps)
-		d := KolmogorovDistanceToNormal(pb.PMF(), pb.NormalApproximation())
+		f, err := PMFNaive(appendUnitVoters(nil, ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st SumStats
+		st.AddUnits(ps)
+		d := KolmogorovDistanceToNormal(f, Normal{Mu: st.Mean(), Sigma: math.Sqrt(st.Variance())})
 		if d >= prev {
 			t.Fatalf("KS distance did not shrink at n=%d: %v >= %v", n, d, prev)
 		}

@@ -344,9 +344,9 @@ func ClassifyExactTier(n int) Tier {
 // kernel evaluation from the cost model: 1 when the root stays a DP leaf
 // (nothing to fork), otherwise roughly one worker per forkable subtree
 // (parForkMinWeight support each), capped at max. The choice tunes only
-// scheduling — PMFParallelWS is bit-identical for every workers value — so
-// routing every caller through it makes the D&C tree parallel by default
-// without risking any table.
+// scheduling — the fork-join tree is bit-identical for every workers
+// value — so routing every caller through it makes the D&C tree parallel
+// by default without risking any table.
 func ParallelWorkerBudget(n, max int) int {
 	if max < 1 {
 		max = 1
@@ -513,8 +513,11 @@ func LadderMajority(ctx context.Context, seq Seq, opts LadderOptions) (Certified
 			return CertifiedInterval{}, err
 		}
 		sort.Float64s(ps)
-		f := (&PoissonBinomial{ps: ps}).PMFNaive()
-		return CertifiedInterval{Point: clamp01(Sum(f[n/2+1:])), HalfWidth: 0, Tier: TierExact}, nil
+		f, err := PMFNaive(appendUnitVoters(nil, ps))
+		if err != nil {
+			return CertifiedInterval{}, err
+		}
+		return CertifiedInterval{Point: MajorityMass(f), HalfWidth: 0, Tier: TierExact}, nil
 	case TierFFT:
 		point, err := kernel()
 		if err != nil {
@@ -575,10 +578,9 @@ func KernelMajority(ctx context.Context, ps []float64, workers int) (float64, er
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	f, err := ws.pmf(ctx, ws.unitVoters(ps), ParallelWorkerBudget(len(ps), workers))
+	f, err := ws.pmf(ctx, ws.UnitVoters(ps), ParallelWorkerBudget(len(ps), workers))
 	if err != nil {
 		return 0, err
 	}
-	n := len(ps)
-	return clamp01(Sum(f[n/2+1 : n+1])), nil
+	return MajorityMass(f), nil
 }

@@ -189,12 +189,11 @@ func TestCertifyMajorityWeighted(t *testing.T) {
 			total += v.Weight
 			st.Add(float64(v.Weight), v.P)
 		}
-		wm, err := NewWeightedMajority(voters)
+		f, err := PMFNaive(voters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := wm.PMFNaive()
-		exact := Sum(f[total/2+1:])
+		exact := MajorityMass(f)
 		ci := CertifyMajority(&st, float64(total/2))
 		if !ci.Contains(exact) {
 			t.Fatalf("trial %d: interval [%v, %v] does not contain exact %v", trial, ci.Lo(), ci.Hi(), exact)
@@ -224,12 +223,11 @@ func TestCertifyMajorityWithinBerryEsseen(t *testing.T) {
 					st.Add(float64(voters[i].Weight), voters[i].P)
 					total += voters[i].Weight
 				}
-				wm, err := NewWeightedMajority(voters)
+				f, err := PMFNaive(voters)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f := wm.PMFNaive()
-				exact := clamp01(Sum(f[total/2+1:]))
+				exact := MajorityMass(f)
 				ci := CertifyMajority(&st, float64(total/2))
 				if bound := st.BerryEsseen() + 2*certifySlack; ci.HalfWidth > bound {
 					t.Errorf("n=%d p in [%v, %v) weighted=%v: half-width %v over the Berry–Esseen bound %v",
@@ -419,12 +417,11 @@ func FuzzLadderSoundness(f *testing.F) {
 			st.Add(float64(w), p)
 			total += w
 		}
-		wm, err := NewWeightedMajority(voters)
+		f, err := PMFNaive(voters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := wm.PMFNaive()
-		wexact := clamp01(Sum(f[total/2+1:]))
+		wexact := MajorityMass(f)
 		normal := func() (CertifiedInterval, error) { return CertifyMajority(&st, float64(total/2)), nil }
 		exactTier := func() (CertifiedInterval, error) { return CertifiedInterval{Point: wexact, Tier: TierExact}, nil }
 		for _, ex := range []func() (CertifiedInterval, error){exactTier, nil} {

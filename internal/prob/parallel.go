@@ -1,8 +1,8 @@
 package prob
 
-// The convolution engine's fork-join budget (see Workspace.dc) and the
-// context-taking entry points that use it, plus ParallelFor, the shared
-// worker loop over independent items.
+// The convolution engine's fork-join budget (see Workspace.dc), which
+// KernelMajority hands it, plus ParallelFor, the shared worker loop over
+// independent items.
 //
 // The fork budget is a non-blocking token bucket: a node forks its right
 // child only if a token is free, otherwise it recurses inline. Scheduling
@@ -57,17 +57,6 @@ func (b *forkBudget) release() { b.tokens <- struct{}{} }
 type forkResult struct {
 	f   []float64
 	err error
-}
-
-// PMFParallelWS computes the PMF with up to workers goroutines cooperating
-// on the divide-and-conquer tree, into ws-owned memory. The result is
-// bit-identical to PMFWS for every workers value and valid until the next
-// kernel call on ws. workers <= 1 runs the sequential evaluator.
-func (pb *PoissonBinomial) PMFParallelWS(ctx context.Context, ws *Workspace, workers int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ws.pmf(ctx, ws.unitVoters(pb.ps), workers)
 }
 
 // ParallelFor calls body(w, i) for every i in [0, n) on up to workers

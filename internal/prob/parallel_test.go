@@ -40,70 +40,13 @@ func equalBits(a, b []float64) bool {
 	return true
 }
 
-// TestPBPMFParallelBitIdentical checks the Poisson-binomial parallel
-// evaluator against the sequential one across sizes straddling every
-// cost-model branch, for several worker budgets.
-func TestPBPMFParallelBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	s := rng.New(41)
-	for _, n := range []int{1, 5, dcMinLeaf - 1, dcMinLeaf, 257, 1000, 2048, 4097} {
-		ps := randomPs(n, 0.05, 0.95, s)
-		pb, err := NewPoissonBinomial(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqWS := NewWorkspace()
-		want := append([]float64(nil), pb.PMFWS(seqWS)...)
-		for _, workers := range []int{1, 2, 4, 16} {
-			parWS := NewWorkspace()
-			got, err := pb.PMFParallelWS(ctx, parWS, workers)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			if !equalBits(want, got) {
-				t.Fatalf("n=%d workers=%d: parallel PMF differs from sequential", n, workers)
-			}
-		}
-	}
-}
-
-// TestWMPMFParallelBitIdentical is the weighted-majority analogue: weighted
-// voters through the engine's fork path against the sequential PMFWS.
-func TestWMPMFParallelBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	s := rng.New(43)
-	for _, n := range []int{1, 17, 64, 301, 1000} {
-		for _, maxW := range []int{1, 7, 40} {
-			voters := randomVoters(n, maxW, s)
-			wm, err := NewWeightedMajority(voters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append([]float64(nil), wm.PMFWS(NewWorkspace())...)
-			for _, workers := range []int{1, 3, 8} {
-				got, err := NewWorkspace().pmf(ctx, voters, workers)
-				if err != nil {
-					t.Fatalf("n=%d maxW=%d workers=%d: %v", n, maxW, workers, err)
-				}
-				if !equalBits(want, got) {
-					t.Fatalf("n=%d maxW=%d workers=%d: parallel PMF differs", n, maxW, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestPMFParallelCancellation checks the fork-join tree aborts with ctx's
 // error instead of completing.
 func TestPMFParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := rng.New(47)
-	pb, err := NewPoissonBinomial(randomPs(4000, 0.1, 0.9, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pb.PMFParallelWS(ctx, NewWorkspace(), 4); err != context.Canceled {
+	if _, err := KernelMajority(ctx, randomPs(4000, 0.1, 0.9, s), 4); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if _, err := NewWorkspace().pmf(ctx, randomVoters(2000, 3, s), 4); err != context.Canceled {
@@ -123,28 +66,22 @@ func TestWorkspacePoolHammer(t *testing.T) {
 	s := rng.New(53)
 	const inputs = 6
 	type testCase struct {
-		pb     *PoissonBinomial
-		voters []WeightedVoter
-		pbF    []float64
-		wmF    []float64
+		units, voters []WeightedVoter
+		unitF, wmF    []float64
+	}
+	ref := NewWorkspace()
+	pmfOf := func(voters []WeightedVoter) []float64 {
+		f, err := ref.PMF(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), f...)
 	}
 	cases := make([]testCase, inputs)
-	ref := NewWorkspace()
 	for i := range cases {
-		pb, err := NewPoissonBinomial(randomPs(1500+137*i, 0.1, 0.9, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wm, err := NewWeightedMajority(randomVoters(400+61*i, 5, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[i] = testCase{
-			pb:     pb,
-			voters: wm.voters,
-			pbF:    append([]float64(nil), pb.PMFWS(ref)...),
-		}
-		cases[i].wmF = append([]float64(nil), wm.PMFWS(ref)...)
+		units := appendUnitVoters(nil, randomPs(1500+137*i, 0.1, 0.9, s))
+		voters := randomVoters(400+61*i, 5, s)
+		cases[i] = testCase{units: units, voters: voters, unitF: pmfOf(units), wmF: pmfOf(voters)}
 	}
 
 	const goroutines = 8
@@ -159,8 +96,8 @@ func TestWorkspacePoolHammer(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				c := cases[(g+r)%inputs]
 				workers := 1 + (g+r)%4
-				got, err := c.pb.PMFParallelWS(ctx, ws, workers)
-				if err == nil && !equalBits(c.pbF, got) {
+				got, err := ws.pmf(ctx, c.units, workers)
+				if err == nil && !equalBits(c.unitF, got) {
 					err = errDiff
 				}
 				if err == nil {
@@ -203,16 +140,12 @@ func BenchmarkPBPMFParallel(b *testing.B) {
 	s := rng.New(59)
 	for _, n := range []int{2000, 20000} {
 		ps := randomPs(n, 0.1, 0.9, s)
-		pb, err := NewPoissonBinomial(ps)
-		if err != nil {
-			b.Fatal(err)
-		}
 		for _, workers := range []int{1, 4} {
 			b.Run(benchName(n, workers), func(b *testing.B) {
 				ws := NewWorkspace()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := pb.PMFParallelWS(ctx, ws, workers); err != nil {
+					if _, err := ws.pmf(ctx, ws.UnitVoters(ps), workers); err != nil {
 						b.Fatal(err)
 					}
 				}

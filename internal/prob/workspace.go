@@ -7,16 +7,16 @@ import (
 // Workspace owns the scratch memory behind the exact convolution kernels:
 // the arena that divide-and-conquer PMF evaluation builds partial
 // distributions in, the FFT buffers and twiddle tables, and the reusable
-// voter/key buffers that let callers construct distributions without
-// per-call allocation.
+// voter/key buffers that let callers build voter sets without per-call
+// allocation.
 //
 // Ownership rules (see DESIGN.md "Performance kernels"):
 //
 //   - a Workspace is NOT safe for concurrent use; give each goroutine its
 //     own (EvaluateMechanism hands one to every replication worker);
-//   - every slice returned by a Workspace method (PMFWS results,
-//     VoterBuffer, KeyBuffer) or by a borrowing constructor remains valid
-//     only until the next call on the same Workspace;
+//   - every slice returned by a Workspace method (PMF results, UnitVoters,
+//     VoterBuffer, KeyBuffer) remains valid only until the next call of
+//     that method, or, for PMF, of any kernel, on the same Workspace;
 //   - a Workspace never influences results, only allocation: for any input,
 //     the kernels write the same bytes through a fresh or a reused one.
 //
@@ -33,9 +33,6 @@ type Workspace struct {
 	counts []int
 	key    []byte
 	pw     []int64
-
-	pb PoissonBinomial
-	wm WeightedMajority
 }
 
 // NewWorkspace returns an empty workspace. Buffers grow on first use and
@@ -44,11 +41,10 @@ func NewWorkspace() *Workspace {
 	return &Workspace{}
 }
 
-// wsPool backs the non-workspace entry points (PMF, ProbAtLeast,
-// KernelMajority, ...) and the fork-join evaluator's subtrees, so every
-// kernel call reuses scratch instead of reallocating it. Pooled workspaces
-// retain their arenas across calls; pooling affects allocation only, never
-// results.
+// wsPool backs KernelMajority and the fork-join evaluator's subtrees, so
+// every kernel call reuses scratch instead of reallocating it. Pooled
+// workspaces retain their arenas across calls; pooling affects allocation
+// only, never results.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 func getWorkspace() *Workspace  { return wsPool.Get().(*Workspace) }
@@ -90,8 +86,8 @@ func (ws *Workspace) ensureFFT(n int) {
 
 // VoterBuffer returns the workspace's reusable voter slice, emptied, with
 // capacity for at least n voters. Callers append voters and typically pass
-// the result to Workspace.WeightedMajority; the buffer is invalidated by
-// the next VoterBuffer call.
+// the result to Workspace.PMF; the buffer is invalidated by the next
+// VoterBuffer call.
 func (ws *Workspace) VoterBuffer(n int) []WeightedVoter {
 	if cap(ws.voters) < n {
 		ws.voters = make([]WeightedVoter, 0, n)
@@ -132,14 +128,6 @@ func (ws *Workspace) SortVotersByWeight(voters []WeightedVoter, maxW int) []Weig
 	return out
 }
 
-// unitVoters refills the workspace's unit-voter buffer from ps. The buffer
-// is private to the Poisson-binomial entry points, so it never collides
-// with voters a caller built in VoterBuffer or SortVotersByWeight.
-func (ws *Workspace) unitVoters(ps []float64) []WeightedVoter {
-	ws.units = appendUnitVoters(ws.units[:0], ps)
-	return ws.units
-}
-
 // KeyBuffer returns the workspace's reusable byte scratch, emptied, with
 // capacity for at least n bytes. It exists for callers that build cache
 // keys around kernel calls (internal/election's resolution-score cache)
@@ -149,30 +137,4 @@ func (ws *Workspace) KeyBuffer(n int) []byte {
 		ws.key = make([]byte, 0, n)
 	}
 	return ws.key[:0]
-}
-
-// PoissonBinomial validates ps and returns a workspace-owned distribution
-// that borrows ps (no copy). The caller must not mutate ps while the
-// distribution is in use; the returned pointer is invalidated by the next
-// PoissonBinomial call on the same workspace.
-func (ws *Workspace) PoissonBinomial(ps []float64) (*PoissonBinomial, error) {
-	if err := validateProbs(ps); err != nil {
-		return nil, err
-	}
-	ws.pb.ps = ps
-	return &ws.pb, nil
-}
-
-// WeightedMajority validates voters and returns a workspace-owned
-// distribution that borrows the slice (no copy). The caller must not
-// mutate voters while the distribution is in use; the returned pointer is
-// invalidated by the next WeightedMajority call on the same workspace.
-func (ws *Workspace) WeightedMajority(voters []WeightedVoter) (*WeightedMajority, error) {
-	total, err := validateVoters(voters)
-	if err != nil {
-		return nil, err
-	}
-	ws.wm.voters = voters
-	ws.wm.total = total
-	return &ws.wm, nil
 }

@@ -151,12 +151,11 @@ func TestEvaluateMajorityContainsExact(t *testing.T) {
 			sinks, _ := f.ChunkSinks(s, c)
 			voters = append(voters, sinks...) // copy out: sinks alias fold scratch
 		}
-		wm, err := prob.NewWeightedMajority(voters)
+		pmf, err := prob.PMFNaive(voters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pmf := wm.PMFNaive()
-		exact := prob.Sum(pmf[wm.TotalWeight()/2+1:])
+		exact := prob.MajorityMass(pmf)
 		res, err := EvaluateMajority(context.Background(), s, 4)
 		if err != nil {
 			t.Fatal(err)
