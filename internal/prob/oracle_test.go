@@ -294,6 +294,26 @@ func TestOracle(t *testing.T) { runOracle(t, "") }
 // TestEngineRejectsInvalid: every exact entry point rejects weights below 1
 // and probabilities outside [0, 1].
 func TestEngineRejectsInvalid(t *testing.T) {
+	rejectsUnitInvalid(t)
+	rejectsWeightedInvalid(t)
+}
+
+// rejectsUnitInvalid: competencies outside [0, 1] on unit weights are
+// rejected by PMF, PMFNaive and KernelMajority.
+func rejectsUnitInvalid(t *testing.T) {
+	t.Helper()
+	for _, ps := range [][]float64{{-0.1}, {1.1}, {0.5, math.NaN()}} {
+		rejectsVoters(t, units(ps...))
+		if _, err := KernelMajority(nil, ps, 1); err == nil {
+			t.Errorf("KernelMajority accepted %v", ps)
+		}
+	}
+}
+
+// rejectsWeightedInvalid: weights below 1 and probabilities outside [0, 1]
+// in weighted sets are rejected by PMF and PMFNaive.
+func rejectsWeightedInvalid(t *testing.T) {
+	t.Helper()
 	for _, voters := range [][]WeightedVoter{
 		{{Weight: 0, P: 0.5}},
 		{{Weight: -1, P: 0.5}},
@@ -301,17 +321,17 @@ func TestEngineRejectsInvalid(t *testing.T) {
 		{{Weight: 1, P: 1.2}},
 		{{Weight: 2, P: math.NaN()}},
 	} {
-		if _, err := NewWorkspace().PMF(voters); err == nil {
-			t.Errorf("PMF accepted %v", voters)
-		}
-		if _, err := PMFNaive(voters); err == nil {
-			t.Errorf("PMFNaive accepted %v", voters)
-		}
+		rejectsVoters(t, voters)
 	}
-	for _, ps := range [][]float64{{-0.1}, {1.1}, {0.5, math.NaN()}} {
-		if _, err := KernelMajority(nil, ps, 1); err == nil {
-			t.Errorf("KernelMajority accepted %v", ps)
-		}
+}
+
+func rejectsVoters(t *testing.T, voters []WeightedVoter) {
+	t.Helper()
+	if _, err := NewWorkspace().PMF(voters); err == nil {
+		t.Errorf("PMF accepted %v", voters)
+	}
+	if _, err := PMFNaive(voters); err == nil {
+		t.Errorf("PMFNaive accepted %v", voters)
 	}
 }
 
@@ -384,23 +404,26 @@ func TestWeightedMeanVariance(t *testing.T) {
 
 // The tests below carry the names of the per-type tests the oracle
 // replaced (one per PoissonBinomial, WeightedMajority, brute-force and
-// parallel property); each checks the oracle cases that now cover it.
+// parallel property); each checks the oracle cases, or the half of
+// TestEngineRejectsInvalid, that now cover it.
 
-func TestPMFMatchesBinomial(t *testing.T)        { runOracle(t, "binomial(10,0.3)") }
-func TestDeterministicVoters(t *testing.T)       { runOracle(t, "deterministic") }
-func TestProbMajorityTieLoses(t *testing.T)      { runOracle(t, "unit-tie") }
-func TestProbMajoritySingleVoter(t *testing.T)   { runOracle(t, "single-voter") }
-func TestProbAtLeastEdges(t *testing.T)          { runOracle(t, "two-fair-coins") }
-func TestTieRules(t *testing.T)                  { runOracle(t, "two-fair-coins") }
-func TestDictatorWeight(t *testing.T)            { runOracle(t, "dictator") }
-func TestWeightedTieLoses(t *testing.T)          { runOracle(t, "weighted-tie") }
-func TestWeightedStrictWin(t *testing.T)         { runOracle(t, "strict-win") }
-func TestPMFSumsToOne(t *testing.T)              { runOracle(t, "enumerable/unit/") }
-func TestMajorityMatchesMonteCarlo(t *testing.T) { runOracle(t, "enumerable/unit/") }
-func TestQuickPMFValidDistribution(t *testing.T) { runOracle(t, "enumerable/unit/") }
-func TestWeightedPMFSumsToOne(t *testing.T)      { runOracle(t, "enumerable/weighted/") }
-func TestWeightedMatchesMonteCarlo(t *testing.T) { runOracle(t, "enumerable/weighted/") }
-func TestQuickWeightedPMFValid(t *testing.T)     { runOracle(t, "enumerable/weighted/") }
+func TestPoissonBinomialRejectsInvalid(t *testing.T)  { rejectsUnitInvalid(t) }
+func TestWeightedMajorityRejectsInvalid(t *testing.T) { rejectsWeightedInvalid(t) }
+func TestPMFMatchesBinomial(t *testing.T)             { runOracle(t, "binomial(10,0.3)") }
+func TestDeterministicVoters(t *testing.T)            { runOracle(t, "deterministic") }
+func TestProbMajorityTieLoses(t *testing.T)           { runOracle(t, "unit-tie") }
+func TestProbMajoritySingleVoter(t *testing.T)        { runOracle(t, "single-voter") }
+func TestProbAtLeastEdges(t *testing.T)               { runOracle(t, "two-fair-coins") }
+func TestTieRules(t *testing.T)                       { runOracle(t, "two-fair-coins") }
+func TestDictatorWeight(t *testing.T)                 { runOracle(t, "dictator") }
+func TestWeightedTieLoses(t *testing.T)               { runOracle(t, "weighted-tie") }
+func TestWeightedStrictWin(t *testing.T)              { runOracle(t, "strict-win") }
+func TestPMFSumsToOne(t *testing.T)                   { runOracle(t, "enumerable/unit/") }
+func TestMajorityMatchesMonteCarlo(t *testing.T)      { runOracle(t, "enumerable/unit/") }
+func TestQuickPMFValidDistribution(t *testing.T)      { runOracle(t, "enumerable/unit/") }
+func TestWeightedPMFSumsToOne(t *testing.T)           { runOracle(t, "enumerable/weighted/") }
+func TestWeightedMatchesMonteCarlo(t *testing.T)      { runOracle(t, "enumerable/weighted/") }
+func TestQuickWeightedPMFValid(t *testing.T)          { runOracle(t, "enumerable/weighted/") }
 func TestWeightedMajorityMatchesBruteForce(t *testing.T) {
 	runOracle(t, "enumerable/")
 }
