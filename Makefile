@@ -115,10 +115,12 @@ cover:
 # target named in $(2). `go test -fuzz=NoSuch` and `-bench='^(NoSuch)$$'`
 # match nothing and exit 0, so without this check a renamed or deleted
 # target would drop out of the smoke stages below silently. Each smoke line
-# is preceded by a check of the targets it names.
+# is preceded by a check of the targets it names, against one listing of
+# the package.
 define require-tests
-@for name in $(2); do \
-	$(GO) test -list "^$$name$$" $(1) | grep -qx "$$name" || { echo "$(1) has no target $$name"; exit 1; }; \
+@listed=$$($(GO) test -list . $(1)) || { echo "$$listed"; exit 1; }; \
+for name in $(2); do \
+	printf '%s\n' "$$listed" | grep -qx "$$name" || { echo "$(1) has no target $$name"; exit 1; }; \
 done
 endef
 

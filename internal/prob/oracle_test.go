@@ -14,9 +14,11 @@ import (
 // The one oracle for the exact kernels. Every case is a voter set; its
 // reference PMF is the enumeration of all 2^m outcomes while m <=
 // oracleEnumMax, and PMFNaive above that. checkOracle holds Workspace.PMF to
-// the reference index by index, and to bit-identity wherever the engine
-// promises it: a reused workspace, fork-join budgets, a root that stays a DP
-// leaf, and KernelMajority on unit weights.
+// the reference index by index, in total variation and in majority mass,
+// and to bit-identity wherever the engine promises it: fork-join budgets, a
+// root that stays a DP leaf, and KernelMajority on unit weights.
+// TestWorkspaceReuse adds the fourth promise, a reused workspace, over the
+// whole table.
 
 // oracleEnumMax is the largest voter set the oracle enumerates.
 const oracleEnumMax = 16
@@ -57,8 +59,9 @@ func enumeratePMF(voters []WeightedVoter) []float64 {
 	return f
 }
 
-// oracleReference returns the reference PMF of voters and the per-index
-// tolerance the engine is held to against it.
+// oracleReference returns the reference PMF of voters and the tolerance the
+// engine is held to against it: on each index, in total variation and in
+// majority mass.
 func oracleReference(voters []WeightedVoter) ([]float64, float64, error) {
 	if len(voters) <= oracleEnumMax {
 		return enumeratePMF(voters), 1e-12, nil
@@ -66,10 +69,6 @@ func oracleReference(voters []WeightedVoter) ([]float64, float64, error) {
 	f, err := PMFNaive(voters)
 	return f, FFTTierErrorBudget, err
 }
-
-// oracleDirty is a voter set run on a workspace before it is reused, so the
-// reuse check starts from an arena full of another set's values.
-var oracleDirty = randomVoters(300, 5, rng.New(1))
 
 // checkOracle runs one case through every check, returning the first
 // failure.
@@ -95,24 +94,21 @@ func checkOracle(c oracleCase) error {
 			return fmt.Errorf("f[%d] = %v, closed form %v", i, got[i], c.pmf[i])
 		}
 	}
+	if tv := TotalVariation(got, want); !(tv <= tol) {
+		return fmt.Errorf("total variation %g from the reference (tolerance %g)", tv, tol)
+	}
 	if s := Sum(got); math.Abs(s-1) > 1e-9 {
 		return fmt.Errorf("PMF sums to %v", s)
 	}
-	if m := MajorityMass(got); !math.IsNaN(c.majority) && !(math.Abs(m-c.majority) <= tol) {
+	m := MajorityMass(got)
+	if ref := MajorityMass(want); !(math.Abs(m-ref) <= tol) {
+		return fmt.Errorf("majority mass %v, reference %v (tolerance %g)", m, ref, tol)
+	}
+	if !math.IsNaN(c.majority) && !(math.Abs(m-c.majority) <= tol) {
 		return fmt.Errorf("majority mass %v, want %v", m, c.majority)
 	}
 
 	// Bit-identity where the engine promises it.
-	if _, err := ws.PMF(oracleDirty); err != nil {
-		return err
-	}
-	again, err := ws.PMF(c.voters)
-	if err != nil {
-		return err
-	}
-	if !equalBits(got, again) {
-		return fmt.Errorf("a reused workspace differs from a fresh one")
-	}
 	for _, workers := range []int{2, 4, 16} {
 		forked, err := NewWorkspace().pmf(context.Background(), c.voters, workers)
 		if err != nil {
@@ -174,7 +170,8 @@ func binomialPMF(n, k int, p float64) float64 {
 	return c * math.Pow(p, float64(k)) * math.Pow(1-p, float64(n-k))
 }
 
-// fixedCases have known distributions and majorities.
+// fixedCases are small hand-picked sets: those with known distributions and
+// majorities, and a few without, held to enumeration alone.
 func fixedCases() []oracleCase {
 	binom := make([]float64, 11)
 	var upper Accumulator
@@ -184,6 +181,7 @@ func fixedCases() []oracleCase {
 			upper.Add(binom[k])
 		}
 	}
+	unknown := math.NaN()
 	return []oracleCase{
 		{"empty", nil, []float64{1}, 0},
 		{"single-voter", units(0.7), []float64{1 - 0.7, 0.7}, 0.7},
@@ -195,19 +193,23 @@ func fixedCases() []oracleCase {
 		{"two-fair-coins", units(0.5, 0.5), []float64{0.25, 0.5, 0.25}, 0.25},
 		{"binomial(10,0.3)", units(slices.Repeat([]float64{0.3}, 10)...), binom, upper.Sum()},
 		{"dictator", []WeightedVoter{{9, 2.0 / 3}}, append(append([]float64{1 - 2.0/3}, make([]float64, 8)...), 2.0/3), 2.0 / 3},
+		{"sums/unit", units(0.1, 0.9, 0.5, 0.33, 0.67, 1, 0), nil, unknown},
+		{"sums/weighted", []WeightedVoter{{3, 0.4}, {5, 0.7}, {1, 0.99}, {2, 0.01}}, nil, unknown},
+		{"monte-carlo/unit", units(0.9, 0.2, 0.55, 0.71, 0.33, 0.44, 0.66), nil, unknown},
+		{"monte-carlo/weighted", []WeightedVoter{{4, 0.62}, {1, 0.3}, {2, 0.85}, {3, 0.5}, {1, 0.11}}, nil, unknown},
+		{"brute-force/0", units(0.5), nil, unknown},
+		{"brute-force/1", units(0.2, 0.9), nil, unknown},
+		{"brute-force/2", []WeightedVoter{{3, 0.4}, {2, 0.7}, {1, 0.1}}, nil, unknown},
+		{"brute-force/3", []WeightedVoter{{2, 0.5}, {2, 0.5}, {1, 0.5}, {4, 0.31}}, nil, unknown},
 	}
 }
 
-// enumerableCases are 60 random sets of 1 to oracleEnumMax voters, the
-// first half unit-weight, with one p in five drawn from {0, 1}.
-func enumerableCases() []oracleCase {
-	s := rng.New(rng.Derive(25, "oracle", "enumerable"))
-	var cases []oracleCase
-	for i := 0; i < 60; i++ {
-		kind, maxW := "unit", 1
-		if i >= 30 {
-			kind, maxW = "weighted", 1+s.IntN(8)
-		}
+// enumerableCases are 20 random sets of 1 to oracleEnumMax voters named
+// prefix/NN, with weights in [1, maxW] and one p in five drawn from {0, 1}.
+func enumerableCases(prefix string, maxW int) []oracleCase {
+	s := rng.New(rng.Derive(25, "oracle", prefix))
+	cases := make([]oracleCase, 20)
+	for i := range cases {
 		voters := make([]WeightedVoter, 1+s.IntN(oracleEnumMax))
 		for j := range voters {
 			p := s.Float64()
@@ -216,7 +218,17 @@ func enumerableCases() []oracleCase {
 			}
 			voters[j] = WeightedVoter{Weight: 1 + s.IntN(maxW), P: p}
 		}
-		cases = append(cases, oracleCase{fmt.Sprintf("enumerable/%s/%02d", kind, i), voters, nil, math.NaN()})
+		cases[i] = oracleCase{fmt.Sprintf("%s/%02d", prefix, i), voters, nil, math.NaN()}
+	}
+	return cases
+}
+
+// unitCases are random unit-weight sets from one voter to several hundred.
+func unitCases() []oracleCase {
+	s := rng.New(rng.Derive(25, "oracle", "unit"))
+	var cases []oracleCase
+	for _, n := range []int{1, 2, 63, 256, 701} {
+		cases = append(cases, oracleCase{fmt.Sprintf("unit/n=%d", n), appendUnitVoters(nil, randomPs(n, 0, 1, s)), nil, math.NaN()})
 	}
 	return cases
 }
@@ -264,7 +276,11 @@ func pointMassCases() []oracleCase {
 
 // oracleCases is the oracle's whole table.
 func oracleCases() []oracleCase {
-	return slices.Concat(fixedCases(), enumerableCases(), randomCases(), pointMassCases())
+	return slices.Concat(fixedCases(),
+		enumerableCases("enumerable/unit", 1),
+		enumerableCases("enumerable/w5", 5),
+		enumerableCases("enumerable/w10", 10),
+		unitCases(), randomCases(), pointMassCases())
 }
 
 // runOracle checks every case whose name starts with prefix, one subtest
@@ -287,9 +303,6 @@ func runOracle(t *testing.T, prefix string) {
 		t.Fatalf("no oracle case is named %q...", prefix)
 	}
 }
-
-// TestOracle checks every case of the table.
-func TestOracle(t *testing.T) { runOracle(t, "") }
 
 // TestEngineRejectsInvalid: every exact entry point rejects weights below 1
 // and probabilities outside [0, 1].
@@ -402,10 +415,8 @@ func TestWeightedMeanVariance(t *testing.T) {
 	}
 }
 
-// The tests below carry the names of the per-type tests the oracle
-// replaced (one per PoissonBinomial, WeightedMajority, brute-force and
-// parallel property); each checks the oracle cases, or the half of
-// TestEngineRejectsInvalid, that now cover it.
+// Each test below runs the oracle on its own part of the table, so every
+// case runs exactly once; a case added to the table needs a test here.
 
 func TestPoissonBinomialRejectsInvalid(t *testing.T)  { rejectsUnitInvalid(t) }
 func TestWeightedMajorityRejectsInvalid(t *testing.T) { rejectsWeightedInvalid(t) }
@@ -413,34 +424,59 @@ func TestPMFMatchesBinomial(t *testing.T)             { runOracle(t, "binomial(1
 func TestDeterministicVoters(t *testing.T)            { runOracle(t, "deterministic") }
 func TestProbMajorityTieLoses(t *testing.T)           { runOracle(t, "unit-tie") }
 func TestProbMajoritySingleVoter(t *testing.T)        { runOracle(t, "single-voter") }
-func TestProbAtLeastEdges(t *testing.T)               { runOracle(t, "two-fair-coins") }
-func TestTieRules(t *testing.T)                       { runOracle(t, "two-fair-coins") }
 func TestDictatorWeight(t *testing.T)                 { runOracle(t, "dictator") }
 func TestWeightedTieLoses(t *testing.T)               { runOracle(t, "weighted-tie") }
 func TestWeightedStrictWin(t *testing.T)              { runOracle(t, "strict-win") }
-func TestPMFSumsToOne(t *testing.T)                   { runOracle(t, "enumerable/unit/") }
-func TestMajorityMatchesMonteCarlo(t *testing.T)      { runOracle(t, "enumerable/unit/") }
-func TestQuickPMFValidDistribution(t *testing.T)      { runOracle(t, "enumerable/unit/") }
-func TestWeightedPMFSumsToOne(t *testing.T)           { runOracle(t, "enumerable/weighted/") }
-func TestWeightedMatchesMonteCarlo(t *testing.T)      { runOracle(t, "enumerable/weighted/") }
-func TestQuickWeightedPMFValid(t *testing.T)          { runOracle(t, "enumerable/weighted/") }
-func TestWeightedMajorityMatchesBruteForce(t *testing.T) {
-	runOracle(t, "enumerable/")
-}
+
+// TestTieRules: two fair coins tie with mass 1/2 at f[1] and win outright
+// with 1/4; A5 reads its four tie rules from exactly these two masses.
+func TestTieRules(t *testing.T) { runOracle(t, "two-fair-coins") }
+
+func TestPMFSumsToOne(t *testing.T)                      { runOracle(t, "sums/unit") }
+func TestWeightedPMFSumsToOne(t *testing.T)              { runOracle(t, "sums/weighted") }
+func TestMajorityMatchesMonteCarlo(t *testing.T)         { runOracle(t, "monte-carlo/unit") }
+func TestWeightedMatchesMonteCarlo(t *testing.T)         { runOracle(t, "monte-carlo/weighted") }
+func TestWeightedMajorityMatchesBruteForce(t *testing.T) { runOracle(t, "brute-force/") }
+
+func TestQuickPMFValidDistribution(t *testing.T) { runOracle(t, "enumerable/unit/") }
 func TestQuickWeightedMajorityMatchesBruteForce(t *testing.T) {
-	runOracle(t, "enumerable/")
+	runOracle(t, "enumerable/w5/")
 }
-func TestDivideAndConquerEquivalence(t *testing.T) { runOracle(t, "random/") }
+func TestQuickWeightedPMFValid(t *testing.T) { runOracle(t, "enumerable/w10/") }
+
 func TestPBPMFParallelBitIdentical(t *testing.T)   { runOracle(t, "random/maxW=1/") }
 func TestWMPMFParallelBitIdentical(t *testing.T)   { runOracle(t, "random/maxW=7/") }
+func TestDivideAndConquerEquivalence(t *testing.T) { runOracle(t, "random/maxW=24/") }
 
 func TestDivideAndConquerEdgeCases(t *testing.T) {
 	for name, prefix := range map[string]string{
 		"empty":            "empty",
 		"single-voter":     "single-weighted-voter",
-		"weight-1-only":    "random/maxW=1/",
+		"weight-1-only":    "unit/",
 		"all-p-degenerate": "point-mass/",
 	} {
 		t.Run(name, func(t *testing.T) { runOracle(t, prefix) })
+	}
+}
+
+// TestProbAtLeastEdges pins MajorityMass, the package's one tail sum over a
+// PMF: the tail starts at the first strict majority, above the middle on an
+// odd total and above the tie on an even one; it is empty with no voter;
+// and rounding outside [0, 1] is clamped.
+func TestProbAtLeastEdges(t *testing.T) {
+	for _, c := range []struct {
+		f    []float64
+		want float64
+	}{
+		{[]float64{1}, 0},
+		{[]float64{0.25, 0.75}, 0.75},
+		{[]float64{0.25, 0.5, 0.25}, 0.25},
+		{[]float64{0.125, 0.125, 0.25, 0.5}, 0.75},
+		{[]float64{0, 0, 0.75, 0.75}, 1},
+		{[]float64{1, -0.25}, 0},
+	} {
+		if got := MajorityMass(c.f); got != c.want {
+			t.Errorf("MajorityMass(%v) = %v, want %v", c.f, got, c.want)
+		}
 	}
 }
