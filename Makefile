@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all check build vet cross-vet bench-vet lint lint-facts lint-baseline test test-short test-race test-faults cover fuzz-smoke bench bench-smoke serve-smoke reproduce reproduce-fast examples fmt
+.PHONY: all check build vet cross-vet bench-vet lint lint-facts lint-baseline test test-short test-race test-faults golden cover fuzz-smoke bench bench-smoke serve-smoke reproduce reproduce-fast examples fmt
 
 all: check
 
 # check is the gate for a change, in order: compile, go vet, go vet for
-# arm64 (cross-vet: the build without the amd64 vector kernels), go vet over
-# the benchmark module (bench-vet), the repo's own determinism analyzers
-# (cmd/liquidlint — see DESIGN.md "Static invariants"), the lint baseline
-# ratchet (lint-facts), tests, the race detector over the
+# arm64 (cross-vet: the build without the amd64 vector kernels, and no fused
+# multiply-add in the FFT), go vet over the benchmark module (bench-vet), the
+# repo's own determinism analyzers (cmd/liquidlint — see DESIGN.md "Static
+# invariants"), the lint baseline ratchet (lint-facts), tests, reproduce's
+# bytes against reproduce_output.txt (golden), the race detector over the
 # parallel engine and election sampling, the coverage floor against
 # COVERAGE.baseline, a short fuzz pass over the simulator's
 # message-validation invariants and the convolution kernels, and a
@@ -22,7 +23,7 @@ all: check
 # first failure (later stages report as skip).
 check:
 	@rc=0; summary=""; \
-	for stage in build vet cross-vet bench-vet lint lint-facts test test-race cover fuzz-smoke bench-smoke serve-smoke; do \
+	for stage in build vet cross-vet bench-vet lint lint-facts test golden test-race cover fuzz-smoke bench-smoke serve-smoke; do \
 		if [ $$rc -ne 0 ]; then summary="$$summary $$stage:skip"; continue; fi; \
 		echo "== $$stage"; \
 		if $(MAKE) --no-print-directory $$stage; then summary="$$summary $$stage:ok"; \
@@ -37,11 +38,18 @@ vet:
 	$(GO) vet ./...
 
 # cross-vet type-checks and vets the module for arm64, which compiles the
-# non-amd64 fallback of internal/prob's DP leaf (dp_other.go) that no amd64
-# build sees. It needs no network: the standard library is cross-compiled
-# from the local toolchain.
+# non-amd64 fallback of internal/prob's vector kernels (dp_other.go) that no
+# amd64 build sees. It then compiles internal/prob for arm64 with -S and
+# fails on any fused multiply-add (FMADDD, FMSUBD, FNMADDD, FNMSUBD) the
+# listing attributes to fft.go: the scalar FFT rounds every product
+# explicitly, so it computes the same bits on every architecture. It needs no
+# network: the standard library is cross-compiled from the local toolchain.
 cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/prob 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	fused=$$(printf '%s\n' "$$asm" | grep -E '[(/]fft\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)D'); \
+	if [ -n "$$fused" ]; then printf 'cross-vet: fused multiply-add in fft.go on arm64:\n%s\n' "$$fused"; exit 1; fi; \
+	echo "cross-vet: fft.go compiles to no fused multiply-add on arm64"
 
 # bench-vet compiles and vets bench/, which is its own module (bench/go.mod)
 # and so is skipped by the root's ./... patterns: a change that deletes an
@@ -96,6 +104,22 @@ test-race:
 test-faults:
 	$(GO) test ./internal/fault/... ./internal/localsim/... ./internal/engine/...
 
+# golden is the byte-identity gate for the paper job: reproduce at full
+# scale and seed 1, on one worker, on four, and built with telemetry
+# compiled out (-tags liquidnotelemetry), must each print
+# reproduce_output.txt byte for byte. The binaries and outputs go to a
+# temporary directory that is removed afterwards.
+golden:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/reproduce" ./cmd/reproduce && \
+	$(GO) build -tags liquidnotelemetry -o "$$dir/reproduce-notelemetry" ./cmd/reproduce && \
+	for run in "reproduce -workers 1" "reproduce -workers 4" "reproduce-notelemetry -workers 4"; do \
+		set -- $$run; bin=$$1; shift; \
+		"$$dir/$$bin" -scale 1 -seed 1 -quiet "$$@" > "$$dir/out.txt" 2>/dev/null || { echo "golden: $$run failed"; exit 1; }; \
+		if cmp "$$dir/out.txt" reproduce_output.txt; then echo "golden: $$run matches reproduce_output.txt"; \
+		else echo "golden: $$run differs from reproduce_output.txt"; exit 1; fi; \
+	done
+
 # cover runs the suite with statement coverage (-short: the expensive
 # cross-binary byte-identity test re-runs under plain `test`), prints the
 # per-package summary, and enforces a floor: total statement coverage must
@@ -126,8 +150,8 @@ endef
 
 # fuzz-smoke is a short deterministic-budget fuzz pass (also part of check):
 # the simulator's message validation, the divide-and-conquer convolution
-# kernels against the naive DP reference, the DP leaf's vector lanes
-# against its scalar loops, the approximation ladder's
+# kernels against the naive DP reference, the DP leaf's and the FFT's
+# vector lanes against their scalar loops, the approximation ladder's
 # certified intervals against the exact DP answer, the bit-sliced
 # multi-delegate sampler against its one-sample-at-a-time reference, the
 # scale fold's chunk pass against its reference resolution and the
@@ -136,9 +160,10 @@ endef
 fuzz-smoke:
 	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
-	$(call require-tests,./internal/prob,FuzzConvolutionEquivalence FuzzDPIntoLanesMatchScalar FuzzLadderSoundness)
+	$(call require-tests,./internal/prob,FuzzConvolutionEquivalence FuzzDPIntoLanesMatchScalar FuzzFFTLanesMatchScalar FuzzLadderSoundness)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzConvolutionEquivalence -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzDPIntoLanesMatchScalar -fuzztime=5s
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzFFTLanesMatchScalar -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
 	$(call require-tests,./internal/server,FuzzDecodeEvaluateRequest FuzzDecodeWhatIfRequest)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
@@ -164,8 +189,9 @@ bench:
 # the check gate. Timings from one iteration are meaningless; use
 # `bash bench/run.sh` for numbers. The first run covers the root package's
 # benchmarks in BENCH_SMOKE, the second the convolution engine's fork-join
-# path, whose benchmark lives in internal/prob, and the third the scale
-# tier's fused chunk pass.
+# path and its FFT merge with and without the vector lanes, whose
+# benchmarks live in internal/prob, and the third the scale tier's fused
+# chunk pass.
 BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability
 empty :=
 space := $(empty) $(empty)
@@ -173,8 +199,8 @@ space := $(empty) $(empty)
 bench-smoke:
 	$(call require-tests,.,$(BENCH_SMOKE))
 	$(GO) test -run='^$$' -benchtime=1x -bench='^($(subst $(space),|,$(BENCH_SMOKE)))$$' .
-	$(call require-tests,./internal/prob,BenchmarkPBPMFParallel)
-	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^BenchmarkPBPMFParallel$$'
+	$(call require-tests,./internal/prob,BenchmarkPBPMFParallel BenchmarkConvolve)
+	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^(BenchmarkPBPMFParallel|BenchmarkConvolve)$$'
 	$(call require-tests,./internal/scale,BenchmarkChunkStats)
 	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkStats$$'
 

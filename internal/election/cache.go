@@ -248,11 +248,13 @@ func pdKey(ws *prob.Workspace, in *core.Instance) []byte {
 // then be nil). With memo set it keys the instance by pdKey, returns a
 // memoized value, and otherwise computes and stores one; without it the
 // process-wide memo is neither read nor filled (the contract of
-// SweepPoint.DisableResolutionCache). The kernel sorts the competencies
+// SweepPoint.DisableResolutionCache). The kernel takes the competencies
 // ascending, the order resolutionVoters scores in, so P^M of an
 // everyone-votes-directly delegation is bit-identical to P^D (tests and
 // do-no-harm checks rely on the equality), and memoized, fresh, sequential
-// and forked values are the same bytes.
+// and forked values are the same bytes. They are read in the instance's
+// CompetencyOrder, which is ascending with every zero stored as +0: that is
+// sort.Float64s's result bit for bit, so the kernel skips its sort.
 func exactDirectProbability(ctx context.Context, in *core.Instance, memo bool, workers int) (float64, error) {
 	var key []byte
 	if memo {
@@ -266,7 +268,12 @@ func exactDirectProbability(ctx context.Context, in *core.Instance, memo bool, w
 		}
 		cDirectMisses.Inc()
 	}
-	v, err := prob.KernelMajority(ctx, in.Competencies(), workers)
+	order := in.CompetencyOrder()
+	ps := make([]float64, len(order))
+	for i, id := range order {
+		ps[i] = in.Competency(id)
+	}
+	v, err := prob.KernelMajority(ctx, ps, workers)
 	if err != nil {
 		return 0, fmt.Errorf("direct probability: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -371,5 +372,56 @@ func TestPlanForkedPDMatchesSequential(t *testing.T) {
 	}
 	if math.Float64bits(forked) != math.Float64bits(sequential) {
 		t.Fatalf("forked P^D %v != sequential %v", forked, sequential)
+	}
+}
+
+// TestDirectProbabilitySortedOrder pins the exact P^D, which reads the
+// competencies in the instance's CompetencyOrder, to the path that sorts a
+// copy with sort.Float64s, bit for bit: random instances, instances of tied
+// competencies including 0 and 1, and an instance built from -0, at one
+// and four workers.
+func TestDirectProbabilitySortedOrder(t *testing.T) {
+	s := rng.New(2602)
+	ties := []float64{0, 1, 0.5, 0.25, 0.75}
+	negZero := math.Copysign(0, -1)
+	var cases [][]float64
+	for _, n := range []int{1, 2, 7, 64, 65, 300, 2000} {
+		cases = append(cases, randComps(n, 0, 1, uint64(n)))
+		tied := make([]float64, n)
+		for i := range tied {
+			tied[i] = ties[s.IntN(len(ties))]
+			if s.IntN(4) == 0 {
+				tied[i] = s.Float64()
+			}
+		}
+		cases = append(cases, tied)
+		zeros := make([]float64, n)
+		for i := range zeros {
+			switch s.IntN(3) {
+			case 0:
+				zeros[i] = negZero
+			case 1:
+				zeros[i] = s.Float64()
+			}
+		}
+		cases = append(cases, zeros)
+	}
+	for c, p := range cases {
+		in := mustInstance(t, graph.NewComplete(len(p)), p)
+		ps := in.Competencies()
+		sort.Float64s(ps)
+		want, err := prob.KernelMajority(nil, ps, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := exactDirectProbability(context.Background(), in, false, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d (n=%d) at %d workers: P^D %v, the sorted copy gives %v", c, len(p), workers, got, want)
+			}
+		}
 	}
 }

@@ -14,8 +14,8 @@ package prob
 // profile equals P^D bit for bit by construction.
 //
 // The engine is four pieces: one split rule (dcSplit), one leaf kernel
-// (dpInto), one merge (copyClampNonneg over Workspace.convolve), and one
-// recursion (Workspace.dc) whose fork-join budget is optional.
+// (dpInto), one merge (Workspace.convolve, clamped to a mass function), and
+// one recursion (Workspace.dc) whose fork-join budget is optional.
 //
 // The cost model counts in "DP units" (one inner-loop update of the
 // quadratic DP). Splitting a segment saves the difference between its DP
@@ -34,8 +34,9 @@ const (
 	// scalar FFT butterflies, so small merges go further before the FFT
 	// pays for itself (~1.7x on BenchmarkPoissonBinomialPMF at n=2000, no
 	// measurable change on the weight-heavy BenchmarkWeightedMajorityDP
-	// whose large merges stay FFT either way). Tuned against the scalar
-	// leaf, before the vector lanes: retuning for the cheaper leaf moves
+	// whose large merges stay FFT either way). Tuned with both sides
+	// scalar; on CPUs with the vector lanes both sides now run in lanes
+	// (DESIGN.md §11 "Vector lanes"). It is not retuned: retuning moves
 	// the crossover, and so changes bytes.
 	fftUnitCost = 6
 	dcMinLeaf   = 32
@@ -179,10 +180,11 @@ func (ws *Workspace) dc(ctx context.Context, voters []WeightedVoter, pw []int64,
 	}
 	var out []float64
 	if err == nil {
-		res := ws.convolve(fl, fr)
+		// out takes the children's arena slots: convolve reads both
+		// operands in full before it writes out.
 		ws.off = mark
 		out = ws.alloc(w + 1)
-		copyClampNonneg(out, res)
+		ws.convolve(out, fl, fr, cpuLanes)
 	}
 	// The child workspace goes back to the pool only after its operand has
 	// been consumed.
@@ -212,7 +214,7 @@ func (ws *Workspace) pmf(ctx context.Context, voters []WeightedVoter, workers in
 //
 //lint:hotpath
 func dpInto(f []float64, voters []WeightedVoter) {
-	dpIntoLanes(f, voters, fmaLanes)
+	dpIntoLanes(f, voters, cpuLanes)
 }
 
 // dpIntoLanes is dpInto, with the bulk of every pass run four lanes at a

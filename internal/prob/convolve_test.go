@@ -9,7 +9,7 @@ import (
 	"liquid/internal/rng"
 )
 
-// naiveDFT is the O(n^2) reference transform for validating fftCore.
+// naiveDFT is the O(n^2) reference transform for validating fftCoreLanes.
 func naiveDFT(re, im []float64) ([]float64, []float64) {
 	n := len(re)
 	outR := make([]float64, n)
@@ -38,7 +38,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			im[i] = s.Float64() - 0.5
 		}
 		wantR, wantI := naiveDFT(re, im)
-		fftCore(re, im, fftTablesFor(lg), lg)
+		fftCoreLanes(re, im, fftTablesFor(lg), lg, false)
 		for i := range re {
 			if math.Abs(re[i]-wantR[i]) > 1e-9 || math.Abs(im[i]-wantI[i]) > 1e-9 {
 				t.Fatalf("n=%d bin %d: got (%g,%g) want (%g,%g)", n, i, re[i], im[i], wantR[i], wantI[i])
@@ -61,7 +61,8 @@ func TestConvolveMatchesDirect(t *testing.T) {
 		}
 		want := make([]float64, len(a)+len(b)-1)
 		convDirect(a, b, want)
-		got := ws.convolve(a, b)
+		got := make([]float64, len(want))
+		ws.convolve(got, a, b, false)
 		if len(got) != len(want) {
 			t.Fatalf("sizes %v: got length %d, want %d", sizes, len(got), len(want))
 		}
@@ -233,8 +234,8 @@ func approvalRealization(s *rng.Stream, n int, ws *Workspace) []WeightedVoter {
 // trailing single, edge probabilities, and whole approval-threshold
 // realizations at n = 2000.
 func TestDPIntoLanesMatchScalar(t *testing.T) {
-	if !fmaLanes {
-		t.Skip("this CPU runs the scalar leaf only: no AVX and FMA lanes to compare")
+	if !cpuLanes {
+		t.Skip("this CPU runs the scalar leaf only: no AVX2 and FMA lanes to compare")
 	}
 	s := rng.New(24)
 	// Two of every three voters of a weight class take the edge
@@ -284,8 +285,8 @@ func FuzzDPIntoLanesMatchScalar(f *testing.F) {
 	f.Add(uint64(2), uint8(69), uint8(1))
 	f.Add(uint64(3), uint8(40), uint8(39))
 	f.Fuzz(func(t *testing.T, seed uint64, n, maxW uint8) {
-		if !fmaLanes {
-			t.Skip("this CPU runs the scalar leaf only: no AVX and FMA lanes to compare")
+		if !cpuLanes {
+			t.Skip("this CPU runs the scalar leaf only: no AVX2 and FMA lanes to compare")
 		}
 		nv := int(n)%70 + 1
 		mw := int(maxW)%40 + 1

@@ -1,18 +1,25 @@
 package prob
 
-// fmaLanes reports whether the DP leaf runs the bulk of each pass four
-// lanes at a time (dp_amd64.s): the CPU has AVX and FMA and the operating
-// system saves YMM state. Read once at start-up; the lanes and the scalar
-// loops write the same bits, so the value never changes a result.
-var fmaLanes = hasAVXFMA()
+// cpuLanes reports whether the exact kernels run four lanes at a time: the
+// bulk of each DP leaf pass (dp_amd64.s) and the FFT's stages, spectrum
+// product and final scale (fft_amd64.s). The CPU has AVX2 and FMA and the
+// operating system saves YMM state. Read once at start-up; the lanes and the
+// scalar loops write the same bits, so the value never changes a result.
+var cpuLanes = hasLanes()
 
-// hasAVXFMA checks CPUID.1:ECX for FMA (bit 12), OSXSAVE (27) and AVX (28),
-// and XCR0 for XMM and YMM state (bits 1 and 2). AVX2 is not needed: the
-// kernels use only AVX and FMA instructions.
-func hasAVXFMA() bool {
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+// hasLanes checks CPUID.1:ECX for FMA (bit 12), OSXSAVE (27) and AVX (28),
+// CPUID.7.0:EBX for AVX2 (bit 5), and XCR0 for XMM and YMM state (bits 1
+// and 2). The DP leaf needs AVX and FMA, the FFT AVX2's VPERMPD.
+func hasLanes() bool {
+	const fma, osxsave, avx, avx2 = 1 << 12, 1 << 27, 1 << 28, 1 << 5
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
 	_, _, ecx, _ := cpuid(1, 0)
 	if ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx2 == 0 {
 		return false
 	}
 	xcr0, _ := xgetbv()

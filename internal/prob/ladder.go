@@ -562,17 +562,20 @@ func materialize(ctx context.Context, seq Seq) ([]float64, error) {
 
 // KernelMajority returns the majority mass P[sum > n/2] of the Poisson
 // binomial over ps on the exact kernel. It sorts ps ascending in place, the
-// canonical order, and runs the engine (DP leaf or FFT D&C, as the cost
-// model decides) on a pooled workspace with a fork budget of
-// ParallelWorkerBudget(len(ps), workers). The result is bit-identical for
-// every workers value. With workers <= 1 nothing forks and ctx is never
-// consulted, so it may be nil.
+// canonical order, unless one O(n) check finds it ascending already (the
+// election engine passes its instances' sorted competencies), and runs the
+// engine (DP leaf or FFT D&C, as the cost model decides) on a pooled
+// workspace with a fork budget of ParallelWorkerBudget(len(ps), workers).
+// The result is bit-identical for every workers value. With workers <= 1
+// nothing forks and ctx is never consulted, so it may be nil.
 //
 // It is the one exact P^D kernel, with two callers: LadderMajority's kernel
 // tiers, and the election engine's exact P^D (election.DirectProbabilityExact
 // and the Plan's exact branch).
 func KernelMajority(ctx context.Context, ps []float64, workers int) (float64, error) {
-	sort.Float64s(ps)
+	if !sort.Float64sAreSorted(ps) {
+		sort.Float64s(ps)
+	}
 	if err := validateProbs(ps); err != nil {
 		return 0, err
 	}
