@@ -8,15 +8,16 @@ all: check
 
 # check is the gate for a change, in order: compile, go vet, go vet for
 # arm64 (cross-vet: the build without the amd64 vector kernels, and no fused
-# multiply-add in the FFT), go vet over the benchmark module (bench-vet), the
+# multiply-add in the FFT, the moment sums or the request decoder), go vet
+# over the benchmark module (bench-vet), the
 # repo's own determinism analyzers (cmd/liquidlint — see DESIGN.md "Static
 # invariants"), the lint baseline ratchet (lint-facts), tests, reproduce's
 # bytes against reproduce_output.txt (golden), the race detector over the
 # parallel engine and election sampling, the coverage floor against
 # COVERAGE.baseline, a short fuzz pass over the simulator's
-# message-validation invariants and the convolution kernels, and a
-# one-iteration smoke run of the kernel benchmarks (catches crashes in
-# benchmark-only code paths, not timings).
+# message-validation invariants, the convolution kernels and the request
+# decoder, and a one-iteration smoke run of the kernel and decode benchmarks
+# (catches crashes in benchmark-only code paths, not timings).
 # Lint sits between vet and test so cheap structural violations fail the
 # gate before the expensive suites run. The recipe runs every stage it can
 # reach, prints a one-line pass/fail summary, and exits nonzero on the
@@ -39,17 +40,22 @@ vet:
 
 # cross-vet type-checks and vets the module for arm64, which compiles the
 # non-amd64 fallback of internal/prob's vector kernels (dp_other.go) that no
-# amd64 build sees. It then compiles internal/prob for arm64 with -S and
-# fails on any fused multiply-add (FMADDD, FMSUBD, FNMADDD, FNMSUBD) the
-# listing attributes to fft.go: the scalar FFT rounds every product
-# explicitly, so it computes the same bits on every architecture. It needs no
-# network: the standard library is cross-compiled from the local toolchain.
+# amd64 build sees. It then compiles internal/prob and internal/server for
+# arm64 with -S and fails on any fused multiply-add (FMADDD, FMSUBD, FNMADDD,
+# FNMSUBD) the listing attributes to internal/prob/fft.go or
+# internal/server/decode.go, or lists inside (*SumStats).Add or AddUnits. The
+# last two are matched by the listing's function headers, because the
+# compensated sum inlined into them is attributed to sum.go. The scalar FFT,
+# the moment sums and the request decoder round every product explicitly, so
+# they compute the same bits on every architecture. It needs no network: the
+# standard library is cross-compiled from the local toolchain.
 cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/prob 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
-	fused=$$(printf '%s\n' "$$asm" | grep -E '[(/]fft\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)D'); \
-	if [ -n "$$fused" ]; then printf 'cross-vet: fused multiply-add in fft.go on arm64:\n%s\n' "$$fused"; exit 1; fi; \
-	echo "cross-vet: fft.go compiles to no fused multiply-add on arm64"
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/prob ./internal/server 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	fused=$$(printf '%s\n' "$$asm" | awk '/^[^ \t]/ { fn = $$1 } \
+		/\)[ \t]+FN?M(ADD|SUB)D/ && (fn ~ /\.\(\*SumStats\)\.(Add|AddUnits)$$/ || /\/internal\/(prob\/fft|server\/decode)\.go:[0-9]+\)/) { print fn ": " $$0 }'); \
+	if [ -n "$$fused" ]; then printf 'cross-vet: fused multiply-add on arm64:\n%s\n' "$$fused"; exit 1; fi; \
+	echo "cross-vet: fft.go, decode.go and SumStats.Add/AddUnits compile to no fused multiply-add on arm64"
 
 # bench-vet compiles and vets bench/, which is its own module (bench/go.mod)
 # and so is skipped by the root's ./... patterns: a change that deletes an
@@ -155,8 +161,8 @@ endef
 # certified intervals against the exact DP answer, the bit-sliced
 # multi-delegate sampler against its one-sample-at-a-time reference, the
 # scale fold's chunk pass against its reference resolution and the
-# ladder's moment blocks, and liquidd's two request decoders against
-# encoding/json.
+# ladder's moment blocks, liquidd's two request decoders against
+# encoding/json, and its number readers against strconv.
 fuzz-smoke:
 	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
@@ -165,9 +171,10 @@ fuzz-smoke:
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzDPIntoLanesMatchScalar -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzFFTLanesMatchScalar -fuzztime=5s
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzLadderSoundness -fuzztime=5s
-	$(call require-tests,./internal/server,FuzzDecodeEvaluateRequest FuzzDecodeWhatIfRequest)
+	$(call require-tests,./internal/server,FuzzDecodeEvaluateRequest FuzzDecodeWhatIfRequest FuzzDecodeNumber)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeNumber -fuzztime=5s
 	$(call require-tests,./internal/election,FuzzDeltaEquivalence FuzzMultiDelegationEquivalence)
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
@@ -190,8 +197,8 @@ bench:
 # `bash bench/run.sh` for numbers. The first run covers the root package's
 # benchmarks in BENCH_SMOKE, the second the convolution engine's fork-join
 # path and its FFT merge with and without the vector lanes, whose
-# benchmarks live in internal/prob, and the third the scale tier's fused
-# chunk pass.
+# benchmarks live in internal/prob, the third the scale tier's fused
+# chunk pass, and the fourth liquidd's what-if request parse.
 BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability
 empty :=
 space := $(empty) $(empty)
@@ -203,6 +210,8 @@ bench-smoke:
 	$(GO) test ./internal/prob -run='^$$' -benchtime=1x -bench='^(BenchmarkPBPMFParallel|BenchmarkConvolve)$$'
 	$(call require-tests,./internal/scale,BenchmarkChunkStats)
 	$(GO) test ./internal/scale -run='^$$' -benchtime=1x -bench='^BenchmarkChunkStats$$'
+	$(call require-tests,./internal/server,BenchmarkParseWhatIfRequest)
+	$(GO) test ./internal/server -run='^$$' -benchtime=1x -bench='^BenchmarkParseWhatIfRequest$$'
 
 # Regenerate every paper experiment at full scale (deterministic, seed 1).
 reproduce:

@@ -178,15 +178,19 @@ type SumStats struct {
 	mu, vr, rho, spans Accumulator
 }
 
-// Add incorporates one term with weight w and success probability p.
+// Add incorporates one term with weight w and success probability p. Each
+// product that feeds a sum is rounded explicitly, float64(x*y), which the Go
+// spec says keeps it from being fused into the sum's addition: the sums then
+// have the same bits on every architecture, and AddUnits stays Add(1, p) bit
+// for bit.
 func (s *SumStats) Add(w, p float64) {
 	s.n++
-	q := p * (1 - p)
+	q := float64(p * (1 - p))
 	aw := math.Abs(w)
-	s.mu.Add(w * p)
-	s.vr.Add(w * w * q)
-	s.rho.Add(aw * aw * aw * q * (p*p + (1-p)*(1-p)))
-	s.spans.Add(w * w)
+	s.mu.Add(float64(w * p))
+	s.vr.Add(float64(w * w * q))
+	s.rho.Add(float64(aw * aw * aw * q * (float64(p*p) + float64((1-p)*(1-p)))))
+	s.spans.Add(float64(w * w))
 }
 
 // AddUnits adds one unit-weight term per p in ps, in order, with Add(1, p)'s
@@ -197,10 +201,10 @@ func (s *SumStats) Add(w, p float64) {
 func (s *SumStats) AddUnits(ps []float64) {
 	mu, vr, rho, spans := s.mu, s.vr, s.rho, s.spans
 	for _, p := range ps {
-		q := p * (1 - p)
+		q := float64(p * (1 - p))
 		mu = mu.plus(p)
 		vr = vr.plus(q)
-		rho = rho.plus(q * (p*p + (1-p)*(1-p)))
+		rho = rho.plus(float64(q * (float64(p*p) + float64((1-p)*(1-p)))))
 		spans = spans.plus(1)
 	}
 	s.n += int64(len(ps))

@@ -243,27 +243,34 @@ func (d *decoder) str() []byte {
 
 // number reads a number token, checking the JSON grammar that strconv
 // does not: strconv also takes "+1", "0x1p-2", "Inf" and "1_0". With
-// integral set, a fraction or an exponent fails.
-func (d *decoder) number(integral bool) []byte {
+// integral set, a fraction or an exponent fails. The same scan reads the
+// token's decimal value: when the token has at most 19 significant digits
+// and no exponent part, plain is set and the value is ±mant/10^frac,
+// negative when tok begins with '-'. The readers below convert from these,
+// and hand any other token to strconv.
+func (d *decoder) number(integral bool) (tok []byte, mant uint64, frac int, plain bool) {
 	d.peek()
-	b, start, i, ok := d.body, d.off, d.off, true
+	b, start, i, ok, nd := d.body, d.off, d.off, true, 0
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else {
-		i, ok = digits(b, i)
+		i, ok, mant, nd = significand(b, i, mant, nd)
 	}
 	intEnd := i
 	if ok && i < len(b) && b[i] == '.' {
-		i, ok = digits(b, i+1)
+		i, ok, mant, nd = significand(b, i+1, mant, nd)
+		frac = i - intEnd - 1
 	}
+	plain = nd <= 19
 	if ok && i < len(b) && b[i]|0x20 == 'e' {
+		plain = false
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		i, ok = digits(b, i)
+		i, ok, _, _ = significand(b, i, 0, 0)
 	}
 	switch {
 	case !ok:
@@ -272,22 +279,47 @@ func (d *decoder) number(integral bool) []byte {
 		d.fail(start, "an integer")
 	default:
 		d.off = i
-		return b[start:i]
+		return b[start:i], mant, frac, plain
 	}
-	return nil
+	return nil, 0, 0, false
 }
 
-// digits returns the end of the digit run at i and whether the run is non-empty.
-func digits(b []byte, i int) (int, bool) {
+// significand returns the end of the digit run at i and whether the run is
+// non-empty. It counts the run's significant digits into nd and folds each
+// into mant while mant holds fewer than 19. Zeros before the first nonzero
+// digit are not significant.
+func significand(b []byte, i int, mant uint64, nd int) (int, bool, uint64, int) {
 	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
+	for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
+		if nd < 19 {
+			mant = mant*10 + uint64(b[j]-'0')
+		}
+		if mant != 0 {
+			nd++
+		}
 	}
-	return j, j > i
+	return j, j > i, mant, nd
 }
 
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float reads a float64 with strconv.ParseFloat's bits. When mant is at
+// most 2^53 (so the token has at most 16 significant digits) and frac at
+// most 22, both operands of mant/10^frac are exact float64s, so the one IEEE
+// division rounds the token's exact value correctly, as strconv does
+// (Clinger's fast path). The sign is applied after it, so "-0" and "-0.000"
+// read as −0.
 func (d *decoder) float() float64 {
-	tok := d.number(false)
+	tok, mant, frac, plain := d.number(false)
+	if plain && mant <= 1<<53 && frac < len(pow10) {
+		f := float64(mant) / pow10[frac]
+		if tok[0] == '-' {
+			f = -f
+		}
+		return f
+	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		d.fail(d.off-len(tok), "a float64")
@@ -295,9 +327,23 @@ func (d *decoder) float() float64 {
 	return v
 }
 
-// integer reads an integer of bits bits (0: an int).
+// integer reads an integer of bits bits (0: an int) as strconv.ParseInt
+// does. Below 2^63, mant fits an int64, and the value is in range when
+// shifting its top 64−bits bits out and back leaves it unchanged.
 func (d *decoder) integer(bits int) int64 {
-	tok := d.number(true)
+	tok, mant, _, plain := d.number(true)
+	if bits == 0 {
+		bits = strconv.IntSize
+	}
+	if plain && mant < 1<<63 {
+		v := int64(mant)
+		if tok[0] == '-' {
+			v = -v
+		}
+		if v<<(64-bits)>>(64-bits) == v {
+			return v
+		}
+	}
 	v, err := strconv.ParseInt(string(tok), 10, bits)
 	if err != nil {
 		d.fail(d.off-len(tok), "an integer in range")
@@ -305,8 +351,13 @@ func (d *decoder) integer(bits int) int64 {
 	return v
 }
 
+// uint reads a uint64 as strconv.ParseUint does: a plain mant is the value,
+// and a sign, even on 0, is an error.
 func (d *decoder) uint() uint64 {
-	tok := d.number(true)
+	tok, mant, _, plain := d.number(true)
+	if plain && tok[0] != '-' {
+		return mant
+	}
 	v, err := strconv.ParseUint(string(tok), 10, 64)
 	if err != nil {
 		d.fail(d.off-len(tok), "a uint64")

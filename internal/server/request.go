@@ -366,7 +366,9 @@ func ParseEvaluateRequest(body []byte) (*ParsedEvaluate, *Error) {
 // are the post-delta election (aliases of Instance/Graph when the request
 // carries no deltas), computed at parse time so every structurally invalid
 // delta is a typed 400 before admission — the worker only ever sees delta
-// lists that apply cleanly.
+// lists that apply cleanly. Graph.Delegate is Req.Delegations itself, not a
+// copy (the wire's −1 is core.NoDelegate), and nothing mutates either:
+// election.PreviewDeltas copies the profile before it edits it.
 type ParsedWhatIf struct {
 	Req      *WhatIfRequest
 	Instance *core.Instance
@@ -397,11 +399,12 @@ func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
 	if len(req.Delegations) != n {
 		return nil, badRequest(CodeBadRequest, "delegations has %d entries for n = %d", len(req.Delegations), n)
 	}
-	d := core.NewDelegationGraph(n)
+	d := &core.DelegationGraph{Delegate: req.Delegations}
 	for i, j := range req.Delegations {
 		if j == core.NoDelegate {
 			continue
 		}
+		// SetDelegate stores j where it already is: the call validates.
 		if err := d.SetDelegate(i, j); err != nil {
 			return nil, badRequest(CodeBadRequest, "delegations[%d]: %v", i, err)
 		}

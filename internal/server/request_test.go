@@ -17,7 +17,7 @@ import (
 
 // decodeStrict is the oracle for the request decoder: encoding/json with
 // unknown fields rejected. Whenever decodeEvaluate or decodeWhatIf accepts a
-// body, decodeStrict accepts it too with reflect.DeepEqual values.
+// body, decodeStrict accepts it too with bitsEqual values.
 func decodeStrict(body []byte, dst any) *Error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -128,6 +128,20 @@ func TestParseWhatIfRequest(t *testing.T) {
 		t.Fatalf("delegations = %v", got)
 	}
 
+	// The base profile is the decoded array itself, and applying deltas
+	// leaves it as the wire spelled it.
+	parsed, aerr = ParseWhatIfRequest([]byte(`{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]},
+		"delegations": [2, 2, -1], "deltas": [{"kind": "repoint", "voter": 0}, {"kind": "remove-voter", "voter": 2}]}`))
+	if aerr != nil {
+		t.Fatalf("ParseWhatIfRequest with deltas: %v", aerr)
+	}
+	if got := parsed.Graph.Delegate; &got[0] != &parsed.Req.Delegations[0] || got[0] != 2 || got[1] != 2 || got[2] != -1 {
+		t.Fatalf("base delegations = %v, want the decoded [2 2 -1] in place", got)
+	}
+	if got := parsed.FinalGraph.Delegate; len(got) != 2 || got[0] != -1 || got[1] != -1 {
+		t.Fatalf("final delegations = %v, want [-1 -1]", got)
+	}
+
 	for _, tc := range []struct{ name, body, code string }{
 		{"length mismatch", `{"instance": {"n": 3, "complete": true, "p": [0.5,0.5,0.5]}, "delegations": [1]}`, CodeBadRequest},
 		{"self delegation", `{"instance": {"n": 2, "complete": true, "p": [0.5,0.5]}, "delegations": [0, -1]}`, CodeBadRequest},
@@ -223,7 +237,7 @@ func FuzzDecodeWhatIfRequest(f *testing.F) {
 }
 
 // checkOracle fails t when decode accepts body and the oracle does not, or
-// reads different values.
+// reads values that differ in one bit.
 func checkOracle[T any](t *testing.T, body []byte, decode func([]byte, *T) *Error) {
 	t.Helper()
 	var got, want T
@@ -236,9 +250,47 @@ func checkOracle[T any](t *testing.T, body []byte, decode func([]byte, *T) *Erro
 	if aerr := decodeStrict(body, &want); aerr != nil {
 		t.Fatalf("decoder accepted %q, oracle refused it: %v", body, aerr)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
 		t.Fatalf("decoder read %q as %+v, oracle as %+v", body, got, want)
 	}
+}
+
+// bitsEqual is reflect.DeepEqual over the request types, except that floats
+// are equal only bit for bit: −0 differs from +0, as it does in a response
+// that echoes it.
+func bitsEqual(x, y reflect.Value) bool {
+	switch x.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+	case reflect.Pointer:
+		if x.IsNil() || y.IsNil() {
+			return x.IsNil() == y.IsNil()
+		}
+		return bitsEqual(x.Elem(), y.Elem())
+	case reflect.Struct:
+		for i := range x.NumField() {
+			if !bitsEqual(x.Field(i), y.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if x.IsNil() != y.IsNil() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		if x.Len() != y.Len() {
+			return false
+		}
+		for i := range x.Len() {
+			if !bitsEqual(x.Index(i), y.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return x.Interface() == y.Interface()
 }
 
 // TestDecoderRefusals covers the decoder's error paths, each body under
@@ -339,7 +391,9 @@ func TestDecoderRefusals(t *testing.T) {
 // TestDecoderMatchesOracle is the direction the fuzz targets cannot check:
 // every well-formed request, spelled with varied key order, white space,
 // number spellings, nulls for absent fields and escaped strings, reads the
-// same through the decoder and the oracle, and as the value it spells.
+// same through the decoder and the oracle, bit for bit, and as the value it
+// spells. The last comparison is reflect.DeepEqual, because the speller
+// writes +0 as -0 on purpose.
 func TestDecoderMatchesOracle(t *testing.T) {
 	s := rng.New(rng.Derive(21, "server", "decoder-oracle"))
 	for trial := 0; trial < 2000; trial++ {
@@ -360,7 +414,7 @@ func checkSpelled[T any](t *testing.T, s *rng.Stream, decode func([]byte, *T) *E
 	if aerr := decodeStrict(sp.b, &oracle); aerr != nil {
 		t.Fatalf("oracle refused %s: %v", sp.b, aerr)
 	}
-	if !reflect.DeepEqual(got, oracle) || !reflect.DeepEqual(got, want) {
+	if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(oracle)) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s\nspells %+v\ndecoder %+v\noracle  %+v", sp.b, want, got, oracle)
 	}
 }
@@ -601,6 +655,40 @@ func TestDecoderSizesArraysByTheirElements(t *testing.T) {
 		}
 		if got := cap(req.Instance.P) + cap(req.Delegations); got != want {
 			t.Fatalf("%s: reserved %d elements, want %d", body, got, want)
+		}
+	}
+}
+
+// BenchmarkParseWhatIfRequest parses a 2000-voter delta what-if shaped like
+// the benchmark's serve_delta bodies: a complete instance whose competencies,
+// uniform in [0.3, 0.8), are printed by encoding/json, a profile in which
+// each voter delegates to a uniformly chosen later voter with probability
+// 1/2, two repoints and one competency edit.
+func BenchmarkParseWhatIfRequest(b *testing.B) {
+	const n = 2000
+	s := rng.New(rng.Derive(27, "server", "parse-whatif-bench"))
+	req := WhatIfRequest{Instance: InstanceSpec{N: n, Complete: true, P: make([]float64, n)}, Delegations: make([]int, n), DeadlineMS: 1000}
+	for v := range n {
+		req.Instance.P[v] = 0.3 + 0.5*s.Float64()
+		req.Delegations[v] = -1
+		if v < n-1 && s.Float64() < 0.5 {
+			req.Delegations[v] = v + 1 + s.IntN(n-v-1)
+		}
+	}
+	to := n - 1
+	req.Deltas = []DeltaSpec{
+		{Kind: "repoint", Voter: 10, Target: &to},
+		{Kind: "repoint", Voter: 1500},
+		{Kind: "competency", Voter: 7, P: 0.3 + 0.5*s.Float64()},
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, aerr := ParseWhatIfRequest(body); aerr != nil {
+			b.Fatal(aerr)
 		}
 	}
 }
