@@ -8,7 +8,8 @@ all: check
 
 # check is the gate for a change, in order: compile, go vet, go vet for
 # arm64 (cross-vet: the build without the amd64 vector kernels, and no fused
-# multiply-add in the FFT, the moment sums or the request decoder), go vet
+# multiply-add in the FFT, the moment sums, the request decoder or the
+# competency draws), go vet
 # over the benchmark module (bench-vet), the
 # repo's own determinism analyzers (cmd/liquidlint — see DESIGN.md "Static
 # invariants"), the lint baseline ratchet (lint-facts), tests, reproduce's
@@ -40,22 +41,25 @@ vet:
 
 # cross-vet type-checks and vets the module for arm64, which compiles the
 # non-amd64 fallback of internal/prob's vector kernels (dp_other.go) that no
-# amd64 build sees. It then compiles internal/prob and internal/server for
-# arm64 with -S and fails on any fused multiply-add (FMADDD, FMSUBD, FNMADDD,
-# FNMSUBD) the listing attributes to internal/prob/fft.go or
-# internal/server/decode.go, or lists inside (*SumStats).Add or AddUnits. The
-# last two are matched by the listing's function headers, because the
-# compensated sum inlined into them is attributed to sum.go. The scalar FFT,
-# the moment sums and the request decoder round every product explicitly, so
-# they compute the same bits on every architecture. It needs no network: the
-# standard library is cross-compiled from the local toolchain.
+# amd64 build sees. It then compiles internal/prob, internal/server and
+# internal/experiment for arm64 with -S and fails on any fused multiply-add
+# (FMADDD, FMSUBD, FNMADDD, FNMSUBD) the listing attributes to
+# internal/prob/fft.go, internal/prob/samplers.go, internal/server/decode.go
+# or internal/experiment/experiment.go, or lists inside (*SumStats).Add or
+# AddUnits. The last two are matched by the listing's function headers,
+# because the compensated sum inlined into them is attributed to sum.go.
+# The scalar FFT, the moment sums, the request decoder and the competency
+# samplers (with experiment.go's uniformInstance) round every product
+# explicitly, so they compute the same bits on every architecture. It needs
+# no network: the standard library is cross-compiled from the local
+# toolchain.
 cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/prob ./internal/server 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/prob ./internal/server ./internal/experiment 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
 	fused=$$(printf '%s\n' "$$asm" | awk '/^[^ \t]/ { fn = $$1 } \
-		/\)[ \t]+FN?M(ADD|SUB)D/ && (fn ~ /\.\(\*SumStats\)\.(Add|AddUnits)$$/ || /\/internal\/(prob\/fft|server\/decode)\.go:[0-9]+\)/) { print fn ": " $$0 }'); \
+		/\)[ \t]+FN?M(ADD|SUB)D/ && (fn ~ /\.\(\*SumStats\)\.(Add|AddUnits)$$/ || /\/internal\/(prob\/(fft|samplers)|server\/decode|experiment\/experiment)\.go:[0-9]+\)/) { print fn ": " $$0 }'); \
 	if [ -n "$$fused" ]; then printf 'cross-vet: fused multiply-add on arm64:\n%s\n' "$$fused"; exit 1; fi; \
-	echo "cross-vet: fft.go, decode.go and SumStats.Add/AddUnits compile to no fused multiply-add on arm64"
+	echo "cross-vet: fft.go, samplers.go, decode.go, experiment.go and SumStats.Add/AddUnits compile to no fused multiply-add on arm64"
 
 # bench-vet compiles and vets bench/, which is its own module (bench/go.mod)
 # and so is skipped by the root's ./... patterns: a change that deletes an
@@ -162,7 +166,8 @@ endef
 # multi-delegate sampler against its one-sample-at-a-time reference, the
 # scale fold's chunk pass against its reference resolution and the
 # ladder's moment blocks, liquidd's two request decoders against
-# encoding/json, and its number readers against strconv.
+# encoding/json, its number readers against strconv, and rng.Threshold's
+# integer draw against Stream.Bernoulli.
 fuzz-smoke:
 	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
@@ -175,6 +180,8 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeNumber -fuzztime=5s
+	$(call require-tests,./internal/rng,FuzzThresholdMatchesBernoulli)
+	$(GO) test ./internal/rng -run='^$$' -fuzz=FuzzThresholdMatchesBernoulli -fuzztime=5s
 	$(call require-tests,./internal/election,FuzzDeltaEquivalence FuzzMultiDelegationEquivalence)
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=5s
 	$(GO) test ./internal/election -run='^$$' -fuzz=FuzzMultiDelegationEquivalence -fuzztime=5s
@@ -191,15 +198,18 @@ serve-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke runs the exact-engine kernel benchmarks for a single
-# iteration each: a crash check over benchmark-only code, cheap enough for
-# the check gate. Timings from one iteration are meaningless; use
-# `bash bench/run.sh` for numbers. The first run covers the root package's
-# benchmarks in BENCH_SMOKE, the second the convolution engine's fork-join
-# path and its FFT merge with and without the vector lanes, whose
-# benchmarks live in internal/prob, the third the scale tier's fused
-# chunk pass, and the fourth liquidd's what-if request parse.
-BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability
+# bench-smoke runs the kernel benchmarks for a single iteration each: a
+# crash check over benchmark-only code, cheap enough for the check gate.
+# Timings from one iteration are meaningless; use `bash bench/run.sh` for
+# numbers. The first run covers the root package's benchmarks in
+# BENCH_SMOKE: the exact kernels, the delta and certified tiers, and the
+# sampling kernels (multi-delegate and Monte-Carlo P^M votes, track
+# records, sampling without replacement). The second covers the
+# convolution engine's fork-join path and its FFT merge with and without
+# the vector lanes, whose benchmarks live in internal/prob, the third the
+# scale tier's fused chunk pass, and the fourth liquidd's what-if request
+# parse.
+BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability BenchmarkTrackRecordSimulate BenchmarkResolutionProbabilityMC BenchmarkSampleWithoutReplacement
 empty :=
 space := $(empty) $(empty)
 

@@ -18,6 +18,7 @@ import (
 	"liquid/internal/engine"
 	"liquid/internal/experiment"
 	"liquid/internal/graph"
+	"liquid/internal/history"
 	"liquid/internal/localsim"
 	"liquid/internal/mechanism"
 	"liquid/internal/prob"
@@ -321,6 +322,76 @@ func BenchmarkMultiDelegationProbability(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := election.MultiDelegationProbability(context.Background(), in, md, 4000, votes); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTrackRecordSimulate measures history.Simulate on X7's
+// full-scale shape: a complete graph on 1001 voters with competencies
+// uniform in [0.30, 0.49], and a history of 64 issues. ns/draw divides the
+// time by the record's 64 × 1001 Bernoulli draws.
+func BenchmarkTrackRecordSimulate(b *testing.B) {
+	const n, t = 1001, 64
+	s := rng.New(23)
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = 0.30 + 0.19*s.Float64()
+	}
+	in, err := core.NewInstance(graph.NewComplete(n), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := history.Simulate(in, t, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*t), "ns/draw")
+}
+
+// BenchmarkResolutionProbabilityMC measures the Monte-Carlo P^M on A3's
+// full-scale shape: a complete graph on 801 voters with competencies
+// uniform in [0.30, 0.70), one approval-threshold realization at alpha =
+// 0.03, scored from 4000 vote samples. ns/draw divides the time by one
+// draw per sink per sample.
+func BenchmarkResolutionProbabilityMC(b *testing.B) {
+	const samples = 4000
+	in := benchInstance(b, 801)
+	d, err := (mechanism.ApprovalThreshold{Alpha: 0.03}).Apply(in, rng.New(31))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := d.Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	votes := rng.New(37)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := election.ResolutionProbabilityMC(context.Background(), in, res, samples, votes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples*len(res.Sinks)), "ns/draw")
+}
+
+// BenchmarkSampleWithoutReplacement measures k distinct draws from
+// [0, 2000): the rejection path at every k here, T3's neighbour sample at
+// k = 16, and k on both sides of the path's scan cutoff.
+func BenchmarkSampleWithoutReplacement(b *testing.B) {
+	const n = 2000
+	for _, k := range []int{4, 16, 32, 64, 128} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			s := rng.New(41)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(s.SampleWithoutReplacement(n, k)) != k {
+					b.Fatal("short sample")
 				}
 			}
 		})

@@ -181,6 +181,11 @@ func ResolutionProbabilityExact(in *core.Instance, res *core.Resolution) (float6
 
 // ResolutionProbabilityMC estimates the same probability by sampling sink
 // votes. Cancelling ctx aborts the sampling loop with ctx's error.
+//
+// The draw order is a contract: samples one after another, and within a
+// sample one s.Bernoulli-equivalent draw per sink with p in (0, 1), in
+// sink order. Sinks with p >= 1 add their weight to every sample without
+// a draw, and sinks with p <= 0 neither draw nor add.
 func ResolutionProbabilityMC(ctx context.Context, in *core.Instance, res *core.Resolution, samples int, s *rng.Stream) (float64, error) {
 	if in.N() == 0 {
 		return 0, ErrNoVoters
@@ -191,16 +196,31 @@ func ResolutionProbabilityMC(ctx context.Context, in *core.Instance, res *core.R
 	if len(res.Sinks) == 0 {
 		return 0, nil
 	}
+	// Classify the sinks once, in sink order: p >= 1 always votes correctly
+	// and p <= 0 never, neither with a draw; the others draw on their
+	// rng.Threshold.
+	sure := 0
+	thr := make([]uint64, 0, len(res.Sinks))
+	wts := make([]int, 0, len(res.Sinks))
+	for _, sk := range res.Sinks {
+		switch p := in.Competency(sk); {
+		case p >= 1:
+			sure += res.Weight[sk]
+		case p > 0:
+			thr = append(thr, rng.Threshold(p))
+			wts = append(wts, res.Weight[sk])
+		}
+	}
+	src := s.Source()
+	wts = wts[:len(thr)] // equal lengths drop the draw loop's bounds check
 	wins := 0
 	for t := 0; t < samples; t++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		correct := 0
-		for _, sk := range res.Sinks {
-			if s.Bernoulli(in.Competency(sk)) {
-				correct += res.Weight[sk]
-			}
+		correct := sure
+		for j, th := range thr {
+			correct += wts[j] & -int((src.Uint64()&(1<<53-1)-th)>>63)
 		}
 		if 2*correct > res.TotalWeight {
 			wins++

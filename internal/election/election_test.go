@@ -197,6 +197,85 @@ func TestResolutionProbabilityMCMatchesExact(t *testing.T) {
 	}
 }
 
+// resolutionProbabilityMCReference is the Bernoulli loop
+// ResolutionProbabilityMC must reproduce: per sample, one s.Bernoulli per
+// sink in sink order, a sample winning on a strict weighted majority.
+func resolutionProbabilityMCReference(in *core.Instance, res *core.Resolution, samples int, s *rng.Stream) float64 {
+	wins := 0
+	for t := 0; t < samples; t++ {
+		correct := 0
+		for _, sk := range res.Sinks {
+			if s.Bernoulli(in.Competency(sk)) {
+				correct += res.Weight[sk]
+			}
+		}
+		if 2*correct > res.TotalWeight {
+			wins++
+		}
+	}
+	return float64(wins) / float64(samples)
+}
+
+// TestResolutionProbabilityMCMatchesReference holds the threshold kernel
+// to the Bernoulli loop bit for bit, and in the stream's next word, on
+// resolutions with weighted sinks (random upward delegations, some of them
+// abstaining), sure sinks (p = 1), sinks that never vote correctly (p = 0)
+// and the extreme draws p = 5e-324 and 1 − 2^-53.
+func TestResolutionProbabilityMCMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 9, 60, 501} {
+		for trial := range 4 {
+			s := rng.New(uint64(n)<<8 | uint64(trial))
+			p := make([]float64, n)
+			for i := range p {
+				switch s.IntN(8) {
+				case 0:
+					p[i] = 0
+				case 1:
+					p[i] = 1
+				case 2:
+					p[i] = math.SmallestNonzeroFloat64
+				case 3:
+					p[i] = 1 - 0x1p-53
+				default:
+					p[i] = s.Float64()
+				}
+			}
+			in := mustInstance(t, graph.NewComplete(n), p)
+			d := core.NewDelegationGraph(n)
+			for i := 0; i+1 < n; i++ {
+				if s.IntN(3) != 0 {
+					continue
+				}
+				if err := d.SetDelegate(i, i+1+s.IntN(n-i-1)); err != nil {
+					t.Fatal(err)
+				}
+				if s.IntN(4) == 0 {
+					d.SetAbstained(i)
+				}
+			}
+			res, err := d.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, samples := range []int{1, 7, 300} {
+				seed := s.Uint64()
+				a, b := rng.New(seed), rng.New(seed)
+				got, err := ResolutionProbabilityMC(context.Background(), in, res, samples, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := resolutionProbabilityMCReference(in, res, samples, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d samples=%d: kernel %v, reference %v", n, trial, samples, got, want)
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatalf("n=%d trial %d samples=%d: the streams continue at different words", n, trial, samples)
+				}
+			}
+		}
+	}
+}
+
 func TestResolutionProbabilityAllAbstained(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(2), []float64{0.3, 0.9})
 	d := core.NewDelegationGraph(2)

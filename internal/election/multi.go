@@ -62,7 +62,7 @@ func MultiDelegationProbability(ctx context.Context, in *core.Instance, md *mech
 // block of up to 64 samples live in one uint64: bit t is sample t.
 type multiKernel struct {
 	// drawPos lists, ascending, the positions whose own vote is a draw
-	// (p in (0, 1)); drawThr[j] is drawThreshold of drawPos[j]'s p.
+	// (p in (0, 1)); drawThr[j] is rng.Threshold of drawPos[j]'s p.
 	drawPos []int32
 	drawThr []uint64
 	// drawn is drawLanes' output, aligned with drawPos.
@@ -166,7 +166,7 @@ func compileMulti(in *core.Instance, md *mechanism.MultiDelegation) (*multiKerne
 			k.own[idx] = ^uint64(0)
 		case p > 0:
 			k.drawPos = append(k.drawPos, int32(idx))
-			k.drawThr = append(k.drawThr, drawThreshold(p))
+			k.drawThr = append(k.drawThr, rng.Threshold(p))
 		}
 		ds := md.Delegates[v]
 		r := multiRow{lo: int32(len(k.dels)), kind: rowUnit}
@@ -194,12 +194,6 @@ func compileMulti(in *core.Instance, md *mechanism.MultiDelegation) (*multiKerne
 	k.drawn = make([]uint64, len(k.drawPos))
 	return k, nil
 }
-
-// drawThreshold returns ceil(p·2^53) for p in (0, 1). A raw generator
-// word u votes true exactly when its low 53 bits are below the threshold,
-// which is Stream.Bernoulli's float64(u<<11>>11)/2^53 < p on integers:
-// both sides are exact, and for an integer x, x < y iff x < ceil(y).
-func drawThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
 // block runs the next lanes (1 to 64) samples and returns how many of them
 // decided correctly. Own votes are drawn by drawLanes, in the sample-major

@@ -399,27 +399,3 @@ func FuzzMultiDelegationEquivalence(f *testing.F) {
 		kernelTrace(t, in, md, votes, trace)
 	})
 }
-
-// TestDrawThresholdMatchesBernoulli checks the kernel's integer threshold
-// against Stream.Bernoulli's float comparison on the raw words around it,
-// where a floor or an off-by-one would show.
-func TestDrawThresholdMatchesBernoulli(t *testing.T) {
-	s := rng.New(27)
-	ps := []float64{math.SmallestNonzeroFloat64, 1e-300, 0x1p-53, 0x1p-52, 0.1, 1.0 / 3, 0.5, 0.7, 1 - 0x1p-53, math.Nextafter(1, 0)}
-	for range 200 {
-		if p := s.Float64(); p > 0 {
-			ps = append(ps, p)
-		}
-	}
-	for _, p := range ps {
-		thr := drawThreshold(p)
-		for _, x := range []uint64{thr - 2, thr - 1, thr, thr + 1} {
-			if x >= 1<<53 {
-				continue
-			}
-			if got, want := x < thr, float64(x)/(1<<53) < p; got != want {
-				t.Fatalf("p=%v x=%d: threshold %d says %v, Bernoulli says %v", p, x, thr, got, want)
-			}
-		}
-	}
-}

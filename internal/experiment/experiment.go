@@ -212,7 +212,7 @@ func RunAll(ctx context.Context, cfg Config) ([]*Outcome, error) {
 func uniformInstance(top graph.Topology, lo, hi float64, s *rng.Stream) (*core.Instance, error) {
 	p := make([]float64, top.N())
 	for i := range p {
-		p[i] = lo + (hi-lo)*s.Float64()
+		p[i] = lo + float64((hi-lo)*s.Float64())
 	}
 	return core.NewInstance(top, p)
 }

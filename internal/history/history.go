@@ -53,10 +53,14 @@ func (tr *TrackRecord) ObserveIssue(in *core.Instance, participants []int, s *rn
 	if len(tr.Scores) != in.N() {
 		return fmt.Errorf("%w: %d scores for %d voters", ErrInvalidHistory, len(tr.Scores), in.N())
 	}
+	// Validate every participant before the first draw, so a bad id leaves
+	// the record and the stream as they were.
 	for _, v := range participants {
 		if v < 0 || v >= in.N() {
 			return fmt.Errorf("%w: participant %d out of range", ErrInvalidHistory, v)
 		}
+	}
+	for _, v := range participants {
 		tr.Counts[v]++
 		if s.Bernoulli(in.Competency(v)) {
 			tr.Scores[v]++
@@ -68,17 +72,36 @@ func (tr *TrackRecord) ObserveIssue(in *core.Instance, participants []int, s *rn
 
 // Simulate draws a track record: on each of t issues every voter is
 // independently correct with its competency.
+//
+// The draw order is a contract: issues one after another, and within an
+// issue one s.Bernoulli-equivalent draw per voter with p in (0, 1), in
+// ascending id. A voter with p >= 1 scores every issue and one with p <= 0
+// none, without a draw. Each draw is decided on its rng.Threshold.
 func Simulate(in *core.Instance, t int, s *rng.Stream) (*TrackRecord, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("%w: history length %d", ErrInvalidHistory, t)
 	}
 	tr := &TrackRecord{T: t, Scores: make([]int, in.N())}
-	for issue := 0; issue < t; issue++ {
-		for v := 0; v < in.N(); v++ {
-			if s.Bernoulli(in.Competency(v)) {
-				tr.Scores[v]++
-			}
+	drawn := make([]int, 0, in.N())
+	thr := make([]uint64, 0, in.N())
+	for v := range tr.Scores {
+		switch p := in.Competency(v); {
+		case p >= 1:
+			tr.Scores[v] = t
+		case p > 0:
+			drawn = append(drawn, v)
+			thr = append(thr, rng.Threshold(p))
 		}
+	}
+	hits := make([]uint64, len(thr))
+	src := s.Source()
+	for range t {
+		for j, th := range thr {
+			hits[j] += (src.Uint64()&(1<<53-1) - th) >> 63
+		}
+	}
+	for j, v := range drawn {
+		tr.Scores[v] = int(hits[j])
 	}
 	return tr, nil
 }

@@ -3,6 +3,7 @@ package history
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"liquid/internal/core"
@@ -23,6 +24,63 @@ func TestSimulateValidation(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(3), []float64{0.2, 0.5, 0.8})
 	if _, err := Simulate(in, 0, rng.New(1)); !errors.Is(err, ErrInvalidHistory) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// simulateReference is the Bernoulli loop Simulate must reproduce: per
+// issue, one s.Bernoulli per voter in ascending id.
+func simulateReference(in *core.Instance, t int, s *rng.Stream) *TrackRecord {
+	tr := &TrackRecord{T: t, Scores: make([]int, in.N())}
+	for issue := 0; issue < t; issue++ {
+		for v := 0; v < in.N(); v++ {
+			if s.Bernoulli(in.Competency(v)) {
+				tr.Scores[v]++
+			}
+		}
+	}
+	return tr
+}
+
+// TestSimulateMatchesReference holds Simulate to the Bernoulli loop: the
+// same scores and the stream left at the same word. Competencies mix 0
+// and 1 (no draw), the extreme draws 5e-324 and 1 − 2^-53, a tied value
+// and uniform ones.
+func TestSimulateMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 7, 1001} {
+		for _, hist := range []int{1, 4, 64} {
+			seed := uint64(n)<<8 | uint64(hist)
+			s := rng.New(seed)
+			p := make([]float64, n)
+			for i := range p {
+				switch s.IntN(8) {
+				case 0:
+					p[i] = 0
+				case 1:
+					p[i] = 1
+				case 2:
+					p[i] = math.SmallestNonzeroFloat64
+				case 3:
+					p[i] = 1 - 0x1p-53
+				case 4:
+					p[i] = 0.5
+				default:
+					p[i] = s.Float64()
+				}
+			}
+			in := mustInstance(t, graph.NewComplete(n), p)
+			a, b := rng.New(^seed), rng.New(^seed)
+			got, err := Simulate(in, hist, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := simulateReference(in, hist, b)
+			if got.T != want.T || got.Counts != nil || !slices.Equal(got.Scores, want.Scores) {
+				t.Fatalf("n=%d t=%d: Simulate %+v, reference %+v", n, hist, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d t=%d: the streams continue at different words", n, hist)
+			}
+		}
 	}
 }
 

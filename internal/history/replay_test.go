@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"liquid/internal/core"
@@ -36,6 +37,24 @@ func TestObserveIssueValidation(t *testing.T) {
 	tr = NewTrackRecord(4)
 	if err := tr.ObserveIssue(in, []int{4}, rng.New(1)); !errors.Is(err, ErrInvalidHistory) {
 		t.Fatalf("out-of-range participant accepted: %v", err)
+	}
+}
+
+// TestObserveIssueRejectsBeforeDrawing: a bad participant late in the
+// list fails the whole issue before anything is counted or drawn, so the
+// record and the stream stay as they were.
+func TestObserveIssueRejectsBeforeDrawing(t *testing.T) {
+	in := replayInstance(t, 4, 1)
+	tr := NewTrackRecord(4)
+	s, twin := rng.New(5), rng.New(5)
+	if err := tr.ObserveIssue(in, []int{0, 1, 9}, s); !errors.Is(err, ErrInvalidHistory) {
+		t.Fatalf("out-of-range participant accepted: %v", err)
+	}
+	if tr.T != 0 || !slices.Equal(tr.Counts, make([]int, 4)) || !slices.Equal(tr.Scores, make([]int, 4)) {
+		t.Fatalf("rejected issue changed the record: T=%d Counts=%v Scores=%v", tr.T, tr.Counts, tr.Scores)
+	}
+	if s.Uint64() != twin.Uint64() {
+		t.Fatal("rejected issue drew from the stream")
 	}
 }
 

@@ -19,7 +19,7 @@ type UniformSampler struct {
 
 // Sample implements Sampler.
 func (u UniformSampler) Sample(s *rng.Stream) float64 {
-	return u.Lo + (u.Hi-u.Lo)*s.Float64()
+	return u.Lo + float64((u.Hi-u.Lo)*s.Float64())
 }
 
 // ConstantSampler always returns Value.
@@ -54,17 +54,17 @@ func (g GammaSampler) Sample(s *rng.Stream) float64 {
 		var x, v float64
 		for {
 			x = s.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := s.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return boost * d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return boost * d * v
 		}
 	}
@@ -102,7 +102,7 @@ func (t TruncatedNormalSampler) Sample(s *rng.Stream) float64 {
 		panic("prob: TruncatedNormalSampler requires Hi > Lo and Sigma > 0")
 	}
 	for i := 0; i < 10000; i++ {
-		v := t.Mu + t.Sigma*s.NormFloat64()
+		v := t.Mu + float64(t.Sigma*s.NormFloat64())
 		if v >= t.Lo && v <= t.Hi {
 			return v
 		}
@@ -177,5 +177,5 @@ type rescaledBeta struct {
 
 func (r rescaledBeta) Sample(s *rng.Stream) float64 {
 	v := BetaSampler{Alpha: r.alpha, Beta: r.beta}.Sample(s)
-	return r.lo + (r.hi-r.lo)*v
+	return r.lo + float64((r.hi-r.lo)*v)
 }
