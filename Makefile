@@ -69,14 +69,12 @@ cross-vet:
 bench-vet:
 	cd bench && GOWORK=off GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./...
 
-# lint runs the determinism multichecker over the module with the
-# per-package cache, so incremental runs only re-analyze packages whose
-# content hash (or dependency cone, or the lint tree itself) changed.
+# lint runs the determinism multichecker over the module.
 # Suppress an individual finding with `//lint:ignore <analyzer> <reason>`
 # on or above the flagged line; disable a whole analyzer with -disable for
 # triage, or run one with -only while developing it.
 lint:
-	$(GO) run ./cmd/liquidlint -cache .lintcache ./...
+	$(GO) run ./cmd/liquidlint ./...
 
 # lint-facts is the baseline ratchet: the schema-stable -json report
 # (analyzer roster, sorted findings, live suppressions) must match the
@@ -85,8 +83,8 @@ lint:
 # deliberately with `make lint-baseline` — same contract as
 # COVERAGE.baseline: the committed file is the decision record.
 lint-facts:
-	@$(GO) run ./cmd/liquidlint -cache .lintcache -json ./... > .lint.report.json 2>/dev/null; st=$$?; \
-	if [ $$st -ge 2 ]; then rm -f .lint.report.json; $(GO) run ./cmd/liquidlint -cache .lintcache -json ./...; exit $$st; fi; \
+	@$(GO) run ./cmd/liquidlint -json ./... > .lint.report.json 2>/dev/null; st=$$?; \
+	if [ $$st -ge 2 ]; then rm -f .lint.report.json; $(GO) run ./cmd/liquidlint -json ./...; exit $$st; fi; \
 	if diff -u LINT.baseline .lint.report.json; then \
 		echo "lint-facts: report matches LINT.baseline"; rm -f .lint.report.json; \
 	else \

@@ -5,16 +5,14 @@
 //
 // Usage:
 //
-//	liquidlint [-json] [-only name,name] [-disable name,name] [-cache dir] [-list] [packages]
+//	liquidlint [-json] [-only name,name] [-disable name,name] [-list] [packages]
 //
 // With no package arguments it analyzes ./... . Packages are analyzed in
 // dependency order so the fact-based analyzers (lockorder, goroleak,
 // hotalloc, walltime, seedflow) can reason across package boundaries;
 // packages pulled in only as dependencies of the named patterns are analyzed
-// for facts but report no diagnostics of their own. With -cache, per-package
-// results and facts are reused across runs, keyed on a content hash of the
-// package, its dependency cone, and the lint tree itself, so incremental
-// runs only re-analyze what changed.
+// for facts but report no diagnostics of their own. Every run analyzes from
+// source and keeps facts in memory; it writes no file.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings print
 // as file:line:col: analyzer: message, or with -json as a schema-stable
@@ -32,8 +30,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,7 +57,7 @@ const jsonVersion = 1
 
 // analyzers is the full ten-analyzer suite, in documentation order. The
 // lintdirective entry is a framework pseudo-analyzer: directive auditing
-// runs inside analysis.RunPackage, and listing it here makes its name
+// runs inside analysis.Run, and listing it here makes its name
 // addressable by -only/-disable and -list.
 var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
@@ -94,14 +90,13 @@ func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("liquidlint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit findings as a schema-stable JSON object")
-		only     = fs.String("only", "", "comma-separated analyzer names to run exclusively")
-		disable  = fs.String("disable", "", "comma-separated analyzer names to skip")
-		cacheDir = fs.String("cache", "", "directory for the per-package analysis cache")
-		list     = fs.Bool("list", false, "list analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit findings as a schema-stable JSON object")
+		only    = fs.String("only", "", "comma-separated analyzer names to run exclusively")
+		disable = fs.String("disable", "", "comma-separated analyzer names to skip")
+		list    = fs.Bool("list", false, "list analyzers and exit")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: liquidlint [-json] [-only name,name] [-disable name,name] [-cache dir] [-list] [packages]")
+		fmt.Fprintln(errOut, "usage: liquidlint [-json] [-only name,name] [-disable name,name] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -126,47 +121,17 @@ func run(args []string, out, errOut io.Writer) int {
 		activeSet[a.Name] = true
 	}
 
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := load.List(".", patterns...)
+	pkgs, err := load.Packages(".", fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(errOut, "liquidlint:", err)
 		return 2
 	}
-
-	cache, err := load.NewCache(*cacheDir)
-	if err != nil {
-		fmt.Fprintln(errOut, "liquidlint:", err)
-		return 2
-	}
-	keys := load.Keys(pkgs, suiteSalt(activeNames, pkgs))
-
-	store := analysis.NewFactStore(active)
-	total := &analysis.Result{Suppressions: make(map[string]int)}
+	var targets []*analysis.Target
 	loadBroken := false
 	for _, p := range pkgs {
-		key := keys[p.ImportPath]
-		if entry, hit := cache.Get(p.ImportPath, key); hit {
-			if err := store.DecodePackage(p.ImportPath, entry.Facts); err == nil {
-				if !p.DepOnly {
-					total.Diagnostics = append(total.Diagnostics, entry.Diagnostics...)
-					for name, n := range entry.Suppressions {
-						total.Suppressions[name] += n
-					}
-				}
-				continue
-			}
-			// Undecodable facts: fall through to a clean re-analysis.
-		}
-		if err := p.Load(); err != nil {
-			if p.DepOnly {
-				fmt.Fprintf(errOut, "liquidlint: warning: dependency %s: %v (its facts are unavailable)\n", p.ImportPath, err)
-				continue
-			}
-			fmt.Fprintln(errOut, "liquidlint:", err)
-			return 2
+		if p.Err != nil {
+			fmt.Fprintf(errOut, "liquidlint: warning: dependency %s: %v (its facts are unavailable)\n", p.ImportPath, p.Err)
+			continue
 		}
 		if len(p.TypeErrors) > 0 && !p.DepOnly {
 			// A package that fails to type-check must not pass lint silently.
@@ -176,51 +141,28 @@ func run(args []string, out, errOut io.Writer) int {
 			loadBroken = true
 			continue
 		}
-		res, err := analysis.RunPackage(&analysis.Target{
+		targets = append(targets, &analysis.Target{
 			Path: p.ImportPath, Fset: p.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info,
-			Imports: p.Imports,
-		}, active, store)
-		if err != nil {
-			fmt.Fprintln(errOut, "liquidlint:", err)
-			return 2
-		}
-		facts, err := store.EncodePackage(p.ImportPath)
-		if err == nil {
-			// Cache write failures only cost speed, never correctness.
-			_ = cache.Put(p.ImportPath, &load.Entry{
-				Key: key, Diagnostics: res.Diagnostics, Suppressions: res.Suppressions, Facts: facts,
-			})
-		}
-		if !p.DepOnly {
-			total.Diagnostics = append(total.Diagnostics, res.Diagnostics...)
-			for name, n := range res.Suppressions {
-				total.Suppressions[name] += n
-			}
-		}
+			Imports: p.Imports, DepOnly: p.DepOnly,
+		})
 	}
 	if loadBroken {
 		return 2
 	}
+	total, err := analysis.Run(targets, active)
+	if err != nil {
+		fmt.Fprintln(errOut, "liquidlint:", err)
+		return 2
+	}
 
+	// Directive findings are reported whatever the selection; keep them
+	// only when lintdirective itself is active.
 	diags := total.Diagnostics[:0]
 	for _, d := range total.Diagnostics {
 		if activeSet[d.Analyzer] {
 			diags = append(diags, d)
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
 
 	if n := len(total.Suppressions); n > 0 {
 		parts := make([]string, 0, n)
@@ -258,20 +200,6 @@ func run(args []string, out, errOut io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// suiteSalt derives the cache-key salt from the schema version, the active
-// analyzer set, and the content of the lint tree itself, so editing an
-// analyzer — not just the analyzed code — invalidates cached results.
-func suiteSalt(activeNames []string, pkgs []*load.Package) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "liquidlint v%d\nactive %s\n", jsonVersion, strings.Join(activeNames, ","))
-	for _, p := range pkgs {
-		if strings.HasPrefix(p.ImportPath, "liquid/internal/lint") || p.ImportPath == "liquid/cmd/liquidlint" {
-			fmt.Fprintf(h, "lintpkg %s %s\n", p.ImportPath, p.Sum)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // selectAnalyzers filters the suite by the -only and -disable flags.

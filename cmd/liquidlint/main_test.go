@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,6 +39,24 @@ func TestFindingsExitOne(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "finding(s)") {
 		t.Fatalf("findings output missing summary line:\n%s", out.String())
+	}
+}
+
+// TestDependencyOnlyPackagesReportNothing lints one package of the walltime
+// fixture. Its imports are analyzed for facts only: summary's two findings,
+// which need the ReadsClock facts of engine, are reported, while election's
+// own findings and its live suppression are not.
+func TestDependencyOnlyPackagesReportNothing(t *testing.T) {
+	t.Chdir("../../internal/lint/walltime/testdata")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-only", "walltime", "liquid/internal/summary"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+	}
+	if got := strings.Count(out.String(), "summary/fixture.go:"); got != 2 || strings.Contains(out.String(), "election/fixture.go:") {
+		t.Fatalf("want exactly summary's 2 findings:\n%s", out.String())
+	}
+	if strings.Contains(errOut.String(), "live suppressions") {
+		t.Fatalf("a dependency's suppression was counted:\n%s", errOut.String())
 	}
 }
 
@@ -152,55 +168,5 @@ func TestList(t *testing.T) {
 		if !strings.Contains(out.String(), name) {
 			t.Fatalf("-list output missing %s:\n%s", name, out.String())
 		}
-	}
-}
-
-// TestCacheWarmRunMatchesCold: with -cache, a second run over an unchanged
-// tree is served from the cache and must produce byte-identical output —
-// including findings and the suppression summary.
-func TestCacheWarmRunMatchesCold(t *testing.T) {
-	cacheDir := t.TempDir()
-	t.Chdir("../../internal/lint/maporder/testdata")
-	var cold, coldErr bytes.Buffer
-	if code := run([]string{"-cache", cacheDir, "./..."}, &cold, &coldErr); code != 1 {
-		t.Fatalf("cold run: exit %d, want 1\nstderr:\n%s", code, coldErr.String())
-	}
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run left no cache entries (err=%v)", err)
-	}
-	var warm, warmErr bytes.Buffer
-	if code := run([]string{"-cache", cacheDir, "./..."}, &warm, &warmErr); code != 1 {
-		t.Fatalf("warm run: exit %d, want 1\nstderr:\n%s", code, warmErr.String())
-	}
-	if cold.String() != warm.String() {
-		t.Fatalf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
-	}
-}
-
-// TestCacheCorruptionDegrades: trashing every cache entry must not change
-// the outcome — corrupt entries are misses, re-analyzed cleanly.
-func TestCacheCorruptionDegrades(t *testing.T) {
-	cacheDir := t.TempDir()
-	t.Chdir("../../internal/lint/maporder/testdata")
-	var cold bytes.Buffer
-	if code := run([]string{"-cache", cacheDir, "./..."}, &cold, &bytes.Buffer{}); code != 1 {
-		t.Fatalf("cold run: exit %d, want 1", code)
-	}
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.WriteFile(filepath.Join(cacheDir, e.Name()), []byte("{corrupt"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var again bytes.Buffer
-	if code := run([]string{"-cache", cacheDir, "./..."}, &again, &bytes.Buffer{}); code != 1 {
-		t.Fatalf("run over corrupt cache: exit %d, want 1", code)
-	}
-	if cold.String() != again.String() {
-		t.Fatalf("corrupt cache changed the findings:\ncold:\n%s\nagain:\n%s", cold.String(), again.String())
 	}
 }

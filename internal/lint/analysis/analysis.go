@@ -40,14 +40,11 @@ type Analyzer struct {
 	// Run marks a pseudo-analyzer handled by the framework itself
 	// (Directive); drivers list it but never invoke it.
 	Run func(pass *Pass) error
-	// FactTypes lists the fact types this analyzer exports, one zero value
-	// per type. Required for facts to round-trip through the driver cache.
-	FactTypes []Fact
 }
 
 // Directive is the pseudo-analyzer under which the framework reports
 // malformed and unused lint:ignore directives. It has no Run of its own —
-// directive auditing happens inside RunPackage — but listing it in the
+// directive auditing happens inside Run — but listing it in the
 // suite makes the name addressable by -only/-disable and -list.
 var Directive = &Analyzer{
 	Name: "lintdirective",
@@ -69,7 +66,7 @@ type Pass struct {
 	Imports []string
 
 	report func(Diagnostic)
-	facts  *FactStore
+	facts  factStore
 }
 
 // Reportf records a diagnostic at pos.
@@ -89,29 +86,25 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // ExportObjectFact attaches f to the package-level object obj. Objects
 // facts cannot attach to (locals, struct fields) are silently skipped.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts != nil {
-		p.facts.exportObject(obj, f)
-	}
+	p.facts.exportObject(obj, f)
 }
 
 // ImportObjectFact copies the fact of f's type attached to obj into f,
 // reporting whether one was found. obj may come from export data: facts are
 // keyed by the object's textual path, not its identity.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	return p.facts != nil && p.facts.importObject(obj, f)
+	return p.facts.importObject(obj, f)
 }
 
 // ExportPackageFact attaches f to the package being analyzed.
 func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts != nil {
-		p.facts.facts[factKey{pkg: p.Path, typ: factTypeName(f)}] = f
-	}
+	p.facts[factKey{pkg: p.Path, typ: factTypeName(f)}] = f
 }
 
 // ImportPackageFact copies the package fact of f's type attached to path
 // into f, reporting whether one was found.
 func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	return p.facts != nil && p.facts.copyInto(factKey{pkg: path, typ: factTypeName(f)}, f)
+	return p.facts.copyInto(factKey{pkg: path, typ: factTypeName(f)}, f)
 }
 
 // Diagnostic is one finding, locatable in the source tree.
@@ -140,6 +133,9 @@ type Target struct {
 	// packages in dependency order populate it so package facts can be
 	// aggregated edge by edge.
 	Imports []string
+	// DepOnly marks a package analyzed only for the facts its dependents
+	// import: Run drops its diagnostics and suppressions.
+	DepOnly bool
 }
 
 // Result is the outcome of running a suite over one or more packages.
@@ -173,7 +169,10 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
@@ -306,11 +305,10 @@ func (idx *stmtStarts) enclosingStart(d Diagnostic) int {
 	return best
 }
 
-// RunPackage applies analyzers to one package, sharing facts through store
-// (which must have been built with NewFactStore over a suite including
-// these analyzers). Suppression directives are resolved within the package;
-// the returned diagnostics are sorted by position.
-func RunPackage(tgt *Target, analyzers []*Analyzer, store *FactStore) (*Result, error) {
+// runPackage applies analyzers to one package, sharing facts through store.
+// Suppression directives are resolved within the package; the returned
+// diagnostics are sorted by position.
+func runPackage(tgt *Target, analyzers []*Analyzer, store factStore) (*Result, error) {
 	var diags []Diagnostic
 	var directives []*ignoreDirective
 	for _, f := range tgt.Files {
@@ -403,19 +401,22 @@ func RunPackage(tgt *Target, analyzers []*Analyzer, store *FactStore) (*Result, 
 
 // Run applies analyzers to targets — which must be in dependency order for
 // cross-package facts to resolve — and returns the surviving diagnostics
-// sorted by position plus per-analyzer live-suppression counts.
-// lint:ignore directives are honored; malformed or unused directives
-// produce their own diagnostics so dead suppressions get cleaned up rather
-// than rotting.
+// sorted by position plus per-analyzer live-suppression counts. Facts stay
+// in memory for the one run. A DepOnly target only exports facts: its
+// diagnostics and suppressions are dropped. lint:ignore directives are
+// honored; malformed or unused directives produce their own diagnostics so
+// dead suppressions get cleaned up rather than rotting.
 func Run(targets []*Target, analyzers []*Analyzer) (*Result, error) {
-	store := NewFactStore(analyzers)
+	store := make(factStore)
 	total := &Result{Suppressions: make(map[string]int)}
 	for _, tgt := range targets {
-		r, err := RunPackage(tgt, analyzers, store)
+		r, err := runPackage(tgt, analyzers, store)
 		if err != nil {
 			return nil, err
 		}
-		total.merge(r)
+		if !tgt.DepOnly {
+			total.merge(r)
+		}
 	}
 	sortDiagnostics(total.Diagnostics)
 	return total, nil

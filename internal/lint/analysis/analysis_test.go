@@ -150,6 +150,36 @@ func a() {}
 	}
 }
 
+// TestDiagnosticsSameSpotSortedByMessage: diagnostics of one analyzer at
+// one position sort by message, so the report order never depends on the
+// order findings were made in.
+func TestDiagnosticsSameSpotSortedByMessage(t *testing.T) {
+	tgt := parseTarget(t, `package fake
+
+func a() {}
+`)
+	twice := &Analyzer{
+		Name: "twice",
+		Doc:  "flags every function twice, z before a",
+		Run: func(pass *Pass) error {
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					pass.Reportf(d.Pos(), "z")
+					pass.Reportf(d.Pos(), "a")
+				}
+			}
+			return nil
+		},
+	}
+	res, err := Run([]*Target{tgt}, []*Analyzer{twice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := res.Diagnostics; len(diags) != 2 || diags[0].Message != "a" || diags[1].Message != "z" {
+		t.Fatalf("want a then z at one position, got %v", diags)
+	}
+}
+
 // stmtAnalyzer flags the closing line of every multi-line call statement:
 // the shape of a diagnostic whose position is lines below the statement it
 // belongs to.

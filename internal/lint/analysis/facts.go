@@ -9,62 +9,36 @@ package analysis
 // golang.org/x/tools/go/analysis facts: keys are stable textual object
 // paths rather than types.Object identity, because a dependent package sees
 // its imports through export data, where object identities differ but
-// names do not.
-//
-// Facts serialize to JSON per package (see FactStore.EncodePackage), which
-// is what cmd/liquidlint's cache persists, keyed on content hashes.
+// names do not. A run keeps its facts in memory, in one store.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a datum attached to an object or package. Implementations must be
-// pointer-to-struct, JSON-serializable, and registered through the owning
-// Analyzer's FactTypes so the cache can round-trip them by name.
+// pointer-to-struct.
 type Fact interface {
-	// AFact is a marker method: it does nothing, it only makes the fact
-	// types of the suite enumerable and keeps arbitrary values out of the
-	// store.
+	// AFact is a marker method: it does nothing, it only keeps arbitrary
+	// values out of the store.
 	AFact()
 }
 
 // factKey identifies one stored fact: the defining package, the object's
-// path within it ("" for package-level facts), and the registered fact type
-// name.
+// path within it ("" for package-level facts), and the fact type name.
 type factKey struct {
 	pkg string
 	obj string
 	typ string
 }
 
-// FactStore accumulates facts across one analysis run. A single store is
+// factStore accumulates facts across one analysis run. A single store is
 // shared by every analyzer and every package in the run; analyzer-distinct
 // fact types keep entries from colliding.
-type FactStore struct {
-	facts map[factKey]Fact
-	types map[string]reflect.Type
-}
+type factStore map[factKey]Fact
 
-// NewFactStore returns an empty store with the fact types of analyzers
-// registered.
-func NewFactStore(analyzers []*Analyzer) *FactStore {
-	s := &FactStore{
-		facts: make(map[factKey]Fact),
-		types: make(map[string]reflect.Type),
-	}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			s.types[factTypeName(f)] = reflect.TypeOf(f).Elem()
-		}
-	}
-	return s
-}
-
-// factTypeName derives the registry name of a fact's dynamic type,
+// factTypeName derives the key name of a fact's dynamic type,
 // e.g. "lockorder.Acquires".
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
@@ -116,17 +90,17 @@ func ObjectKey(obj types.Object) string {
 }
 
 // exportObject records fact f for obj. Unsupported objects are ignored.
-func (s *FactStore) exportObject(obj types.Object, f Fact) {
+func (s factStore) exportObject(obj types.Object, f Fact) {
 	key := ObjectKey(obj)
 	if key == "" {
 		return
 	}
-	s.facts[factKey{pkg: obj.Pkg().Path(), obj: key, typ: factTypeName(f)}] = f
+	s[factKey{pkg: obj.Pkg().Path(), obj: key, typ: factTypeName(f)}] = f
 }
 
 // importObject copies the stored fact for obj into f, reporting whether one
 // existed.
-func (s *FactStore) importObject(obj types.Object, f Fact) bool {
+func (s factStore) importObject(obj types.Object, f Fact) bool {
 	key := ObjectKey(obj)
 	if key == "" || obj.Pkg() == nil {
 		return false
@@ -134,8 +108,8 @@ func (s *FactStore) importObject(obj types.Object, f Fact) bool {
 	return s.copyInto(factKey{pkg: obj.Pkg().Path(), obj: key, typ: factTypeName(f)}, f)
 }
 
-func (s *FactStore) copyInto(k factKey, f Fact) bool {
-	stored, ok := s.facts[k]
+func (s factStore) copyInto(k factKey, f Fact) bool {
+	stored, ok := s[k]
 	if !ok {
 		return false
 	}
@@ -146,63 +120,4 @@ func (s *FactStore) copyInto(k factKey, f Fact) bool {
 	}
 	dst.Elem().Set(src.Elem())
 	return true
-}
-
-// encodedFact is the serialized form of one fact.
-type encodedFact struct {
-	Object string          `json:"object,omitempty"`
-	Type   string          `json:"type"`
-	Data   json.RawMessage `json:"data"`
-}
-
-// EncodePackage serializes every fact attached to path (object and package
-// facts alike), sorted for byte-stable output.
-func (s *FactStore) EncodePackage(path string) ([]byte, error) {
-	var out []encodedFact
-	for k, f := range s.facts {
-		if k.pkg != path {
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("encoding fact %s on %s.%s: %w", k.typ, k.pkg, k.obj, err)
-		}
-		out = append(out, encodedFact{Object: k.obj, Type: k.typ, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Type < out[j].Type
-	})
-	return json.Marshal(out)
-}
-
-// DecodePackage loads facts previously produced by EncodePackage back into
-// the store under path. Unknown fact types are an error: they mean the
-// cache was written by a different analyzer suite and must not be trusted.
-func (s *FactStore) DecodePackage(path string, data []byte) error {
-	if len(data) == 0 {
-		return nil // a package with no facts is a valid fast path
-	}
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", path, err)
-	}
-	for _, ef := range in {
-		rt, ok := s.types[ef.Type]
-		if !ok {
-			return fmt.Errorf("decoding facts for %s: unregistered fact type %q", path, ef.Type)
-		}
-		fv := reflect.New(rt)
-		if err := json.Unmarshal(ef.Data, fv.Interface()); err != nil {
-			return fmt.Errorf("decoding fact %s for %s: %w", ef.Type, path, err)
-		}
-		f, ok := fv.Interface().(Fact)
-		if !ok {
-			return fmt.Errorf("decoding facts for %s: %q does not implement Fact", path, ef.Type)
-		}
-		s.facts[factKey{pkg: path, obj: ef.Object, typ: ef.Type}] = f
-	}
-	return nil
 }

@@ -12,7 +12,7 @@ import (
 
 // markFact marks a function as interesting for the fake taint analyzer.
 type markFact struct {
-	Note string `json:"note"`
+	Note string
 }
 
 func (*markFact) AFact() {}
@@ -35,9 +35,8 @@ func typeCheckedTarget(t *testing.T, path, src string, imports ...string) *Targe
 }
 
 // TestObjectFactRoundTrip drives the store through the Pass API: an
-// analyzer exports a fact on a function in one package; the fact is
-// importable by key and survives an encode/decode cycle, which is what the
-// driver cache depends on.
+// analyzer exports a fact on a function in one package, and the fact is
+// importable by key.
 func TestObjectFactRoundTrip(t *testing.T) {
 	tgt := typeCheckedTarget(t, "liquid/internal/fakedep", `package fakedep
 
@@ -46,9 +45,8 @@ func Tainted() {}
 func Clean() {}
 `)
 	suite := []*Analyzer{{
-		Name:      "marker",
-		Doc:       "marks Tainted",
-		FactTypes: []Fact{new(markFact)},
+		Name: "marker",
+		Doc:  "marks Tainted",
 		Run: func(pass *Pass) error {
 			obj := pass.Pkg.Scope().Lookup("Tainted")
 			if obj == nil {
@@ -58,8 +56,8 @@ func Clean() {}
 			return nil
 		},
 	}}
-	store := NewFactStore(suite)
-	if _, err := RunPackage(tgt, suite, store); err != nil {
+	store := make(factStore)
+	if _, err := runPackage(tgt, suite, store); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,39 +68,6 @@ func Clean() {}
 	}
 	if store.importObject(tgt.Pkg.Scope().Lookup("Clean"), new(markFact)) {
 		t.Fatal("Clean must carry no fact")
-	}
-
-	// Round-trip through the serialized form into a fresh store.
-	blob, err := store.EncodePackage("liquid/internal/fakedep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewFactStore(suite)
-	if err := fresh.DecodePackage("liquid/internal/fakedep", blob); err != nil {
-		t.Fatal(err)
-	}
-	var reloaded markFact
-	if !fresh.importObject(obj, &reloaded) || reloaded.Note != "observed" {
-		t.Fatalf("fact lost in encode/decode: %+v", reloaded)
-	}
-}
-
-// TestDecodeUnknownFactType: a cache written by a different suite must be
-// rejected, not silently dropped.
-func TestDecodeUnknownFactType(t *testing.T) {
-	store := NewFactStore(nil)
-	err := store.DecodePackage("p", []byte(`[{"object":"F","type":"nosuch.Fact","data":{}}]`))
-	if err == nil || !strings.Contains(err.Error(), "unregistered") {
-		t.Fatalf("want unregistered-fact-type error, got %v", err)
-	}
-}
-
-// TestDecodeCorruptFacts: malformed JSON is an error the caller can treat
-// as a cache miss.
-func TestDecodeCorruptFacts(t *testing.T) {
-	store := NewFactStore(nil)
-	if err := store.DecodePackage("p", []byte(`{not json`)); err == nil {
-		t.Fatal("corrupt fact blob decoded")
 	}
 }
 
@@ -120,9 +85,8 @@ func G() {}
 
 	var sawNote string
 	suite := []*Analyzer{{
-		Name:      "pkgfact",
-		Doc:       "exports a package fact from the dep, imports it above",
-		FactTypes: []Fact{new(markFact)},
+		Name: "pkgfact",
+		Doc:  "exports a package fact from the dep, imports it above",
 		Run: func(pass *Pass) error {
 			switch pass.Path {
 			case "liquid/internal/fakedep":
@@ -180,5 +144,58 @@ var X int
 	field := named.Underlying().(*types.Struct).Field(0)
 	if got := ObjectKey(field); got != "" {
 		t.Errorf("field key = %q, want empty", got)
+	}
+}
+
+// TestDepOnlyTargetReportsNothing: a DepOnly target still exports facts to
+// its dependents, but Run drops its diagnostics and live suppressions.
+func TestDepOnlyTargetReportsNothing(t *testing.T) {
+	dep := typeCheckedTarget(t, "liquid/internal/fakedep", `package fakedep
+
+func F() {}
+
+//lint:ignore funcs justified
+func H() {}
+`)
+	dep.DepOnly = true
+	top := typeCheckedTarget(t, "liquid/internal/faketop", `package faketop
+
+func G() {}
+`, "liquid/internal/fakedep")
+
+	var sawNote string
+	suite := []*Analyzer{{
+		Name: "funcs",
+		Doc:  "flags every function; exports a package fact from the dep, imports it above",
+		Run: func(pass *Pass) error {
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						pass.Reportf(fd.Name.Pos(), "func %s", fd.Name.Name)
+					}
+				}
+			}
+			if pass.Path == "liquid/internal/fakedep" {
+				pass.ExportPackageFact(&markFact{Note: "from-dep"})
+			}
+			var f markFact
+			if pass.ImportPackageFact("liquid/internal/fakedep", &f) && pass.Path == "liquid/internal/faketop" {
+				sawNote = f.Note
+			}
+			return nil
+		},
+	}}
+	res, err := Run([]*Target{dep, top}, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sawNote != "from-dep" {
+		t.Fatalf("fact from a DepOnly target did not reach its dependent: %q", sawNote)
+	}
+	if len(res.Diagnostics) != 1 || res.Diagnostics[0].Message != "func G" {
+		t.Fatalf("diagnostics = %v, want only faketop's func G", res.Diagnostics)
+	}
+	if len(res.Suppressions) != 0 {
+		t.Fatalf("suppressions = %v, want none from the DepOnly target", res.Suppressions)
 	}
 }

@@ -26,10 +26,9 @@ import (
 
 // Analyzer is the goroleak check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "goroleak",
-	Doc:       "flags go statements whose goroutine is never joined (no WaitGroup, channel, or context signal)",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(Completes)},
+	Name: "goroleak",
+	Doc:  "flags go statements whose goroutine is never joined (no WaitGroup, channel, or context signal)",
+	Run:  run,
 }
 
 // Completes marks a function that signals its own completion — via

@@ -29,17 +29,16 @@ import (
 
 // Analyzer is the hotalloc check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "forbids heap allocation in //lint:hotpath functions, cross-checked against callee Allocates facts",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(Allocates)},
+	Name: "hotalloc",
+	Doc:  "forbids heap allocation in //lint:hotpath functions, cross-checked against callee Allocates facts",
+	Run:  run,
 }
 
 // Allocates marks a function that may heap-allocate, directly or through a
 // callee. Reason describes the first allocation site, for call-site
 // diagnostics in dependent packages.
 type Allocates struct {
-	Reason string `json:"reason"`
+	Reason string
 }
 
 // AFact marks Allocates as a fact.

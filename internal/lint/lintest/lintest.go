@@ -71,12 +71,15 @@ func Check(dir string, a *analysis.Analyzer) (problems []string, err error) {
 	var targets []*analysis.Target
 	var wants []*expectation
 	for _, p := range pkgs {
+		if p.Err != nil {
+			return nil, fmt.Errorf("loading fixture %s: %w", dir, p.Err)
+		}
 		for _, e := range p.TypeErrors {
 			problems = append(problems, fmt.Sprintf("fixture %s: type error: %v", p.ImportPath, e))
 		}
 		targets = append(targets, &analysis.Target{
 			Path: p.ImportPath, Fset: p.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info,
-			Imports: p.Imports,
+			Imports: p.Imports, DepOnly: p.DepOnly,
 		})
 		for _, f := range p.Files {
 			ws, err := parseWants(p.Fset, f)

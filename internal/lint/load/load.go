@@ -8,15 +8,11 @@
 // Packages come back in dependency order (imports before importers), which
 // is what lets the analysis framework's facts flow across package
 // boundaries: by the time a dependent package is analyzed, every fact its
-// dependencies exported is already in the store. Each package also carries
-// a content hash (Sum) so drivers can key incremental caches on exactly
-// the bytes that were analyzed.
+// dependencies exported is already in the store.
 package load
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,9 +28,7 @@ import (
 	"sort"
 )
 
-// Package is one listed package. Syntax and type information are populated
-// lazily by Load, so a driver with a warm cache can skip parsing and
-// type-checking entirely for unchanged packages.
+// Package is one listed, parsed and type-checked package.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -43,14 +37,11 @@ type Package struct {
 	// lint-reporting roots.
 	DepOnly bool
 	// Imports holds the package's direct imports, restricted to packages
-	// that are part of the same List result (module-local edges); stdlib
-	// imports are dropped — no facts ever come from there.
+	// that are part of the same Packages result (module-local edges);
+	// stdlib imports are dropped — no facts ever come from there.
 	Imports []string
 	// GoFiles are the absolute paths of the non-test Go sources.
 	GoFiles []string
-	// Sum is a hex SHA-256 over the package's file names and contents: the
-	// cache key ingredient that changes exactly when the analyzed bytes do.
-	Sum string
 
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -60,16 +51,11 @@ type Package struct {
 	// data for an import, for example). Analyzers still run; the driver
 	// surfaces these so a broken load is never mistaken for a clean lint.
 	TypeErrors []error
-
-	loaded bool
-	ld     *loader
-}
-
-// loader shares one FileSet and one export-data importer across the
-// packages of a List result.
-type loader struct {
-	fset *token.FileSet
-	imp  types.Importer
+	// Err records why a dependency-only package could not be loaded: one
+	// of its files does not parse. Such a package has no usable syntax or
+	// types and contributes no facts. A root that fails to parse fails
+	// Packages instead.
+	Err error
 }
 
 // listedPackage is the subset of `go list -json` output the loader consumes.
@@ -81,17 +67,19 @@ type listedPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
-// List discovers the packages matching patterns (resolved relative to dir)
-// without parsing or type-checking them; call Load on each package that
-// actually needs analysis. The result contains the matched roots plus every
-// module-local (non-stdlib) dependency, in dependency order. An error in a
-// root package is a hard error — lint must never report "clean" on a tree
-// it could not see.
-func List(dir string, patterns ...string) ([]*Package, error) {
+// Packages lists, parses and type-checks the packages matching patterns,
+// resolved relative to dir (any directory inside the target module), and
+// returns them with every module-local (non-stdlib) dependency, in
+// dependency order. No patterns means ./... . A root that go list reports
+// broken, or whose files do not parse, is a hard error — lint must never
+// report "clean" on a tree it could not see. A dependency-only package
+// whose files do not parse carries the error in its Err instead; one that
+// merely fails to type-check is kept, with its TypeErrors, for the facts
+// its partial types still yield.
+func Packages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -101,31 +89,28 @@ func List(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string, len(listed))
-	byPath := make(map[string]*listedPackage, len(listed))
-	var keep []*listedPackage
+	local := make(map[string]bool, len(listed))
 	for _, lp := range listed {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
-		byPath[lp.ImportPath] = lp
-		if lp.Standard {
-			continue
+		if !lp.Standard {
+			local[lp.ImportPath] = true
 		}
-		if !lp.DepOnly && lp.Error != nil {
-			return nil, fmt.Errorf("load: package %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		keep = append(keep, lp)
 	}
 
 	fset := token.NewFileSet()
-	ld := &loader{fset: fset, imp: newExportImporter(fset, exports)}
-	pkgs := make(map[string]*Package, len(keep))
-	for _, lp := range keep {
+	imp := newExportImporter(fset, exports)
+	pkgs := make(map[string]*Package, len(local))
+	for _, lp := range listed {
+		if lp.Standard {
+			continue
+		}
 		p := &Package{
 			ImportPath: lp.ImportPath,
 			Dir:        lp.Dir,
 			DepOnly:    lp.DepOnly,
-			ld:         ld,
+			Fset:       fset,
 		}
 		for _, name := range lp.GoFiles {
 			path := name
@@ -134,14 +119,17 @@ func List(dir string, patterns ...string) ([]*Package, error) {
 			}
 			p.GoFiles = append(p.GoFiles, path)
 		}
-		for _, imp := range lp.Imports {
-			if dep, ok := byPath[imp]; ok && !dep.Standard {
-				p.Imports = append(p.Imports, imp)
+		for _, path := range lp.Imports {
+			if local[path] {
+				p.Imports = append(p.Imports, path)
 			}
 		}
 		sort.Strings(p.Imports)
-		if p.Sum, err = contentSum(p.GoFiles); err != nil {
-			return nil, fmt.Errorf("load: hashing %s: %w", lp.ImportPath, err)
+		if lp.Error != nil && !p.DepOnly {
+			return nil, fmt.Errorf("load: package %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if p.Err = p.check(imp); p.Err != nil && !p.DepOnly {
+			return nil, p.Err
 		}
 		pkgs[lp.ImportPath] = p
 	}
@@ -180,34 +168,17 @@ func topoSort(pkgs map[string]*Package) []*Package {
 	return out
 }
 
-// contentSum hashes file names and contents.
-func contentSum(files []string) (string, error) {
-	h := sha256.New()
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s %d\n", filepath.Base(f), len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Load parses and type-checks the package if it has not been already.
-func (p *Package) Load() error {
-	if p.loaded {
-		return nil
-	}
-	p.loaded = true
+// check parses and type-checks the package. Type errors are collected in
+// TypeErrors, not returned: analyzers degrade gracefully on partial
+// information, and the driver decides what a type error costs.
+func (p *Package) check(imp types.Importer) error {
 	for _, path := range p.GoFiles {
-		f, err := parser.ParseFile(p.ld.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(p.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return fmt.Errorf("load: parse %s: %w", path, err)
 		}
 		p.Files = append(p.Files, f)
 	}
-	p.Fset = p.ld.fset
 	p.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -217,42 +188,18 @@ func (p *Package) Load() error {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
-		Importer: p.ld.imp,
+		Importer: imp,
 		Error: func(err error) {
 			p.TypeErrors = append(p.TypeErrors, err)
 		},
 	}
-	// Type-check errors are collected, not fatal: analyzers degrade
-	// gracefully on partial information.
-	tpkg, _ := conf.Check(p.ImportPath, p.ld.fset, p.Files, p.Info)
-	p.Types = tpkg
+	p.Types, _ = conf.Check(p.ImportPath, p.Fset, p.Files, p.Info)
 	return nil
-}
-
-// Packages loads and type-checks the root packages matching patterns,
-// resolved relative to dir (any directory inside the target module), in
-// dependency order. It is List plus an eager Load of every root.
-func Packages(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := List(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, p := range listed {
-		if p.DepOnly {
-			continue
-		}
-		if err := p.Load(); err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // goList runs `go list -e -deps -export -json` and decodes the stream.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Incomplete,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

@@ -88,3 +88,26 @@ func TestPackagesMissingDir(t *testing.T) {
 		t.Fatal("missing directory accepted")
 	}
 }
+
+// TestPackagesDepParseErrorIsRecorded: a dependency-only package that does
+// not parse does not abort the load. It comes back with the error in Err,
+// ahead of the root that imports it, which can then no longer resolve it.
+func TestPackagesDepParseErrorIsRecorded(t *testing.T) {
+	pkgs, err := load.Packages("testdata/depparse", "./root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("got %d packages, want 2", len(pkgs))
+	}
+	dep, root := pkgs[0], pkgs[1]
+	if dep.ImportPath != "fixture/broken" || !dep.DepOnly || dep.Err == nil {
+		t.Fatalf("dependency = %s (DepOnly %v, Err %v), want fixture/broken with a parse error", dep.ImportPath, dep.DepOnly, dep.Err)
+	}
+	if root.ImportPath != "fixture/root" || root.DepOnly || root.Err != nil {
+		t.Fatalf("root = %s (DepOnly %v, Err %v), want fixture/root loaded", root.ImportPath, root.DepOnly, root.Err)
+	}
+	if len(root.TypeErrors) == 0 {
+		t.Fatal("root type-checked cleanly against an unparseable dependency")
+	}
+}

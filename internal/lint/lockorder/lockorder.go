@@ -38,16 +38,15 @@ import (
 
 // Analyzer is the lockorder check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockorder",
-	Doc:       "detects lock-acquisition order cycles, including across packages via Acquires facts",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(Acquires), new(LockGraph)},
+	Name: "lockorder",
+	Doc:  "detects lock-acquisition order cycles, including across packages via Acquires facts",
+	Run:  run,
 }
 
 // Acquires is the object fact attached to a function: the set of named locks
 // the function may acquire, directly or through its callees.
 type Acquires struct {
-	Locks []string `json:"locks"`
+	Locks []string
 }
 
 // AFact marks Acquires as a fact.
@@ -55,14 +54,14 @@ func (*Acquires) AFact() {}
 
 // Edge is one "To acquired while holding From" observation.
 type Edge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 }
 
 // LockGraph is the package fact carrying the acquisition graph accumulated
 // over the package and its analyzed dependencies.
 type LockGraph struct {
-	Edges []Edge `json:"edges"`
+	Edges []Edge
 }
 
 // AFact marks LockGraph as a fact.

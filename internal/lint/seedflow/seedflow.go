@@ -39,17 +39,16 @@ import (
 
 // Analyzer is the seedflow check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "seedflow",
-	Doc:       "flags raw seed arithmetic, math/rand use, and seeds passed into raw-mixing parameters (RawRand facts) outside internal/rng",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(RawRand)},
+	Name: "seedflow",
+	Doc:  "flags raw seed arithmetic, math/rand use, and seeds passed into raw-mixing parameters (RawRand facts) outside internal/rng",
+	Run:  run,
 }
 
 // RawRand marks a function with parameters that feed raw arithmetic instead
 // of going through rng. Params holds the 0-based indices of those
 // parameters.
 type RawRand struct {
-	Params []int `json:"params"`
+	Params []int
 }
 
 // AFact marks RawRand as a fact.

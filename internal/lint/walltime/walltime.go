@@ -38,10 +38,9 @@ import (
 
 // Analyzer is the walltime check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "walltime",
-	Doc:       "flags wall-clock reads in result-bearing packages, including reads laundered through allowlisted callees (ReadsClock facts)",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(ReadsClock)},
+	Name: "walltime",
+	Doc:  "flags wall-clock reads in result-bearing packages, including reads laundered through allowlisted callees (ReadsClock facts)",
+	Run:  run,
 }
 
 // ReadsClock marks a function that observes real time, directly or through

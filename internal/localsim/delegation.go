@@ -117,6 +117,27 @@ func RunHalfNeighborhoodDelegation(ctx context.Context, in *core.Instance, alpha
 	return RunDelegation(ctx, in, alpha, HalfNeighborhoodRule(), seed)
 }
 
+// approvalContexts builds every voter's local view for the delegation
+// protocols: its neighbours, which of them it approves at alpha, and its
+// decision stream root.Derive(v).
+func approvalContexts(in *core.Instance, alpha float64, root *rng.Stream) []*NodeContext {
+	contexts := make([]*NodeContext, in.N())
+	for v := range contexts {
+		nbrs := in.Topology().Neighbors(v)
+		approved := make([]bool, len(nbrs))
+		for k, u := range nbrs {
+			approved[k] = in.Approves(v, u, alpha)
+		}
+		contexts[v] = &NodeContext{
+			ID:        v,
+			Neighbors: nbrs,
+			Approved:  approved,
+			Rand:      root.Derive(uint64(v)),
+		}
+	}
+	return contexts
+}
+
 // RunDelegation executes a distributed delegation protocol with the given
 // local decision rule. Per-node random streams are derived from seed and
 // the node id, so the run is deterministic.
@@ -130,21 +151,9 @@ func RunDelegation(ctx context.Context, in *core.Instance, alpha float64, decide
 		return nil, fmt.Errorf("%w: nil decision rule", ErrProtocol)
 	}
 	n := in.N()
-	root := rng.New(seed)
-	contexts := make([]*NodeContext, n)
+	contexts := approvalContexts(in, alpha, rng.New(seed))
 	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		nbrs := in.Topology().Neighbors(v)
-		approved := make([]bool, len(nbrs))
-		for k, u := range nbrs {
-			approved[k] = in.Approves(v, u, alpha)
-		}
-		contexts[v] = &NodeContext{
-			ID:        v,
-			Neighbors: nbrs,
-			Approved:  approved,
-			Rand:      root.Derive(uint64(v)),
-		}
+	for v := range nodes {
 		nodes[v] = &delegationNode{decide: decide}
 	}
 	nw, err := NewNetwork(contexts, nodes)

@@ -158,7 +158,7 @@ func (r *faultReliableNode) Busy() bool { return len(r.outbox) > 0 }
 type ReliableFaultOptions struct {
 	// LossRate drops each message independently with this probability.
 	LossRate float64
-	// MaxDelay makes delivery take between 1 and 1+MaxDelay rounds.
+	// MaxDelay (>= 0) makes delivery take between 1 and 1+MaxDelay rounds.
 	MaxDelay int
 	// Faults is the scheduled fault injector (crashes, partitions,
 	// duplication, reordering); nil injects nothing.
@@ -166,8 +166,6 @@ type ReliableFaultOptions struct {
 	// SuspectAfter overrides the liveness timeout in rounds; 0 means
 	// DefaultSuspectAfter * (MaxDelay + 1).
 	SuspectAfter int
-	// Budget overrides the round budget; 0 derives one from n and MaxDelay.
-	Budget int
 }
 
 // FaultReport is the outcome of a convergecast under injected faults, with
@@ -227,21 +225,10 @@ func RunReliableDelegationFaulty(ctx context.Context, in *core.Instance, alpha f
 	}
 	n := in.N()
 	root := rng.New(seed)
-	contexts := make([]*NodeContext, n)
+	contexts := approvalContexts(in, alpha, root)
 	nodes := make([]Node, n)
 	rnodes := make([]*faultReliableNode, n)
-	for v := 0; v < n; v++ {
-		nbrs := in.Topology().Neighbors(v)
-		approved := make([]bool, len(nbrs))
-		for k, u := range nbrs {
-			approved[k] = in.Approves(v, u, alpha)
-		}
-		contexts[v] = &NodeContext{
-			ID:        v,
-			Neighbors: nbrs,
-			Approved:  approved,
-			Rand:      root.Derive(uint64(v)),
-		}
+	for v := range nodes {
 		rnodes[v] = &faultReliableNode{decide: decide, suspectAfter: suspectAfter}
 		nodes[v] = rnodes[v]
 	}
@@ -258,13 +245,10 @@ func RunReliableDelegationFaulty(ctx context.Context, in *core.Instance, alpha f
 	if err := nw.SetFaults(opts.Faults); err != nil {
 		return nil, err
 	}
-	budget := opts.Budget
-	if budget <= 0 {
-		// Each hop needs ~(1+maxDelay)/(1-q)^2 expected rounds for
-		// data+ack, and a fallback takes suspectAfter rounds; give
-		// generous headroom over the worst chain length.
-		budget = (200+40*n)*(opts.MaxDelay+1) + (n+1)*suspectAfter
-	}
+	// Each hop needs ~(1+maxDelay)/(1-q)^2 expected rounds for data+ack,
+	// and a fallback takes suspectAfter rounds; give generous headroom over
+	// the worst chain length.
+	budget := (200+40*n)*(opts.MaxDelay+1) + (n+1)*suspectAfter
 	if err := nw.Run(ctx, budget); err != nil {
 		return nil, err
 	}

@@ -155,12 +155,16 @@ func (nw *Network) SetLoss(rate float64, s *rng.Stream) error {
 }
 
 // SetDelay makes message delivery asynchronous: each message is delivered
-// after 1 + IntN(maxDelay) rounds instead of exactly one. maxDelay < 1
-// disables extra delay. Calling after Run or RunRounds has started is a
-// protocol violation (ErrProtocol).
+// after between 1 and 1+maxDelay rounds, drawn from s, instead of exactly
+// one. maxDelay 0 disables extra delay; a negative maxDelay is rejected.
+// Calling after Run or RunRounds has started is a protocol violation
+// (ErrProtocol).
 func (nw *Network) SetDelay(maxDelay int, s *rng.Stream) error {
 	if nw.started {
 		return violationf(ViolationConfigAfterStart, "SetDelay after the simulation started")
+	}
+	if maxDelay < 0 {
+		return violationf(ViolationBadParameter, "max delay %d < 0", maxDelay)
 	}
 	if maxDelay > 0 && s == nil {
 		return violationf(ViolationBadParameter, "delay needs a random stream")

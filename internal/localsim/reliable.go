@@ -113,9 +113,9 @@ func RunReliableDelegation(ctx context.Context, in *core.Instance, alpha float64
 }
 
 // RunReliableDelegationAsync additionally makes delivery asynchronous:
-// every message takes between 1 and 1+maxDelay rounds. Retransmission
-// absorbs both loss and reordering, so the result still matches the
-// synchronous lossless run.
+// every message takes between 1 and 1+maxDelay rounds, maxDelay >= 0.
+// Retransmission absorbs both loss and reordering, so the result still
+// matches the synchronous lossless run.
 func RunReliableDelegationAsync(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64, lossRate float64, maxDelay int) (*Result, error) {
 	if alpha < 0 {
 		return nil, fmt.Errorf("%w: negative alpha %v", ErrProtocol, alpha)
@@ -125,20 +125,9 @@ func RunReliableDelegationAsync(ctx context.Context, in *core.Instance, alpha fl
 	}
 	n := in.N()
 	root := rng.New(seed)
-	contexts := make([]*NodeContext, n)
+	contexts := approvalContexts(in, alpha, root)
 	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		nbrs := in.Topology().Neighbors(v)
-		approved := make([]bool, len(nbrs))
-		for k, u := range nbrs {
-			approved[k] = in.Approves(v, u, alpha)
-		}
-		contexts[v] = &NodeContext{
-			ID:        v,
-			Neighbors: nbrs,
-			Approved:  approved,
-			Rand:      root.Derive(uint64(v)),
-		}
+	for v := range nodes {
 		nodes[v] = &reliableNode{decide: decide}
 	}
 	nw, err := NewNetwork(contexts, nodes)

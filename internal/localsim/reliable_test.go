@@ -198,3 +198,18 @@ func TestSetDelayValidation(t *testing.T) {
 		t.Errorf("zero delay should be fine: %v", err)
 	}
 }
+
+// TestNegativeDelayRejected: the runners derive their round budgets and
+// liveness timeouts from maxDelay+1, so a negative delay must fail as a bad
+// parameter, not as a quiescence failure or a spurious fallback.
+func TestNegativeDelayRejected(t *testing.T) {
+	in := lossyTestInstance(t, 20, 91)
+	_, errAsync := RunReliableDelegationAsync(context.Background(), in, 0.03, ThresholdRule(nil), 1, 0, -1)
+	_, errFaulty := RunReliableDelegationFaulty(context.Background(), in, 0.03, ThresholdRule(nil), 1, ReliableFaultOptions{MaxDelay: -1})
+	for i, err := range []error{errAsync, errFaulty} {
+		var pe *ProtocolError
+		if !errors.As(err, &pe) || pe.Violation != ViolationBadParameter {
+			t.Errorf("runner %d (async, faulty), max delay -1: err = %v, want a %v violation", i, err, ViolationBadParameter)
+		}
+	}
+}

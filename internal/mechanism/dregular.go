@@ -75,50 +75,3 @@ func (m NeighborSampling) Apply(in *core.Instance, s *rng.Stream) (*core.Delegat
 	}
 	return d, nil
 }
-
-// SampledGraphDelegations reports, for analysis, the same procedure as
-// Apply but also returning the realized sampled edge sets. It is used by
-// experiments that audit the induced Rand(n, d) structure.
-func (m NeighborSampling) SampledGraphDelegations(in *core.Instance, s *rng.Stream) (*core.DelegationGraph, [][]int, error) {
-	if m.Alpha < 0 {
-		return nil, nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
-	}
-	n := in.N()
-	if m.D < 1 || m.D >= n {
-		return nil, nil, fmt.Errorf("%w: d = %d must be in [1, n)", ErrInvalidMechanism, m.D)
-	}
-	threshold := 1
-	if m.Threshold != nil {
-		threshold = max(m.Threshold(m.D), 1)
-	}
-	d := core.NewDelegationGraph(n)
-	samples := make([][]int, n)
-	for i := 0; i < n; i++ {
-		sample := s.SampleWithoutReplacement(n-1, m.D)
-		for k, raw := range sample {
-			if raw >= i {
-				sample[k] = raw + 1
-			}
-		}
-		samples[i] = sample
-		approved := 0
-		pick := core.NoDelegate
-		threshVal := in.Competency(i) + m.Alpha
-		for _, j := range sample {
-			if in.Competency(j) < threshVal {
-				continue
-			}
-			approved++
-			if s.IntN(approved) == 0 {
-				pick = j
-			}
-		}
-		if approved < threshold || pick == core.NoDelegate {
-			continue
-		}
-		if err := d.SetDelegate(i, pick); err != nil {
-			return nil, nil, err
-		}
-	}
-	return d, samples, nil
-}

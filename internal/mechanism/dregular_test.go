@@ -87,38 +87,3 @@ func TestNeighborSamplingNeverSamplesSelf(t *testing.T) {
 		}
 	}
 }
-
-func TestSampledGraphDelegationsShape(t *testing.T) {
-	const n, dd = 30, 4
-	in := mustInstance(t, graph.NewComplete(n), uniformComps(n, 25))
-	m := NeighborSampling{Alpha: 0.02, D: dd}
-	d, samples, err := m.SampledGraphDelegations(in, rng.New(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != n {
-		t.Fatalf("samples rows = %d", len(samples))
-	}
-	for i, row := range samples {
-		if len(row) != dd {
-			t.Fatalf("voter %d sampled %d neighbours", i, len(row))
-		}
-		seen := make(map[int]bool)
-		for _, j := range row {
-			if j == i {
-				t.Fatalf("voter %d sampled itself", i)
-			}
-			if j < 0 || j >= n {
-				t.Fatalf("sample out of range: %d", j)
-			}
-			if seen[j] {
-				t.Fatalf("voter %d sampled %d twice", i, j)
-			}
-			seen[j] = true
-		}
-		// Any delegation must be inside the sample.
-		if tgt := d.Delegate[i]; tgt != core.NoDelegate && !seen[tgt] {
-			t.Fatalf("voter %d delegated outside its sample", i)
-		}
-	}
-}

@@ -368,11 +368,16 @@ func (s *Server) readBody(w http.ResponseWriter, rc io.ReadCloser, length int64)
 	return buf.Bytes(), nil
 }
 
-// deadline resolves a request's deadline_ms against the server bounds.
+// deadline resolves a request's deadline_ms against the server bounds. It
+// clamps in milliseconds before converting: deadline_ms may be any int64,
+// and its product with time.Millisecond wraps from 2^63 ns upward.
 func (s *Server) deadline(ms int64) time.Duration {
 	d := s.cfg.DefaultDeadline
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+		d = s.cfg.MaxDeadline
+		if ms <= d.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if d > s.cfg.MaxDeadline {
 		d = s.cfg.MaxDeadline

@@ -324,6 +324,32 @@ func TestEvaluateDeadline(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineClamps: a deadline_ms whose product with time.Millisecond
+// overflows int64 clamps to MaxDeadline instead of wrapping to an expired
+// or sub-millisecond deadline. On both endpoints each such request answers
+// 200 with the bytes of the same request at deadline_ms 2000.
+func TestHugeDeadlineClamps(t *testing.T) {
+	_, instJSON := testInstance(t, 25)
+	_, ts := newTestServer(t, server.Config{})
+	delegations := strings.Repeat("24, ", 4) + strings.TrimSuffix(strings.Repeat("-1, ", 21), ", ")
+	formats := map[string]string{
+		"/v1/evaluate": `{"instance": %s, "mechanism": {"name": "direct"}, "deadline_ms": %d}`,
+		"/v1/whatif":   `{"instance": %s, "delegations": [` + delegations + `], "deadline_ms": %d}`,
+	}
+	for _, path := range []string{"/v1/evaluate", "/v1/whatif"} {
+		resp, want := post(t, ts.URL, path, fmt.Sprintf(formats[path], instJSON, 2000))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s at 2000 ms: status = %d: %s", path, resp.StatusCode, want)
+		}
+		for _, ms := range []int64{9223372036854, 9223372036855, 18446744073710, math.MaxInt64} {
+			resp, got := post(t, ts.URL, path, fmt.Sprintf(formats[path], instJSON, ms))
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%s at %d ms: status %d, body %s; want 200, %s", path, ms, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
 // TestShedding fills the single worker and the admission bound, and
 // asserts the 429 + Retry-After path and its accounting.
 func TestShedding(t *testing.T) {
