@@ -15,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"liquid/internal/telemetry"
 )
 
 // buildBinary compiles a package of this module into dir.
@@ -90,7 +92,8 @@ func startDaemon(t *testing.T, bin string, extra ...string) (*exec.Cmd, string, 
 // TestServeSmoke is the end-to-end serving gate (`make serve-smoke`): build
 // the daemon and the load generator, drive a deterministic load profile
 // with offline bit-identity verification, then drain with SIGTERM and
-// check the manifest was flushed and the exit code is 0.
+// check the manifest was flushed and the exit code is 0. The delta
+// what-ifs all probe one base, so the manifest must count base-memo hits.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives subprocesses")
@@ -136,12 +139,15 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("manifest not flushed on drain: %v", err)
 	}
-	var man map[string]any
+	var man telemetry.Manifest
 	if err := json.Unmarshal(mdata, &man); err != nil {
 		t.Fatalf("manifest not valid JSON: %v", err)
 	}
-	if man["schema"] != "liquid-manifest/1" {
-		t.Fatalf("manifest schema = %v", man["schema"])
+	if man.Schema != "liquid-manifest/1" {
+		t.Fatalf("manifest schema = %v", man.Schema)
+	}
+	if hits := man.Metrics.Counter("server/whatif_base_hits"); hits == 0 {
+		t.Fatalf("no base-memo hits in the manifest (misses %d)", man.Metrics.Counter("server/whatif_base_misses"))
 	}
 }
 

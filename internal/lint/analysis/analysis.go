@@ -71,9 +71,12 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	at := p.Fset.Position(pos)
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
+		File:     at.Filename,
+		Line:     at.Line,
+		Column:   at.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -109,17 +112,16 @@ func (p *Pass) ImportPackageFact(path string, f Fact) bool {
 
 // Diagnostic is one finding, locatable in the source tree.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Column   int            `json:"column"`
-	Message  string         `json:"message"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Message  string `json:"message"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
 }
 
 // Target bundles what a driver needs to analyze one package.
@@ -160,14 +162,14 @@ func (r *Result) merge(o *Result) {
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
+		if a.File != b.File {
+			return a.File < b.File
 		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
+		if a.Column != b.Column {
+			return a.Column < b.Column
 		}
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
@@ -239,13 +241,13 @@ func parseIgnores(fset *token.FileSet, f *ast.File) []*ignoreDirective {
 // wrapped call or composite is often lines below where a suppression can
 // syntactically go.
 func (d *ignoreDirective) matches(diag Diagnostic, stmtStart int) bool {
-	if diag.Pos.Filename != d.file {
+	if diag.File != d.file {
 		return false
 	}
 	// A directive covers its own line (inline comment), the line
 	// immediately below (stand-alone comment above the flagged statement),
 	// and the extent of the statement whose first line it sits on or above.
-	covered := diag.Pos.Line == d.line || diag.Pos.Line == d.line+1 ||
+	covered := diag.Line == d.line || diag.Line == d.line+1 ||
 		(stmtStart > 0 && (stmtStart == d.line || stmtStart == d.line+1))
 	if !covered {
 		return false
@@ -278,7 +280,7 @@ func newStmtStarts(fset *token.FileSet, files []*ast.File) *stmtStarts {
 // diagnostic's line in its file, or 0 when there is none or the statement
 // is single-line.
 func (idx *stmtStarts) enclosingStart(d Diagnostic) int {
-	f, ok := idx.files[d.Pos.Filename]
+	f, ok := idx.files[d.File]
 	if !ok {
 		return 0
 	}
@@ -293,7 +295,7 @@ func (idx *stmtStarts) enclosingStart(d Diagnostic) int {
 		}
 		start := idx.fset.Position(s.Pos()).Line
 		end := idx.fset.Position(s.End()).Line
-		if start == end || d.Pos.Line < start || d.Pos.Line > end {
+		if start == end || d.Line < start || d.Line > end {
 			return true
 		}
 		// Innermost wins: latest start, then tightest end.
@@ -360,7 +362,9 @@ func runPackage(tgt *Target, analyzers []*Analyzer, store factStore) (*Result, e
 		if len(dir.analyzers) == 0 || !dir.hasReason {
 			kept = append(kept, Diagnostic{
 				Analyzer: Directive.Name,
-				Pos:      token.Position{Filename: dir.file, Line: dir.line, Column: 1},
+				File:     dir.file,
+				Line:     dir.line,
+				Column:   1,
 				Message:  "malformed lint:ignore directive: want //lint:ignore <analyzer>[,<analyzer>] <reason>",
 			})
 			continue
@@ -384,15 +388,12 @@ func runPackage(tgt *Target, analyzers []*Analyzer, store factStore) (*Result, e
 		if ran {
 			kept = append(kept, Diagnostic{
 				Analyzer: Directive.Name,
-				Pos:      token.Position{Filename: dir.file, Line: dir.line, Column: 1},
+				File:     dir.file,
+				Line:     dir.line,
+				Column:   1,
 				Message:  fmt.Sprintf("unused lint:ignore directive (%s): nothing here is flagged; delete it", strings.Join(dir.analyzers, ",")),
 			})
 		}
-	}
-	for i := range kept {
-		kept[i].File = kept[i].Pos.Filename
-		kept[i].Line = kept[i].Pos.Line
-		kept[i].Column = kept[i].Pos.Column
 	}
 	sortDiagnostics(kept)
 	result.Diagnostics = kept

@@ -108,7 +108,7 @@ func Check(dir string, a *analysis.Analyzer) (problems []string, err error) {
 
 func consume(wants []*expectation, d analysis.Diagnostic) bool {
 	for _, w := range wants {
-		if !w.met && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+		if !w.met && w.file == d.File && w.line == d.Line && w.re.MatchString(d.Message) {
 			w.met = true
 			return true
 		}

@@ -145,10 +145,10 @@ func approvalContexts(in *core.Instance, alpha float64, root *rng.Stream) []*Nod
 // The maximum round budget is n+2: a delegation chain has at most n-1 hops.
 func RunDelegation(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64) (*Result, error) {
 	if alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrProtocol, alpha)
+		return nil, violationf(ViolationBadParameter, "negative alpha %v", alpha)
 	}
 	if decide == nil {
-		return nil, fmt.Errorf("%w: nil decision rule", ErrProtocol)
+		return nil, violationf(ViolationBadParameter, "nil decision rule")
 	}
 	n := in.N()
 	contexts := approvalContexts(in, alpha, rng.New(seed))

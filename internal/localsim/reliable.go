@@ -118,10 +118,10 @@ func RunReliableDelegation(ctx context.Context, in *core.Instance, alpha float64
 // matches the synchronous lossless run.
 func RunReliableDelegationAsync(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64, lossRate float64, maxDelay int) (*Result, error) {
 	if alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrProtocol, alpha)
+		return nil, violationf(ViolationBadParameter, "negative alpha %v", alpha)
 	}
 	if decide == nil {
-		return nil, fmt.Errorf("%w: nil decision rule", ErrProtocol)
+		return nil, violationf(ViolationBadParameter, "nil decision rule")
 	}
 	n := in.N()
 	root := rng.New(seed)

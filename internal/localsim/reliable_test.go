@@ -213,3 +213,47 @@ func TestNegativeDelayRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestBadParametersAreProtocolErrors: every runner reports a negative alpha
+// or a nil rule as a *ProtocolError with ViolationBadParameter, which still
+// matches ErrProtocol.
+func TestBadParametersAreProtocolErrors(t *testing.T) {
+	in := lossyTestInstance(t, 20, 93)
+	runners := []struct {
+		name string
+		run  func(alpha float64, decide DecisionRule) error
+	}{
+		{"RunDelegation", func(alpha float64, decide DecisionRule) error {
+			_, err := RunDelegation(context.Background(), in, alpha, decide, 1)
+			return err
+		}},
+		{"RunReliableDelegationAsync", func(alpha float64, decide DecisionRule) error {
+			_, err := RunReliableDelegationAsync(context.Background(), in, alpha, decide, 1, 0, 0)
+			return err
+		}},
+		{"RunReliableDelegationFaulty", func(alpha float64, decide DecisionRule) error {
+			_, err := RunReliableDelegationFaulty(context.Background(), in, alpha, decide, 1, ReliableFaultOptions{})
+			return err
+		}},
+	}
+	params := []struct {
+		name   string
+		alpha  float64
+		decide DecisionRule
+	}{
+		{"alpha -0.1", -0.1, ThresholdRule(nil)},
+		{"nil rule", 0.03, nil},
+	}
+	for _, r := range runners {
+		for _, p := range params {
+			err := r.run(p.alpha, p.decide)
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || pe.Violation != ViolationBadParameter {
+				t.Errorf("%s, %s: err = %v, want a %v violation", r.name, p.name, err, ViolationBadParameter)
+			}
+			if !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s, %s: err = %v does not match ErrProtocol", r.name, p.name, err)
+			}
+		}
+	}
+}

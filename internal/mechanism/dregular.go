@@ -46,10 +46,11 @@ func (m NeighborSampling) Apply(in *core.Instance, s *rng.Stream) (*core.Delegat
 		threshold = max(m.Threshold(m.D), 1)
 	}
 	d := core.NewDelegationGraph(n)
+	var sample []int
 	for i := 0; i < n; i++ {
 		// Sample D distinct voters other than i: draw from [0, n-1) and
 		// skip over i by shifting.
-		sample := s.SampleWithoutReplacement(n-1, m.D)
+		sample = s.AppendSampleWithoutReplacement(sample[:0], n-1, m.D)
 		approved := 0
 		pick := core.NoDelegate
 		threshVal := in.Competency(i) + m.Alpha

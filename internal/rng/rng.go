@@ -185,26 +185,36 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand.Shuffle(n, swap) }
 // For small k relative to n it uses rejection from a set; otherwise it uses a
 // partial Fisher-Yates shuffle.
 func (s *Stream) SampleWithoutReplacement(n, k int) []int {
+	return s.AppendSampleWithoutReplacement(nil, n, k)
+}
+
+// AppendSampleWithoutReplacement appends to dst the k values
+// SampleWithoutReplacement(n, k) would return, consuming the same words of
+// the stream, and returns the extended slice. A caller drawing many samples
+// reuses one buffer: dst[:0] keeps its capacity. It panics if k > n or
+// k < 0.
+func (s *Stream) AppendSampleWithoutReplacement(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: SampleWithoutReplacement requires 0 <= k <= n")
 	}
 	if k == 0 {
-		return nil
+		return dst
 	}
+	base := len(dst)
 	// Rejection sampling is expected O(k) when k << n and avoids the O(n)
 	// allocation of a full index slice.
 	if k*8 < n {
-		out := make([]int, 0, k)
+		out := slices.Grow(dst, k)
 		if k <= sampleScanMax {
-			for len(out) < k {
-				if v := s.IntN(n); !slices.Contains(out, v) {
+			for len(out)-base < k {
+				if v := s.IntN(n); !slices.Contains(out[base:], v) {
 					out = append(out, v)
 				}
 			}
 			return out
 		}
 		seen := make(map[int]struct{}, k)
-		for len(out) < k {
+		for len(out)-base < k {
 			v := s.IntN(n)
 			if _, dup := seen[v]; dup {
 				continue
@@ -214,7 +224,10 @@ func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 		}
 		return out
 	}
-	idx := make([]int, n)
+	// The shuffle runs over all n indices in dst's spare capacity and keeps
+	// the first k.
+	out := slices.Grow(dst, n)[:base+n]
+	idx := out[base:]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -222,7 +235,7 @@ func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 		j := i + s.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return idx[:k]
+	return out[:base+k]
 }
 
 // sampleScanMax is the largest k for which SampleWithoutReplacement's

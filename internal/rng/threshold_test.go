@@ -130,8 +130,10 @@ func sampleWithoutReplacementReference(s *Stream, n, k int) []int {
 // TestSampleWithoutReplacementMatchesReference covers k from 0 to twice
 // the scan cutoff, so both rejection variants run, with n on both sides
 // of the k*8 < n switch to the shuffle. At n = 8k+1 the rejection path
-// meets many duplicates.
+// meets many duplicates. The appending form runs on a buffer that already
+// holds values, some of them in [0, n), and must leave them as they were.
 func TestSampleWithoutReplacementMatchesReference(t *testing.T) {
+	buf := make([]int, 0, 4)
 	for k := 0; k <= 2*sampleScanMax; k++ {
 		for _, n := range []int{max(k, 1), 8 * k, 8*k + 1, 20*k + 3, 2000} {
 			if n < k {
@@ -139,13 +141,19 @@ func TestSampleWithoutReplacementMatchesReference(t *testing.T) {
 			}
 			for rep := range 3 {
 				seed := uint64(k)<<32 | uint64(n)<<2 | uint64(rep)
-				a, b := New(seed), New(seed)
+				a, b, c := New(seed), New(seed), New(seed)
 				got := a.SampleWithoutReplacement(n, k)
 				want := sampleWithoutReplacementReference(b, n, k)
 				if !slices.Equal(got, want) {
 					t.Fatalf("n=%d k=%d seed %#x: got %v, want %v", n, k, seed, got, want)
 				}
-				if a.Uint64() != b.Uint64() {
+				prefix := []int{0, n - 1, -1}
+				buf = c.AppendSampleWithoutReplacement(append(buf[:0], prefix...), n, k)
+				if !slices.Equal(buf[:len(prefix)], prefix) || !slices.Equal(buf[len(prefix):], want) {
+					t.Fatalf("n=%d k=%d seed %#x: appended %v to %v, want %v", n, k, seed, buf[len(prefix):], buf[:len(prefix)], want)
+				}
+				w := b.Uint64()
+				if a.Uint64() != w || c.Uint64() != w {
 					t.Fatalf("n=%d k=%d seed %#x: the streams continue at different words", n, k, seed)
 				}
 			}

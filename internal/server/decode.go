@@ -32,13 +32,21 @@ func decodeEvaluate(body []byte, r *EvaluateRequest) *Error {
 }
 
 func decodeWhatIf(body []byte, r *WhatIfRequest) *Error {
+	return decodeWhatIfThrough(body, r, &r.Instance, &r.Delegations)
+}
+
+// decodeWhatIfThrough is decodeWhatIf reading the instance and delegations
+// through inst and prof: r's own fields, or memoValues over them.
+func decodeWhatIfThrough(body []byte, r *WhatIfRequest, inst, prof any) *Error {
 	d := decoder{body: body}
-	return d.document(whatIfKeys, &r.Instance, &r.Delegations, &r.Deltas, &r.DeadlineMS, &r.ErrorBudget)
+	return d.document(whatIfKeys, inst, prof, &r.Deltas, &r.DeadlineMS, &r.ErrorBudget)
 }
 
 // value reads the JSON value of the field p points to, by the field's type.
 func (d *decoder) value(p any) {
 	switch p := p.(type) {
+	case *memoValue:
+		d.memoized(p)
 	case *InstanceSpec:
 		d.fields(instanceKeys, &p.N, &p.Complete, &p.Edges, &p.P)
 	case *MechanismSpec:

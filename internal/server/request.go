@@ -368,7 +368,9 @@ func ParseEvaluateRequest(body []byte) (*ParsedEvaluate, *Error) {
 // delta is a typed 400 before admission — the worker only ever sees delta
 // lists that apply cleanly. Graph.Delegate is Req.Delegations itself, not a
 // copy (the wire's −1 is core.NoDelegate), and nothing mutates either:
-// election.PreviewDeltas copies the profile before it edits it.
+// election.PreviewDeltas copies the profile before it edits it. Through
+// liquidd's base memo, Req.Instance, Req.Delegations and Instance may be
+// shared with other requests that sent the same bytes.
 type ParsedWhatIf struct {
 	Req      *WhatIfRequest
 	Instance *core.Instance
@@ -381,13 +383,35 @@ type ParsedWhatIf struct {
 
 // ParseWhatIfRequest decodes and validates a what-if body.
 func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
+	return parseWhatIf(body, nil)
+}
+
+// parseWhatIf is ParseWhatIfRequest reading the body's instance and
+// delegations through memo, when memo is not nil. A hit stands in for
+// decoding and validating its value; a miss stores the value once the value
+// itself has passed validation. Either way the result is the memo-less
+// parse's, bit for bit, or the same *Error.
+func parseWhatIf(body []byte, memo *baseMemo) (*ParsedWhatIf, *Error) {
 	var req WhatIfRequest
-	if aerr := decodeWhatIf(body, &req); aerr != nil {
-		return nil, aerr
+	inst := memoValue{memo: memo, close: '}', field: &req.Instance}
+	prof := memoValue{memo: memo, close: ']', field: &req.Delegations}
+	var aerr *Error
+	if memo == nil {
+		aerr = decodeWhatIf(body, &req)
+	} else {
+		aerr = decodeWhatIfThrough(body, &req, &inst, &prof)
 	}
-	in, aerr := validateInstance(&req.Instance)
 	if aerr != nil {
 		return nil, aerr
+	}
+	var in *core.Instance
+	if inst.hit != nil {
+		in = inst.hit.in
+	} else {
+		if in, aerr = validateInstance(&req.Instance); aerr != nil {
+			return nil, aerr
+		}
+		memo.put(inst.span, &baseEntry{spec: req.Instance, in: in})
 	}
 	if req.DeadlineMS < 0 {
 		return nil, badRequest(CodeBadRequest, "deadline_ms = %d, want >= 0", req.DeadlineMS)
@@ -399,16 +423,13 @@ func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
 	if len(req.Delegations) != n {
 		return nil, badRequest(CodeBadRequest, "delegations has %d entries for n = %d", len(req.Delegations), n)
 	}
-	d := &core.DelegationGraph{Delegate: req.Delegations}
-	for i, j := range req.Delegations {
-		if j == core.NoDelegate {
-			continue
+	if prof.hit == nil {
+		if aerr := checkDelegations(req.Delegations); aerr != nil {
+			return nil, aerr
 		}
-		// SetDelegate stores j where it already is: the call validates.
-		if err := d.SetDelegate(i, j); err != nil {
-			return nil, badRequest(CodeBadRequest, "delegations[%d]: %v", i, err)
-		}
+		memo.put(prof.span, &baseEntry{profile: req.Delegations})
 	}
+	d := &core.DelegationGraph{Delegate: req.Delegations}
 	parsed := &ParsedWhatIf{Req: &req, Instance: in, Graph: d, FinalInstance: in, FinalGraph: d}
 	if len(req.Deltas) == 0 {
 		return parsed, nil
@@ -434,6 +455,24 @@ func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
 	parsed.Deltas = deltas
 	parsed.FinalInstance, parsed.FinalGraph = fin, fd
 	return parsed, nil
+}
+
+// checkDelegations checks a profile's own entries: each is −1 (a direct
+// vote) or the index of another voter. It only reads the profile, which a
+// memo may share between requests, and phrases its errors as
+// core.DelegationGraph.SetDelegate does.
+func checkDelegations(delegate []int) *Error {
+	n := len(delegate)
+	for i, j := range delegate {
+		switch {
+		case j == core.NoDelegate:
+		case j < 0 || j >= n:
+			return badRequest(CodeBadRequest, "delegations[%d]: %v: edge (%d,%d) out of range [0,%d)", i, core.ErrInvalidDelegation, i, j, n)
+		case j == i:
+			return badRequest(CodeBadRequest, "delegations[%d]: %v: self-delegation at voter %d", i, core.ErrInvalidDelegation, i)
+		}
+	}
+	return nil
 }
 
 // maxBytesError maps the MaxBytesReader rejection to its typed code.

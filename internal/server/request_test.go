@@ -208,7 +208,9 @@ func FuzzDecodeEvaluateRequest(f *testing.F) {
 }
 
 // FuzzDecodeWhatIfRequest holds the what-if decoder to the oracle and the
-// what-if parser to its invariants.
+// what-if parser to its invariants. Every body is parsed without a memo and
+// then twice through a fresh one, a miss and then a hit, and the three
+// parses must agree bit for bit or fail with the same *Error.
 func FuzzDecodeWhatIfRequest(f *testing.F) {
 	// README's three what-if bodies, and one with every delta kind.
 	f.Add([]byte(`{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]}, "delegations": [2, 2, -1]}`))
@@ -220,9 +222,25 @@ func FuzzDecodeWhatIfRequest(f *testing.F) {
 		{"kind": "add-voter", "p": 0.8, "edges": [3], "target": 3}, {"kind": "remove-voter", "voter": 2},
 		{"kind": "add-edge", "voter": 0, "target": 2}, {"kind": "remove-edge", "voter": 0, "target": 1}],
 		"deadline_ms": 500}`))
+	// Bodies whose candidate spans are not their values, and values the memo
+	// must not keep.
+	f.Add([]byte(`{"delegations": [1, -1], "deltas": [{"kind": "add-voter", "p": 0.5, "edges": [1]}], "instance": {"n": 2, "edges": [[0, 1]], "p": [0.5, 0.5]}}`))
+	f.Add([]byte(`{"instance": {"n": 2, "complete": true, "p": [0.5, 0.5]}}, "delegations": [1, -1]}`))
+	f.Add([]byte(`{"instance": {"n": 2, "complete": true, "p": [0.5, 0.5] "delegations": [1, -1]}`))
+	f.Add([]byte(`{"instance": {"n": 2, "complete": true, "p": [0.5, 1.5]}, "delegations": [1, 1]}`))
+	f.Add([]byte(`{"instance": {"n": 2, "complete": true, "p": [0.5, 0.5]}, "delegations": [1, 2]}`))
+	f.Add([]byte(`{"instance": null, "delegations": [[1], -1]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkOracle(t, body, decodeWhatIf)
 		parsed, aerr := ParseWhatIfRequest(body)
+		memo := newBaseMemo()
+		miss, missErr := parseWhatIf(body, memo)
+		checkSameParse(t, "through an empty memo", parsed, aerr, miss, missErr)
+		hit, hitErr := parseWhatIf(body, memo)
+		checkSameParse(t, "through the filled memo", parsed, aerr, hit, hitErr)
+		if aerr == nil && (len(memo.m) != 2 || hit.Instance != miss.Instance || &hit.Req.Delegations[0] != &miss.Req.Delegations[0]) {
+			t.Fatalf("an accepted body left %d entries, and its second parse did not read both from them", len(memo.m))
+		}
 		if aerr != nil {
 			if parsed != nil || aerr.Code == "" || aerr.Status != 400 {
 				t.Fatalf("malformed rejection: %+v", aerr)
@@ -663,7 +681,9 @@ func TestDecoderSizesArraysByTheirElements(t *testing.T) {
 // the benchmark's serve_delta bodies: a complete instance whose competencies,
 // uniform in [0.3, 0.8), are printed by encoding/json, a profile in which
 // each voter delegates to a uniformly chosen later voter with probability
-// 1/2, two repoints and one competency edit.
+// 1/2, two repoints and one competency edit. It parses without a memo, through
+// an empty memo (both values miss and are stored), and through a memo that
+// holds both values (both hit).
 func BenchmarkParseWhatIfRequest(b *testing.B) {
 	const n = 2000
 	s := rng.New(rng.Derive(27, "server", "parse-whatif-bench"))
@@ -685,10 +705,32 @@ func BenchmarkParseWhatIfRequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, aerr := ParseWhatIfRequest(body); aerr != nil {
-			b.Fatal(aerr)
+	b.Run("memoless", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, aerr := ParseWhatIfRequest(body); aerr != nil {
+				b.Fatal(aerr)
+			}
 		}
-	}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, aerr := parseWhatIf(body, newBaseMemo()); aerr != nil {
+				b.Fatal(aerr)
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		memo := newBaseMemo()
+		if _, aerr := parseWhatIf(body, memo); aerr != nil || len(memo.m) != 2 {
+			b.Fatalf("warming the memo: %v, %d entries", aerr, len(memo.m))
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, aerr := parseWhatIf(body, memo); aerr != nil {
+				b.Fatal(aerr)
+			}
+		}
+	})
 }

@@ -119,6 +119,10 @@ type Server struct {
 	failed    atomic.Uint64
 	expired   atomic.Uint64
 
+	// memo holds the validated instances and profiles of recent what-if
+	// bodies, keyed by their bytes.
+	memo *baseMemo
+
 	hLatency      *telemetry.Histogram
 	cRequests     *telemetry.Counter
 	cWhatIfDeltas *telemetry.Counter
@@ -134,6 +138,7 @@ func New(cfg Config) *Server {
 		adm:           newAdmission(queue, cfg.MaxCost),
 		pool:          newPool(cfg.Shards, queue, cfg.ChaosHook),
 		mux:           http.NewServeMux(),
+		memo:          newBaseMemo(),
 		hLatency:      telemetry.NewHistogram("server/latency_seconds", 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10),
 		cRequests:     telemetry.NewCounter("server/requests"),
 		cWhatIfDeltas: telemetry.NewCounter("server/whatif_deltas"),
@@ -308,7 +313,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	parsed, aerr := ParseWhatIfRequest(body)
+	parsed, aerr := parseWhatIf(body, s.memo)
 	if aerr != nil {
 		s.malformed.Add(1)
 		writeError(w, aerr)
