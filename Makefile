@@ -164,8 +164,9 @@ endef
 # multi-delegate sampler against its one-sample-at-a-time reference, the
 # scale fold's chunk pass against its reference resolution and the
 # ladder's moment blocks, liquidd's two request decoders against
-# encoding/json, its number readers against strconv, and rng.Threshold's
-# integer draw against Stream.Bernoulli.
+# encoding/json, its number readers against strconv, the delegation
+# resolver's competency-order visit against the id-order reference, and
+# rng.Threshold's integer draw against Stream.Bernoulli.
 fuzz-smoke:
 	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
@@ -178,6 +179,8 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeNumber -fuzztime=5s
+	$(call require-tests,./internal/core,FuzzResolveOrder)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzResolveOrder -fuzztime=5s
 	$(call require-tests,./internal/rng,FuzzThresholdMatchesBernoulli)
 	$(GO) test ./internal/rng -run='^$$' -fuzz=FuzzThresholdMatchesBernoulli -fuzztime=5s
 	$(call require-tests,./internal/election,FuzzDeltaEquivalence FuzzMultiDelegationEquivalence)
@@ -200,14 +203,15 @@ bench:
 # crash check over benchmark-only code, cheap enough for the check gate.
 # Timings from one iteration are meaningless; use `bash bench/run.sh` for
 # numbers. The first run covers the root package's benchmarks in
-# BENCH_SMOKE: the exact kernels, the delta and certified tiers, and the
-# sampling kernels (multi-delegate and Monte-Carlo P^M votes, track
-# records, sampling without replacement). The second covers the
+# BENCH_SMOKE: the exact kernels, one replication's delegation draw and
+# resolve, the delta and certified tiers, and the sampling kernels
+# (multi-delegate and Monte-Carlo P^M votes, track records, sampling
+# without replacement). The second covers the
 # convolution engine's fork-join path and its FFT merge with and without
 # the vector lanes, whose benchmarks live in internal/prob, the third the
 # scale tier's fused chunk pass, and the fourth liquidd's what-if request
 # parse.
-BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability BenchmarkTrackRecordSimulate BenchmarkResolutionProbabilityMC BenchmarkSampleWithoutReplacement
+BENCH_SMOKE = BenchmarkPoissonBinomialPMF BenchmarkWeightedMajorityDP BenchmarkResolutionScoreCached BenchmarkReplicationApproval2000 BenchmarkEvaluateMechanismSmall BenchmarkEvaluateSweepSmall BenchmarkDeltaSingleVoter2000 BenchmarkDeltaChurn2000 BenchmarkLadderMajority100000 BenchmarkScaleEvaluateMajority100000 BenchmarkCertifyQuery100000 BenchmarkMultiDelegationProbability BenchmarkTrackRecordSimulate BenchmarkResolutionProbabilityMC BenchmarkSampleWithoutReplacement
 empty :=
 space := $(empty) $(empty)
 

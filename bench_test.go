@@ -253,6 +253,31 @@ func BenchmarkDelegationResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkReplicationApproval2000 is one replication's delegation work on a
+// 2000-voter complete instance: Algorithm 1's draw (ApprovalThreshold.Apply)
+// and the resolution of its graph, in the instance's competency order, into
+// a reused Resolver, as election's replication workers run them.
+func BenchmarkReplicationApproval2000(b *testing.B) {
+	in := benchInstance(b, 2000)
+	for _, alpha := range []float64{0, 0.1} {
+		b.Run(fmt.Sprintf("alpha=%g", alpha), func(b *testing.B) {
+			mech := mechanism.ApprovalThreshold{Alpha: alpha}
+			s := rng.New(7)
+			var rv core.Resolver
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := mech.Apply(in, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rv.Resolve(d, in.CompetencyOrder()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEvaluateMechanismSmall(b *testing.B) {
 	in := benchInstance(b, 500)
 	mech := mechanism.ApprovalThreshold{Alpha: 0.05}

@@ -110,33 +110,48 @@ func (d *DelegationGraph) Resolve() (*Resolution, error) {
 // initial[i] votes to its sink. A nil slice means one vote per voter
 // (the paper's model). Initial weights must be non-negative.
 func (d *DelegationGraph) ResolveWithWeights(initial []int) (*Resolution, error) {
-	return new(Resolver).ResolveWithWeights(d, initial)
+	return new(Resolver).ResolveWithWeights(d, initial, nil)
 }
 
 // Resolver resolves delegation graphs into reusable scratch, so hot loops
-// (one resolution per replication) stop paying the six per-call allocations
-// of DelegationGraph.Resolve. The returned Resolution aliases the
-// Resolver's buffers: it is valid only until the next call on the same
-// Resolver, and a Resolver must not be shared between goroutines.
-// Resolution values are identical to DelegationGraph.Resolve's.
+// (one resolution per replication) allocate nothing once the scratch has
+// grown to their size. The returned Resolution aliases the Resolver's
+// buffers: it is valid only until the next call on the same Resolver, and a
+// Resolver must not be shared between goroutines. Resolution values are
+// identical to DelegationGraph.Resolve's, whatever the visiting order.
 type Resolver struct {
-	res   Resolution
-	depth []int
-	sink  []int
-	stack []int
+	res Resolution
+	// depth[v] is v's hop count to its sink plus one once v is resolved,
+	// 0 while v is unreached (so clear resets it) and onChain while a chase
+	// is following v's chain.
+	depth []int32
 	// dirty marks Weight as holding partial writes from an errored call;
 	// clean calls zero only their own sinks' entries on the next resolve.
 	dirty bool
 }
 
+// onChain marks, in Resolver.depth, a voter whose chain is being chased.
+const onChain = -1
+
 // Resolve is ResolveWithWeights with one vote per voter.
-func (r *Resolver) Resolve(d *DelegationGraph) (*Resolution, error) {
-	return r.ResolveWithWeights(d, nil)
+func (r *Resolver) Resolve(d *DelegationGraph, order []int) (*Resolution, error) {
+	return r.ResolveWithWeights(d, nil, order)
 }
 
-// ResolveWithWeights resolves d into the Resolver's scratch. See
-// DelegationGraph.ResolveWithWeights for semantics.
-func (r *Resolver) ResolveWithWeights(d *DelegationGraph, initial []int) (*Resolution, error) {
+// ResolveWithWeights resolves d into the Resolver's scratch; see
+// DelegationGraph.ResolveWithWeights for the semantics. order is the order
+// the voters are visited in: nil visits them by id, and a permutation of the
+// voter ids is visited from its last entry down. Each visit of a voter whose
+// delegate is already resolved is one lookup, so a caller holding an
+// instance passes its CompetencyOrder: Algorithm 1 delegates only to a
+// voter at least alpha more competent, so the most competent voters are
+// visited first and every chain is resolved from its sink. An edge against
+// the order (an alpha = 0 tie, a hand-made profile, a fault repair) is
+// followed down its chain instead. The Resolution does not depend on the
+// order, and neither does the error: a cycle met out of id order is
+// resolved again by id, so the error names the voter the id-order visit
+// meets first.
+func (r *Resolver) ResolveWithWeights(d *DelegationGraph, initial, order []int) (*Resolution, error) {
 	n := len(d.Delegate)
 	if initial != nil {
 		if len(initial) != n {
@@ -148,112 +163,150 @@ func (r *Resolver) ResolveWithWeights(d *DelegationGraph, initial []int) (*Resol
 			}
 		}
 	}
+	if order != nil && len(order) != n {
+		return nil, fmt.Errorf("%w: visiting order of %d voters for %d", ErrInvalidDelegation, len(order), n)
+	}
+	res := r.reset(n)
+	cycle := r.walk(d, initial, order)
+	if cycle >= 0 && order != nil {
+		res = r.reset(n)
+		cycle = r.walk(d, initial, nil)
+	}
+	if cycle >= 0 {
+		return nil, fmt.Errorf("%w: cycle through voter %d", ErrCyclicDelegation, cycle)
+	}
+	// Abstainers were resolved like delegators so that chains pass through
+	// them; they cast nothing and have no sink.
+	if d.Abstained != nil {
+		for i := range n {
+			if !d.Abstained[i] {
+				continue
+			}
+			if d.Delegate[i] == NoDelegate {
+				return nil, fmt.Errorf("%w: voter %d abstained without a delegation option", ErrInvalidDelegation, i)
+			}
+			res.SinkOf[i] = NoDelegate
+		}
+	}
+	// The sinks are the direct voters, none of them abstained, collected by
+	// id so they ascend; everyone else delegated or abstained.
+	for i, j := range d.Delegate {
+		if j == NoDelegate {
+			res.Sinks = append(res.Sinks, i)
+			res.MaxWeight = max(res.MaxWeight, res.Weight[i])
+		}
+	}
+	res.Delegators = n - len(res.Sinks)
+	r.dirty = false
+	return res, nil
+}
+
+// reset sizes the scratch for n voters and clears it for a resolve: the
+// depths, the counts, and the Weight entries the previous call wrote.
+func (r *Resolver) reset(n int) *Resolution {
 	res := &r.res
 	if cap(res.SinkOf) < n {
 		res.SinkOf = make([]int, n)
 		res.Weight = make([]int, n) // fresh, so already zero
-		r.depth = make([]int, n)
-		r.sink = make([]int, n)
+		res.Sinks = make([]int, 0, n)
+		r.depth = make([]int32, n)
 		r.dirty = false
-		res.Sinks = res.Sinks[:0]
 	}
-	res.SinkOf = res.SinkOf[:n]
 	// After a clean resolve the only nonzero Weight entries are that call's
 	// sinks, so zero those instead of the whole vector; an errored call
 	// leaves r.dirty set and forces the full wipe. Zeroing runs over the
 	// full capacity because the previous call may have covered more voters.
-	wfull := res.Weight[:cap(res.Weight)]
-	if r.dirty {
-		for i := range wfull {
-			wfull[i] = 0
-		}
+	if wfull := res.Weight[:cap(res.Weight)]; r.dirty {
+		clear(wfull)
 	} else {
 		for _, v := range res.Sinks {
 			wfull[v] = 0
 		}
 	}
 	r.dirty = true
+	res.SinkOf = res.SinkOf[:n]
 	res.Weight = res.Weight[:n]
 	res.Sinks = res.Sinks[:0]
-	res.MaxWeight = 0
-	res.TotalWeight = 0
-	res.LongestChain = 0
-	res.Delegators = 0
-	// depth[i]: number of hops from i to its sink; -1 unknown, -2 on stack.
-	const (
-		unknown = -1
-		onStack = -2
-	)
-	depth := r.depth[:n]
-	sink := r.sink[:n]
-	for i := range depth {
-		depth[i] = unknown
-	}
+	res.MaxWeight, res.TotalWeight, res.LongestChain, res.Delegators = 0, 0, 0, 0
+	clear(r.depth[:n])
+	return res
+}
 
-	stack := r.stack
-	for start := 0; start < n; start++ {
-		if depth[start] != unknown {
-			continue
+// walk visits every voter of d, by id when order is nil and otherwise order
+// from its last entry down, resolves it (one lookup when its delegate is
+// resolved, a chase otherwise) and credits its vote to its sink. It sets
+// SinkOf, Weight, TotalWeight and LongestChain, and returns the voter a
+// cycle runs through, or -1.
+//
+//lint:hotpath
+func (r *Resolver) walk(d *DelegationGraph, initial, order []int) int {
+	delegate, abstained := d.Delegate, d.Abstained
+	n := len(delegate)
+	res := &r.res
+	sinkOf, weight, depth := res.SinkOf[:n], res.Weight[:n], r.depth[:n]
+	total, longest := 0, int32(1)
+	for k := range n {
+		v := k
+		if order != nil {
+			v = order[n-1-k]
 		}
-		v := start
-		stack = stack[:0]
-		for depth[v] == unknown {
-			if j := d.Delegate[v]; j == NoDelegate {
-				depth[v] = 0
-				sink[v] = v
-			} else {
-				depth[v] = onStack
-				stack = append(stack, v)
-				v = j
-				if depth[v] == onStack {
-					return nil, fmt.Errorf("%w: cycle through voter %d", ErrCyclicDelegation, v)
+		dv := depth[v]
+		if dv == 0 {
+			switch j := delegate[v]; {
+			case j == NoDelegate:
+				dv, sinkOf[v] = 1, v
+			case depth[j] > 0:
+				dv, sinkOf[v] = depth[j]+1, sinkOf[j]
+			default:
+				var cycle int
+				if dv, cycle = chase(delegate, sinkOf, depth, v); cycle >= 0 {
+					return cycle
 				}
 			}
+			depth[v] = dv
 		}
-		// depth[v] is now resolved; unwind the stack.
-		for k := len(stack) - 1; k >= 0; k-- {
-			u := stack[k]
-			next := d.Delegate[u]
-			depth[u] = depth[next] + 1
-			sink[u] = sink[next]
-		}
-	}
-	r.stack = stack // keep any growth for the next call
-
-	for i := 0; i < n; i++ {
-		if d.abstained(i) {
-			if d.Delegate[i] == NoDelegate {
-				return nil, fmt.Errorf("%w: voter %d abstained without a delegation option", ErrInvalidDelegation, i)
-			}
-			res.SinkOf[i] = NoDelegate
-			res.Delegators++
+		if abstained != nil && abstained[v] {
 			continue
 		}
-		res.SinkOf[i] = sink[i]
-		wi := 1
+		w := 1
 		if initial != nil {
-			wi = initial[i]
+			w = initial[v]
 		}
-		res.Weight[sink[i]] += wi
-		res.TotalWeight += wi
-		if d.Delegate[i] != NoDelegate {
-			res.Delegators++
-		} else {
-			// A non-abstained direct voter is its own sink; collecting here
-			// keeps Sinks in ascending order without a second pass over n.
-			res.Sinks = append(res.Sinks, i)
+		weight[sinkOf[v]] += w
+		total += w
+		longest = max(longest, dv)
+	}
+	res.TotalWeight, res.LongestChain = total, int(longest-1)
+	return -1
+}
+
+// chase resolves v, whose delegate is not resolved yet, with every
+// unresolved voter on its chain, and returns v's depth entry. A first pass
+// follows the chain to a resolved or direct voter, marking each voter it
+// leaves onChain; a second pass from v sets their depths and sinks, so no
+// stack is kept. If the chain meets a voter it has marked, chase returns
+// that voter as the cycle's, and leaves the marks.
+func chase(delegate, sinkOf []int, depth []int32, v int) (dv int32, cycle int) {
+	hops := int32(0)
+	u := v
+	for depth[u] == 0 {
+		j := delegate[u]
+		if j == NoDelegate {
+			depth[u], sinkOf[u] = 1, u
+			break
 		}
-		if depth[i] > res.LongestChain {
-			res.LongestChain = depth[i]
+		depth[u] = onChain
+		hops++
+		if u = j; depth[u] == onChain {
+			return 0, u
 		}
 	}
-	for _, v := range res.Sinks {
-		if res.Weight[v] > res.MaxWeight {
-			res.MaxWeight = res.Weight[v]
-		}
+	base, sink := depth[u], sinkOf[u]
+	for u = v; hops > 0; hops-- {
+		depth[u], sinkOf[u] = base+hops, sink
+		u = delegate[u]
 	}
-	r.dirty = false
-	return res, nil
+	return depth[v], -1
 }
 
 // ValidateLocal checks that every delegation edge of d is local (goes to a

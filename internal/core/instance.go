@@ -445,6 +445,48 @@ func (v ApprovalView) Sample(i int, s *rng.Stream) (int, bool) {
 	return v.in.sampleApprovedAt(i, v.alpha, v.lo[i], s)
 }
 
+// SampleAll draws every voter's approved delegate into dst, which has one
+// entry per voter: dst[i] is what Sample(i, s) returns, or NoDelegate when
+// J(i) is empty. Voters draw in id order, so s yields exactly the words,
+// and stops where, Sample called voter by voter would.
+func (v ApprovalView) SampleAll(dst []int, s *rng.Stream) {
+	if v.lo != nil {
+		v.sampleComplete(dst, s)
+		return
+	}
+	for i := range dst {
+		j, ok := v.in.SampleApproved(i, v.alpha, s)
+		if !ok {
+			j = NoDelegate
+		}
+		dst[i] = j
+	}
+}
+
+// sampleComplete is SampleAll on a complete topology: sampleApprovedAt for
+// each voter in turn, in one loop over the suffix starts.
+//
+//lint:hotpath
+func (v ApprovalView) sampleComplete(dst []int, s *rng.Stream) {
+	p, byCompetency, alpha := v.in.p, v.in.byCompetency, v.alpha
+	n := len(byCompetency)
+	for i, lo := range v.lo[:len(dst)] {
+		size := n - lo
+		if alpha <= 0 && p[i] >= p[i]+alpha {
+			size-- // exclude self, which the suffix includes when alpha <= 0
+		}
+		if size <= 0 {
+			dst[i] = NoDelegate
+			continue
+		}
+		j := byCompetency[lo+s.IntN(n-lo)]
+		for j == i {
+			j = byCompetency[lo+s.IntN(n-lo)]
+		}
+		dst[i] = j
+	}
+}
+
 // TopByCompetency returns the voter ids of the k most competent voters,
 // most competent first. k is clamped to [0, n].
 func (in *Instance) TopByCompetency(k int) []int {

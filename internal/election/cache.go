@@ -37,9 +37,18 @@ import (
 // replication workers. Pooling affects allocation only, never results.
 var wsPool = sync.Pool{New: func() any { return prob.NewWorkspace() }}
 
-// rvPool pools delegation resolvers for the replication workers, for the
-// same reason: resolver scratch never influences Resolution values.
+// rvPool pools delegation resolvers for the replication workers and for
+// liquidd's what-if handler (GetResolver), for the same reason: resolver
+// scratch never influences Resolution values.
 var rvPool = sync.Pool{New: func() any { return new(core.Resolver) }}
+
+// GetResolver takes a resolver from the pool the replication workers draw
+// from. Hand it back with PutResolver once nothing reads the Resolution it
+// last returned; a resolver that is never handed back is left to the GC.
+func GetResolver() *core.Resolver { return rvPool.Get().(*core.Resolver) }
+
+// PutResolver returns rv, taken with GetResolver, to the pool.
+func PutResolver(rv *core.Resolver) { rvPool.Put(rv) }
 
 // scoreCacheMaxBytes bounds a plan's ScoreCache in bytes: each entry is
 // charged its key's length (12 bytes a sink) plus scoreCacheEntryBytes.

@@ -395,7 +395,7 @@ func removeVoterFromDelegation(d *core.DelegationGraph, v int) *core.DelegationG
 // kernel and the plan's shared score cache — bit-identical to
 // ResolutionProbabilityExact on the same instance and profile.
 func (s *Scenario) Score() (float64, error) {
-	res, err := s.rv.Resolve(s.d)
+	res, err := s.rv.Resolve(s.d, s.plan.in.CompetencyOrder())
 	if err != nil {
 		return 0, err
 	}

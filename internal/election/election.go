@@ -265,7 +265,7 @@ func evaluateReplication(ctx context.Context, in *core.Instance, mech mechanism.
 			return repOut{err: err}
 		}
 	}
-	res, err := rv.ResolveWithWeights(rep.Graph, rep.Weights)
+	res, err := rv.ResolveWithWeights(rep.Graph, rep.Weights, in.CompetencyOrder())
 	if err != nil {
 		return repOut{err: err}
 	}

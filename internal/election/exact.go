@@ -72,7 +72,7 @@ func ExactMechanismProbability(in *core.Instance, mech mechanism.DistributionMec
 			return nil
 		}
 		if v == n {
-			res, err := rv.Resolve(dg)
+			res, err := rv.Resolve(dg, in.CompetencyOrder())
 			if err != nil {
 				return err
 			}

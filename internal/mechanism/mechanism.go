@@ -93,17 +93,20 @@ func (m ApprovalThreshold) Apply(in *core.Instance, s *rng.Stream) (*core.Delega
 	if m.Alpha < 0 {
 		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
-	d := core.NewDelegationGraph(in.N())
 	view := in.ApprovalView(m.Alpha)
-	for i := 0; i < in.N(); i++ {
-		if m.Threshold != nil {
-			if view.Count(i) < max(m.Threshold(in.Topology().Degree(i)), 1) {
-				continue
-			}
-		}
+	if m.Threshold == nil {
 		// With no threshold the only requirement is |J(i)| >= 1, which
 		// Sample reports itself (consuming no randomness when the set is
-		// empty), so the count query is skipped entirely.
+		// empty), so every voter draws in one pass.
+		d := &core.DelegationGraph{Delegate: make([]int, in.N())}
+		view.SampleAll(d.Delegate, s)
+		return d, nil
+	}
+	d := core.NewDelegationGraph(in.N())
+	for i := 0; i < in.N(); i++ {
+		if view.Count(i) < max(m.Threshold(in.Topology().Degree(i)), 1) {
+			continue
+		}
 		j, ok := view.Sample(i, s)
 		if !ok {
 			continue

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"hash/maphash"
 	"sync"
 
 	"liquid/internal/core"
@@ -18,11 +19,17 @@ const baseMemoMaxBytes = 1 << 20
 // a body, the instance object and the delegations array, keyed by the
 // value's exact bytes. A client probing one base election sends the same
 // instance and profile with every edit; on a hit the decoder skips the
-// value, and the parse skips validating it. It follows ScoreCache's rule:
-// each entry is charged its span and its decoded tables against one byte
-// budget, an insert that would pass the budget drops the map wholesale, and
-// a value larger than the budget is not stored. Its hit and miss counts go
-// to write-only telemetry.
+// value, and the parse skips validating it. A value is stored from its
+// second sighting: the first records only a 64-bit hash of its span, so a
+// value sent once (a fresh base, or a body that never repeats) costs no
+// copy and evicts nothing. A hash collision only stores a span a sighting
+// early; entries stay keyed by exact bytes. It follows ScoreCache's rule:
+// each entry is charged its span and its decoded tables, and each hash
+// seenBytes, against one byte budget; an entry whose insert would pass the
+// budget drops the map and the hashes wholesale, a hash that would pass it
+// drops the other hashes, and the entries only when they alone leave no
+// room, and a value larger than the budget is not stored. Its hit and miss
+// counts go to write-only telemetry.
 //
 // Entries are shared by every request that sends their bytes, so nothing
 // may write to them: election.PreviewDeltas copies the profile and builds a
@@ -34,11 +41,17 @@ const baseMemoMaxBytes = 1 << 20
 type baseMemo struct {
 	mu       sync.Mutex
 	m        map[string]*baseEntry
-	bytes    int // the entries' charge against maxBytes
+	seen     map[uint64]struct{} // hashes of spans sighted once
+	hashKey  maphash.Seed
+	bytes    int // the entries' and hashes' charge against maxBytes
 	maxBytes int
 
 	hits, misses *telemetry.Counter
 }
+
+// seenBytes is what one recorded hash is charged: its eight-byte key with
+// the map's control byte and spare slots.
+const seenBytes = 16
 
 // baseEntry is one memoized value: a validated instance with the spec it
 // was decoded from, or a validated delegation profile.
@@ -51,6 +64,8 @@ type baseEntry struct {
 func newBaseMemo() *baseMemo {
 	return &baseMemo{
 		m:        make(map[string]*baseEntry),
+		seen:     make(map[uint64]struct{}),
+		hashKey:  maphash.MakeSeed(),
 		maxBytes: baseMemoMaxBytes,
 		hits:     telemetry.NewCounter("server/whatif_base_hits"),
 		misses:   telemetry.NewCounter("server/whatif_base_misses"),
@@ -70,25 +85,49 @@ func (m *baseMemo) get(span []byte) *baseEntry {
 	return e
 }
 
-// put stores e under a copy of span. A nil memo or span stores nothing.
-func (m *baseMemo) put(span []byte, e *baseEntry) {
+// put sights a validated value: the first sighting of span records its
+// hash, and a later one stores e under a copy of span. A nil memo or span
+// records nothing.
+func (m *baseMemo) put(span []byte, e baseEntry) {
 	if m == nil || span == nil {
 		return
 	}
-	cost := entryCharge(span, e)
+	cost := entryCharge(span, &e)
 	if cost > m.maxBytes {
 		return
 	}
+	h := maphash.Bytes(m.hashKey, span)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.m[string(span)]; ok {
 		return
 	}
+	if _, ok := m.seen[h]; !ok {
+		// A hash makes room by dropping the other hashes, and drops the
+		// entries only when they alone leave no room.
+		if m.bytes+seenBytes > m.maxBytes {
+			m.bytes -= seenBytes * len(m.seen)
+			m.seen = make(map[uint64]struct{})
+		}
+		m.reserve(seenBytes)
+		m.seen[h] = struct{}{}
+		return
+	}
+	delete(m.seen, h)
+	m.bytes -= seenBytes
+	m.reserve(cost)
+	stored := e // only a stored entry reaches the heap
+	m.m[string(span)] = &stored
+}
+
+// reserve charges cost bytes, first dropping the map and the hashes when the
+// charge would pass the budget.
+func (m *baseMemo) reserve(cost int) {
 	if m.bytes+cost > m.maxBytes {
 		m.m = make(map[string]*baseEntry)
+		m.seen = make(map[uint64]struct{})
 		m.bytes = 0
 	}
-	m.m[string(span)] = e
 	m.bytes += cost
 }
 

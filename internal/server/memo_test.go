@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -51,46 +52,62 @@ func sameInstance(x, y *core.Instance) bool {
 	return true
 }
 
-// TestBaseMemoBudget holds the memo to its byte budget: the charge never
-// passes it, the insert that would pass it drops the map first, a repeated
-// span is charged once, and a value larger than the budget is not stored.
+// TestBaseMemoBudget holds the memo to its byte budget: the charge, the
+// entries' and the hashes', never passes it, the insert that would pass it
+// drops the map first, a repeated span is charged once, and a value larger
+// than the budget is not stored.
 func TestBaseMemoBudget(t *testing.T) {
 	memo := newBaseMemo()
 	memo.maxBytes = 1000
-	profile := func(words int) *baseEntry { return &baseEntry{profile: make([]int, words)} }
-	put := func(span string, e *baseEntry) {
+	profile := func(words int) baseEntry { return baseEntry{profile: make([]int, words)} }
+	check := func(span string) {
 		t.Helper()
-		memo.put([]byte(span), e)
-		sum := 0
+		sum := seenBytes * len(memo.seen)
 		for k, e := range memo.m {
 			sum += entryCharge([]byte(k), e)
 		}
 		if memo.bytes != sum || memo.bytes > memo.maxBytes {
-			t.Fatalf("after %q: charge %d, entries %d, budget %d", span, memo.bytes, sum, memo.maxBytes)
+			t.Fatalf("after %q: charge %d, entries and hashes %d, budget %d", span, memo.bytes, sum, memo.maxBytes)
+		}
+	}
+	// store sights span twice, which stores it.
+	store := func(span string, e baseEntry) {
+		t.Helper()
+		for range 2 {
+			memo.put([]byte(span), e)
+			check(span)
 		}
 	}
 	// Three entries of 3+8*37 = 299 bytes fit in 1000.
-	put("[0]", profile(37))
-	put("[1]", profile(37))
-	put("[2]", profile(37))
-	put("[1]", profile(37))
-	if len(memo.m) != 3 || memo.bytes != 897 {
-		t.Fatalf("%d entries charged %d, want 3 charged 897", len(memo.m), memo.bytes)
+	store("[0]", profile(37))
+	store("[1]", profile(37))
+	store("[2]", profile(37))
+	store("[1]", profile(37))
+	if len(memo.m) != 3 || len(memo.seen) != 0 || memo.bytes != 897 {
+		t.Fatalf("%d entries and %d hashes charged %d, want 3 entries charged 897", len(memo.m), len(memo.seen), memo.bytes)
 	}
-	// The fourth would pass the budget: the map goes first.
-	put("[3]", profile(37))
+	// The fourth's hash fits, but the fourth would pass the budget: the map
+	// goes first.
+	store("[3]", profile(37))
 	if len(memo.m) != 1 || memo.m["[3]"] == nil {
 		t.Fatalf("%d entries, want [3] alone", len(memo.m))
 	}
-	// A value larger than the budget is not stored and drops nothing; one
-	// of exactly the budget is stored.
-	put("[4]", profile(125))
-	if len(memo.m) != 1 || memo.m["[4]"] != nil {
-		t.Fatalf("an entry of %d bytes was stored, or dropped the map", entryCharge([]byte("[4]"), profile(125)))
+	// A value larger than the budget is not stored, not even as a hash, and
+	// drops nothing; one of exactly the budget is stored.
+	store("[4]", profile(125))
+	if len(memo.m) != 1 || memo.m["[4]"] != nil || len(memo.seen) != 0 {
+		t.Fatalf("an entry of %d bytes was sighted or stored, or dropped the map", entryCharge([]byte("[4]"), &baseEntry{profile: make([]int, 125)}))
 	}
-	put("[5]", profile(124))
+	store("[5]", profile(124))
 	if len(memo.m) != 1 || memo.bytes != 995 {
 		t.Fatalf("%d entries charged %d, want [5] alone at 995", len(memo.m), memo.bytes)
+	}
+	// With 5 bytes left no hash fits beside [5], so a first sighting drops
+	// it too.
+	memo.put([]byte("[6]"), profile(1))
+	check("[6]")
+	if len(memo.m) != 0 || len(memo.seen) != 1 {
+		t.Fatalf("%d entries and %d hashes, want one hash alone", len(memo.m), len(memo.seen))
 	}
 
 	// An instance entry is charged its span, the spec's p and edges, the
@@ -113,6 +130,53 @@ func TestBaseMemoBudget(t *testing.T) {
 		if got, want := entryCharge([]byte(body), &baseEntry{spec: spec, in: in}), len(body)+8*words; got != want {
 			t.Fatalf("%s: charged %d, want %d", body, got, want)
 		}
+	}
+}
+
+// TestBaseMemoSecondSighting: a value sent once is not stored, one sent
+// twice is, and the third send hits, reading the stored instance and
+// profile. One-off bases sent after it, enough to pass the budget with
+// their hashes, drop only hashes and never the stored base.
+func TestBaseMemoSecondSighting(t *testing.T) {
+	// A base's instance and profile; pad spaces make a profile's bytes new.
+	body := func(p float64, pad int) []byte {
+		return fmt.Appendf(nil, `{"instance": {"n": 3, "complete": true, "p": [0.5, 0.6, %v]}, "delegations": [2, -1, -1%s]}`, p, strings.Repeat(" ", pad))
+	}
+	memo := newBaseMemo()
+	shared := body(0.9, 0)
+	parse := func(b []byte) *ParsedWhatIf {
+		t.Helper()
+		parsed, aerr := parseWhatIf(b, memo)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		return parsed
+	}
+	first := parse(shared)
+	if len(memo.m) != 0 || len(memo.seen) != 2 {
+		t.Fatalf("sent once: %d entries and %d hashes, want 2 hashes", len(memo.m), len(memo.seen))
+	}
+	second := parse(shared)
+	if len(memo.m) != 2 || len(memo.seen) != 0 || second.Instance == first.Instance {
+		t.Fatalf("sent twice: %d entries and %d hashes, want 2 entries", len(memo.m), len(memo.seen))
+	}
+	third := parse(shared)
+	if third.Instance != second.Instance || &third.Graph.Delegate[0] != &second.Graph.Delegate[0] {
+		t.Fatal("the third send did not read the stored instance and profile")
+	}
+	stored := memo.bytes
+	memo.maxBytes = stored + 10*seenBytes
+	for k := range 40 {
+		parse(body(0.7+float64(k)/1000, k+1))
+		if memo.m[`{"n": 3, "complete": true, "p": [0.5, 0.6, 0.9]}`] == nil || memo.m["[2, -1, -1]"] == nil || len(memo.m) != 2 {
+			t.Fatalf("one-off base %d dropped the shared base or was stored (%d entries)", k, len(memo.m))
+		}
+		if memo.bytes > memo.maxBytes || memo.bytes != stored+seenBytes*len(memo.seen) {
+			t.Fatalf("one-off base %d: charge %d with %d hashes, budget %d", k, memo.bytes, len(memo.seen), memo.maxBytes)
+		}
+	}
+	if fourth := parse(shared); fourth.Instance != second.Instance {
+		t.Fatal("the shared base missed after the one-off bases")
 	}
 }
 

@@ -388,9 +388,10 @@ func ParseWhatIfRequest(body []byte) (*ParsedWhatIf, *Error) {
 
 // parseWhatIf is ParseWhatIfRequest reading the body's instance and
 // delegations through memo, when memo is not nil. A hit stands in for
-// decoding and validating its value; a miss stores the value once the value
-// itself has passed validation. Either way the result is the memo-less
-// parse's, bit for bit, or the same *Error.
+// decoding and validating its value; a miss sights the value once the value
+// itself has passed validation, and the memo stores it from its second
+// sighting. Either way the result is the memo-less parse's, bit for bit, or
+// the same *Error.
 func parseWhatIf(body []byte, memo *baseMemo) (*ParsedWhatIf, *Error) {
 	var req WhatIfRequest
 	inst := memoValue{memo: memo, close: '}', field: &req.Instance}
@@ -411,7 +412,7 @@ func parseWhatIf(body []byte, memo *baseMemo) (*ParsedWhatIf, *Error) {
 		if in, aerr = validateInstance(&req.Instance); aerr != nil {
 			return nil, aerr
 		}
-		memo.put(inst.span, &baseEntry{spec: req.Instance, in: in})
+		memo.put(inst.span, baseEntry{spec: req.Instance, in: in})
 	}
 	if req.DeadlineMS < 0 {
 		return nil, badRequest(CodeBadRequest, "deadline_ms = %d, want >= 0", req.DeadlineMS)
@@ -427,7 +428,7 @@ func parseWhatIf(body []byte, memo *baseMemo) (*ParsedWhatIf, *Error) {
 		if aerr := checkDelegations(req.Delegations); aerr != nil {
 			return nil, aerr
 		}
-		memo.put(prof.span, &baseEntry{profile: req.Delegations})
+		memo.put(prof.span, baseEntry{profile: req.Delegations})
 	}
 	d := &core.DelegationGraph{Delegate: req.Delegations}
 	parsed := &ParsedWhatIf{Req: &req, Instance: in, Graph: d, FinalInstance: in, FinalGraph: d}

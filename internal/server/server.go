@@ -321,9 +321,13 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cycles are a property of the request, not of evaluation: resolve the
 	// post-delta profile once up front so a cyclic profile is a typed 400,
-	// before admission. With no deltas this is the base profile itself.
-	res, err := parsed.FinalGraph.Resolve()
+	// before admission. With no deltas this is the base profile itself. The
+	// resolution lives in a pooled resolver, which the worker hands back
+	// after scoring; a shed or expired task leaves it to the GC.
+	rv := election.GetResolver()
+	res, err := rv.Resolve(parsed.FinalGraph, parsed.FinalInstance.CompetencyOrder())
 	if err != nil {
+		election.PutResolver(rv)
 		s.malformed.Add(1)
 		writeError(w, badRequest(CodeBadRequest, "resolving delegations: %v", err))
 		return
@@ -347,6 +351,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp *WhatIfResponse
 	s.dispatch(ctx, w, cost, func(ctx context.Context) error {
+		defer election.PutResolver(rv)
 		var err error
 		resp, err = s.whatIf(ctx, parsed, res, exactCost)
 		return err
