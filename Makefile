@@ -165,8 +165,9 @@ endef
 # scale fold's chunk pass against its reference resolution and the
 # ladder's moment blocks, liquidd's two request decoders against
 # encoding/json, its number readers against strconv, the delegation
-# resolver's competency-order visit against the id-order reference, and
-# rng.Threshold's integer draw against Stream.Bernoulli.
+# resolver's competency-order visit against the id-order reference, the
+# approval view's counts, sets and draws against a brute-force scan with
+# Approves, and rng.Threshold's integer draw against Stream.Bernoulli.
 fuzz-smoke:
 	$(call require-tests,./internal/localsim,FuzzMessageValidation)
 	$(GO) test ./internal/localsim -run='^$$' -fuzz=FuzzMessageValidation -fuzztime=5s
@@ -179,8 +180,9 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeEvaluateRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeWhatIfRequest -fuzztime=5s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeNumber -fuzztime=5s
-	$(call require-tests,./internal/core,FuzzResolveOrder)
+	$(call require-tests,./internal/core,FuzzResolveOrder FuzzApprovalView)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzResolveOrder -fuzztime=5s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzApprovalView -fuzztime=5s
 	$(call require-tests,./internal/rng,FuzzThresholdMatchesBernoulli)
 	$(GO) test ./internal/rng -run='^$$' -fuzz=FuzzThresholdMatchesBernoulli -fuzztime=5s
 	$(call require-tests,./internal/election,FuzzDeltaEquivalence FuzzMultiDelegationEquivalence)

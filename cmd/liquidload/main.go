@@ -9,12 +9,10 @@
 //
 //	sent == completed + malformed + shed + failed + expired
 //
-// and, with -verify, recomputes every completed exact evaluate response
-// offline (election.EvaluateMechanism with the same seed and options),
-// every completed fault evaluate (fault.EvaluateSweep with the same seed
-// and options) and every completed delta what-if (exact kernels on the
-// post-delta election) and requires bit-identical bytes. Any violation
-// exits nonzero.
+// and, with -verify, answers every completed request again with the
+// daemon's own handler, run in process on one shard, and requires the
+// live response's bytes: evaluates, fault evaluates and explicit and delta
+// what-ifs alike. Any violation exits nonzero.
 //
 // -whatif-delta-frac carves out a slice of delta what-ifs: every such
 // request probes the same shared base election with a short list of
@@ -30,24 +28,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"liquid/internal/core"
-	"liquid/internal/election"
-	"liquid/internal/fault"
-	"liquid/internal/graph"
-	"liquid/internal/mechanism"
-	"liquid/internal/prob"
 	"liquid/internal/rng"
 	"liquid/internal/server"
 )
@@ -59,16 +51,13 @@ func main() {
 	}
 }
 
-// request is one scheduled request: its wire bytes plus everything needed
-// to verify the response offline.
+// request is one scheduled request: its kind, wire bytes and seed.
 type request struct {
-	kind string // evaluate | fault | whatif | malformed
+	kind string // evaluate | fault | whatif | whatif-delta | malformed
 	path string
 	body []byte
 	seed uint64
 	slow bool
-	// alpha parameterizes the evaluate mechanism for -verify.
-	alpha float64
 }
 
 // outcome is one completed request's client-side observation.
@@ -95,7 +84,7 @@ func run(args []string, out, errOut io.Writer) error {
 		faultF     = fs.Float64("fault-frac", 0.2, "fraction of evaluate requests carrying a fault block")
 		malformedF = fs.Float64("malformed-frac", 0.1, "fraction of malformed bodies (typed 400s)")
 		slowF      = fs.Float64("slow-frac", 0.1, "fraction of slow clients (trickled request bodies)")
-		verify     = fs.Bool("verify", false, "recompute completed exact evaluate, fault and delta what-if responses offline and require bit-identity")
+		verify     = fs.Bool("verify", false, "answer every completed request again with the daemon's handler in process and require bit-identity")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,47 +173,12 @@ func run(args []string, out, errOut io.Writer) error {
 		return fmt.Errorf("outcome taxonomy leaks: %d outcomes for %d requests", sum, got.Received)
 	}
 
-	verified, verifiedFault, verifiedWhatIf := 0, 0, 0
 	if *verify {
-		for i, o := range outcomes {
-			if o.status != http.StatusOK {
-				continue
-			}
-			switch reqs[i].kind {
-			case "evaluate":
-				want, err := offlineEvaluate(reqs[i], *voters, *reps, *seed)
-				if err != nil {
-					return fmt.Errorf("offline verify request %d: %w", i, err)
-				}
-				if !bytes.Equal(o.body, want) {
-					return fmt.Errorf("request %d (seed %d) not bit-identical to offline evaluation:\n got: %s\nwant: %s",
-						i, reqs[i].seed, o.body, want)
-				}
-				verified++
-			case "fault":
-				want, err := offlineFault(reqs[i])
-				if err != nil {
-					return fmt.Errorf("offline verify request %d: %w", i, err)
-				}
-				if !bytes.Equal(o.body, want) {
-					return fmt.Errorf("fault evaluate %d (seed %d) not bit-identical to offline evaluation:\n got: %s\nwant: %s",
-						i, reqs[i].seed, o.body, want)
-				}
-				verifiedFault++
-			case "whatif-delta":
-				want, err := offlineWhatIfDelta(reqs[i])
-				if err != nil {
-					return fmt.Errorf("offline verify request %d: %w", i, err)
-				}
-				if !bytes.Equal(o.body, want) {
-					return fmt.Errorf("delta what-if %d not bit-identical to offline evaluation:\n got: %s\nwant: %s",
-						i, o.body, want)
-				}
-				verifiedWhatIf++
-			}
+		verified, err := verifyInProcess(reqs, outcomes)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(out, "verified %d completed evaluate responses, %d fault evaluates and %d delta what-ifs bit-identical to offline evaluation\n",
-			verified, verifiedFault, verifiedWhatIf)
+		fmt.Fprintf(out, "verified %d completed responses bit-identical to the daemon's handler run in process\n", verified)
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
@@ -249,7 +203,7 @@ func buildSchedule(seed uint64, n, voters, reps int, deadlineMS int64, whatifF, 
 	for i := range reqs {
 		s := root.Derive(uint64(i))
 		rq := request{seed: s.Uint64(), slow: s.Float64() < slowF, path: "/v1/evaluate"}
-		inst := instanceSpec(voters, s)
+		inst := instanceSpec(voters)
 		switch u := s.Float64(); {
 		case u < malformedF:
 			rq.kind = "malformed"
@@ -326,10 +280,9 @@ func buildSchedule(seed uint64, n, voters, reps int, deadlineMS int64, whatifF, 
 			rq.body = body
 		default:
 			rq.kind = "evaluate"
-			rq.alpha = 0.05 * float64(s.Uint64()%5)
 			body, err := json.Marshal(server.EvaluateRequest{
 				Instance:     inst,
-				Mechanism:    server.MechanismSpec{Name: "approval-threshold", Alpha: rq.alpha},
+				Mechanism:    server.MechanismSpec{Name: "approval-threshold", Alpha: 0.05 * float64(s.Uint64()%5)},
 				Seed:         rq.seed,
 				Replications: reps,
 				DeadlineMS:   deadlineMS,
@@ -358,14 +311,13 @@ func baseDelegations(voters int) []int {
 	return deleg
 }
 
-// instanceSpec derives a deterministic competency profile. The values are
-// a fixed grid (not draws) so -verify can rebuild the same instance.
-func instanceSpec(voters int, s *rng.Stream) server.InstanceSpec {
+// instanceSpec derives a deterministic competency profile: a fixed grid,
+// not draws.
+func instanceSpec(voters int) server.InstanceSpec {
 	ps := make([]float64, voters)
 	for i := range ps {
 		ps[i] = 0.4 + 0.5*float64(i)/float64(voters)
 	}
-	_ = s
 	return server.InstanceSpec{N: voters, Complete: true, P: ps}
 }
 
@@ -437,105 +389,28 @@ func fetchStats(base string) (server.Stats, error) {
 	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
-// offlineWhatIfDelta rebuilds a completed delta what-if response from the
-// request's own body: re-parse it with the daemon's decoder, then score
-// the post-delta election with the exact kernels, so byte equality
-// certifies the served response against offline evaluation.
-func offlineWhatIfDelta(rq request) ([]byte, error) {
-	parsed, aerr := server.ParseWhatIfRequest(rq.body)
-	if aerr != nil {
-		return nil, aerr
+// verifyInProcess answers every request the daemon completed again, with
+// the daemon's own handler on a fresh one-shard server in this process,
+// and requires the same status and bytes. It returns how many it checked.
+// The in-process answer is exact wherever the live one was, so a daemon
+// that degraded a completed answer (a starved -cost-rate, say) fails here.
+func verifyInProcess(reqs []request, outcomes []outcome) (int, error) {
+	srv := server.New(server.Config{Shards: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	verified := 0
+	for i, o := range outcomes {
+		if o.status != http.StatusOK {
+			continue
+		}
+		rq := reqs[i]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rq.path, bytes.NewReader(rq.body)))
+		if rec.Code != o.status || !bytes.Equal(o.body, rec.Body.Bytes()) {
+			return verified, fmt.Errorf("request %d (%s, seed %d) not bit-identical to the in-process handler:\n got: %s\nwant: %d %s",
+				i, rq.kind, rq.seed, o.body, rec.Code, rec.Body.Bytes())
+		}
+		verified++
 	}
-	res, err := parsed.FinalGraph.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	pm, err := election.ResolutionProbabilityExact(parsed.FinalInstance, res)
-	if err != nil {
-		return nil, err
-	}
-	pd, err := election.DirectProbabilityExact(parsed.FinalInstance)
-	if err != nil {
-		return nil, err
-	}
-	resp := server.WhatIfResponse{
-		PM: pm, PD: pd, Gain: pm - pd,
-		Sinks: len(res.Sinks), MaxWeight: res.MaxWeight, TotalWeight: res.TotalWeight,
-		Delegators: res.Delegators, LongestChain: res.LongestChain,
-		DeltasApplied: len(parsed.Deltas),
-	}
-	data, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// offlineFault rebuilds a completed fault evaluate from the request's own
-// body through fault.EvaluateSweep, the fault engine's public entry, with
-// the daemon's per-request options (one worker, default exact-cost limit).
-func offlineFault(rq request) ([]byte, error) {
-	parsed, aerr := server.ParseEvaluateRequest(rq.body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	f := parsed.Req.Fault
-	points := make([]fault.SweepPoint, len(parsed.Mechanisms))
-	for i, mech := range parsed.Mechanisms {
-		points[i] = fault.SweepPoint{Mechanism: mech, Opts: fault.ElectionOptions{
-			Options:  election.Options{Replications: parsed.Req.Replications, Seed: parsed.Req.Seed, Workers: 1},
-			DownRate: f.DownRate, AbstainRate: f.AbstainRate, Policy: parsed.Policy, Alpha: f.Alpha,
-		}}
-	}
-	results, err := fault.EvaluateSweep(context.Background(), parsed.Instance, points)
-	if err != nil {
-		return nil, err
-	}
-	var resp server.EvaluateResponse
-	for i, res := range results {
-		resp.Results = append(resp.Results, server.PointResult{
-			Mechanism: res.Mechanism, Alpha: parsed.Alphas[i], N: res.N,
-			PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD, Gain: res.Gain,
-			Policy: res.Policy.String(), MeanDown: res.MeanDown, MeanLost: res.MeanLost,
-			MeanFellBack: res.MeanFellBack, MeanRedelegated: res.MeanRedelegated,
-		})
-	}
-	data, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// offlineEvaluate rebuilds a completed evaluate response from the exact
-// engine with the request's own seed and options.
-func offlineEvaluate(rq request, voters, reps int, scheduleSeed uint64) ([]byte, error) {
-	spec := instanceSpec(voters, rng.New(scheduleSeed))
-	in, err := core.NewInstance(graph.NewComplete(voters), spec.P)
-	if err != nil {
-		return nil, err
-	}
-	res, err := election.EvaluateMechanism(context.Background(), in, mechanism.ApprovalThreshold{Alpha: rq.alpha}, election.Options{
-		Replications: reps, Seed: rq.seed, Workers: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pt := server.PointResult{
-		Mechanism: res.Mechanism, Alpha: rq.alpha, N: res.N,
-		PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD,
-		Gain: res.Gain, GainLo: res.GainLo, GainHi: res.GainHi,
-		MeanDelegators: res.MeanDelegators, MeanSinks: res.MeanSinks,
-		MeanMaxWeight: res.MeanMaxWeight, MaxMaxWeight: res.MaxMaxWeight,
-		MeanLongestChain: res.MeanLongestChain,
-	}
-	// A sampled P^D carries no kernel tier.
-	if res.N <= election.ExactDirectMaxN {
-		pt.PDTier = prob.ClassifyExactTier(res.N).String()
-	}
-	data, err := json.Marshal(server.EvaluateResponse{Results: []server.PointResult{pt}})
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return verified, nil
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +34,47 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical schedules")
+	}
+}
+
+// TestVerifyInProcess: responses the daemon's handler gave pass -verify,
+// every kind that completes counted, and one changed byte in one of them
+// fails it, naming the request.
+func TestVerifyInProcess(t *testing.T) {
+	reqs, err := buildSchedule(7, 80, 15, 4, 1000, 0.2, 0.15, 0.2, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Shards: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	outcomes := make([]outcome, len(reqs))
+	completed := map[string]int{}
+	ok, last := 0, -1
+	for i, rq := range reqs {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rq.path, bytes.NewReader(rq.body)))
+		outcomes[i] = outcome{status: rec.Code, body: rec.Body.Bytes()}
+		if rec.Code == http.StatusOK {
+			completed[rq.kind]++
+			ok, last = ok+1, i
+		}
+	}
+	for _, k := range []string{"evaluate", "fault", "whatif", "whatif-delta"} {
+		if completed[k] == 0 {
+			t.Fatalf("no %s request completed: %v", k, completed)
+		}
+	}
+	verified, err := verifyInProcess(reqs, outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verified != ok {
+		t.Fatalf("verified %d responses, want %d", verified, ok)
+	}
+	outcomes[last].body = bytes.Replace(outcomes[last].body, []byte(":"), []byte(": "), 1)
+	if _, err := verifyInProcess(reqs, outcomes); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d ", last)) {
+		t.Fatalf("a changed response passed -verify or was misnamed: %v", err)
 	}
 }
 

@@ -67,8 +67,8 @@ func Run(in *core.Instance, opts Options) (*Sequence, error) {
 	if opts.Issues < 1 {
 		return nil, fmt.Errorf("%w: issues %d", ErrInvalidSequence, opts.Issues)
 	}
-	if opts.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidSequence, opts.Alpha)
+	if !(opts.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidSequence, opts.Alpha)
 	}
 	if opts.Warmup < 1 {
 		opts.Warmup = 1

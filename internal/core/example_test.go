@@ -15,8 +15,9 @@ func Example() {
 		panic(err)
 	}
 	fmt.Println("voters:", in.N())
-	fmt.Println("|J(v9)| at alpha=0.01:", in.ApprovalCount(8, 0.01))
-	fmt.Println("|J(v1)| at alpha=0.01:", in.ApprovalCount(0, 0.01))
+	view := in.ApprovalView(0.01)
+	fmt.Println("|J(v9)| at alpha=0.01:", view.Count(8))
+	fmt.Println("|J(v1)| at alpha=0.01:", view.Count(0))
 	// Output:
 	// voters: 9
 	// |J(v9)| at alpha=0.01: 8

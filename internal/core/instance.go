@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"liquid/internal/graph"
 	"liquid/internal/rng"
@@ -33,30 +32,21 @@ type Instance struct {
 	top graph.Topology
 	p   []float64
 
-	// byCompetency holds voter ids sorted ascending by competency; used for
-	// O(log n) approval queries on complete topologies.
+	// byCompetency holds voter ids sorted ascending by competency (ties by
+	// id), and sortedP their competencies: each voter's approval set on a
+	// complete topology is a suffix of it, less the voter itself.
 	byCompetency []int
 	sortedP      []float64
 
-	// approvalMemo caches, per alpha, each voter's suffix start in sortedP
-	// (the index of the first competency >= p_i + alpha). Mechanisms query
-	// approval sets for every voter every replication at a fixed alpha, so
-	// the O(n) table build amortizes to O(1) lookups. Purely an
-	// index-computation cache: a memoized start is the same value
-	// sort.SearchFloat64s would return, so results never depend on it.
-	// The latest table is published through an atomic pointer so the
-	// hot path (same alpha as last time) is one load and a compare.
+	// approvalMemo caches, per alpha (keyed by its bits, so a NaN finds
+	// its table too), each voter's suffix start in sortedP: the index of the
+	// first competency the voter approves. An ApprovalView reads it once per
+	// pass over the voters, so the O(n) build amortizes to O(1) a query.
+	// Purely an index cache: results never depend on it.
 	approvalMemo struct {
-		latest atomic.Pointer[approvalTable]
-		mu     sync.Mutex
-		m      map[float64][]int
+		mu sync.Mutex
+		m  map[uint64][]int
 	}
-}
-
-// approvalTable is one memoized suffix-start table for a fixed alpha.
-type approvalTable struct {
-	alpha float64
-	lo    []int
 }
 
 // approvalMemoMaxEntries bounds the per-instance alpha table count; sweeps
@@ -66,37 +56,29 @@ const approvalMemoMaxEntries = 64
 // approvalSuffixStarts returns the memoized per-voter suffix starts for
 // alpha, building the table on first use.
 func (in *Instance) approvalSuffixStarts(alpha float64) []int {
-	if t := in.approvalMemo.latest.Load(); t != nil && t.alpha == alpha {
-		return t.lo
-	}
+	key := math.Float64bits(alpha)
 	in.approvalMemo.mu.Lock()
-	lo, ok := in.approvalMemo.m[alpha]
-	if !ok {
-		// lo[i] = first index with sortedP >= p_i + alpha. Visiting voters in
-		// ascending competency order makes the threshold nondecreasing, so a
-		// single two-pointer sweep replaces a binary search per voter; the
-		// comparisons are the identical float comparisons SearchFloat64s
-		// would perform, so the results match it exactly.
-		n := len(in.p)
-		lo = make([]int, n)
-		cut := 0
-		for _, id := range in.byCompetency {
-			t := in.p[id] + alpha
-			for cut < n && in.sortedP[cut] < t {
-				cut++
-			}
-			lo[id] = cut
-		}
-		if in.approvalMemo.m == nil {
-			in.approvalMemo.m = make(map[float64][]int)
-		}
-		if len(in.approvalMemo.m) >= approvalMemoMaxEntries {
-			in.approvalMemo.m = make(map[float64][]int)
-		}
-		in.approvalMemo.m[alpha] = lo
+	defer in.approvalMemo.mu.Unlock()
+	if lo, ok := in.approvalMemo.m[key]; ok {
+		return lo
 	}
-	in.approvalMemo.latest.Store(&approvalTable{alpha: alpha, lo: lo})
-	in.approvalMemo.mu.Unlock()
+	// lo[i] = first index whose competency voter i approves. Visiting voters
+	// in ascending competency order makes the threshold p_i + alpha
+	// nondecreasing, so one two-pointer sweep replaces a binary search per
+	// voter. A NaN threshold approves nothing, so its suffixes are empty.
+	n := len(in.p)
+	lo := make([]int, n)
+	cut := 0
+	for _, id := range in.byCompetency {
+		for cut < n && !approves(in.p[id], in.sortedP[cut], alpha) {
+			cut++
+		}
+		lo[id] = cut
+	}
+	if in.approvalMemo.m == nil || len(in.approvalMemo.m) >= approvalMemoMaxEntries {
+		in.approvalMemo.m = make(map[uint64][]int)
+	}
+	in.approvalMemo.m[key] = lo
 	return lo
 }
 
@@ -292,121 +274,29 @@ func (in *Instance) MeanCompetency() float64 {
 	return s / float64(len(in.p))
 }
 
+// approves is the approval comparison: a voter of competency pi approves
+// one of competency pj at margin alpha when pj >= pi + alpha. A NaN on
+// either side approves nobody.
+func approves(pi, pj, alpha float64) bool { return pj >= pi+alpha }
+
+// inOwnSuffix is the self rule: on a complete topology the voter of
+// competency p lies in its own suffix, which counts and draws leave it out
+// of, exactly when p passes the comparison against itself: for every
+// alpha <= 0 and for a positive alpha too small to change p.
+func inOwnSuffix(p, alpha float64) bool { return approves(p, p, alpha) }
+
 // Approves reports whether voter i approves voter j at margin alpha:
-// p_j >= p_i + alpha, with j a neighbor of i and j != i.
+// p_j >= p_i + alpha, with j a neighbor of i and j != i. It is the
+// definition ApprovalView's answers agree with.
 func (in *Instance) Approves(i, j int, alpha float64) bool {
-	if i == j || !in.top.HasEdge(i, j) {
-		return false
-	}
-	return in.p[j] >= in.p[i]+alpha
+	return i != j && in.top.HasEdge(i, j) && approves(in.p[i], in.p[j], alpha)
 }
 
-// ApprovalSet returns J(i), the neighbors of i that i approves at margin
-// alpha, in ascending vertex order. On complete topologies it scans the
-// voters directly instead of allocating Neighbors' n-1 list.
-func (in *Instance) ApprovalSet(i int, alpha float64) []int {
-	var out []int
-	threshold := in.p[i] + alpha
-	if _, ok := in.top.(graph.Complete); ok {
-		for j, pj := range in.p {
-			if j != i && pj >= threshold {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for _, j := range in.top.Neighbors(i) {
-		if in.p[j] >= threshold {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// ApprovalCount returns |J(i)| without materializing the set. On complete
-// topologies it answers in O(log n) using the competency order.
-func (in *Instance) ApprovalCount(i int, alpha float64) int {
-	if _, ok := in.top.(graph.Complete); ok {
-		return in.completeApprovalCount(i, alpha)
-	}
-	threshold := in.p[i] + alpha
-	count := 0
-	for _, j := range in.top.Neighbors(i) {
-		if in.p[j] >= threshold {
-			count++
-		}
-	}
-	return count
-}
-
-func (in *Instance) completeApprovalCount(i int, alpha float64) int {
-	threshold := in.p[i] + alpha
-	lo := in.approvalSuffixStarts(alpha)[i]
-	count := len(in.sortedP) - lo
-	if alpha <= 0 && in.p[i] >= threshold {
-		count-- // exclude self, which the suffix includes when alpha <= 0
-	}
-	return count
-}
-
-// SampleApproved draws a uniformly random member of J(i), reporting ok =
-// false when the approval set is empty. On complete topologies the draw is
-// O(log n); otherwise it scans the neighborhood once (reservoir style, no
-// allocation).
-func (in *Instance) SampleApproved(i int, alpha float64, s *rng.Stream) (delegate int, ok bool) {
-	if _, isComplete := in.top.(graph.Complete); isComplete {
-		return in.completeSampleApproved(i, alpha, s)
-	}
-	threshold := in.p[i] + alpha
-	count := 0
-	pick := -1
-	for _, j := range in.top.Neighbors(i) {
-		if in.p[j] < threshold {
-			continue
-		}
-		count++
-		if s.IntN(count) == 0 {
-			pick = j
-		}
-	}
-	if count == 0 {
-		return -1, false
-	}
-	return pick, true
-}
-
-func (in *Instance) completeSampleApproved(i int, alpha float64, s *rng.Stream) (int, bool) {
-	return in.sampleApprovedAt(i, alpha, in.approvalSuffixStarts(alpha)[i], s)
-}
-
-// sampleApprovedAt is completeSampleApproved with the suffix start already
-// resolved (by the per-voter memo or an ApprovalView).
-func (in *Instance) sampleApprovedAt(i int, alpha float64, lo int, s *rng.Stream) (int, bool) {
-	threshold := in.p[i] + alpha
-	n := len(in.sortedP)
-	if lo >= n {
-		return -1, false
-	}
-	selfInSuffix := alpha <= 0 && in.p[i] >= threshold
-	size := n - lo
-	if selfInSuffix {
-		size--
-	}
-	if size <= 0 {
-		return -1, false
-	}
-	for {
-		j := in.byCompetency[lo+s.IntN(n-lo)]
-		if j != i {
-			return j, true
-		}
-	}
-}
-
-// ApprovalView is a prefetched approval-query handle at a fixed alpha.
-// Mechanisms that query every voter per replication construct one view per
-// Apply and skip the per-query memo lookup; answers are identical to
-// ApprovalCount / SampleApproved, including the random draw sequence.
+// ApprovalView answers the approval queries on J(i), the neighbors i
+// approves at a fixed margin alpha: its size, its members and a uniform draw
+// from it. Callers build one view per pass over the voters. On complete
+// topologies the view holds the memoized suffix starts, so Count and Sample
+// are O(1) per voter; elsewhere each query scans Neighbors(i) once.
 type ApprovalView struct {
 	in    *Instance
 	alpha float64
@@ -422,27 +312,75 @@ func (in *Instance) ApprovalView(alpha float64) ApprovalView {
 	return v
 }
 
-// Count returns |J(i)|; see Instance.ApprovalCount.
+// Count returns |J(i)| without materializing the set.
 func (v ApprovalView) Count(i int) int {
+	p := v.in.p
 	if v.lo == nil {
-		return v.in.ApprovalCount(i, v.alpha)
+		count := 0
+		for _, j := range v.in.top.Neighbors(i) {
+			if approves(p[i], p[j], v.alpha) {
+				count++
+			}
+		}
+		return count
 	}
-	in := v.in
-	threshold := in.p[i] + v.alpha
-	count := len(in.sortedP) - v.lo[i]
-	if v.alpha <= 0 && in.p[i] >= threshold {
-		count-- // exclude self, which the suffix includes when alpha <= 0
+	count := len(v.lo) - v.lo[i]
+	if inOwnSuffix(p[i], v.alpha) {
+		count--
 	}
 	return count
 }
 
-// Sample draws a uniformly random member of J(i); see
-// Instance.SampleApproved.
-func (v ApprovalView) Sample(i int, s *rng.Stream) (int, bool) {
+// Set returns J(i) in ascending vertex order, nil when it is empty. On
+// complete topologies it scans the voters instead of allocating Neighbors'
+// n-1 list.
+func (v ApprovalView) Set(i int) []int {
+	p := v.in.p
+	var out []int
 	if v.lo == nil {
-		return v.in.SampleApproved(i, v.alpha, s)
+		for _, j := range v.in.top.Neighbors(i) {
+			if approves(p[i], p[j], v.alpha) {
+				out = append(out, j)
+			}
+		}
+		return out
 	}
-	return v.in.sampleApprovedAt(i, v.alpha, v.lo[i], s)
+	for j, pj := range p {
+		if j != i && approves(p[i], pj, v.alpha) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// Sample draws a uniformly random member of J(i). When J(i) is empty it
+// returns (-1, false) and draws nothing. On complete topologies the draw
+// rejects i from its suffix; otherwise it scans the neighborhood once,
+// reservoir style, without allocating.
+func (v ApprovalView) Sample(i int, s *rng.Stream) (int, bool) {
+	in := v.in
+	if v.lo == nil {
+		count, pick := 0, -1
+		for _, j := range in.top.Neighbors(i) {
+			if !approves(in.p[i], in.p[j], v.alpha) {
+				continue
+			}
+			count++
+			if s.IntN(count) == 0 {
+				pick = j
+			}
+		}
+		return pick, count > 0
+	}
+	if v.Count(i) <= 0 {
+		return -1, false
+	}
+	lo, n := v.lo[i], len(in.byCompetency)
+	for {
+		if j := in.byCompetency[lo+s.IntN(n-lo)]; j != i {
+			return j, true
+		}
+	}
 }
 
 // SampleAll draws every voter's approved delegate into dst, which has one
@@ -455,7 +393,7 @@ func (v ApprovalView) SampleAll(dst []int, s *rng.Stream) {
 		return
 	}
 	for i := range dst {
-		j, ok := v.in.SampleApproved(i, v.alpha, s)
+		j, ok := v.Sample(i, s)
 		if !ok {
 			j = NoDelegate
 		}
@@ -463,8 +401,8 @@ func (v ApprovalView) SampleAll(dst []int, s *rng.Stream) {
 	}
 }
 
-// sampleComplete is SampleAll on a complete topology: sampleApprovedAt for
-// each voter in turn, in one loop over the suffix starts.
+// sampleComplete is SampleAll on a complete topology: Sample for each voter
+// in turn, in one loop over the suffix starts.
 //
 //lint:hotpath
 func (v ApprovalView) sampleComplete(dst []int, s *rng.Stream) {
@@ -472,8 +410,8 @@ func (v ApprovalView) sampleComplete(dst []int, s *rng.Stream) {
 	n := len(byCompetency)
 	for i, lo := range v.lo[:len(dst)] {
 		size := n - lo
-		if alpha <= 0 && p[i] >= p[i]+alpha {
-			size-- // exclude self, which the suffix includes when alpha <= 0
+		if inOwnSuffix(p[i], alpha) {
+			size--
 		}
 		if size <= 0 {
 			dst[i] = NoDelegate

@@ -98,17 +98,12 @@ func TestApprovalSetAndCount(t *testing.T) {
 		{4, 0.1, nil},
 	}
 	for _, tt := range tests {
-		got := in.ApprovalSet(tt.voter, tt.alpha)
-		if len(got) != len(tt.want) {
-			t.Fatalf("ApprovalSet(%d, %v) = %v, want %v", tt.voter, tt.alpha, got, tt.want)
+		view := in.ApprovalView(tt.alpha)
+		if got := view.Set(tt.voter); !slices.Equal(got, tt.want) {
+			t.Fatalf("Set(%d) at alpha %v = %v, want %v", tt.voter, tt.alpha, got, tt.want)
 		}
-		for i := range tt.want {
-			if got[i] != tt.want[i] {
-				t.Fatalf("ApprovalSet(%d, %v) = %v, want %v", tt.voter, tt.alpha, got, tt.want)
-			}
-		}
-		if c := in.ApprovalCount(tt.voter, tt.alpha); c != len(tt.want) {
-			t.Fatalf("ApprovalCount(%d, %v) = %d, want %d", tt.voter, tt.alpha, c, len(tt.want))
+		if c := view.Count(tt.voter); c != len(tt.want) {
+			t.Fatalf("Count(%d) at alpha %v = %d, want %d", tt.voter, tt.alpha, c, len(tt.want))
 		}
 	}
 }
@@ -132,17 +127,18 @@ func TestCompleteApprovalFastPathMatchesExplicit(t *testing.T) {
 	imp := mustInstance(t, graph.NewComplete(n), p)
 
 	for _, alpha := range []float64{0, 0.01, 0.1, 0.5, 1} {
+		expView, impView := exp.ApprovalView(alpha), imp.ApprovalView(alpha)
 		for v := 0; v < n; v++ {
-			want := exp.ApprovalCount(v, alpha)
-			if got := imp.ApprovalCount(v, alpha); got != want {
+			want := expView.Count(v)
+			if got := impView.Count(v); got != want {
 				t.Fatalf("alpha=%v voter=%d: fast count %d, scan count %d", alpha, v, got, want)
 			}
 		}
 	}
 }
 
-// TestCompleteApprovalSetMatchesNeighborScan: on K_n, ApprovalSet scans the
-// voters instead of Neighbors' list; on random instances with tied
+// TestCompleteApprovalSetMatchesNeighborScan: on K_n, ApprovalView.Set scans
+// the voters instead of Neighbors' list; on random instances with tied
 // competencies its sets, order included, equal a scan over Neighbors.
 func TestCompleteApprovalSetMatchesNeighborScan(t *testing.T) {
 	s := rng.New(43)
@@ -154,6 +150,7 @@ func TestCompleteApprovalSetMatchesNeighborScan(t *testing.T) {
 		}
 		in := mustInstance(t, graph.NewComplete(n), p)
 		for _, alpha := range []float64{0, 0.2, 0.3, 1} {
+			view := in.ApprovalView(alpha)
 			for v := 0; v < n; v++ {
 				var want []int
 				for _, j := range in.Topology().Neighbors(v) {
@@ -161,12 +158,133 @@ func TestCompleteApprovalSetMatchesNeighborScan(t *testing.T) {
 						want = append(want, j)
 					}
 				}
-				if got := in.ApprovalSet(v, alpha); !slices.Equal(got, want) {
-					t.Fatalf("n=%d alpha=%v voter=%d: ApprovalSet %v, Neighbors scan %v", n, alpha, v, got, want)
+				if got := view.Set(v); !slices.Equal(got, want) {
+					t.Fatalf("n=%d alpha=%v voter=%d: Set %v, Neighbors scan %v", n, alpha, v, got, want)
 				}
 			}
 		}
 	}
+}
+
+func TestQuickApprovalCountMatchesSetSize(t *testing.T) {
+	f := func(seed uint64, nRaw uint8, alphaRaw float64) bool {
+		n := int(nRaw%20) + 2
+		alpha := math.Abs(math.Mod(alphaRaw, 1))
+		if math.IsNaN(alpha) {
+			alpha = 0.1
+		}
+		s := rng.New(seed)
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = s.Float64()
+		}
+		g, err := graph.ErdosRenyi(n, 0.4, s)
+		if err != nil {
+			return false
+		}
+		in, err := NewInstance(g, p)
+		if err != nil {
+			return false
+		}
+		view, wider := in.ApprovalView(alpha), in.ApprovalView(alpha+0.1)
+		for v := 0; v < n; v++ {
+			if view.Count(v) != len(view.Set(v)) {
+				return false
+			}
+			// Approval sets shrink as alpha grows.
+			if view.Count(v) < wider.Count(v) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzApprovalView holds every ApprovalView query to a brute-force scan with
+// Approves, on K_n, its explicit twin and a sparse graph: Set is the scan,
+// in ascending order, and Count its size; Sample returns a member of Set,
+// or (-1, false) without drawing a word when Set is empty; SampleAll equals
+// Sample called voter by voter and leaves the stream at the same next word.
+// Count and Set are checked before any draw, so a view whose count keeps a
+// voter in its own set fails here instead of spinning in its draw.
+func FuzzApprovalView(f *testing.F) {
+	for _, alpha := range []float64{0, 1e-17, math.NaN(), 0.05} {
+		f.Add(uint64(1), uint8(7), alpha, true)
+		f.Add(uint64(2), uint8(30), alpha, false)
+	}
+	f.Add(uint64(3), uint8(1), 0.0, true)
+	f.Add(uint64(4), uint8(12), -0.25, true)
+	f.Add(uint64(5), uint8(12), math.Inf(1), false)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, alpha float64, ties bool) {
+		n := 1 + int(nRaw%40)
+		s := rng.New(seed)
+		p := make([]float64, n)
+		for i := range p {
+			if ties {
+				p[i] = float64(s.IntN(5)) / 4
+			} else {
+				p[i] = s.Float64()
+			}
+		}
+		p[s.IntN(n)] = math.Copysign(0, -1)
+		explicit, err := graph.CompleteExplicit(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := graph.ErdosRenyi(n, 0.3, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			top  graph.Topology
+		}{{"K_n", graph.NewComplete(n)}, {"explicit K_n", explicit}, {"sparse", sparse}} {
+			name, in := tc.name, mustInstance(t, tc.top, p)
+			view := in.ApprovalView(alpha)
+			sets := make([][]int, n)
+			for v := range n {
+				for j := range n {
+					if in.Approves(v, j, alpha) {
+						sets[v] = append(sets[v], j)
+					}
+				}
+				if got := view.Set(v); !slices.Equal(got, sets[v]) {
+					t.Fatalf("%s, alpha %v: Set(%d) = %v, scan %v", name, alpha, v, got, sets[v])
+				}
+				if got := view.Count(v); got != len(sets[v]) {
+					t.Fatalf("%s, alpha %v: Count(%d) = %d, scan %v", name, alpha, v, got, sets[v])
+				}
+			}
+			perVoter, all := rng.New(seed), rng.New(seed)
+			want := make([]int, n)
+			for v := range n {
+				j, ok := view.Sample(v, perVoter)
+				if ok != (len(sets[v]) > 0) || (ok && !slices.Contains(sets[v], j)) || (!ok && j != -1) {
+					t.Fatalf("%s, alpha %v: Sample(%d) = %d, %v outside %v", name, alpha, v, j, ok, sets[v])
+				}
+				if !ok {
+					j = NoDelegate
+					drawn, fresh := rng.New(seed+1), rng.New(seed+1)
+					view.Sample(v, drawn)
+					if drawn.Uint64() != fresh.Uint64() {
+						t.Fatalf("%s, alpha %v: Sample(%d) drew a word for an empty set", name, alpha, v)
+					}
+				}
+				want[v] = j
+			}
+			got := make([]int, n)
+			view.SampleAll(got, all)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, alpha %v: SampleAll %v, Sample %v", name, alpha, got, want)
+			}
+			if a, b := all.Uint64(), perVoter.Uint64(); a != b {
+				t.Fatalf("%s, alpha %v: next word %#x after SampleAll, %#x after Sample", name, alpha, a, b)
+			}
+		}
+	})
 }
 
 func TestSampleApprovedUniform(t *testing.T) {
@@ -175,11 +293,12 @@ func TestSampleApprovedUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := mustInstance(t, g, []float64{0.1, 0.6, 0.7, 0.8})
+	view := in.ApprovalView(0.2)
 	s := rng.New(1)
 	counts := make(map[int]int)
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		j, ok := in.SampleApproved(0, 0.2, s)
+		j, ok := view.Sample(0, s)
 		if !ok {
 			t.Fatal("approval set should be nonempty")
 		}
@@ -198,7 +317,7 @@ func TestSampleApprovedUniform(t *testing.T) {
 
 func TestSampleApprovedEmpty(t *testing.T) {
 	in := mustInstance(t, graph.NewComplete(3), []float64{0.5, 0.5, 0.5})
-	if _, ok := in.SampleApproved(0, 0.1, rng.New(2)); ok {
+	if _, ok := in.ApprovalView(0.1).Sample(0, rng.New(2)); ok {
 		t.Fatal("no voter is 0.1 better; sample should fail")
 	}
 }
@@ -207,12 +326,12 @@ func TestCompleteSampleApprovedMatchesDistribution(t *testing.T) {
 	// The complete-topology fast path must sample uniformly over the same
 	// set as the explicit scan.
 	p := []float64{0.2, 0.5, 0.5, 0.8, 0.9}
-	imp := mustInstance(t, graph.NewComplete(len(p)), p)
+	view := mustInstance(t, graph.NewComplete(len(p)), p).ApprovalView(0.25)
 	s := rng.New(3)
 	counts := make(map[int]int)
 	const trials = 40000
 	for i := 0; i < trials; i++ {
-		j, ok := imp.SampleApproved(1, 0.25, s)
+		j, ok := view.Sample(1, s)
 		if !ok {
 			t.Fatal("expected delegates")
 		}
@@ -230,10 +349,10 @@ func TestCompleteSampleApprovedMatchesDistribution(t *testing.T) {
 
 func TestCompleteSampleApprovedAlphaZeroExcludesSelf(t *testing.T) {
 	p := []float64{0.5, 0.5, 0.5}
-	imp := mustInstance(t, graph.NewComplete(3), p)
+	view := mustInstance(t, graph.NewComplete(3), p).ApprovalView(0)
 	s := rng.New(4)
 	for i := 0; i < 1000; i++ {
-		j, ok := imp.SampleApproved(1, 0, s)
+		j, ok := view.Sample(1, s)
 		if !ok {
 			t.Fatal("alpha=0 with ties should have delegates")
 		}
@@ -268,42 +387,6 @@ func TestMeanCompetency(t *testing.T) {
 	empty := mustInstance(t, graph.NewComplete(0), nil)
 	if empty.MeanCompetency() != 0 {
 		t.Fatal("empty mean should be 0")
-	}
-}
-
-func TestQuickApprovalCountMatchesSetSize(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, alphaRaw float64) bool {
-		n := int(nRaw%20) + 2
-		alpha := math.Abs(math.Mod(alphaRaw, 1))
-		if math.IsNaN(alpha) {
-			alpha = 0.1
-		}
-		s := rng.New(seed)
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = s.Float64()
-		}
-		g, err := graph.ErdosRenyi(n, 0.4, s)
-		if err != nil {
-			return false
-		}
-		in, err := NewInstance(g, p)
-		if err != nil {
-			return false
-		}
-		for v := 0; v < n; v++ {
-			if in.ApprovalCount(v, alpha) != len(in.ApprovalSet(v, alpha)) {
-				return false
-			}
-			// Approval sets shrink as alpha grows.
-			if in.ApprovalCount(v, alpha) < in.ApprovalCount(v, alpha+0.1) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -350,16 +433,17 @@ func TestNegativeZeroCompetency(t *testing.T) {
 			t.Errorf("%s: TopByCompetency(1) = %v, want [2]", name, got)
 		}
 		s := rng.New(5)
-		for v := 0; v < in.N(); v++ {
-			for _, alpha := range []float64{0, 0.1, 0.45} {
-				set := in.ApprovalSet(v, alpha)
-				if got := in.ApprovalCount(v, alpha); got != len(set) {
-					t.Errorf("%s: ApprovalCount(%d, %v) = %d, ApprovalSet = %v", name, v, alpha, got, set)
+		for _, alpha := range []float64{0, 0.1, 0.45} {
+			view := in.ApprovalView(alpha)
+			for v := 0; v < in.N(); v++ {
+				set := view.Set(v)
+				if got := view.Count(v); got != len(set) {
+					t.Errorf("%s: Count(%d) at alpha %v = %d, Set = %v", name, v, alpha, got, set)
 				}
 				for range 50 {
-					d, ok := in.SampleApproved(v, alpha, s)
+					d, ok := view.Sample(v, s)
 					if ok != (len(set) > 0) || (ok && !in.Approves(v, d, alpha)) {
-						t.Errorf("%s: SampleApproved(%d, %v) = %d, %v outside ApprovalSet %v", name, v, alpha, d, ok, set)
+						t.Errorf("%s: Sample(%d) at alpha %v = %d, %v outside Set %v", name, v, alpha, d, ok, set)
 						break
 					}
 				}

@@ -44,8 +44,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.Alpha < 0 {
-		return o, fmt.Errorf("%w: negative alpha %v", ErrInvalidDynamics, o.Alpha)
+	if !(o.Alpha >= 0) {
+		return o, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidDynamics, o.Alpha)
 	}
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 50
@@ -101,6 +101,7 @@ func BestResponse(in *core.Instance, opts Options) (*Trace, error) {
 	}
 	tr := &Trace{InitialProb: current}
 	d := sc.Delegation()
+	view := in.ApprovalView(opts.Alpha)
 
 	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
 		tr.Sweeps++
@@ -123,7 +124,7 @@ func BestResponse(in *core.Instance, opts Options) (*Trace, error) {
 			// createsCycle walks j's chain, which stops at i before reading
 			// d.Delegate[i], so the candidate left in place by the previous
 			// iteration cannot affect the answer.
-			for _, j := range in.ApprovalSet(i, opts.Alpha) {
+			for _, j := range view.Set(i) {
 				if createsCycle(d, i, j) {
 					continue
 				}
@@ -181,8 +182,8 @@ type ChurnOptions struct {
 }
 
 func (o ChurnOptions) withDefaults() (ChurnOptions, error) {
-	if o.Alpha < 0 {
-		return o, fmt.Errorf("%w: negative alpha %v", ErrInvalidDynamics, o.Alpha)
+	if !(o.Alpha >= 0) {
+		return o, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidDynamics, o.Alpha)
 	}
 	if o.Periods <= 0 {
 		o.Periods = 20
@@ -236,6 +237,7 @@ func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint6
 	}
 	s := rng.New(seed)
 	d := sc.Delegation()
+	view := in.ApprovalView(opts.Alpha)
 	steps := make([]ChurnStep, 0, opts.Periods)
 	for period := 0; period < opts.Periods; period++ {
 		if err := ctx.Err(); err != nil {
@@ -243,7 +245,7 @@ func Churn(ctx context.Context, in *core.Instance, opts ChurnOptions, seed uint6
 		}
 		for m := 0; m < opts.MovesPerPeriod; m++ {
 			i := int(s.IntN(n))
-			j, ok := in.SampleApproved(i, opts.Alpha, s)
+			j, ok := view.Sample(i, s)
 			if !ok || createsCycle(d, i, j) {
 				j = core.NoDelegate
 			}

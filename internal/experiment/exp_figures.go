@@ -93,6 +93,7 @@ func runF2(ctx context.Context, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 
+	view := in.ApprovalView(alpha)
 	tab := report.NewTable("Figure 2: realized delegation graph (alpha=0.01, threshold 0)",
 		"voter", "p", "|J(i)|", "delegates to", "sink", "sink weight")
 	for i := range p {
@@ -107,7 +108,7 @@ func runF2(ctx context.Context, cfg Config) (*Outcome, error) {
 		tab.AddRow(
 			fmt.Sprintf("v%d", i+1),
 			report.F(p[i]),
-			report.Itoa(in.ApprovalCount(i, alpha)),
+			report.Itoa(view.Count(i)),
 			target,
 			fmt.Sprintf("v%d", res.SinkOf[i]+1),
 			w,
@@ -132,7 +133,7 @@ func runF2(ctx context.Context, cfg Config) (*Outcome, error) {
 
 	everyEligibleDelegated := true
 	for i := range p {
-		if in.ApprovalCount(i, alpha) > 0 && d.Delegate[i] == core.NoDelegate {
+		if view.Count(i) > 0 && d.Delegate[i] == core.NoDelegate {
 			everyEligibleDelegated = false
 		}
 	}

@@ -191,20 +191,6 @@ func RunDefinition(ctx context.Context, def Definition, cfg Config) (*Outcome, e
 	return out, nil
 }
 
-// RunAll executes every experiment in order. Cancelling ctx stops the
-// sequence and returns the outcomes completed so far along with ctx's error.
-func RunAll(ctx context.Context, cfg Config) ([]*Outcome, error) {
-	outs := make([]*Outcome, 0, len(registry))
-	for _, d := range registry {
-		o, err := Run(ctx, d.ID, cfg)
-		if err != nil {
-			return outs, err
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}
-
 // --- shared helpers ---
 
 // uniformInstance builds an instance over top with competencies uniform in

@@ -52,8 +52,8 @@ func (o ReplayOptions) withDefaults() (ReplayOptions, error) {
 	if o.Participation < 0 || o.Participation > 1 {
 		return o, fmt.Errorf("%w: participation %v not in [0,1]", ErrInvalidHistory, o.Participation)
 	}
-	if o.Alpha < 0 {
-		return o, fmt.Errorf("%w: negative alpha %v", ErrInvalidHistory, o.Alpha)
+	if !(o.Alpha >= 0) {
+		return o, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidHistory, o.Alpha)
 	}
 	return o, nil
 }

@@ -144,8 +144,8 @@ func approvalContexts(in *core.Instance, alpha float64, root *rng.Stream) []*Nod
 //
 // The maximum round budget is n+2: a delegation chain has at most n-1 hops.
 func RunDelegation(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64) (*Result, error) {
-	if alpha < 0 {
-		return nil, violationf(ViolationBadParameter, "negative alpha %v", alpha)
+	if !(alpha >= 0) {
+		return nil, violationf(ViolationBadParameter, "negative or NaN alpha %v", alpha)
 	}
 	if decide == nil {
 		return nil, violationf(ViolationBadParameter, "nil decision rule")

@@ -213,8 +213,8 @@ type FaultReport struct {
 // delegation and weights match RunReliableDelegation bit for bit: the
 // per-node decision streams are derived identically.
 func RunReliableDelegationFaulty(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64, opts ReliableFaultOptions) (*FaultReport, error) {
-	if alpha < 0 {
-		return nil, violationf(ViolationBadParameter, "negative alpha %v", alpha)
+	if !(alpha >= 0) {
+		return nil, violationf(ViolationBadParameter, "negative or NaN alpha %v", alpha)
 	}
 	if decide == nil {
 		return nil, violationf(ViolationBadParameter, "nil decision rule")

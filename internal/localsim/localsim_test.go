@@ -261,7 +261,7 @@ func TestHalfNeighborhoodDistributedMatchesCentralized(t *testing.T) {
 	}
 	// Every delegation must satisfy the half-neighbourhood rule.
 	for v, j := range res.Delegation.Delegate {
-		approved := in.ApprovalSet(v, 0.02)
+		approved := in.ApprovalView(0.02).Set(v)
 		if j == core.NoDelegate {
 			if len(approved) > 0 && 2*len(approved) >= in.Topology().Degree(v) {
 				t.Fatalf("node %d should have delegated (%d approved of %d)", v, len(approved), in.Topology().Degree(v))

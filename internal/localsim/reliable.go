@@ -117,8 +117,8 @@ func RunReliableDelegation(ctx context.Context, in *core.Instance, alpha float64
 // Retransmission absorbs both loss and reordering, so the result still
 // matches the synchronous lossless run.
 func RunReliableDelegationAsync(ctx context.Context, in *core.Instance, alpha float64, decide DecisionRule, seed uint64, lossRate float64, maxDelay int) (*Result, error) {
-	if alpha < 0 {
-		return nil, violationf(ViolationBadParameter, "negative alpha %v", alpha)
+	if !(alpha >= 0) {
+		return nil, violationf(ViolationBadParameter, "negative or NaN alpha %v", alpha)
 	}
 	if decide == nil {
 		return nil, violationf(ViolationBadParameter, "nil decision rule")

@@ -42,14 +42,14 @@ func (Direct) DelegateDistribution(_ *core.Instance, _ int) ([]Choice, error) {
 
 // DelegateDistribution implements DistributionMechanism.
 func (m ApprovalThreshold) DelegateDistribution(in *core.Instance, voter int) ([]Choice, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	threshold := 1
 	if m.Threshold != nil {
 		threshold = max(m.Threshold(in.Topology().Degree(voter)), 1)
 	}
-	approved := in.ApprovalSet(voter, m.Alpha)
+	approved := in.ApprovalView(m.Alpha).Set(voter)
 	if len(approved) < threshold {
 		return []Choice{{Delegate: core.NoDelegate, P: 1}}, nil
 	}
@@ -58,11 +58,11 @@ func (m ApprovalThreshold) DelegateDistribution(in *core.Instance, voter int) ([
 
 // DelegateDistribution implements DistributionMechanism.
 func (m HalfNeighborhood) DelegateDistribution(in *core.Instance, voter int) ([]Choice, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	deg := in.Topology().Degree(voter)
-	approved := in.ApprovalSet(voter, m.Alpha)
+	approved := in.ApprovalView(m.Alpha).Set(voter)
 	if deg == 0 || len(approved) == 0 || 2*len(approved) < deg {
 		return []Choice{{Delegate: core.NoDelegate, P: 1}}, nil
 	}
@@ -71,8 +71,8 @@ func (m HalfNeighborhood) DelegateDistribution(in *core.Instance, voter int) ([]
 
 // DelegateDistribution implements DistributionMechanism.
 func (m GreedyBest) DelegateDistribution(in *core.Instance, voter int) ([]Choice, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	best := core.NoDelegate
 	bestP := in.Competency(voter) + m.Alpha
@@ -116,11 +116,12 @@ func (m ProbabilisticDelegation) Apply(in *core.Instance, s *rng.Stream) (*core.
 		return nil, err
 	}
 	d := core.NewDelegationGraph(in.N())
+	view := in.ApprovalView(m.Alpha)
 	for i := 0; i < in.N(); i++ {
 		if !s.Bernoulli(m.Q) {
 			continue
 		}
-		j, ok := in.SampleApproved(i, m.Alpha, s)
+		j, ok := view.Sample(i, s)
 		if !ok {
 			continue
 		}
@@ -136,7 +137,7 @@ func (m ProbabilisticDelegation) DelegateDistribution(in *core.Instance, voter i
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	approved := in.ApprovalSet(voter, m.Alpha)
+	approved := in.ApprovalView(m.Alpha).Set(voter)
 	if len(approved) == 0 || m.Q == 0 {
 		return []Choice{{Delegate: core.NoDelegate, P: 1}}, nil
 	}
@@ -152,8 +153,8 @@ func (m ProbabilisticDelegation) DelegateDistribution(in *core.Instance, voter i
 }
 
 func (m ProbabilisticDelegation) validate() error {
-	if m.Alpha < 0 {
-		return fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	if m.Q < 0 || m.Q > 1 {
 		return fmt.Errorf("%w: delegation probability %v not in [0,1]", ErrInvalidMechanism, m.Q)

@@ -34,8 +34,8 @@ func (m NeighborSampling) Name() string {
 
 // Apply implements Mechanism.
 func (m NeighborSampling) Apply(in *core.Instance, s *rng.Stream) (*core.DelegationGraph, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	n := in.N()
 	if m.D < 1 || m.D >= n {

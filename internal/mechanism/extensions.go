@@ -220,17 +220,18 @@ func (m MultiDelegate) Name() string { return fmt.Sprintf("multi-delegate(α=%g,
 
 // ApplyMulti implements MultiMechanism.
 func (m MultiDelegate) ApplyMulti(in *core.Instance, s *rng.Stream) (*MultiDelegation, error) {
-	if m.Alpha < 0 || m.K < 1 {
+	if !(m.Alpha >= 0) || m.K < 1 {
 		return nil, fmt.Errorf("%w: MultiDelegate(α=%v, k=%d)", ErrInvalidMechanism, m.Alpha, m.K)
 	}
 	n := in.N()
 	md := &MultiDelegation{Delegates: make([][]int, n)}
+	view := in.ApprovalView(m.Alpha)
 	for i := 0; i < n; i++ {
 		threshold := 1
 		if m.Threshold != nil {
 			threshold = max(m.Threshold(in.Topology().Degree(i)), 1)
 		}
-		approved := in.ApprovalSet(i, m.Alpha)
+		approved := view.Set(i)
 		if len(approved) < threshold {
 			continue
 		}

@@ -75,7 +75,7 @@ func FractionThreshold(f float64) ThresholdFunc {
 // to a uniformly random approved neighbour, otherwise votes directly.
 //
 // On a complete topology this is exactly Algorithm 1 (the neighbourhood
-// size is n-1 ~ n), with O(log n) work per voter.
+// size is n-1 ~ n), with O(1) work per voter.
 type ApprovalThreshold struct {
 	// Alpha is the approval margin: i approves j iff p_j >= p_i + Alpha.
 	Alpha float64
@@ -90,8 +90,8 @@ func (m ApprovalThreshold) Name() string { return fmt.Sprintf("approval-threshol
 
 // Apply implements Mechanism.
 func (m ApprovalThreshold) Apply(in *core.Instance, s *rng.Stream) (*core.DelegationGraph, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	view := in.ApprovalView(m.Alpha)
 	if m.Threshold == nil {
@@ -132,8 +132,8 @@ func (m GreedyBest) Name() string { return fmt.Sprintf("greedy-best(α=%g)", m.A
 
 // Apply implements Mechanism.
 func (m GreedyBest) Apply(in *core.Instance, _ *rng.Stream) (*core.DelegationGraph, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	d := core.NewDelegationGraph(in.N())
 	// On K_n the scan counts through the voters, in Neighbors' ascending
@@ -181,20 +181,21 @@ func (m HalfNeighborhood) Name() string { return fmt.Sprintf("half-neighborhood(
 
 // Apply implements Mechanism.
 func (m HalfNeighborhood) Apply(in *core.Instance, s *rng.Stream) (*core.DelegationGraph, error) {
-	if m.Alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha %v", ErrInvalidMechanism, m.Alpha)
+	if !(m.Alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha %v", ErrInvalidMechanism, m.Alpha)
 	}
 	d := core.NewDelegationGraph(in.N())
+	view := in.ApprovalView(m.Alpha)
 	for i := 0; i < in.N(); i++ {
 		deg := in.Topology().Degree(i)
 		if deg == 0 {
 			continue
 		}
-		count := in.ApprovalCount(i, m.Alpha)
+		count := view.Count(i)
 		if 2*count < deg || count == 0 {
 			continue
 		}
-		j, ok := in.SampleApproved(i, m.Alpha, s)
+		j, ok := view.Sample(i, s)
 		if !ok {
 			continue
 		}

@@ -67,7 +67,3 @@ func FlipProbabilityBound(n int, mu, sigma float64, margin float64) float64 {
 	dist := Normal{Mu: mu, Sigma: sigma}
 	return dist.ProbInInterval(half-margin, half+margin)
 }
-
-// Erf is the error function, re-exported for experiment code that reports
-// the paper's erf(n^{-eps}/sqrt(2)) style bounds.
-func Erf(x float64) float64 { return math.Erf(x) }

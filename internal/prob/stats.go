@@ -165,19 +165,6 @@ func (h *Histogram) Total() int { return h.total }
 // OutOfRange returns the underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
 
-// Density returns the normalized bin heights (fraction of in-range mass per
-// bin, not per unit).
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return d
-	}
-	for i, c := range h.Counts {
-		d[i] = float64(c) / float64(h.total)
-	}
-	return d
-}
-
 // Mean of float64 slice; returns 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -2,48 +2,36 @@ package recycle
 
 import "liquid/internal/rng"
 
-// Realizer is the batched realization kernel for one Graph: it compiles the
-// per-vertex sampling decision (fresh, copy, or mixed) into a flat class
-// array once and owns the realization scratch, so a replication loop pays a
-// single branch-predictable pass with zero allocation per sample.
-//
-// Draw-protocol contract: a Realizer consumes exactly the same stream draws
-// as Graph.Realize — Bernoulli's degenerate-probability shortcuts (p <= 0,
-// p >= 1 consume nothing) are reproduced by the class compilation — so for
-// any stream state, Realizer and Realize produce identical realizations and
-// leave the stream in the identical state. TestRealizerMatchesRealize pins
-// this bit-for-bit; the lemma experiments rely on it so batching cannot
-// shift their sampled tables.
+// Realizer is the batched realization kernel for one Graph: it compiles
+// the per-vertex sampling decisions into quantized tables and maximal
+// same-kind runs once, and owns the realization scratch, so a replication
+// loop pays one branch-free pass with zero allocation per sample. Its draw
+// protocol is SumFast's own, not Graph.Realize's, which stays the
+// definition; SumFast's mean is held to the exact MeanSum.
 //
 // A Realizer is NOT safe for concurrent use: it owns scratch. Each worker
 // takes its own via Graph.Realizer().
 type Realizer struct {
-	g *Graph
-	// class[i] compiles vertex i's decision rule; see the realizeClass
-	// constants.
-	class []uint8
-	// x is the realization scratch reused across samples.
-	x []bool
-	// xq is SumFast's 0/1 scratch: bytes instead of bools so the kernel can
-	// accumulate and select values arithmetically, with no data-dependent
-	// branches for the predictor to miss on.
+	// xq is the 0/1 realization scratch: bytes instead of bools so the
+	// kernel can accumulate and select values arithmetically, with no
+	// data-dependent branches for the predictor to miss on.
 	xq []uint8
 
-	// Quantized tables for SumFast: probabilities as 32.32 fixed-point
-	// thresholds in [0, 2^32] (compare a uniform 32-bit word against them)
-	// and copy bounds widened for the multiply-shift index reduction.
+	// Quantized tables: probabilities as 32.32 fixed-point thresholds in
+	// [0, 2^32] (compare a uniform 32-bit word against them) and copy bounds
+	// widened for the multiply-shift index reduction.
 	p64  []uint64
 	z64  []uint64
 	up64 []uint64
 
-	// runs compiles the class array into maximal same-kind segments so
-	// SumFast dispatches once per segment instead of once per vertex, and
-	// the fresh/copy segment loops unpack two decisions per generator word
-	// with no half-word toggle.
+	// runs splits the vertices into maximal same-kind segments so SumFast
+	// dispatches once per segment instead of once per vertex, and the
+	// fresh/copy segment loops unpack two decisions per generator word with
+	// no half-word toggle.
 	runs []runSeg
 	// sumConst is the fixed contribution of the degenerate (P <= 0 or
-	// P >= 1) vertices; their xq entries are prefilled at construction and
-	// never rewritten, so runConst segments cost nothing per sample.
+	// P >= 1) fresh vertices; their xq entries are prefilled at construction
+	// and never rewritten, so runConst segments cost nothing per sample.
 	sumConst int
 }
 
@@ -74,124 +62,48 @@ func quantize32(p float64) uint64 {
 	return uint64(p * (1 << 32))
 }
 
-const (
-	// classFresh: the vertex always draws fresh (UpTo == 0 or Z >= 1), with
-	// one Bernoulli(P) draw (zero draws when P is degenerate).
-	classFresh uint8 = iota
-	// classFreshOne: fresh with P >= 1 — true, no draw.
-	classFreshOne
-	// classFreshZero: fresh with P <= 0 — false, no draw.
-	classFreshZero
-	// classCopy: the vertex always copies (Z <= 0, UpTo > 0): one IntN draw.
-	classCopy
-	// classMixed: 0 < Z < 1 with UpTo > 0: a Bernoulli(Z) draw picks fresh
-	// or copy.
-	classMixed
-)
+// runKind is vertex i's SumFast loop kind: fresh when it never copies
+// (UpTo == 0 or Z >= 1), constant when that fresh draw is degenerate, copy
+// when it always copies (Z <= 0), and mixed otherwise.
+func (g *Graph) runKind(i int) uint8 {
+	switch {
+	case g.UpTo[i] == 0 || g.Z[i] >= 1:
+		if g.P[i] <= 0 || g.P[i] >= 1 {
+			return runConst
+		}
+		return runFresh
+	case g.Z[i] <= 0:
+		return runCopy
+	default:
+		return runMixed
+	}
+}
 
 // Realizer compiles g into a reusable sampling kernel.
 func (g *Graph) Realizer() *Realizer {
 	n := g.N()
 	r := &Realizer{
-		g:     g,
-		class: make([]uint8, n),
-		x:     make([]bool, n),
-		xq:    make([]uint8, n),
-		p64:   make([]uint64, n),
-		z64:   make([]uint64, n),
-		up64:  make([]uint64, n),
+		xq:   make([]uint8, n),
+		p64:  make([]uint64, n),
+		z64:  make([]uint64, n),
+		up64: make([]uint64, n),
 	}
-	for i := 0; i < n; i++ {
+	for i := range n {
 		r.p64[i] = quantize32(g.P[i])
 		r.z64[i] = quantize32(g.Z[i])
 		r.up64[i] = uint64(g.UpTo[i])
-		switch {
-		case g.UpTo[i] == 0 || g.Z[i] >= 1:
-			switch {
-			case g.P[i] >= 1:
-				r.class[i] = classFreshOne
-			case g.P[i] <= 0:
-				r.class[i] = classFreshZero
-			default:
-				r.class[i] = classFresh
-			}
-		case g.Z[i] <= 0:
-			r.class[i] = classCopy
-		default:
-			r.class[i] = classMixed
-		}
-	}
-	kindOf := func(c uint8) uint8 {
-		switch c {
-		case classFresh:
-			return runFresh
-		case classCopy:
-			return runCopy
-		case classMixed:
-			return runMixed
-		default: // classFreshOne, classFreshZero
-			return runConst
-		}
-	}
-	for i := 0; i < n; {
-		k := kindOf(r.class[i])
-		j := i + 1
-		for j < n && kindOf(r.class[j]) == k {
-			j++
-		}
-		r.runs = append(r.runs, runSeg{kind: k, start: int32(i), end: int32(j)})
-		i = j
-	}
-	for i, c := range r.class {
-		if c == classFreshOne {
+		k := g.runKind(i)
+		if k == runConst && g.P[i] >= 1 {
 			r.xq[i] = 1
 			r.sumConst++
 		}
+		if len(r.runs) > 0 && r.runs[len(r.runs)-1].kind == k {
+			r.runs[len(r.runs)-1].end++
+		} else {
+			r.runs = append(r.runs, runSeg{kind: k, start: int32(i), end: int32(i + 1)})
+		}
 	}
 	return r
-}
-
-// realize fills r.x with one realization, drawing exactly as Graph.Realize
-// would.
-//
-//lint:hotpath
-func (r *Realizer) realize(s *rng.Stream) []bool {
-	g, x := r.g, r.x
-	p, z, upTo := g.P, g.Z, g.UpTo
-	for i, c := range r.class {
-		switch c {
-		case classFresh:
-			x[i] = s.Float64() < p[i]
-		case classFreshOne:
-			x[i] = true
-		case classFreshZero:
-			x[i] = false
-		case classCopy:
-			x[i] = x[s.IntN(upTo[i])]
-		default: // classMixed
-			if s.Float64() < z[i] {
-				// The fresh branch re-applies Bernoulli's degenerate
-				// shortcuts: P outside (0, 1) consumes no draw.
-				x[i] = p[i] > 0 && (p[i] >= 1 || s.Float64() < p[i])
-			} else {
-				x[i] = x[s.IntN(upTo[i])]
-			}
-		}
-	}
-	return x
-}
-
-// Sum samples one realization and returns X_n, allocation-free.
-//
-//lint:hotpath
-func (r *Realizer) Sum(s *rng.Stream) int {
-	sum := 0
-	for _, v := range r.realize(s) {
-		if v {
-			sum++
-		}
-	}
-	return sum
 }
 
 // SumFast samples one realization and returns X_n using the quantized
@@ -208,13 +120,13 @@ func (r *Realizer) Sum(s *rng.Stream) int {
 // value half-word (word-paired within their segment); degenerate vertices
 // consume nothing. The word spent on an odd tail or an odd mixed pairing is
 // not carried into the next segment, so the protocol is a function of the
-// compiled class layout alone and fully deterministic for a fixed stream
+// compiled run layout alone and fully deterministic for a fixed stream
 // state.
 //
-// Unlike Sum, SumFast is NOT draw-compatible with Graph.Realize: it has its
-// own protocol, and each variate carries a quantization error of at most
-// 2^-32 in probability — invisible at Monte Carlo sample counts but enough
-// that switching a replication loop between Sum and SumFast reseeds its
+// SumFast is NOT draw-compatible with Graph.Realize: it has its own
+// protocol, and each variate carries a quantization error of at most 2^-32
+// in probability — invisible at Monte Carlo sample counts but enough that
+// switching a replication loop between RealizeSum and SumFast reseeds its
 // sampled table. Callers choose one protocol and keep it.
 //
 //lint:hotpath
@@ -288,20 +200,4 @@ func (r *Realizer) SumFast(s *rng.Stream) int {
 		}
 	}
 	return int(sum)
-}
-
-// PrefixSumsInto samples one realization and writes the prefix sums
-// X_1..X_n into dst (which must have length >= n), returning dst[:n]. The
-// values match Graph.RealizePrefixSums draw for draw.
-func (r *Realizer) PrefixSumsInto(dst []int, s *rng.Stream) []int {
-	x := r.realize(s)
-	dst = dst[:len(x)]
-	sum := 0
-	for i, v := range x {
-		if v {
-			sum++
-		}
-		dst[i] = sum
-	}
-	return dst
 }

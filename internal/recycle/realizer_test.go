@@ -6,7 +6,7 @@ import (
 	"liquid/internal/rng"
 )
 
-// realizerGraphs builds graphs exercising every vertex class: independent
+// realizerGraphs builds graphs exercising every run kind: independent
 // (all fresh), layered copy-only, mixed z, and degenerate p values.
 func realizerGraphs(t *testing.T) []*Graph {
 	t.Helper()
@@ -56,46 +56,6 @@ func realizerGraphs(t *testing.T) []*Graph {
 	}
 	gs = append(gs, mixed)
 	return gs
-}
-
-// TestRealizerMatchesRealize pins the Realizer's draw-protocol contract:
-// from identical stream states, Realizer and Graph.Realize must produce
-// identical realizations AND leave their streams in identical states (the
-// sentinel draw at the end detects any difference in draws consumed).
-func TestRealizerMatchesRealize(t *testing.T) {
-	for gi, g := range realizerGraphs(t) {
-		r := g.Realizer()
-		prefix := make([]int, g.N())
-		for rep := 0; rep < 20; rep++ {
-			seed := uint64(1000*gi + rep + 1)
-			want := g.Realize(rng.New(seed))
-
-			s := rng.New(seed)
-			got := r.realize(s)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("graph %d rep %d: x[%d] = %v, want %v", gi, rep, i, got[i], want[i])
-				}
-			}
-			// Sentinel: both streams must have consumed the same draws.
-			ref := rng.New(seed)
-			g.Realize(ref)
-			if a, b := s.Uint64(), ref.Uint64(); a != b {
-				t.Fatalf("graph %d rep %d: stream states diverged (%x vs %x): draw counts differ", gi, rep, a, b)
-			}
-
-			if got, want := r.Sum(rng.New(seed)), g.RealizeSum(rng.New(seed)); got != want {
-				t.Fatalf("graph %d rep %d: Sum = %d, want %d", gi, rep, got, want)
-			}
-			gotPrefix := r.PrefixSumsInto(prefix, rng.New(seed))
-			wantPrefix := g.RealizePrefixSums(rng.New(seed))
-			for i := range wantPrefix {
-				if gotPrefix[i] != wantPrefix[i] {
-					t.Fatalf("graph %d rep %d: prefix[%d] = %d, want %d", gi, rep, i, gotPrefix[i], wantPrefix[i])
-				}
-			}
-		}
-	}
 }
 
 // TestSumFastDeterministicAndCalibrated pins SumFast's two contracts: a
@@ -151,36 +111,6 @@ func BenchmarkRealizerSumFast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r.SumFast(stream) < 0 {
-			b.Fatal("impossible")
-		}
-	}
-}
-
-func BenchmarkRealizerSum(b *testing.B) {
-	s := rng.New(73)
-	n := 5000
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = 0.2 + 0.6*s.Float64()
-	}
-	z := make([]float64, n)
-	upTo := make([]int, n)
-	j := n / 10
-	for i := 0; i < j; i++ {
-		z[i] = 1
-	}
-	for i := j; i < n; i++ {
-		upTo[i] = j
-	}
-	g, err := New(j, z, p, upTo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := g.Realizer()
-	stream := rng.New(75)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r.Sum(stream) < 0 {
 			b.Fatal("impossible")
 		}
 	}

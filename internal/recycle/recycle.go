@@ -235,8 +235,8 @@ func (g *Graph) Lemma2Bound(eps float64) float64 {
 // copies uniformly from its approval prefix (z = 0), everyone else is
 // fresh. This is the Lemma 7 correspondence.
 func FromCompleteDelegation(in *core.Instance, alpha float64, threshold int) (*Graph, error) {
-	if alpha < 0 {
-		return nil, fmt.Errorf("%w: negative alpha", ErrInvalidGraph)
+	if !(alpha >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN alpha", ErrInvalidGraph)
 	}
 	n := in.N()
 	// Descending competency with ascending-id tiebreak, built in O(n) from

@@ -77,19 +77,15 @@ func testInstance(t *testing.T, n int) (*core.Instance, string) {
 
 // TestEvaluateBitIdenticalToOffline is the serving layer's core contract: a
 // completed exact response carries byte-for-byte the same numbers as the
-// offline evaluator with the same seed and options.
+// offline evaluator with the same seed and options. An exact fault evaluate
+// is held to the fault engine's own entry, fault.EvaluateSweep, with the
+// daemon's per-request options (one worker).
 func TestEvaluateBitIdenticalToOffline(t *testing.T) {
 	in, instJSON := testInstance(t, 25)
 	_, ts := newTestServer(t, server.Config{})
 
 	alphas := []float64{0, 0.05, 0.1}
-	body := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": "approval-threshold"}, "alphas": [0, 0.05, 0.1], "seed": 7, "replications": 16}`, instJSON)
-	resp, data := post(t, ts.URL, "/v1/evaluate", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, data)
-	}
-
-	expected := server.EvaluateResponse{}
+	approval := server.EvaluateResponse{}
 	for _, a := range alphas {
 		res, err := election.EvaluateMechanism(t.Context(), in, mechanism.ApprovalThreshold{Alpha: a}, election.Options{
 			Replications: 16, Seed: 7, Workers: 1,
@@ -97,7 +93,7 @@ func TestEvaluateBitIdenticalToOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected.Results = append(expected.Results, server.PointResult{
+		approval.Results = append(approval.Results, server.PointResult{
 			Mechanism: res.Mechanism, Alpha: a, N: res.N,
 			PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD,
 			Gain: res.Gain, GainLo: res.GainLo, GainHi: res.GainHi,
@@ -107,13 +103,46 @@ func TestEvaluateBitIdenticalToOffline(t *testing.T) {
 			PDTier:           "exact",
 		})
 	}
-	want, err := json.Marshal(expected)
+
+	faulty, err := fault.EvaluateSweep(t.Context(), in, []fault.SweepPoint{{
+		Mechanism: mechanism.GreedyBest{Alpha: 0.05},
+		Opts: fault.ElectionOptions{
+			Options:  election.Options{Replications: 16, Seed: 7, Workers: 1},
+			DownRate: 0.2, Policy: fault.FallbackToDirect,
+		},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n')
-	if !bytes.Equal(data, want) {
-		t.Fatalf("response differs from offline evaluation:\n got: %s\nwant: %s", data, want)
+	res := faulty[0]
+	faultResp := server.EvaluateResponse{Results: []server.PointResult{{
+		Mechanism: res.Mechanism, Alpha: 0.05, N: res.N,
+		PM: res.PM, PMStdErr: res.PMStdErr, PD: res.PD, Gain: res.Gain,
+		Policy: res.Policy.String(), MeanDown: res.MeanDown, MeanLost: res.MeanLost,
+		MeanFellBack: res.MeanFellBack, MeanRedelegated: res.MeanRedelegated,
+	}}}
+
+	for _, tc := range []struct {
+		name string
+		body string
+		want server.EvaluateResponse
+	}{
+		{"approval-threshold sweep", `"mechanism": {"name": "approval-threshold"}, "alphas": [0, 0.05, 0.1]`, approval},
+		{"fault evaluate", `"mechanism": {"name": "greedy-best", "alpha": 0.05}, "fault": {"policy": "fallback-to-direct", "down_rate": 0.2}`, faultResp},
+	} {
+		body := fmt.Sprintf(`{"instance": %s, %s, "seed": 7, "replications": 16}`, instJSON, tc.body)
+		resp, data := post(t, ts.URL, "/v1/evaluate", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", tc.name, resp.StatusCode, data)
+		}
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if !bytes.Equal(data, want) {
+			t.Fatalf("%s: response differs from offline evaluation:\n got: %s\nwant: %s", tc.name, data, want)
+		}
 	}
 }
 
@@ -321,6 +350,28 @@ func TestEvaluateDeadline(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Expired != 1 {
 		t.Fatalf("stats = %+v, want Expired = 1", st)
+	}
+}
+
+// TestTinyAlphaKeepsServing: at a positive alpha too small to change any
+// competency, every voter on K_n lies in its own approval suffix, so its
+// approval count must leave it out. A count that kept it left the most
+// competent voter's draw rejecting itself forever, wedging the only worker
+// of a one-shard server: the request and every later one answered 504.
+// Both approval mechanisms at alpha = 1e-17, then an ordinary alpha, must
+// all answer 200.
+func TestTinyAlphaKeepsServing(t *testing.T) {
+	_, instJSON := testInstance(t, 3)
+	_, ts := newTestServer(t, server.Config{Shards: 1})
+	for _, mech := range []struct {
+		name  string
+		alpha float64
+	}{{"approval-threshold", 1e-17}, {"half-neighborhood", 1e-17}, {"approval-threshold", 0.05}} {
+		body := fmt.Sprintf(`{"instance": %s, "mechanism": {"name": %q, "alpha": %v}, "seed": 3, "replications": 4, "deadline_ms": 2000}`,
+			instJSON, mech.name, mech.alpha)
+		if resp, data := post(t, ts.URL, "/v1/evaluate", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s at alpha %v: status = %d: %s", mech.name, mech.alpha, resp.StatusCode, data)
+		}
 	}
 }
 
